@@ -11,7 +11,7 @@ from .ideals import (WordTrace, ConstructibleIdeal, IdealLattice, Undecided,
                      independence_rank_oracle, ore_test)
 from .invsgp import (VWord, make_vword, compose, star, vword_eq,
                      idempotent_vword, semilattice, enumerate_vwords)
-from .spectrum import (Fragment, Character, ThetaContext, enumerate_characters,
+from .spectrum import (Fragment, ThetaContext, enumerate_characters,
                        principal_character, theta_apply, invariant_closure,
                        boundary, topological_freeness_probe)
 from .fock import (TruncOp, rep_vword, projection_op, identity_op,

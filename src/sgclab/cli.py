@@ -81,7 +81,8 @@ class RunConfig:
         for key, val in caps.items():
             if key not in DEFAULT_CAPS:
                 raise ConfigError(f"unknown cap {key!r}")
-            if val is not None and (not isinstance(val, int) or val < 0):
+            if val is not None and (isinstance(val, bool)
+                                    or not isinstance(val, int) or val < 0):
                 raise ConfigError(f"cap {key!r} must be a non-negative int")
         closure = set(analyses)
         while True:
@@ -118,10 +119,6 @@ def _caps_for(model, caps):
     if out["trunc"] is None:
         out["trunc"] = model.default_trunc
     return out
-
-
-class _Store(dict):
-    """Shared artifacts across analyses within one run."""
 
 
 def _an_ideals(model, caps, rng, store):
@@ -221,7 +218,6 @@ def _an_spectrum(model, caps, rng, store):
     store["fragment"] = frag
     store["theta"] = ctx
     chars = spectrum.enumerate_characters(frag)
-    store["characters"] = chars
     identity_ok = all(
         spectrum.theta_apply(ctx, model.unit, chi).image == chi for chi in chars)
     checked = ambiguous = failures = 0
@@ -257,19 +253,19 @@ def _an_boundary(model, caps, rng, store):
     ctx = store["theta"]
     res = spectrum.boundary(ctx)
     store["boundary"] = res
-    ordered = sorted(res.chars, key=lambda c: c.bits)
+    frag = store["fragment"]
     edges = []
-    for chi in ordered:
+    for chi in sorted(res.chars, key=frag.up_masks.__getitem__):
         for g in ctx.gradings():
             out = spectrum.theta_apply(ctx, g, chi)
             if out.status == "image":
-                edges.append([list(chi.support_positions()), model.render(g),
-                              list(out.image.support_positions())])
+                edges.append([list(frag.support(chi)), model.render(g),
+                              list(frag.support(out.image))])
     tier = "band-limited" if res.routes_agree else "inconclusive"
     return {
         "op": "spectrum.boundary",
-        "params": {"fragment_size": store["fragment"].size()},
-        "result": res.to_json(),
+        "params": {"fragment_size": frag.size()},
+        "result": res.to_json(frag),
         "orbit_edges": edges,
     }, tier
 
@@ -277,7 +273,7 @@ def _an_boundary(model, caps, rng, store):
 def _an_freeness(model, caps, rng, store):
     ctx = store["theta"]
     bd = store["boundary"]
-    if not isinstance(model, type) and store.get("freeness_g") is not None:
+    if store.get("freeness_g") is not None:
         g_list = [model.parse(g) for g in store["freeness_g"]]
     else:
         g_list = [g for g in ctx.gradings()]
@@ -361,13 +357,13 @@ _RUNNERS = {
 def run(config: RunConfig):
     """Execute the configured analyses in dependency order.
 
-    Returns (report_dict, exit_code).  Analyses run sequentially (a
-    one-worker pool keeps reports deterministic); per-analysis errors are
-    reported without aborting the rest of the run.
+    Returns (report_dict, exit_code).  Analyses run sequentially, in one
+    process, so reports are deterministic; per-analysis errors are reported
+    without aborting the rest of the run.
     """
     model = build_model(config.model_config)
     caps = _caps_for(model, config.caps)
-    store = _Store()
+    store = {}
     store["freeness_g"] = config.freeness_g
     results = {}
     timings = {}

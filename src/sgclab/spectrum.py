@@ -4,8 +4,8 @@ minimal invariant boundary, and a topological-freeness probe.
 A character is a semilattice homomorphism from the fragment's non-empty
 ideals to {0,1}; its support is a filter (upward closed and closed under
 intersection).  On a finite intersection-closed fragment every filter has a
-least element, so the characters are exactly the principal up-sets, stored
-as bitmasks.
+least element, so the characters are exactly the principal up-sets, and a
+character is the fragment position of its least supported ideal.
 
 The group acts partially: a word v with grading g carries the character
 chi (with chi(dom v) = 1) to the character y -> chi(pullback of y along v),
@@ -34,9 +34,8 @@ tested depth, never a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import ideals as ideals_mod
 from . import invsgp
 from .models import ModelError
 
@@ -56,6 +55,8 @@ class Fragment:
     meet: tuple               # per (i, j) flattened: position of meet, or -1 for empty
     depths: tuple             # per position: discovery depth
     full_pos: int
+    pos_of_key: dict          # ideal dedup key -> position
+    pos_of_up: dict           # up mask -> position: the filters
 
     @staticmethod
     def from_lattice(lattice) -> "Fragment":
@@ -63,7 +64,6 @@ class Fragment:
             raise FragmentError("fragment requires an intersection-closed lattice")
         positions = lattice.nonempty_indices()
         pos_of = {li: b for b, li in enumerate(positions)}
-        n = len(positions)
         up_masks = []
         for b, li in enumerate(positions):
             mask = 0
@@ -80,8 +80,13 @@ class Fragment:
                 meet.append(pos_of.get(k, -1))
         full_pos = pos_of[0]
         depths = tuple(lattice.depths[li] for li in positions)
+        pos_of_key = {lattice.ideals[li].dedup_key(): b
+                      for b, li in enumerate(positions)}
+        pos_of_up = {mask: b for b, mask in enumerate(up_masks)}
+        if len(pos_of_up) != len(positions):
+            raise FragmentError("two fragment ideals contain each other")
         return Fragment(lattice, positions, pos_of, tuple(up_masks),
-                        tuple(meet), depths, full_pos)
+                        tuple(meet), depths, full_pos, pos_of_key, pos_of_up)
 
     def size(self):
         return len(self.positions)
@@ -93,73 +98,40 @@ class Fragment:
         return self.meet[i * len(self.positions) + j]
 
     def position_of_ideal(self, ideal):
-        key = ideal.dedup_key()
-        for pos, li in enumerate(self.positions):
-            if self.lattice.ideals[li].dedup_key() == key:
-                return pos
-        return None
+        return self.pos_of_key.get(ideal.dedup_key())
 
     def sub_frontier_positions(self):
         frontier = max(self.depths) if self.depths else 0
         return tuple(p for p, d in enumerate(self.depths) if d < frontier)
 
     def is_filter(self, bits) -> bool:
-        if not (bits >> self.full_pos) & 1:
-            return False
-        live = [p for p in range(self.size()) if (bits >> p) & 1]
-        for p in live:
-            if self.up_masks[p] & bits != self.up_masks[p]:
-                return False
-        for a in live:
-            for b in live:
-                m = self.meet_pos(a, b)
-                if m < 0 or not (bits >> m) & 1:
-                    return False
-        return True
+        """Filters on a finite meet-closed fragment are principal."""
+        return bits in self.pos_of_up
 
+    def value(self, chi, pos) -> int:
+        """The character chi evaluated at the ideal in position pos."""
+        return (self.up_masks[chi] >> pos) & 1
 
-@dataclass(frozen=True)
-class Character:
-    """A filter on the fragment, stored as a support bitmask."""
-
-    fragment: Fragment
-    bits: int
-
-    def value(self, pos) -> int:
-        return (self.bits >> pos) & 1
-
-    def support_positions(self):
-        return tuple(p for p in range(self.fragment.size()) if self.value(p))
-
-    def min_support(self):
-        """Least supported ideal position (filters here are principal)."""
-        best = None
-        for p in self.support_positions():
-            if best is None or self.fragment.up_masks[p] & (1 << best):
-                best = p
-        return best
-
-    def render(self):
-        return {"support": list(self.support_positions())}
+    def support(self, chi):
+        """Positions of the ideals on which chi is 1, ascending."""
+        return tuple(p for p in range(self.size()) if self.value(chi, p))
 
 
 def enumerate_characters(fragment: Fragment):
     """All filters on the fragment: the principal up-sets, one per
     non-empty ideal, in fragment position order."""
-    return tuple(Character(fragment, fragment.up_masks[p])
-                 for p in range(fragment.size()))
+    return tuple(range(fragment.size()))
 
 
-def principal_character(fragment: Fragment, p) -> Character:
+def principal_character(fragment: Fragment, p) -> int:
     """The evaluation character x -> [p in x]."""
     bits = 0
     for pos in range(fragment.size()):
         if fragment.ideal_at(pos).contains(p):
             bits |= 1 << pos
-    chi = Character(fragment, bits)
     if not fragment.is_filter(bits):
         raise FragmentError("membership pattern is not a filter; fragment not closed?")
-    return chi
+    return fragment.pos_of_up[bits]
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +140,17 @@ def principal_character(fragment: Fragment, p) -> Character:
 @dataclass(frozen=True)
 class ThetaResult:
     status: str               # "image" | "outside" | "ambiguous" | "invalid"
-    image: object = None      # Character when status == "image"
+    image: object = None      # character position when status == "image"
     determined: tuple = ()    # ((pos, bit), ...) when ambiguous
     ambiguous: tuple = ()     # positions that no rule settled
-    carrier: object = None    # index of the word used
+
+
+_OUTSIDE = ThetaResult("outside")
 
 
 class ThetaContext:
-    """Fragment together with an enumerated word family, with cached
-    pullback recipes per grading."""
+    """Fragment together with an enumerated word family, with the partial
+    action tabulated once per grading."""
 
     def __init__(self, fragment: Fragment, family):
         if fragment.lattice.model is not family.model:
@@ -184,7 +158,7 @@ class ThetaContext:
         self.fragment = fragment
         self.family = family
         self.model = family.model
-        self._carriers = {}
+        self._tables = {}
 
     def gradings(self):
         unit = self.model.unit
@@ -193,9 +167,6 @@ class ThetaContext:
     def carriers(self, g):
         """Usable words with grading g: those whose domain ideal matches a
         fragment position, each with a per-ideal pullback recipe."""
-        got = self._carriers.get(g)
-        if got is not None:
-            return got
         out = []
         for idx in self.family.by_grading.get(g, ()):
             v = self.family.members[idx]
@@ -205,8 +176,7 @@ class ThetaContext:
             recipes = tuple(self._recipe(v, pos)
                             for pos in range(self.fragment.size()))
             out.append((idx, v, dom_pos, recipes))
-        self._carriers[g] = tuple(out)
-        return self._carriers[g]
+        return tuple(out)
 
     def _recipe(self, v, pos):
         y = self.fragment.ideal_at(pos)
@@ -228,62 +198,69 @@ class ThetaContext:
                 downs |= 1 << w
         return ("bounds", ups, downs)
 
+    def table(self, g):
+        """theta_g at every character, in position order.
 
-def theta_apply(ctx: ThetaContext, g, chi: Character) -> ThetaResult:
-    """Carry chi along the grading-g dynamics.
+        "outside" when chi vanishes on every usable domain ideal; otherwise
+        the first usable word's pullback recipe determines the image bits
+        per fragment ideal, and any unresolved position makes the whole
+        instance ambiguous.
+        """
+        got = self._tables.get(g)
+        if got is None:
+            carriers = self.carriers(g)
+            got = tuple(self._apply(carriers, chi)
+                        for chi in range(self.fragment.size()))
+            self._tables[g] = got
+        return got
 
-    "outside" when chi vanishes on every usable domain ideal; otherwise the
-    image bits are determined per fragment ideal from the pullback recipe,
-    and any unresolved position makes the whole instance ambiguous.
-    """
-    if g == ctx.model.unit:
-        return ThetaResult("image", image=chi, carrier=None)
-    for idx, v, dom_pos, recipes in ctx.carriers(g):
-        if not chi.value(dom_pos):
-            continue
-        bits = 0
-        ambiguous = []
-        determined = []
-        for pos, recipe in enumerate(recipes):
-            kind = recipe[0]
-            if kind == "empty":
-                determined.append((pos, 0))
-            elif kind == "pos":
-                bit = chi.value(recipe[1])
-                determined.append((pos, bit))
-                if bit:
-                    bits |= 1 << pos
-            else:
-                _, ups, downs = recipe
-                if chi.bits & ups:
-                    determined.append((pos, 1))
-                    bits |= 1 << pos
-                elif downs & ~chi.bits:
+    def _apply(self, carriers, chi):
+        frag = self.fragment
+        chi_bits = frag.up_masks[chi]
+        for _, _, dom_pos, recipes in carriers:
+            if not frag.value(chi, dom_pos):
+                continue
+            bits = 0
+            ambiguous = []
+            determined = []
+            for pos, recipe in enumerate(recipes):
+                kind = recipe[0]
+                if kind == "empty":
                     determined.append((pos, 0))
+                elif kind == "pos":
+                    bit = frag.value(chi, recipe[1])
+                    determined.append((pos, bit))
+                    if bit:
+                        bits |= 1 << pos
                 else:
-                    ambiguous.append(pos)
-        if ambiguous:
-            return ThetaResult("ambiguous", determined=tuple(determined),
-                               ambiguous=tuple(ambiguous), carrier=idx)
-        if not ctx.fragment.is_filter(bits):
-            return ThetaResult("invalid", determined=tuple(determined),
-                               carrier=idx)
-        return ThetaResult("image", image=Character(ctx.fragment, bits),
-                           carrier=idx)
-    return ThetaResult("outside")
+                    _, ups, downs = recipe
+                    if chi_bits & ups:
+                        determined.append((pos, 1))
+                        bits |= 1 << pos
+                    elif downs & ~chi_bits:
+                        determined.append((pos, 0))
+                    else:
+                        ambiguous.append(pos)
+            if ambiguous:
+                return ThetaResult("ambiguous", determined=tuple(determined),
+                                   ambiguous=tuple(ambiguous))
+            if not frag.is_filter(bits):
+                return ThetaResult("invalid", determined=tuple(determined))
+            return ThetaResult("image", image=frag.pos_of_up[bits])
+        return _OUTSIDE
+
+
+def theta_apply(ctx: ThetaContext, g, chi: int) -> ThetaResult:
+    """Carry chi along the grading-g dynamics (see ``ThetaContext.table``)."""
+    if g == ctx.model.unit:
+        return ThetaResult("image", image=chi)
+    return ctx.table(g)[chi]
 
 
 @dataclass(frozen=True)
 class ClosureResult:
     chars: frozenset
     events: tuple             # (grading, char, status) for non-image instances
-
-    def to_json(self, model=None):
-        return {
-            "size": len(self.chars),
-            "supports": sorted(list(c.support_positions()) for c in self.chars),
-            "unresolved_instances": len(self.events),
-        }
 
 
 def invariant_closure(ctx: ThetaContext, seed, gradings=None) -> ClosureResult:
@@ -319,10 +296,10 @@ class BoundaryResult:
     routes_agree: bool
     events: tuple
 
-    def to_json(self):
+    def to_json(self, fragment):
         return {
             "size": len(self.chars),
-            "supports": sorted(list(c.support_positions()) for c in self.chars),
+            "supports": sorted(list(fragment.support(c)) for c in self.chars),
             "maximal_seed_count": len(self.maximal_seeds),
             "orbit_route_size": None if self.orbit_route is None else len(self.orbit_route),
             "routes_agree": self.routes_agree,
@@ -338,10 +315,11 @@ def boundary(ctx: ThetaContext) -> BoundaryResult:
     itself non-empty and invariant.  The maximal-filter route is primary;
     ``routes_agree`` records the cross-check.
     """
+    up = ctx.fragment.up_masks
     chars = enumerate_characters(ctx.fragment)
     maximal = tuple(
         c for c in chars
-        if not any(o.bits != c.bits and (c.bits & o.bits) == c.bits for o in chars))
+        if not any(up[o] != up[c] and (up[c] & up[o]) == up[c] for o in chars))
     route_a = invariant_closure(ctx, maximal)
     events = list(route_a.events)
 
@@ -352,7 +330,7 @@ def boundary(ctx: ThetaContext) -> BoundaryResult:
         inter &= cl.chars
     orbit_route = None
     if inter:
-        recheck = invariant_closure(ctx, sorted(inter, key=lambda c: c.bits))
+        recheck = invariant_closure(ctx, sorted(inter, key=up.__getitem__))
         if recheck.chars == frozenset(inter):
             orbit_route = frozenset(inter)
     agree = orbit_route is not None and orbit_route == route_a.chars
@@ -385,30 +363,26 @@ class FreenessVerdict:
         }
 
 
-def _boundary_status(ctx, boundary_chars, g, chi):
-    """Classify chi under the grading-g dynamics restricted to the boundary:
-    'fixed' / 'moved' when certain for every boundary-consistent completion,
-    else 'unresolved'."""
-    res = theta_apply(ctx, g, chi)
-    if res.status == "outside":
-        return "outside", res
+def _boundary_status(fragment, boundary_chars, chi, res):
+    """Classify chi, whose grading-g result is res, under the dynamics
+    restricted to the boundary: 'fixed' / 'moved' when certain for every
+    boundary-consistent completion, else 'unresolved'."""
     if res.status == "image":
         if res.image not in boundary_chars:
-            return "moved", res   # image escaped; invariance cross-checks flag it
-        return ("fixed" if res.image == chi else "moved"), res
+            return "moved"   # image escaped; invariance cross-checks flag it
+        return "fixed" if res.image == chi else "moved"
     if res.status == "invalid":
-        return "unresolved", res
-    completions = []
-    for b in boundary_chars:
-        if all(b.value(pos) == bit for pos, bit in res.determined):
-            completions.append(b)
+        return "unresolved"
+    completions = [b for b in boundary_chars
+                   if all(fragment.value(b, pos) == bit
+                          for pos, bit in res.determined)]
     if not completions:
-        return "unresolved", res
+        return "unresolved"
     if all(b == chi for b in completions):
-        return "fixed", res
+        return "fixed"
     if chi not in completions:
-        return "moved", res
-    return "unresolved", res
+        return "moved"
+    return "unresolved"
 
 
 def topological_freeness_probe(ctx: ThetaContext, boundary_chars, g_list) -> dict:
@@ -421,24 +395,26 @@ def topological_freeness_probe(ctx: ThetaContext, boundary_chars, g_list) -> dic
     character witnesses movement.  Everything else is inconclusive.
     """
     unit = ctx.model.unit
+    frag = ctx.fragment
     boundary_chars = frozenset(boundary_chars)
-    sub_frontier = ctx.fragment.sub_frontier_positions()
+    ordered = sorted(boundary_chars, key=frag.up_masks.__getitem__)
+    sub_frontier = frag.sub_frontier_positions()
     out = {}
     for g in g_list:
         if g == unit:
             raise ModelError("freeness probe expects non-identity gradings")
         domain = []
-        for chi in sorted(boundary_chars, key=lambda c: c.bits):
-            carriers = ctx.carriers(g)
-            if any(chi.value(dom_pos) for _, _, dom_pos, _ in carriers):
-                domain.append(chi)
         fixed, moved, unresolved = [], [], []
-        for chi in domain:
-            kind, _ = _boundary_status(ctx, boundary_chars, g, chi)
+        for chi in ordered:
+            res = theta_apply(ctx, g, chi)
+            if res.status == "outside":
+                continue
+            domain.append(chi)
+            kind = _boundary_status(frag, boundary_chars, chi, res)
             {"fixed": fixed, "moved": moved, "unresolved": unresolved}[kind].append(chi)
         witness = None
         for pos in sub_frontier:
-            cylinder = [chi for chi in domain if chi.value(pos)]
+            cylinder = [chi for chi in domain if frag.value(chi, pos)]
             if cylinder and all(chi in fixed for chi in cylinder):
                 witness = pos
                 break

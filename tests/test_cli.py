@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -35,6 +36,10 @@ def test_config_rejects_unknown():
         RunConfig.from_dict({"analyses": ["ore"]})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"model": {}, "caps": {"radius": -1}})
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"model": {}, "caps": {"trace_depth": True}})
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"model": {}, "caps": {"samples": False}})
 
 
 def test_run_produces_tiers_and_ops():
@@ -82,6 +87,26 @@ def test_reports_are_deterministic():
     r2, _ = run(cfg)
     assert stable_body(r1) == stable_body(r2)
     assert "timings" in r1 and set(r1["timings"]) == set(r1["results"])
+
+
+# sha256 of the stable body of `run` at seed 0, trace depth 2, all analyses.
+# A change of representation must leave every report byte-identical.
+GOLDEN_STABLE_BODIES = (
+    ({"family": "free_abelian", "rank": 1},
+     "c4acd94a6a635f85d73f7ea67f99610a08be734caa9ef455888e385b261dcc70"),
+    ({"family": "free_monoid", "rank": 2},
+     "3300ff329e29d027050657b70e924ab2ea96dceda4cab3d9665cb1e72af6132f"),
+    ({"family": "numerical", "generators": [2, 3]},
+     "e6b88058fafa98be0e9bffc5f6b06a49f06354453e251b144a601d39c712e36d"),
+)
+
+
+@pytest.mark.parametrize("model,digest", GOLDEN_STABLE_BODIES,
+                         ids=["N^1", "F2+", "<2,3>"])
+def test_stable_body_matches_golden_hash(model, digest):
+    doc = {"model": model, "caps": {"trace_depth": 2}, "seed": 0}
+    report, _ = run(RunConfig.from_dict(doc))
+    assert hashlib.sha256(stable_body(report).encode()).hexdigest() == digest
 
 
 def test_explain_topics():

@@ -4,7 +4,7 @@ from oracles import brute_filters
 from sgclab.ideals import enumerate_ideals
 from sgclab.invsgp import enumerate_vwords
 from sgclab.models import ModelError
-from sgclab.spectrum import (Character, Fragment, FragmentError, ThetaContext,
+from sgclab.spectrum import (Fragment, FragmentError, ThetaContext,
                              boundary, enumerate_characters, invariant_closure,
                              principal_character, theta_apply,
                              topological_freeness_probe)
@@ -27,7 +27,7 @@ def context_for(model, depth):
 
 def char_by_support(frag, chars, supports):
     for c in chars:
-        if set(c.support_positions()) == set(supports):
+        if set(frag.support(c)) == set(supports):
             return c
     raise AssertionError(f"no character with support {supports}")
 
@@ -45,7 +45,7 @@ def test_chain_fragment_characters(n1):
     frag = fragment_for(n1, 2)   # P, 1+N, 2+N
     chars = enumerate_characters(frag)
     assert len(chars) == 3
-    supports = sorted(tuple(c.support_positions()) for c in chars)
+    supports = sorted(frag.support(c) for c in chars)
     assert supports == [(0,), (0, 1), (0, 1, 2)]
 
 
@@ -55,7 +55,7 @@ def test_f2_depth1_characters(f2):
     assert len(chars) == 3
     # aP and bP are disjoint so no filter holds both
     for c in chars:
-        assert not (c.value(1) and c.value(2))
+        assert not (frag.value(c, 1) and frag.value(c, 2))
 
 
 def test_characters_match_subset_scan_oracle(all_models):
@@ -65,28 +65,32 @@ def test_characters_match_subset_scan_oracle(all_models):
             frag = fragment_for(model, 1)
         members = [frag.ideal_at(p).members for p in range(frag.size())]
         want = brute_filters(members)
-        got = {c.support_positions() for c in enumerate_characters(frag)}
+        got = {frag.support(c) for c in enumerate_characters(frag)}
         assert got == want
+        if frag.size() <= 10:
+            for bits in range(1 << frag.size()):
+                support = tuple(p for p in range(frag.size()) if (bits >> p) & 1)
+                assert frag.is_filter(bits) == (support in want), (model.name, bits)
 
 
 def test_characters_satisfy_filter_axioms(all_models):
     for model in all_models:
         frag = fragment_for(model, 2)
         for c in enumerate_characters(frag):
-            assert frag.is_filter(c.bits)
-            assert c.value(frag.full_pos) == 1
+            assert frag.is_filter(frag.up_masks[c])
+            assert frag.value(c, frag.full_pos) == 1
 
 
 def test_principal_characters(n1, f2):
     frag = fragment_for(n1, 3)   # P, 1+N, 2+N, 3+N
     chi2 = principal_character(frag, (2,))
-    assert [chi2.value(p) for p in range(4)] == [1, 1, 1, 0]
+    assert [frag.value(chi2, p) for p in range(4)] == [1, 1, 1, 0]
     chi0 = principal_character(frag, (0,))
-    assert [chi0.value(p) for p in range(4)] == [1, 0, 0, 0]
+    assert [frag.value(chi0, p) for p in range(4)] == [1, 0, 0, 0]
 
     fragf = fragment_for(f2, 1)
     chia = principal_character(fragf, "a")
-    assert [chia.value(p) for p in range(3)] == [1, 1, 0]
+    assert [fragf.value(chia, p) for p in range(3)] == [1, 1, 0]
 
 
 def test_principal_characters_are_enumerated(all_models):
@@ -182,7 +186,8 @@ def test_theta_carriers_agree(all_models):
     # every usable word with the same grading produces the same image
     for model in all_models:
         ctx = context_for(model, 2)
-        chars = enumerate_characters(ctx.fragment)
+        frag = ctx.fragment
+        chars = enumerate_characters(frag)
         for g in ctx.gradings():
             carriers = ctx.carriers(g)
             if len(carriers) < 2:
@@ -190,19 +195,19 @@ def test_theta_carriers_agree(all_models):
             for chi in chars:
                 images = []
                 for idx, v, dom_pos, recipes in carriers:
-                    if not chi.value(dom_pos):
+                    if not frag.value(chi, dom_pos):
                         continue
                     bits = 0
                     ok = True
                     for pos, recipe in enumerate(recipes):
                         if recipe[0] == "pos":
-                            if chi.value(recipe[1]):
+                            if frag.value(chi, recipe[1]):
                                 bits |= 1 << pos
                         elif recipe[0] == "bounds":
                             _, ups, downs = recipe
-                            if chi.bits & ups:
+                            if frag.up_masks[chi] & ups:
                                 bits |= 1 << pos
-                            elif downs & ~chi.bits:
+                            elif downs & ~frag.up_masks[chi]:
                                 pass
                             else:
                                 ok = False
@@ -246,7 +251,7 @@ def test_boundary_singleton_for_ore_models(n1, n2, num23):
             assert len(res.chars) == 1, (model.name, depth)
             assert res.routes_agree
             (top,) = res.chars
-            assert top.bits == (1 << ctx.fragment.size()) - 1
+            assert ctx.fragment.up_masks[top] == (1 << ctx.fragment.size()) - 1
 
 
 def test_boundary_f2(f2):
