@@ -18,6 +18,7 @@ import json
 import os
 import random
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,6 +28,8 @@ from . import fock, invsgp, spectrum
 from .ideals import (enumerate_ideals, independence_rank_oracle,
                      independence_test, ore_test)
 from .models import ModelError, build_model
+
+SCHEMA_VERSION = 1
 
 ANALYSES = ("ideals", "independence", "ore", "invsgp", "spectrum",
             "boundary", "freeness", "fock", "sc")
@@ -384,7 +387,7 @@ def run(config: RunConfig):
     if flags and "ideals" in results and "lattice" in results["ideals"]:
         results["ideals"]["lattice"]["flags"] = flags
     report = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "tool": {"name": "sgclab", "version": __version__},
         "config": config.canonical(),
         "results": results,
@@ -537,6 +540,39 @@ def _doc_from_args(args) -> dict:
     return doc
 
 
+def _cache_path(directory: str, config: RunConfig) -> str:
+    """Cache entry of a config; the key covers the code and schema versions,
+    so a report from other code is never served."""
+    doc = {"config": config.canonical(), "schema_version": SCHEMA_VERSION,
+           "version": __version__}
+    key = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return os.path.join(directory, f"{key}.json")
+
+
+def _read_cache(path: str):
+    """The cached report, or None when the entry is missing or unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (FileNotFoundError, ValueError):
+        return None
+
+
+def _write_cache(path: str, text: str):
+    """Write through a temporary file in the cache directory and rename it
+    into place, so an interrupted run leaves no partial entry."""
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _dump_matrices(config: RunConfig, directory: str):
     model = build_model(config.model_config)
     caps = _caps_for(model, config.caps)
@@ -561,22 +597,16 @@ def main(argv=None) -> int:
             return 0
         doc = _doc_from_args(args)
         config = RunConfig.from_dict(doc)
-        cache_path = None
-        if args.cache_dir:
-            key = hashlib.sha256(
-                json.dumps(config.canonical(), sort_keys=True).encode()).hexdigest()
-            cache_path = os.path.join(args.cache_dir, f"{key}.json")
-        if cache_path and os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                report = json.load(fh)
+        cache_path = (_cache_path(args.cache_dir, config)
+                      if args.cache_dir else None)
+        report = _read_cache(cache_path) if cache_path else None
+        if report is not None:
             code = 0 if all(r.get("tier") != "inconclusive"
                             for r in report["results"].values()) else 2
         else:
             report, code = run(config)
             if cache_path:
-                os.makedirs(args.cache_dir, exist_ok=True)
-                with open(cache_path, "w", encoding="utf-8") as fh:
-                    fh.write(report_to_json(report))
+                _write_cache(cache_path, report_to_json(report))
         if args.matrix_dump:
             _dump_matrices(config, args.matrix_dump)
         text = report_to_json(report)

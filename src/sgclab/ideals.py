@@ -290,13 +290,6 @@ class IdealLattice:
     def nonempty_indices(self):
         return tuple(i for i, x in enumerate(self.ideals) if i != self.empty_index)
 
-    def index_of(self, ideal):
-        key = ideal.dedup_key()
-        for i, x in enumerate(self.ideals):
-            if x.dedup_key() == key:
-                return i
-        return None
-
     def max_depth(self):
         return max(self.depths)
 

@@ -173,7 +173,21 @@ class VWordFamily:
 def enumerate_vwords(model, max_trace_len, gen_len=None, radius=None,
                      cap=20000, eq_log_cap=200) -> VWordFamily:
     """All distinct words with traces of at most ``max_trace_len`` pairs
-    over submonoid elements of length <= gen_len."""
+    over submonoid elements of length <= gen_len.
+
+    Traces are visited breadth first, pairs in order; a word's
+    representative is the first trace that reached it.  Composition
+    respects equality of words and the zero word absorbs, so the words one
+    pair past any trace are those one pair past its word's representative:
+    only representatives are extended, at O(words x pairs) ``make_vword``
+    calls instead of O(pairs^depth).  That needs ``dedup_key`` to identify
+    a word exactly, so models without exact ideals are refused with
+    ``ModelError``.  ``eq_pairs`` is then replayed from the table of
+    representative steps, in the order the full walk over every trace
+    would log it.
+    """
+    if not model.has_exact_ideals:
+        raise ModelError(f"{model.name}: word enumeration needs exact ideals")
     if gen_len is None:
         gen_len = model.default_gen_len
     if radius is None:
@@ -184,45 +198,70 @@ def enumerate_vwords(model, max_trace_len, gen_len=None, radius=None,
     members = []
     zero = None
     keys = {}
-    eq_pairs = []
     by_grading = {}
 
     def visit(trace_pairs):
+        """Member index of the trace's word, None for zero; records a new word."""
         nonlocal zero
         v = make_vword(model, WordTrace(trace_pairs), radius)
-        key = v.dedup_key()
-        if key == ("zero",):
+        if v.is_zero:
             if zero is None:
                 zero = v
-            return
+            return None
+        key = v.dedup_key()
         got = keys.get(key)
-        if got is not None:
-            if len(eq_pairs) < eq_log_cap:
-                eq_pairs.append((got, WordTrace(trace_pairs)))
-            return
-        if len(members) >= cap:
-            raise ideals_mod.CapExceeded(f"vword cap {cap} exceeded")
-        keys[key] = len(members)
-        by_grading.setdefault(v.grading, []).append(len(members))
-        members.append(v)
+        if got is None:
+            if len(members) >= cap:
+                raise ideals_mod.CapExceeded(f"vword cap {cap} exceeded")
+            got = keys[key] = len(members)
+            by_grading.setdefault(v.grading, []).append(got)
+            members.append(v)
+        return got
 
     visit(())
-    frontier = [()]
+    # step[i][j]: member index of member i's representative extended by
+    # pairs[j]; rows exist for the members found below the last depth
+    step = []
     for _ in range(max_trace_len):
-        nxt = []
-        for tp in frontier:
-            for pq in pairs:
-                seq = tp + (pq,)
-                nxt.append(seq)
-                visit(seq)
-        frontier = nxt
+        for v in members[len(step):]:
+            step.append([visit(v.trace.pairs + (pq,)) for pq in pairs])
 
     return VWordFamily(
         model=model,
         members=tuple(members),
         zero=zero,
         by_grading={g: tuple(ix) for g, ix in by_grading.items()},
-        eq_pairs=tuple(eq_pairs),
+        eq_pairs=_equality_log(pairs, step, max_trace_len, eq_log_cap),
         params={"max_trace_len": max_trace_len, "gen_len": gen_len,
                 "radius": radius},
     )
+
+
+def _equality_log(pairs, step, max_trace_len, eq_log_cap):
+    """(member_index, duplicate_trace) for the first ``eq_log_cap`` traces,
+    breadth first, whose word an earlier trace already reached.
+
+    A trace's word is looked up in ``step``; it is new exactly when its
+    index equals the count of words seen so far.  Traces through zero stay
+    zero and are skipped, so each depth holds fewer than
+    ``len(members) + eq_log_cap`` traces.
+    """
+    eq_pairs = []
+    seen = 1
+    frontier = [((), 0)]
+    for _ in range(max_trace_len):
+        nxt = []
+        for tp, i in frontier:
+            for pq, j in zip(pairs, step[i]):
+                if j is None:
+                    continue
+                seq = tp + (pq,)
+                if j < seen:
+                    if len(eq_pairs) >= eq_log_cap:
+                        return tuple(eq_pairs)
+                    eq_pairs.append((j, WordTrace(seq)))
+                else:
+                    seen += 1
+                nxt.append((seq, j))
+        frontier = nxt
+    return tuple(eq_pairs)

@@ -50,7 +50,6 @@ class Fragment:
 
     lattice: object
     positions: tuple          # lattice indices, bit position -> lattice index
-    pos_of: dict              # lattice index -> bit position
     up_masks: tuple           # per position: bitmask of superset positions
     meet: tuple               # per (i, j) flattened: position of meet, or -1 for empty
     depths: tuple             # per position: discovery depth
@@ -85,7 +84,7 @@ class Fragment:
         pos_of_up = {mask: b for b, mask in enumerate(up_masks)}
         if len(pos_of_up) != len(positions):
             raise FragmentError("two fragment ideals contain each other")
-        return Fragment(lattice, positions, pos_of, tuple(up_masks),
+        return Fragment(lattice, positions, tuple(up_masks),
                         tuple(meet), depths, full_pos, pos_of_key, pos_of_up)
 
     def size(self):

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from sgclab import cli
 from sgclab.cli import (ANALYSES, ConfigError, RunConfig, explain, main,
                         report_to_json, run, stable_body)
 
@@ -165,7 +166,7 @@ def test_main_matrix_dump(tmp_path):
     assert "1 0 1/1" in text
 
 
-def test_main_cache_dir(tmp_path):
+def test_main_cache_dir(tmp_path, monkeypatch):
     out = tmp_path / "r.json"
     cache = tmp_path / "cache"
     args = ["analyze", "--family", "numerical", "--generators", "2,3",
@@ -176,6 +177,26 @@ def test_main_cache_dir(tmp_path):
     assert len(os.listdir(cache)) == 1
     assert main(args) == 0
     assert out.read_text() == first
+    # a truncated entry, as a killed writer would leave, is a miss and is
+    # rewritten whole
+    (entry,) = cache.iterdir()
+    entry.write_text(first[:len(first) // 2])
+    assert main(args) == 0
+    rerun = out.read_text()
+    assert stable_body(json.loads(rerun)) == stable_body(json.loads(first))
+    assert entry.read_text() == rerun
+    assert main(args) == 0
+    assert out.read_text() == rerun
+    assert os.listdir(cache) == [entry.name]
+    # the key covers the code and schema versions: other code never reads
+    # this entry
+    monkeypatch.setattr(cli, "__version__", "0.0.0+other")
+    assert main(args) == 0
+    assert len(os.listdir(cache)) == 2
+    assert json.loads(out.read_text())["tool"]["version"] == "0.0.0+other"
+    monkeypatch.setattr(cli, "SCHEMA_VERSION", 2)
+    assert main(args) == 0
+    assert len(os.listdir(cache)) == 3
 
 
 def test_main_error_exit(tmp_path, capsys):

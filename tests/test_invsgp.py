@@ -1,9 +1,14 @@
 import itertools
 
+import pytest
+
 from oracles import pointwise_word_apply
-from sgclab.ideals import WordTrace, from_trace, full_ideal, ideal_eq, intersect, left_mul
+from sgclab import invsgp
+from sgclab.ideals import (CapExceeded, WordTrace, from_trace, full_ideal,
+                           ideal_eq, intersect, left_mul)
 from sgclab.invsgp import (compose, enumerate_vwords, idempotent_vword,
                            make_vword, semilattice, star, vword_eq, zero_vword)
+from sgclab.models import ModelError, WithoutExactIdeals, build_model
 
 
 def test_make_vword_shift(all_models):
@@ -219,3 +224,101 @@ def test_classification_by_grading_and_domain(n1, family_of):
         key = (v.grading, v.dom.dedup_key())
         assert key not in seen
         seen.add(key)
+
+
+def _exhaustive_vwords(model, max_trace_len, gen_len=None, radius=None,
+                       eq_log_cap=200):
+    """Reference walk that extends every trace, breadth first, pairs in
+    order: (members, zero, by_grading, eq_pairs) as enumerate_vwords
+    defines them."""
+    gen_len = model.default_gen_len if gen_len is None else gen_len
+    radius = model.default_radius if radius is None else radius
+    cand = model.enumerate_p(gen_len)
+    pairs = [(p, q) for p in cand for q in cand]
+    members, keys, eq_pairs, by_grading = [], {}, [], {}
+    zero = None
+
+    def visit(trace_pairs):
+        nonlocal zero
+        v = make_vword(model, WordTrace(trace_pairs), radius)
+        key = v.dedup_key()
+        if key == ("zero",):
+            if zero is None:
+                zero = v
+            return
+        got = keys.get(key)
+        if got is not None:
+            if len(eq_pairs) < eq_log_cap:
+                eq_pairs.append((got, WordTrace(trace_pairs)))
+            return
+        keys[key] = len(members)
+        by_grading.setdefault(v.grading, []).append(len(members))
+        members.append(v)
+
+    visit(())
+    frontier = [()]
+    for _ in range(max_trace_len):
+        frontier = [tp + (pq,) for tp in frontier for pq in pairs]
+        for seq in frontier:
+            visit(seq)
+    return members, zero, by_grading, eq_pairs
+
+
+def _family_view(members, zero, by_grading, eq_pairs):
+    return ([(v.trace.pairs, v.grading, v.dom.dedup_key()) for v in members],
+            zero is not None,
+            [(g, tuple(ix)) for g, ix in by_grading.items()],
+            [(i, t.pairs) for i, t in eq_pairs])
+
+
+_MODELS = {
+    "N^1": {"family": "free_abelian", "rank": 1},
+    "N^2": {"family": "free_abelian", "rank": 2},
+    "F2+": {"family": "free_monoid", "rank": 2},
+    "F3+": {"family": "free_monoid", "rank": 3},
+    "<2,3>": {"family": "numerical", "generators": [2, 3]},
+    "<3,5>": {"family": "numerical", "generators": [3, 5]},
+}
+
+
+@pytest.mark.parametrize(
+    "name,depth,gen_len",
+    [(name, depth, None) for name in _MODELS for depth in range(4)]
+    + [("F2+", 4, None), ("F2+", 2, 2)])
+def test_enumeration_matches_exhaustive_walk(name, depth, gen_len):
+    model = build_model(_MODELS[name])
+    fam = enumerate_vwords(model, depth, gen_len)
+    got = _family_view(fam.members, fam.zero, fam.by_grading, fam.eq_pairs)
+    assert got == _family_view(*_exhaustive_vwords(model, depth, gen_len))
+
+
+def test_enumeration_extends_one_trace_per_word(f2, monkeypatch):
+    calls = []
+    real = invsgp.make_vword
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invsgp, "make_vword", counted)
+    fam = enumerate_vwords(f2, 5)
+    pairs = len(f2.enumerate_p(fam.params["gen_len"])) ** 2
+    assert 0 < len(calls) <= 1 + len(fam.members) * pairs
+
+
+def test_enumeration_caps(f2):
+    fam = enumerate_vwords(f2, 3)
+    assert len(fam.eq_pairs) == 200
+    short = enumerate_vwords(f2, 3, eq_log_cap=7)
+    assert [(i, t.pairs) for i, t in short.eq_pairs] == \
+        [(i, t.pairs) for i, t in fam.eq_pairs[:7]]
+    assert enumerate_vwords(f2, 3, eq_log_cap=0).eq_pairs == ()
+    assert len(enumerate_vwords(f2, 3, cap=len(fam.members)).members) == \
+        len(fam.members)
+    with pytest.raises(CapExceeded):
+        enumerate_vwords(f2, 3, cap=len(fam.members) - 1)
+
+
+def test_enumeration_refuses_without_exact_ideals(f2):
+    with pytest.raises(ModelError, match="exact ideals"):
+        enumerate_vwords(WithoutExactIdeals(f2), 3, 1, 2)
