@@ -199,8 +199,8 @@ def _an_invsgp(model, caps, rng, store):
     collapse_ok = all(
         invsgp.vword_eq(v, invsgp.idempotent_vword(v.dom)) is True
         for v in fam.members if v.grading == unit)
-    sl = invsgp.semilattice(store["lattice"])
-    table = sorted([i, j, k] for (i, j), k in sl["table"].items())
+    table = sorted([i, j, k] for (i, j), k
+                   in invsgp.semilattice(store["lattice"]).items())
     tier = "exact" if (involution_ok and grading_ok and collapse_ok) else "inconclusive"
     return {
         "op": "invsgp.enumerate_vwords",

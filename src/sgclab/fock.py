@@ -11,11 +11,16 @@ the band by the inner factor's reach; identities are asserted only inside
 the surviving band, so truncation artifacts never masquerade as algebraic
 facts.
 
+A word acts as the partial map x -> g*x on its domain ideal, so its matrix
+is read straight off the domain: one unit entry per domain member of length
+<= n whose image stays in the basis.  Projections likewise fill only the
+members of their ideal.  The basis and its position index are cached per
+model instance.
+
 All matrix entries are exact rationals.  A word combination whose gradings
 are all trivial acts diagonally (a nonzero grading moves every basis
-point, because the ambient group cancels), so the frame-compressed norms
-computed here are exact; the certified bisection enclosure from
-``exactla`` backstops any non-diagonal input.
+point, because the ambient group cancels), so a frame-compressed norm is
+the exact maximum absolute diagonal value.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import invsgp
-from .exactla import operator_norm_enclosure
 from .ideals import from_trace
 from .models import ModelError
 
@@ -54,12 +58,6 @@ class TruncOp:
     band: int
     reach: int
 
-    def entry(self, i, j) -> Fraction:
-        return self.cols[j].get(i, Fraction(0))
-
-    def column(self, j):
-        return self.cols[j]
-
     def is_diagonal(self) -> bool:
         return all(all(i == j for i in col) for j, col in enumerate(self.cols))
 
@@ -84,18 +82,13 @@ class TruncOp:
         return "\n".join(lines) + "\n"
 
 
-def _basis(model, n):
-    basis = model.enumerate_p(n)
-    return basis, {s: k for k, s in enumerate(basis)}
-
-
 def zero_op(model, n) -> TruncOp:
-    basis, index = _basis(model, n)
+    basis, index = model.basis(n)
     return TruncOp(model, n, basis, index, tuple({} for _ in basis), n, 0)
 
 
 def identity_op(model, n) -> TruncOp:
-    basis, index = _basis(model, n)
+    basis, index = model.basis(n)
     cols = tuple({j: Fraction(1)} for j in range(len(basis)))
     return TruncOp(model, n, basis, index, cols, n, 0)
 
@@ -103,10 +96,11 @@ def identity_op(model, n) -> TruncOp:
 def projection_op(ideal, n) -> TruncOp:
     """Diagonal 0/1 mask of an ideal's members on the basis."""
     model = ideal.model
-    basis, index = _basis(model, n)
-    cols = []
-    for j, s in enumerate(basis):
-        cols.append({j: Fraction(1)} if ideal.contains(s) else {})
+    basis, index = model.basis(n)
+    cols = [{} for _ in basis]
+    for s in ideal.members_upto(n):
+        j = index[s]
+        cols[j][j] = Fraction(1)
     return TruncOp(model, n, basis, index, tuple(cols), n, 0)
 
 
@@ -117,17 +111,17 @@ def word_reach(v) -> int:
 
 
 def rep_vword(v, n) -> TruncOp:
-    """Compression of a word's partial shift to the truncated basis."""
+    """Compression of a word's partial shift to the truncated basis: each
+    domain member of length <= n goes through ``VWord.apply``, and its
+    column gets a unit entry when the image lies in the basis."""
     model = v.model
-    basis, index = _basis(model, n)
-    cols = [dict() for _ in basis]
+    basis, index = model.basis(n)
+    cols = [{} for _ in basis]
     if not v.is_zero:
-        for j, s in enumerate(basis):
-            t = v.apply(s)
-            if t is not None:
-                i = index.get(t)
-                if i is not None:
-                    cols[j][i] = Fraction(1)
+        for s in v.dom.members_upto(n):
+            i = index.get(v.apply(s))
+            if i is not None:
+                cols[index[s]][i] = Fraction(1)
     reach = word_reach(v)
     band = n - reach
     if band < 0:
@@ -235,20 +229,12 @@ def cond_expectation(terms, n) -> TruncOp:
     compresses the realized matrix to the diagonal.  The routes must agree
     on the band; disagreement signals a grading bug and raises.
     """
-    if not terms:
-        raise ModelError("empty term list")
-    model = terms[0][1].model
-    unit = model.unit
+    full = graded_sum(terms, n)
+    model = full.model
     via_grading = zero_op(model, n)
     for c, v in terms:
-        if v.is_zero:
-            continue
-        if v.grading == unit:
+        if not v.is_zero and v.grading == model.unit:
             via_grading = add_op(via_grading, scale_op(c, rep_vword(v, n)))
-        else:
-            # keep band bookkeeping aligned with the full sum
-            via_grading = add_op(via_grading, scale_op(0, rep_vword(v, n)))
-    full = graded_sum(terms, n)
     via_compress = diagonal_part(full)
     if not equal_on_band(via_grading, via_compress, min(via_grading.band, full.band)):
         raise GradingMismatch("grading filter and diagonal compression disagree")
@@ -311,38 +297,19 @@ def _frame_flags(model, f_set, basis):
 
 def build_frame(model, f_elems, n) -> CovarianceFrame:
     """Flags and slices for a finite frame set of group elements."""
-    f_set = tuple(sorted({model.validate(g) if hasattr(model, "validate") else g
-                          for g in f_elems},
+    f_set = tuple(sorted({model.validate(g) for g in f_elems},
                          key=lambda g: (model.length(g), g)))
-    basis, index = _basis(model, n)
+    basis, index = model.basis(n)
     return CovarianceFrame(model, n, f_set, basis, index,
                        _frame_flags(model, f_set, basis))
-
-
-def frame_isometry(frame: CovarianceFrame, p):
-    """Matrix of the shift r -> p*r from the base slice to the p-translated
-    slice, as (rows, row_labels, col_labels); columns restricted to the
-    guard band."""
-    model = frame.model
-    band = frame.n - model.length(p)
-    cols = [j for j in frame.slice_indices()
-            if model.length(frame.basis[j]) <= band]
-    rows = frame.slice_indices(p)
-    row_pos = {j: k for k, j in enumerate(rows)}
-    matrix = [[Fraction(0)] * len(cols) for _ in rows]
-    for cpos, j in enumerate(cols):
-        t = model.mul(p, frame.basis[j])
-        i = frame.index.get(t)
-        if i is not None and i in row_pos:
-            matrix[row_pos[i]][cpos] = Fraction(1)
-    return matrix, rows, cols
 
 
 def compressed_matrix(terms, frame: CovarianceFrame):
     """Base-slice compression of a trivially-graded word combination.
 
-    Returns (matrix, labels): a square rational matrix over the admissible
-    basis points surviving the guard band.
+    Returns (diagonal, labels): the matrix is diagonal, so only its
+    diagonal is built, one rational per admissible basis point surviving
+    the guard band.
     """
     model = frame.model
     unit = model.unit
@@ -355,39 +322,25 @@ def compressed_matrix(terms, frame: CovarianceFrame):
               if model.length(frame.basis[j]) <= band]
     if not labels:
         raise BandExhausted("no admissible basis points inside the guard band")
-    size = len(labels)
-    pos = {j: k for k, j in enumerate(labels)}
-    matrix = [[Fraction(0)] * size for _ in range(size)]
+    diagonal = [Fraction(0)] * len(labels)
     for c, v in terms:
         if v.is_zero:
             continue
-        for j in labels:
+        for k, j in enumerate(labels):
             if v.dom.contains(frame.basis[j]):
-                matrix[pos[j]][pos[j]] += Fraction(c)
-    return matrix, labels
+                diagonal[k] += Fraction(c)
+    return diagonal, labels
 
 
-def sc_norm(terms, frame: CovarianceFrame, tol=Fraction(1, 10 ** 9)):
-    """Certified enclosure of the compressed operator norm.
+def sc_norm(terms, frame: CovarianceFrame):
+    """Enclosure of the compressed operator norm.
 
     Trivially graded combinations act diagonally, so the norm is the exact
-    maximum absolute diagonal value (width-zero enclosure); a non-diagonal
-    matrix would fall back to the bisection enclosure.
+    maximum absolute diagonal value, returned as a width-zero enclosure.
     """
-    matrix, labels = compressed_matrix(terms, frame)
-    diagonal = True
-    for i in range(len(labels)):
-        for j in range(len(labels)):
-            if i != j and matrix[i][j] != 0:
-                diagonal = False
-                break
-        if not diagonal:
-            break
-    if diagonal:
-        value = max((abs(matrix[k][k]) for k in range(len(labels))),
-                    default=Fraction(0))
-        return value, value
-    return operator_norm_enclosure(matrix, tol)
+    diagonal, _ = compressed_matrix(terms, frame)
+    value = max(abs(d) for d in diagonal)
+    return value, value
 
 
 @dataclass(frozen=True)
@@ -424,7 +377,7 @@ def sc_limit_probe(terms, f_chain, model, n,
     frames = []
     for f_elems in f_chain:
         frame = build_frame(model, f_elems, n)
-        enclosures.append(sc_norm(terms, frame, tol))
+        enclosures.append(sc_norm(terms, frame))
         frames.append(frame.f_set)
     non_increasing = all(enclosures[k + 1][1] <= enclosures[k][1] or
                          enclosures[k + 1][0] <= enclosures[k][1]

@@ -50,9 +50,12 @@ class WordTrace:
 
     @staticmethod
     def make(model, pairs):
+        """Validate raw (p, q) pairs; every other WordTrace is built from
+        elements already in normal form."""
         pairs = tuple((p, q) for p, q in pairs)
         for p, q in pairs:
-            if not (model.in_p(p) and model.in_p(q)):
+            if not (model.in_p(model.validate(p))
+                    and model.in_p(model.validate(q))):
                 raise ModelError("trace entries must lie in the submonoid")
         return WordTrace(pairs)
 
@@ -128,6 +131,19 @@ class ConstructibleIdeal:
                 f"element of length {self.model.length(a)} outside radius {self.radius}")
         return a in self.members
 
+    def members_upto(self, n):
+        """The members of length <= n.  Without an exact token this raises
+        UndecidedMembership exactly when ``contains`` would on some
+        submonoid element of length <= n."""
+        if self.exact is not None:
+            return self.model.exact_members_upto(self.exact, n)
+        elems = self.model.enumerate_p(n)
+        if elems and self.model.length(elems[-1]) > self.radius:
+            raise UndecidedMembership(
+                f"element of length {self.model.length(elems[-1])} outside "
+                f"radius {self.radius}")
+        return [a for a in self.members if self.model.length(a) <= n]
+
     def sorted_members(self):
         return sorted(self.members, key=self.model.sort_key)
 
@@ -202,7 +218,7 @@ def from_trace(model, trace, radius=None) -> ConstructibleIdeal:
 def left_mul(p, x: ConstructibleIdeal) -> ConstructibleIdeal:
     """The ideal p*x, trace extended by the pair (e, p)."""
     model = x.model
-    if not model.in_p(p):
+    if not model.in_p(model.validate(p)):
         raise ModelError("left_mul expects a submonoid element")
     if x.trace is None:
         return empty_ideal(model, x.radius)
@@ -213,7 +229,7 @@ def left_mul(p, x: ConstructibleIdeal) -> ConstructibleIdeal:
 def preimage(p, x: ConstructibleIdeal) -> ConstructibleIdeal:
     """The pullback {y in P : p*y in x}, trace extended by (p, e)."""
     model = x.model
-    if not model.in_p(p):
+    if not model.in_p(model.validate(p)):
         raise ModelError("preimage expects a submonoid element")
     if x.trace is None:
         return empty_ideal(model, x.radius)

@@ -128,16 +128,10 @@ def idempotent_vword(x: ConstructibleIdeal) -> VWord:
 
 
 def semilattice(lattice) -> dict:
-    """Multiplication table of the diagonal words over a closed lattice.
-
-    Returns {"idempotents": [VWord per lattice index], "table": {(i, j): k}}
-    with the table mirroring the lattice intersection table.
-    """
-    idems = []
-    for i, x in enumerate(lattice.ideals):
-        idems.append(idempotent_vword(x))
-    table = dict(lattice.intersect_table)
-    return {"idempotents": idems, "table": table}
+    """Multiplication table {(i, j): k} of the diagonal words over a closed
+    lattice: ``idempotent_vword`` of ideal i times that of ideal j is the
+    word of ideal k, so the table is the lattice intersection table."""
+    return dict(lattice.intersect_table)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,11 @@ intersection, subset and union-cover tests.  The hook keeps ideal
 enumeration exact at any radius; models without it (see
 :class:`WithoutExactIdeals`) fall back to truncated set arithmetic.
 
+Elements are validated once, where raw values come in: ``parse``,
+``WordTrace.make``, ``left_mul``/``preimage`` and ``build_frame`` call
+``validate``.  Arithmetic (``mul``, ``inv``, ``in_p``, ``meets_p``) trusts
+its arguments to be normal forms of the model and does not re-check them.
+
 All model state is immutable after construction and every operation is a
 pure function, so instances may be shared freely across threads.
 """
@@ -56,6 +61,7 @@ class Model:
 
     def __init__(self):
         self._enum_cache = {}
+        self._basis_cache = {}
 
     # -- group arithmetic ------------------------------------------------
     def mul(self, a, b):
@@ -97,6 +103,16 @@ class Model:
             self._enum_cache[max_len] = got
         return got
 
+    def basis(self, max_len: int):
+        """``(enumerate_p(max_len), index)`` with ``index`` mapping each
+        element to its position.  Cached per model instance."""
+        got = self._basis_cache.get(max_len)
+        if got is None:
+            elems = self.enumerate_p(max_len)
+            got = (elems, {s: k for k, s in enumerate(elems)})
+            self._basis_cache[max_len] = got
+        return got
+
     def _generate_p(self, max_len):
         raise NotImplementedError
 
@@ -108,6 +124,8 @@ class Model:
         raise NotImplementedError
 
     def validate(self, a):
+        """Return ``a`` if it is a normal form of this model, else raise
+        ModelError; the one check on raw input."""
         raise NotImplementedError
 
     # -- serialization ---------------------------------------------------
@@ -193,15 +211,12 @@ class FreeAbelianModel(Model):
         return a
 
     def mul(self, a, b):
-        self.validate(a), self.validate(b)
         return tuple(x + y for x, y in zip(a, b))
 
     def inv(self, a):
-        self.validate(a)
         return tuple(-x for x in a)
 
     def in_p(self, a):
-        self.validate(a)
         return all(x >= 0 for x in a)
 
     def length(self, a):
@@ -234,7 +249,6 @@ class FreeAbelianModel(Model):
         return self._vectors_upto(max_len)
 
     def meets_p(self, g):
-        self.validate(g)
         return True
 
     def parse(self, obj):
@@ -341,15 +355,12 @@ class FreeMonoidModel(Model):
         return "".join(out)
 
     def mul(self, a, b):
-        self.validate(a), self.validate(b)
         return self._reduce(a + b)
 
     def inv(self, a):
-        self.validate(a)
         return a[::-1].swapcase()
 
     def in_p(self, a):
-        self.validate(a)
         return a.islower() or a == ""
 
     def length(self, a):
@@ -366,7 +377,6 @@ class FreeMonoidModel(Model):
     def meets_p(self, g):
         # gP meets P iff the reduced word is a positive prefix followed by
         # an inverse suffix (then g = s * t^{-1} with s, t positive)
-        self.validate(g)
         seen_upper = False
         for ch in g:
             if ch.isupper():
@@ -503,15 +513,12 @@ class NumericalModel(Model):
         return a
 
     def mul(self, a, b):
-        self.validate(a), self.validate(b)
         return a + b
 
     def inv(self, a):
-        self.validate(a)
         return -a
 
     def in_p(self, a):
-        self.validate(a)
         if a < 0:
             return False
         if a >= self.conductor:
@@ -525,7 +532,6 @@ class NumericalModel(Model):
         return [n for n in range(max_len + 1) if self.in_p(n)]
 
     def meets_p(self, g):
-        self.validate(g)
         return True
 
     def parse(self, obj):

@@ -128,3 +128,20 @@ def frame_pointwise_applies(model, f_set, pairs, r):
         if not frame_flag(model, [model.mul(shift, g) for g in f_set], cur):
             return None
     return cur if shift == model.unit else None
+
+
+def basis_scan_columns(model, grading, dom, n):
+    """Columns of the partial shift s -> grading*s on dom, by scanning the
+    whole length-<= n basis: column j holds {index[g*s]: 1} iff
+    dom.contains(s) and g*s lies inside the truncation, else {}."""
+    basis = model.enumerate_p(n)
+    index = {s: k for k, s in enumerate(basis)}
+    cols = []
+    for s in basis:
+        col = {}
+        if dom.contains(s):
+            t = model.mul(grading, s)
+            if t in index:
+                col[index[t]] = 1
+        cols.append(col)
+    return cols

@@ -7,6 +7,7 @@ import pytest
 from sgclab import cli
 from sgclab.cli import (ANALYSES, ConfigError, RunConfig, explain, main,
                         report_to_json, run, stable_body)
+from sgclab.models import FreeMonoidModel
 
 
 def small_config(**over):
@@ -80,6 +81,35 @@ def test_exit_code_two_when_inconclusive():
     report, code = run(RunConfig.from_dict(doc))
     assert code == 2
     assert report["results"]["freeness"]["tier"] == "inconclusive"
+
+
+def test_run_reports_foreign_freeness_grading_as_error():
+    doc = {"model": {"family": "free_monoid", "rank": 2},
+           "analyses": ["freeness"], "caps": {"trace_depth": 1},
+           "freeness_g": ["a", "aC"], "seed": 1}
+    report, code = run(RunConfig.from_dict(doc))
+    res = report["results"]["freeness"]
+    assert res["error"].startswith("ModelError: ")
+    assert "'C'" in res["error"]
+    assert res["tier"] == "inconclusive" and code == 2
+    assert "error" not in report["results"]["boundary"]
+
+
+def test_run_validates_once_per_input(monkeypatch):
+    # elements are validated where they come in, not inside arithmetic;
+    # a check inside mul/in_p would run ~300k times on this config
+    calls = []
+    orig = FreeMonoidModel.validate
+
+    def counted(self, a):
+        calls.append(a)
+        return orig(self, a)
+    monkeypatch.setattr(FreeMonoidModel, "validate", counted)
+    doc = {"model": {"family": "free_monoid", "rank": 2},
+           "caps": {"trace_depth": 2}, "seed": 0}
+    report, _ = run(RunConfig.from_dict(doc))
+    assert all("error" not in r for r in report["results"].values())
+    assert 0 < len(calls) < 1000
 
 
 def test_reports_are_deterministic():

@@ -4,18 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import frame_flag, frame_pointwise_applies, gauss_rank
+from oracles import (basis_scan_columns, frame_flag, frame_pointwise_applies,
+                     gauss_rank)
 from sgclab.exactla import (bareiss_rank, operator_norm_enclosure,
                             sqrt_enclosure, sym_top_eig_enclosure)
 from sgclab.fock import (BandExhausted, GradingMismatch, CovarianceFrame, TruncOp,
                          add_op, build_frame, check_projection_identity,
                          compressed_matrix, cond_expectation, default_f_chain,
-                         diagonal_part, equal_on_band, frame_isometry,
+                         diagonal_part, equal_on_band,
                          generator_covariance_terms, graded_sum, identity_op,
                          mul_op, projection_op, rep_vword, scale_op, sc_norm,
                          sc_limit_probe, transpose_op, word_reach, zero_op)
-from sgclab.ideals import WordTrace, from_trace, full_ideal, left_mul
+from sgclab.ideals import (UndecidedMembership, WordTrace, from_trace,
+                           full_ideal, left_mul)
 from sgclab.invsgp import compose, enumerate_vwords, idempotent_vword, make_vword, star
+from sgclab.models import ModelError, NumericalModel, WithoutExactIdeals, build_model
 
 TOL = Fraction(1, 10 ** 9)
 
@@ -81,6 +84,71 @@ def test_rep_identity(all_models):
         v = make_vword(model, WordTrace(()), 10)
         op = rep_vword(v, n)
         assert equal_on_band(op, identity_op(model, n), n)
+
+
+def test_member_driven_columns_match_basis_scan(all_models, family_of):
+    leaves_basis = 0
+    for model in all_models:
+        truncs = (4, 6) if model.family == "free_monoid" else (6, 10)
+        for n in truncs:
+            for v in family_of(model).members:
+                for ideal in (v.dom, v.ran):
+                    want = basis_scan_columns(model, model.unit, ideal, n)
+                    assert list(projection_op(ideal, n).cols) == want
+                if word_reach(v) > n:
+                    with pytest.raises(BandExhausted):
+                        rep_vword(v, n)
+                    continue
+                want = basis_scan_columns(model, v.grading, v.dom, n)
+                assert list(rep_vword(v, n).cols) == want
+                # domain members whose image lies beyond length n
+                leaves_basis += sum(
+                    1 for j, s in enumerate(model.enumerate_p(n))
+                    if v.dom.contains(s) and not want[j])
+    assert leaves_basis > 0
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UndecidedMembership:
+        return UndecidedMembership
+
+
+def test_member_driven_columns_without_exact_ideals(n1):
+    # truncated ideals: the matrix builders raise UndecidedMembership
+    # exactly where the basis scan's `contains` does
+    bare_n1 = WithoutExactIdeals(n1)
+    bare_gap = WithoutExactIdeals(NumericalModel([3, 5]))
+    for model, radius in ((bare_n1, 5), (bare_gap, 1), (bare_gap, 4)):
+        q = model.generators[0]
+        x = from_trace(model, WordTrace(((model.unit, q),)), radius)
+        v = make_vword(model, WordTrace(((model.unit, q),)), radius)
+        for n in range(radius - 1, radius + 4):
+            want = _outcome(basis_scan_columns, model, model.unit, x, n)
+            got = _outcome(lambda: list(projection_op(x, n).cols))
+            assert got == want
+            if n >= word_reach(v):
+                want = _outcome(basis_scan_columns, model, q, v.dom, n)
+                got = _outcome(lambda: list(rep_vword(v, n).cols))
+                assert got == want
+    with pytest.raises(UndecidedMembership):
+        projection_op(full_ideal(bare_n1, 5), 6)
+    # <3,5> has no element of length 2, so radius 1 still decides n = 2
+    assert projection_op(full_ideal(bare_gap, 1), 2).diagonal() == [1]
+
+
+def test_basis_index_cached_per_model_instance(f2):
+    n = 5
+    P = full_ideal(f2, 6)
+    a = projection_op(P, n)
+    b = rep_vword(make_vword(f2, WordTrace((("", "a"),)), 6), n)
+    assert a.basis is b.basis and a.index is b.index
+    assert f2.basis(n) == (a.basis, a.index)
+    other = build_model(f2.config())
+    c = projection_op(full_ideal(other, 6), n)
+    assert c.basis == a.basis and c.index == a.index
+    assert c.basis is not a.basis and c.index is not a.index
 
 
 def test_rep_shift_matrix(n1):
@@ -214,6 +282,11 @@ def test_frame_unit_set_keeps_everything(all_models):
         assert frame.slice_indices() == tuple(range(len(frame.basis)))
 
 
+def test_build_frame_validates(f2):
+    with pytest.raises(ModelError):
+        build_frame(f2, ["aZ"], 4)
+
+
 def test_frame_chain_flags(n1):
     frame = build_frame(n1, [(0,), (1,)], 10)
     flags = [frame.basis[j] for j in frame.slice_indices()]
@@ -259,21 +332,6 @@ def test_frame_translation_invariance(all_models):
                 assert frame.base_flags[j] == frame_flag(model, down, div)
 
 
-def test_frame_isometry(f2, n2):
-    for model, p in ((f2, "a"), (n2, (1, 0))):
-        n = 5
-        frame = build_frame(model, [model.unit, model.generators[0]], n)
-        matrix, rows, cols = frame_isometry(frame, p)
-        for cpos in range(len(cols)):
-            column = [matrix[r][cpos] for r in range(len(rows))]
-            assert sum(v * v for v in column) == 1
-        seen = set()
-        for cpos in range(len(cols)):
-            hit = tuple(v for v in (matrix[r][cpos] for r in range(len(rows))))
-            assert hit not in seen
-            seen.add(hit)
-
-
 def test_compressed_matrix_matches_frame_oracle(f2):
     n = 6
     frame = build_frame(f2, ["a", "b"], n)
@@ -282,14 +340,14 @@ def test_compressed_matrix_matches_frame_oracle(f2):
     terms = [(Fraction(1), idempotent_vword(P)),
              (Fraction(-1), idempotent_vword(aP)),
              (Fraction(-1), idempotent_vword(bP))]
-    matrix, labels = compressed_matrix(terms, frame)
+    diagonal, labels = compressed_matrix(terms, frame)
     for k, j in enumerate(labels):
         r = frame.basis[j]
         want = Fraction(0)
         for c, v in terms:
             if frame_pointwise_applies(f2, frame.f_set, v.trace.pairs, r) == r:
                 want += c
-        assert matrix[k][k] == want
+        assert diagonal[k] == want
 
 
 def test_sc_norm_identity(all_models):

@@ -32,6 +32,11 @@ def test_make_vword_isometry_relation(all_models):
         assert ideal_eq(v.ran, full_ideal(model, radius)) is True
 
 
+def test_make_vword_validates_raw_pairs(f2):
+    with pytest.raises(ModelError):
+        make_vword(f2, [("ax", "")])
+
+
 def test_make_vword_zero(f2):
     v = make_vword(f2, WordTrace((("a", "b"),)), 6)
     assert v.is_zero
@@ -177,9 +182,8 @@ def test_equality_detected_pairs_satisfy_projection_criterion(all_models, family
 def test_semilattice_table(num23, f2, lattice_of):
     for model in (num23, f2):
         lat = lattice_of(model, depth=1)
-        sl = semilattice(lat)
-        idems = sl["idempotents"]
-        for (i, j), k in sl["table"].items():
+        idems = [idempotent_vword(x) for x in lat.ideals]
+        for (i, j), k in semilattice(lat).items():
             got = compose(idems[i], idems[j])
             assert vword_eq(got, idems[k]) is True
 
@@ -189,8 +193,9 @@ def test_semilattice_f2_zero_row(f2, lattice_of):
     aP = [i for i, x in enumerate(lat.ideals) if x.exact == ("word", "a")][0]
     bP = [i for i, x in enumerate(lat.ideals) if x.exact == ("word", "b")][0]
     assert lat.intersect_table[(aP, bP)] == lat.empty_index
-    sl = semilattice(lat)
-    assert compose(sl["idempotents"][aP], sl["idempotents"][bP]).is_zero
+    assert semilattice(lat)[(aP, bP)] == lat.empty_index
+    assert compose(idempotent_vword(lat.ideals[aP]),
+                   idempotent_vword(lat.ideals[bP])).is_zero
 
 
 def test_enumerate_depth0_is_identity(all_models):

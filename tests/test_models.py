@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sgclab.ideals import WordTrace, full_ideal, left_mul, preimage
 from sgclab.models import (EMPTY, FreeAbelianModel, FreeMonoidModel, ModelError,
                            NumericalModel, WithoutExactIdeals, build_model)
 
@@ -179,3 +180,22 @@ def test_parse_render_roundtrip(all_models):
     for model in all_models:
         for x in model.enumerate_p(3):
             assert model.parse(model.render(x)) == x
+
+
+def test_raw_elements_are_validated_at_the_boundary(n2, f2, num23):
+    # arithmetic trusts normal forms (in_p("x") is True once nothing
+    # re-validates), so the entry points must reject foreign values
+    with pytest.raises(ModelError):
+        WordTrace.make(f2, [("x", "a")])
+    with pytest.raises(ModelError):
+        WordTrace.make(n2, [((1,), (0, 0))])      # wrong-length vector
+    with pytest.raises(ModelError):
+        WordTrace.make(num23, [("2", 3)])         # wrong type
+    with pytest.raises(ModelError):
+        left_mul("x", full_ideal(f2, 6))
+    with pytest.raises(ModelError):
+        preimage((1, 0, 0), full_ideal(n2, 6))
+    with pytest.raises(ModelError):
+        f2.parse("abc")
+    # valid raw input still goes through
+    assert WordTrace.make(f2, [("a", "ab")]).pairs == (("a", "ab"),)
