@@ -17,15 +17,19 @@ is read straight off the domain: one unit entry per domain member of length
 members of their ideal.  The basis and its position index are cached per
 model instance.
 
-All matrix entries are exact rationals.  A word combination whose gradings
-are all trivial acts diagonally (a nonzero grading moves every basis
-point, because the ambient group cancels), so a frame-compressed norm is
-the exact maximum absolute diagonal value.
+An operator stores only its nonzero columns, and in them only nonzero
+entries, so a word's matrix is its partial map: at most one entry per
+column.  All entries are exact rationals; unit entries are the int 1.
+
+A word combination whose gradings are all trivial acts diagonally (a
+nonzero grading moves every basis point, because the ambient group
+cancels), so a frame-compressed norm is the exact maximum absolute
+diagonal value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import invsgp
@@ -45,32 +49,25 @@ class GradingMismatch(RuntimeError):
 class TruncOp:
     """Sparse rational matrix on the length-truncated basis.
 
-    ``cols[j]`` maps row index -> value for basis column j.  ``band`` and
-    ``reach`` implement the guard-band discipline described in the module
-    docstring.
+    ``cols`` maps a basis column j to its nonzero entries ``{row: value}``.
+    Zero columns are absent and no zero value is stored; unit entries are
+    the int 1, and Fractions appear only where a coefficient brings them
+    in.  Stored columns are never mutated, so operators may share them.
+    ``band`` and ``reach`` implement the guard-band discipline described in
+    the module docstring.
     """
 
     model: object
     n: int
     basis: tuple
     index: object            # dict elem -> position
-    cols: tuple              # tuple of dicts
+    cols: dict               # column -> {row: nonzero value}
     band: int
     reach: int
 
-    def is_diagonal(self) -> bool:
-        return all(all(i == j for i in col) for j, col in enumerate(self.cols))
-
-    def diagonal(self):
-        return [self.cols[j].get(j, Fraction(0)) for j in range(len(self.basis))]
-
     def triplets(self):
-        out = []
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                if v != 0:
-                    out.append((i, j, v))
-        return sorted(out)
+        return sorted((i, j, v) for j, col in self.cols.items()
+                      for i, v in col.items())
 
     def to_triplet_text(self) -> str:
         """Documented dump format: a header line
@@ -84,12 +81,12 @@ class TruncOp:
 
 def zero_op(model, n) -> TruncOp:
     basis, index = model.basis(n)
-    return TruncOp(model, n, basis, index, tuple({} for _ in basis), n, 0)
+    return TruncOp(model, n, basis, index, {}, n, 0)
 
 
 def identity_op(model, n) -> TruncOp:
     basis, index = model.basis(n)
-    cols = tuple({j: Fraction(1)} for j in range(len(basis)))
+    cols = {j: {j: 1} for j in range(len(basis))}
     return TruncOp(model, n, basis, index, cols, n, 0)
 
 
@@ -97,11 +94,11 @@ def projection_op(ideal, n) -> TruncOp:
     """Diagonal 0/1 mask of an ideal's members on the basis."""
     model = ideal.model
     basis, index = model.basis(n)
-    cols = [{} for _ in basis]
+    cols = {}
     for s in ideal.members_upto(n):
         j = index[s]
-        cols[j][j] = Fraction(1)
-    return TruncOp(model, n, basis, index, tuple(cols), n, 0)
+        cols[j] = {j: 1}
+    return TruncOp(model, n, basis, index, cols, n, 0)
 
 
 def word_reach(v) -> int:
@@ -116,17 +113,17 @@ def rep_vword(v, n) -> TruncOp:
     column gets a unit entry when the image lies in the basis."""
     model = v.model
     basis, index = model.basis(n)
-    cols = [{} for _ in basis]
+    cols = {}
     if not v.is_zero:
         for s in v.dom.members_upto(n):
             i = index.get(v.apply(s))
             if i is not None:
-                cols[index[s]][i] = Fraction(1)
+                cols[index[s]] = {i: 1}
     reach = word_reach(v)
     band = n - reach
     if band < 0:
         raise BandExhausted(f"word reach {reach} exceeds truncation {n}")
-    return TruncOp(model, n, basis, index, tuple(cols), band, reach)
+    return TruncOp(model, n, basis, index, cols, band, reach)
 
 
 def _check_compat(a: TruncOp, b: TruncOp):
@@ -137,34 +134,38 @@ def _check_compat(a: TruncOp, b: TruncOp):
 def mul_op(a: TruncOp, b: TruncOp) -> TruncOp:
     """a * b with band shrunk by b's reach."""
     _check_compat(a, b)
-    cols = []
-    for j in range(len(b.basis)):
+    cols = {}
+    for j, bcol in b.cols.items():
         out = {}
-        for k, bv in b.cols[j].items():
-            for i, av in a.cols[k].items():
-                val = out.get(i, Fraction(0)) + av * bv
+        for k, bv in bcol.items():
+            for i, av in a.cols.get(k, {}).items():
+                val = out.get(i, 0) + av * bv
                 if val == 0:
                     out.pop(i, None)
                 else:
                     out[i] = val
-        cols.append(out)
-    return TruncOp(a.model, a.n, a.basis, a.index, tuple(cols),
+        if out:
+            cols[j] = out
+    return TruncOp(a.model, a.n, a.basis, a.index, cols,
                    min(b.band, a.band - b.reach), a.reach + b.reach)
 
 
 def add_op(a: TruncOp, b: TruncOp) -> TruncOp:
     _check_compat(a, b)
-    cols = []
-    for j in range(len(a.basis)):
-        out = dict(a.cols[j])
-        for i, v in b.cols[j].items():
-            val = out.get(i, Fraction(0)) + v
+    cols = dict(a.cols)
+    for j, bcol in b.cols.items():
+        out = dict(cols.get(j, {}))
+        for i, v in bcol.items():
+            val = out.get(i, 0) + v
             if val == 0:
                 out.pop(i, None)
             else:
                 out[i] = val
-        cols.append(out)
-    return TruncOp(a.model, a.n, a.basis, a.index, tuple(cols),
+        if out:
+            cols[j] = out
+        else:
+            cols.pop(j, None)
+    return TruncOp(a.model, a.n, a.basis, a.index, cols,
                    min(a.band, b.band), max(a.reach, b.reach))
 
 
@@ -172,21 +173,13 @@ def scale_op(c, a: TruncOp) -> TruncOp:
     c = Fraction(c)
     if c == 0:
         return zero_op(a.model, a.n)
-    cols = tuple({i: c * v for i, v in col.items()} for col in a.cols)
+    cols = {j: {i: c * v for i, v in col.items()} for j, col in a.cols.items()}
     return TruncOp(a.model, a.n, a.basis, a.index, cols, a.band, a.reach)
-
-
-def transpose_op(a: TruncOp) -> TruncOp:
-    cols = [dict() for _ in a.basis]
-    for j, col in enumerate(a.cols):
-        for i, v in col.items():
-            cols[i][j] = v
-    return TruncOp(a.model, a.n, a.basis, a.index, tuple(cols), a.band, a.reach)
 
 
 def diagonal_part(a: TruncOp) -> TruncOp:
     """Compression to the diagonal: keep only the (s, s) entries."""
-    cols = tuple({j: col[j]} if j in col else {} for j, col in enumerate(a.cols))
+    cols = {j: {j: col[j]} for j, col in a.cols.items() if j in col}
     return TruncOp(a.model, a.n, a.basis, a.index, cols, a.band, 0)
 
 
@@ -195,12 +188,10 @@ def equal_on_band(a: TruncOp, b: TruncOp, band=None) -> bool:
     _check_compat(a, b)
     if band is None:
         band = min(a.band, b.band)
-    for j, s in enumerate(a.basis):
-        if a.model.length(s) > band:
-            continue
-        if a.cols[j] != b.cols[j]:
-            return False
-    return True
+    length, basis = a.model.length, a.basis
+    return all(a.cols.get(j) == b.cols.get(j)
+               for j in a.cols.keys() | b.cols.keys()
+               if length(basis[j]) <= band)
 
 
 def check_projection_identity(x, y, n) -> bool:
@@ -231,10 +222,9 @@ def cond_expectation(terms, n) -> TruncOp:
     """
     full = graded_sum(terms, n)
     model = full.model
-    via_grading = zero_op(model, n)
-    for c, v in terms:
-        if not v.is_zero and v.grading == model.unit:
-            via_grading = add_op(via_grading, scale_op(c, rep_vword(v, n)))
+    unit_terms = [(c, v) for c, v in terms
+                  if not v.is_zero and v.grading == model.unit]
+    via_grading = graded_sum(unit_terms, n) if unit_terms else zero_op(model, n)
     via_compress = diagonal_part(full)
     if not equal_on_band(via_grading, via_compress, min(via_grading.band, full.band)):
         raise GradingMismatch("grading filter and diagonal compression disagree")
@@ -249,8 +239,7 @@ class CovarianceFrame:
     """Finite frame set F in the group, with per-basis admissibility flags.
 
     A basis point r is admissible when, for every g in F whose translate
-    g*P meets r*P, the point r already lies in g*P.  Flags for the
-    translated frame set h*F are available through ``flags_for``.
+    g*P meets r*P, the point r already lies in g*P.
     """
 
     model: object
@@ -259,27 +248,10 @@ class CovarianceFrame:
     basis: tuple
     index: object
     base_flags: tuple
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def slice_indices(self, h=None):
-        """Basis positions of the h-translated frame space (h = unit)."""
-        flags = self.base_flags if h in (None, self.model.unit) else self.flags_for(h)
-        return tuple(j for j, ok in enumerate(flags) if ok)
-
-    def flags_for(self, h):
-        got = self._cache.get(h)
-        if got is None:
-            shifted = tuple(self.model.mul(h, g) for g in self.f_set)
-            got = _frame_flags(self.model, shifted, self.basis)
-            self._cache[h] = got
-        return got
-
-    def admissible(self, r, h=None) -> bool:
-        flags = self.base_flags if h in (None, self.model.unit) else self.flags_for(h)
-        j = self.index.get(r)
-        if j is None:
-            raise BandExhausted(f"{r!r} outside the truncation")
-        return flags[j]
+    def slice_indices(self):
+        """Basis positions of the frame space: the admissible points."""
+        return tuple(j for j, ok in enumerate(self.base_flags) if ok)
 
 
 def _frame_flags(model, f_set, basis):

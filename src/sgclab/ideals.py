@@ -306,9 +306,6 @@ class IdealLattice:
     def nonempty_indices(self):
         return tuple(i for i, x in enumerate(self.ideals) if i != self.empty_index)
 
-    def max_depth(self):
-        return max(self.depths)
-
     def to_json(self):
         nodes = []
         for i, x in enumerate(self.ideals):

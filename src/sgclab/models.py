@@ -342,6 +342,8 @@ class FreeMonoidModel(Model):
         for ch in a:
             if ch.lower() not in self.letters:
                 raise ModelError(f"letter {ch!r} outside alphabet of {self.name}")
+        if self._reduce(a) != a:
+            raise ModelError(f"{a!r} is not a reduced word of {self.name}")
         return a
 
     @staticmethod
@@ -355,7 +357,11 @@ class FreeMonoidModel(Model):
         return "".join(out)
 
     def mul(self, a, b):
-        return self._reduce(a + b)
+        # both factors are reduced, so only the seam can cancel
+        k, m = 0, min(len(a), len(b))
+        while k < m and a[-1 - k] == b[k].swapcase():
+            k += 1
+        return a[:len(a) - k] + b[k:]
 
     def inv(self, a):
         return a[::-1].swapcase()
@@ -387,7 +393,7 @@ class FreeMonoidModel(Model):
 
     def parse(self, obj):
         if isinstance(obj, str):
-            return self._reduce(self.validate(obj))
+            return self.validate(self._reduce(obj))
         raise ModelError(f"cannot parse {obj!r} as a word")
 
     def render(self, a):

@@ -184,16 +184,33 @@ def test_main_explain_roundtrip(tmp_path, capsys):
     assert "verdict" in text and "->" in text
 
 
+# sha256 of each dumped shift matrix at default caps: they pin the triplet
+# order and the n/d rendering of the documented dump format
+MATRIX_DUMP_DIGESTS = (
+    (["free_abelian", "--rank", "1"], {
+        "shift_0.txt":
+        "577bc5bc1eb35c1d0e8b259f55ee8d3c27ef825a66094c049208b37a5fbbeba8"}),
+    (["free_monoid", "--rank", "2"], {
+        "shift_0.txt":
+        "1b6e53ef2f023df07719027b3fb0a0ce8a60a7be9d3b2c07c9f97048b606308f",
+        "shift_1.txt":
+        "23e86ea190cf7e969bf9ff8eb3ad607200cc86101378be6138f74a9d752f5d84"}),
+)
+
+
 def test_main_matrix_dump(tmp_path):
-    out = tmp_path / "r.json"
-    dump = tmp_path / "mats"
-    code = main(["analyze", "--family", "free_abelian", "--rank", "1",
-                 "--analyses", "ore", "--out", str(out),
-                 "--matrix-dump", str(dump)])
-    assert code == 0
-    text = (dump / "shift_0.txt").read_text()
-    assert text.startswith("# truncop ")
-    assert "1 0 1/1" in text
+    for k, (family, digests) in enumerate(MATRIX_DUMP_DIGESTS):
+        out = tmp_path / f"r{k}.json"
+        dump = tmp_path / f"mats{k}"
+        code = main(["analyze", "--family", *family,
+                     "--analyses", "ore", "--out", str(out),
+                     "--matrix-dump", str(dump)])
+        assert code == 0
+        text = (dump / "shift_0.txt").read_text()
+        assert text.startswith("# truncop ")
+        assert "1 0 1/1" in text
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in dump.iterdir()} == digests
 
 
 def test_main_cache_dir(tmp_path, monkeypatch):

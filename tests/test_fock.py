@@ -14,7 +14,7 @@ from sgclab.fock import (BandExhausted, GradingMismatch, CovarianceFrame, TruncO
                          diagonal_part, equal_on_band,
                          generator_covariance_terms, graded_sum, identity_op,
                          mul_op, projection_op, rep_vword, scale_op, sc_norm,
-                         sc_limit_probe, transpose_op, word_reach, zero_op)
+                         sc_limit_probe, word_reach, zero_op)
 from sgclab.ideals import (UndecidedMembership, WordTrace, from_trace,
                            full_ideal, left_mul)
 from sgclab.invsgp import compose, enumerate_vwords, idempotent_vword, make_vword, star
@@ -94,18 +94,22 @@ def test_member_driven_columns_match_basis_scan(all_models, family_of):
             for v in family_of(model).members:
                 for ideal in (v.dom, v.ran):
                     want = basis_scan_columns(model, model.unit, ideal, n)
-                    assert list(projection_op(ideal, n).cols) == want
+                    assert projection_op(ideal, n).cols == _nonzero(want)
                 if word_reach(v) > n:
                     with pytest.raises(BandExhausted):
                         rep_vword(v, n)
                     continue
                 want = basis_scan_columns(model, v.grading, v.dom, n)
-                assert list(rep_vword(v, n).cols) == want
+                assert rep_vword(v, n).cols == _nonzero(want)
                 # domain members whose image lies beyond length n
                 leaves_basis += sum(
                     1 for j, s in enumerate(model.enumerate_p(n))
                     if v.dom.contains(s) and not want[j])
     assert leaves_basis > 0
+
+
+def _nonzero(cols):
+    return {j: c for j, c in enumerate(cols) if c}
 
 
 def _outcome(fn, *args):
@@ -125,17 +129,19 @@ def test_member_driven_columns_without_exact_ideals(n1):
         x = from_trace(model, WordTrace(((model.unit, q),)), radius)
         v = make_vword(model, WordTrace(((model.unit, q),)), radius)
         for n in range(radius - 1, radius + 4):
-            want = _outcome(basis_scan_columns, model, model.unit, x, n)
-            got = _outcome(lambda: list(projection_op(x, n).cols))
+            want = _outcome(lambda: _nonzero(
+                basis_scan_columns(model, model.unit, x, n)))
+            got = _outcome(lambda: projection_op(x, n).cols)
             assert got == want
             if n >= word_reach(v):
-                want = _outcome(basis_scan_columns, model, q, v.dom, n)
-                got = _outcome(lambda: list(rep_vword(v, n).cols))
+                want = _outcome(lambda: _nonzero(
+                    basis_scan_columns(model, q, v.dom, n)))
+                got = _outcome(lambda: rep_vword(v, n).cols)
                 assert got == want
     with pytest.raises(UndecidedMembership):
         projection_op(full_ideal(bare_n1, 5), 6)
     # <3,5> has no element of length 2, so radius 1 still decides n = 2
-    assert projection_op(full_ideal(bare_gap, 1), 2).diagonal() == [1]
+    assert projection_op(full_ideal(bare_gap, 1), 2).cols == {0: {0: 1}}
 
 
 def test_basis_index_cached_per_model_instance(f2):
@@ -190,11 +196,11 @@ def test_rep_star_is_transpose(all_models, family_of):
             band = min(n - 2 * word_reach(v), a.band, b.band)
             if band < 0:
                 continue
-            t = transpose_op(a)
-            for j, s in enumerate(a.basis):
-                if model.length(s) > band:
-                    continue
-                assert t.cols[j] == b.cols[j]
+            # a transposed, on the columns inside the band, is b
+            inside = [(j, i, x) for i, j, x in a.triplets()
+                      if model.length(a.basis[i]) <= band]
+            assert sorted(inside) == [(i, j, x) for i, j, x in b.triplets()
+                                      if model.length(b.basis[j]) <= band]
 
 
 def test_idempotent_rep_is_diagonal_mask(all_models, family_of):
@@ -204,7 +210,7 @@ def test_idempotent_rep_is_diagonal_mask(all_models, family_of):
             if v.grading != model.unit:
                 continue
             op = rep_vword(v, n)
-            assert op.is_diagonal()
+            assert all(col.keys() == {j} for j, col in op.cols.items())
             assert equal_on_band(op, projection_op(v.dom, n))
 
 
@@ -231,7 +237,37 @@ def test_projection_identity_examples(n1, f2):
     aP, bP = left_mul("a", Pf), left_mul("b", Pf)
     assert check_projection_identity(aP, bP, 6)
     prod = mul_op(projection_op(aP, 6), projection_op(bP, 6))
-    assert all(not col for col in prod.cols)
+    assert prod.cols == {}
+
+
+def test_ops_store_no_zero_columns(f2):
+    # cancelled entries and emptied columns are dropped, never stored
+    n = 5
+    P = full_ideal(f2, 6)
+    aP, bP = left_mul("a", P), left_mul("b", P)
+    v = make_vword(f2, WordTrace((("", "a"),)), 6)
+    assert v.grading == "a"
+    a = rep_vword(v, n)
+    assert a.cols
+    for op in (add_op(a, scale_op(-1, a)),
+               mul_op(projection_op(aP, n), projection_op(bP, n)),
+               diagonal_part(a),
+               scale_op(0, a)):
+        assert op.cols == {}
+        # an absent column is a zero column, on either side
+        assert not equal_on_band(op, a, n) and not equal_on_band(a, op, n)
+    one = projection_op(P, n)
+    diff = add_op(one, scale_op(-1, projection_op(aP, n)))
+    assert all(col and 0 not in col.values() for col in diff.cols.values())
+    assert set(diff.cols) == {j for j, s in enumerate(diff.basis)
+                              if not s.startswith("a")}
+    # (1 - down)(1 + up) = up - down, since down*up = 1: the (e, e) entry
+    # 1 - 1 cancels inside the product
+    down = rep_vword(make_vword(f2, WordTrace((("a", ""),)), 6), n)
+    prod = mul_op(add_op(one, scale_op(-1, down)), add_op(one, a))
+    assert prod.cols[prod.index[""]] == {prod.index["a"]: 1}
+    assert all(col and 0 not in col.values() for col in prod.cols.values())
+    assert equal_on_band(prod, add_op(a, scale_op(-1, down)))
 
 
 def test_cond_expectation_examples(n1):
@@ -239,13 +275,13 @@ def test_cond_expectation_examples(n1):
     i1 = left_mul((1,), P)
     v1 = make_vword(n1, WordTrace((((0,), (1,)),)), 30)
     ce = cond_expectation([(Fraction(1), v1)], 8)
-    assert all(not col for col in ce.cols)
+    assert ce.cols == {}
     e1 = idempotent_vword(i1)
     ce2 = cond_expectation([(Fraction(1), e1)], 8)
     assert equal_on_band(ce2, projection_op(i1, 8))
     v12 = make_vword(n1, WordTrace((((1,), (2,)),)), 30)
     ce3 = cond_expectation([(Fraction(1), v12)], 8)
-    assert all(not col for col in ce3.cols)
+    assert ce3.cols == {}
 
 
 def test_cond_expectation_mixed_combination(n1):
@@ -255,9 +291,8 @@ def test_cond_expectation_mixed_combination(n1):
              (Fraction(-2), v1),
              (Fraction(1, 3), idempotent_vword(left_mul((2,), P)))]
     ce = cond_expectation(terms, 8)
-    diag = ce.diagonal()
-    assert diag[0] == Fraction(3, 2)
-    assert diag[3] == Fraction(3, 2) + Fraction(1, 3)
+    assert ce.cols.get(0, {}).get(0, 0) == Fraction(3, 2)
+    assert ce.cols.get(3, {}).get(3, 0) == Fraction(3, 2) + Fraction(1, 3)
     full = graded_sum(terms, 8)
     assert equal_on_band(diagonal_part(full), ce)
 
@@ -269,7 +304,7 @@ def test_nonzero_grading_is_strictly_off_diagonal(all_models, family_of):
             if v.grading == model.unit:
                 continue
             op = rep_vword(v, n)
-            assert all(j not in col for j, col in enumerate(op.cols))
+            assert all(j not in col for j, col in op.cols.items())
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +320,9 @@ def test_frame_unit_set_keeps_everything(all_models):
 def test_build_frame_validates(f2):
     with pytest.raises(ModelError):
         build_frame(f2, ["aZ"], 4)
+    # an unreduced word would be a second frame element for e
+    with pytest.raises(ModelError):
+        build_frame(f2, ["aA", ""], 3)
 
 
 def test_frame_chain_flags(n1):
@@ -295,9 +333,10 @@ def test_frame_chain_flags(n1):
 
 def test_frame_f2_single_letter(f2):
     frame = build_frame(f2, ["a"], 4)
-    assert frame.admissible("b")       # disjoint translate: no constraint
-    assert not frame.admissible("")    # unit escapes a*P while meeting it
-    assert frame.admissible("aa")
+    flags = frame.base_flags
+    assert flags[frame.index["b"]]       # disjoint translate: no constraint
+    assert not flags[frame.index[""]]    # unit escapes a*P while meeting it
+    assert flags[frame.index["aa"]]
 
 
 def test_frame_flags_match_oracle(all_models):
@@ -317,7 +356,8 @@ def test_frame_translation_invariance(all_models):
         gens = list(model.generators)
         frame = build_frame(model, [model.unit, gens[0]], n)
         for p in gens:
-            shifted = frame.flags_for(p)
+            shifted = build_frame(model, [model.mul(p, g) for g in frame.f_set],
+                                  n).base_flags
             for j, r in enumerate(frame.basis):
                 pr = model.mul(p, r)
                 i = frame.index.get(pr)

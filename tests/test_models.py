@@ -136,6 +136,25 @@ def test_free_group_reduction_is_canonical():
     assert m.mul("ab", "BA") == ""
 
 
+def test_free_group_mul_cancels_at_the_seam():
+    m = FreeMonoidModel(2)
+    words = [w for n in range(5)
+             for w in map("".join, itertools.product("abAB", repeat=n))
+             if m._reduce(w) == w]
+    assert len(words) == 161
+    for a in words:
+        for b in words:
+            assert m.mul(a, b) == m._reduce(a + b)
+
+
+def test_free_group_validate_rejects_unreduced_words(f2):
+    for word in ("aA", "bBa", "abBA"):
+        with pytest.raises(ModelError):
+            f2.validate(word)
+    assert f2.validate("aB") == "aB"
+    assert f2.parse("abBA") == ""
+
+
 @given(st.integers(0, 120))
 @settings(max_examples=60, deadline=None)
 def test_numerical_membership_against_direct_search(n):
