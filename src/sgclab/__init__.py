@@ -5,7 +5,7 @@ matrix verification."""
 __version__ = "0.1.0"
 
 from .models import build_model, FreeAbelianModel, FreeMonoidModel, NumericalModel
-from .ideals import (WordTrace, ConstructibleIdeal, IdealLattice, Undecided,
+from .ideals import (WordTrace, ConstructibleIdeal, IdealLattice,
                      from_trace, full_ideal, empty_ideal, left_mul, preimage,
                      intersect, ideal_eq, enumerate_ideals, independence_test,
                      independence_rank_oracle, ore_test)

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import invsgp
-from .ideals import from_trace
 from .models import ModelError
 
 
@@ -217,14 +216,21 @@ def cond_expectation(terms, n) -> TruncOp:
     """Diagonal expectation of a word combination, computed two ways.
 
     Route one keeps exactly the terms with trivial grading; route two
-    compresses the realized matrix to the diagonal.  The routes must agree
-    on the band; disagreement signals a grading bug and raises.
+    compresses the realized matrix to the diagonal.  Each term's matrix is
+    built once and summed into the full matrix, and into route one when
+    its grading is trivial.  The routes must agree on the band;
+    disagreement signals a grading bug and raises.
     """
-    full = graded_sum(terms, n)
-    model = full.model
-    unit_terms = [(c, v) for c, v in terms
-                  if not v.is_zero and v.grading == model.unit]
-    via_grading = graded_sum(unit_terms, n) if unit_terms else zero_op(model, n)
+    if not terms:
+        raise ModelError("empty term list")
+    model = terms[0][1].model
+    full = via_grading = zero_op(model, n)
+    for c, v in terms:
+        op = scale_op(c, rep_vword(v, n))
+        full = add_op(full, op)
+        if not v.is_zero and v.grading == model.unit:
+            via_grading = add_op(via_grading, op)
+        del op   # free it before the next term's matrix is built
     via_compress = diagonal_part(full)
     if not equal_on_band(via_grading, via_compress, min(via_grading.band, full.band)):
         raise GradingMismatch("grading filter and diagonal compression disagree")

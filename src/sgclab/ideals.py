@@ -8,11 +8,12 @@ together with the empty set, is closed under finite intersections via the
 doubling trick: if y has trace t then y n x has trace t + reversed/starred
 t + trace(x).
 
-Every ideal carries both a truncated member set (exact within its radius)
-and, when the model has the exact-ideal hook, a canonical exact token.  The
-truncated tier exists so radius-limited models stay honest: equality of two
-truncated ideals that merely agree within the radius is reported as
-Undecided, never as True.
+An ideal is its model's canonical exact token.  ``walk`` is the one
+evaluator: it carries a token through the pairs of a trace, so the ideal of
+a trace is the walk from the full ideal's token, and one more pair, an
+intersection or a composite word is computed from tokens already at hand.
+The trace an ideal keeps is provenance only: reports render it and guard
+bands read it, but it is never evaluated again.
 
 Enumeration is breadth-first on trace length and deterministic; the lattice
 accumulator is the only mutable state during a build and is confined to a
@@ -24,22 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exactla import bareiss_rank
-from .models import EMPTY, Model, ModelError
+from .models import EMPTY, ModelError
 
 
 class CapExceeded(RuntimeError):
     """An enumeration hit its ideal-count or size cap."""
-
-
-class UndecidedMembership(RuntimeError):
-    """Membership query outside the trusted radius of a truncated ideal."""
-
-
-@dataclass(frozen=True)
-class Undecided:
-    """Equality verdict when truncated data cannot certify an answer."""
-
-    radius: int
 
 
 @dataclass(frozen=True)
@@ -78,85 +68,42 @@ class WordTrace:
 
 
 class ConstructibleIdeal:
-    """A right ideal with defining trace, truncated members, and (when the
-    model supports it) a canonical exact token.
-
-    ``trace is None`` marks the canonical empty ideal.  ``members`` is exact
-    within ``radius``: it contains every ideal element of length <= radius
-    and nothing else.  With an exact token the member set is derived lazily
-    from it; without one it is computed up front (the truncation then *is*
-    the representation).
-    """
+    """A right ideal: its canonical exact token ``exact``, with the trace
+    that built it as provenance (``trace is None`` marks the canonical
+    empty ideal).  ``members``, the members of length <= ``radius``, is
+    derived lazily from the token."""
 
     __slots__ = ("model", "trace", "radius", "exact", "_members")
 
-    def __init__(self, model, trace, radius, exact=None, members=None):
+    def __init__(self, model, trace, radius, exact):
         self.model = model
         self.trace = trace
         self.radius = radius
         self.exact = exact
-        self._members = members
-        if exact is None and members is None and trace is not None:
-            raise ModelError("truncated ideals need a precomputed member set")
+        self._members = None
 
     @property
     def members(self) -> frozenset:
         if self._members is None:
-            if self.exact is None:
-                self._members = frozenset()
-            else:
-                self._members = frozenset(
-                    self.model.exact_members_upto(self.exact, self.radius))
+            self._members = frozenset(
+                self.model.exact_members_upto(self.exact, self.radius))
         return self._members
 
-    def is_empty(self):
-        """True / False when certified, None when the radius cannot tell."""
-        if self.exact is not None:
-            return self.exact == EMPTY
-        if self.members:
-            return False
-        if self.trace is None:
-            return True
-        if self.radius >= self.model.empty_witness_bound(self.trace.pairs):
-            return True
-        return None
+    def is_empty(self) -> bool:
+        return self.exact == EMPTY
 
     def contains(self, a) -> bool:
-        if self.exact is not None:
-            return self.model.exact_contains(self.exact, a)
-        if not self.model.in_p(a):
-            return False
-        if self.model.length(a) > self.radius:
-            raise UndecidedMembership(
-                f"element of length {self.model.length(a)} outside radius {self.radius}")
-        return a in self.members
+        return self.model.exact_contains(self.exact, a)
 
     def members_upto(self, n):
-        """The members of length <= n.  Without an exact token this raises
-        UndecidedMembership exactly when ``contains`` would on some
-        submonoid element of length <= n."""
-        if self.exact is not None:
-            return self.model.exact_members_upto(self.exact, n)
-        elems = self.model.enumerate_p(n)
-        if elems and self.model.length(elems[-1]) > self.radius:
-            raise UndecidedMembership(
-                f"element of length {self.model.length(elems[-1])} outside "
-                f"radius {self.radius}")
-        return [a for a in self.members if self.model.length(a) <= n]
+        """The members of length <= n."""
+        return self.model.exact_members_upto(self.exact, n)
 
     def sorted_members(self):
         return sorted(self.members, key=self.model.sort_key)
 
-    def dedup_key(self):
-        if self.exact is not None:
-            return ("x", self.exact)
-        return ("t", self.radius, tuple(self.sorted_members()))
-
     def subset_of(self, other) -> bool:
-        """Containment; exact when tokens exist, at-radius otherwise."""
-        if self.exact is not None and other.exact is not None:
-            return self.model.exact_subset(self.exact, other.exact)
-        return self.members <= other.members
+        return self.model.exact_subset(self.exact, other.exact)
 
     def render(self, limit=20):
         mem = [self.model.render(a) for a in self.sorted_members()[:limit]]
@@ -164,9 +111,19 @@ class ConstructibleIdeal:
             "trace": None if self.trace is None else self.trace.render(self.model),
             "radius": self.radius,
             "members_prefix": mem,
-            "exact": repr(self.exact) if self.exact is not None else None,
+            "exact": repr(self.exact),
             "empty": self.is_empty(),
         }
+
+
+def walk(model, pairs, tok):
+    """Carry a token through (p, q) pairs, right to left: multiply on the
+    left by q, then pull back along p.  From ``exact_full()`` this is the
+    ideal the pairs denote; from the token of an ideal y it is the image
+    of y under the word of the pairs."""
+    for p, q in reversed(pairs):
+        tok = model.exact_preimage(p, model.exact_left_mul(q, tok))
+    return tok
 
 
 def full_ideal(model, radius) -> ConstructibleIdeal:
@@ -174,45 +131,23 @@ def full_ideal(model, radius) -> ConstructibleIdeal:
 
 
 def empty_ideal(model, radius) -> ConstructibleIdeal:
-    exact = EMPTY if model.has_exact_ideals else None
-    return ConstructibleIdeal(model, None, radius, exact, frozenset())
-
-
-def _brute_members(model, trace, radius):
-    # Working radius grows by the total pullback length so the final set is
-    # exact within the requested radius.
-    work = radius + sum(model.length(p) for p, _ in trace.pairs)
-    cur = set(model.enumerate_p(work))
-    trust = work
-    for p, q in reversed(trace.pairs):
-        lq = model.length(q)
-        cur = {model.mul(q, x) for x in cur}
-        cur = {y for y in cur if model.length(y) <= work}
-        trust = min(work, trust + lq)
-        nxt = set()
-        for y in cur:
-            x = model.divide(p, y)
-            if x is not None:
-                nxt.add(x)
-        cur = nxt
-        trust -= model.length(p)
-    if trust < radius:
-        raise ModelError("internal radius bookkeeping error")
-    return frozenset(x for x in cur if model.length(x) <= radius)
+    return ConstructibleIdeal(model, None, radius, EMPTY)
 
 
 def from_trace(model, trace, radius=None) -> ConstructibleIdeal:
-    """Evaluate a trace right-to-left through the two primitives."""
+    """The ideal a trace denotes: its walk from the full ideal."""
     if radius is None:
         radius = model.default_radius
-    if model.has_exact_ideals:
-        tok = model.exact_full()
-        for p, q in reversed(trace.pairs):
-            tok = model.exact_left_mul(q, tok)
-            tok = model.exact_preimage(p, tok)
-        return ConstructibleIdeal(model, trace, radius, tok)
-    members = _brute_members(model, trace, radius)
-    return ConstructibleIdeal(model, trace, radius, None, members)
+    return ConstructibleIdeal(model, trace, radius,
+                              walk(model, trace.pairs, model.exact_full()))
+
+
+def _extend(x: ConstructibleIdeal, pair) -> ConstructibleIdeal:
+    """The ideal of the trace ``pair + trace(x)``: one step on x's token."""
+    if x.trace is None:
+        return empty_ideal(x.model, x.radius)
+    return ConstructibleIdeal(x.model, WordTrace((pair,) + x.trace.pairs),
+                              x.radius, walk(x.model, (pair,), x.exact))
 
 
 def left_mul(p, x: ConstructibleIdeal) -> ConstructibleIdeal:
@@ -220,10 +155,7 @@ def left_mul(p, x: ConstructibleIdeal) -> ConstructibleIdeal:
     model = x.model
     if not model.in_p(model.validate(p)):
         raise ModelError("left_mul expects a submonoid element")
-    if x.trace is None:
-        return empty_ideal(model, x.radius)
-    pairs = ((model.unit, p),) + x.trace.pairs
-    return from_trace(model, WordTrace(pairs), x.radius)
+    return _extend(x, (model.unit, p))
 
 
 def preimage(p, x: ConstructibleIdeal) -> ConstructibleIdeal:
@@ -231,50 +163,27 @@ def preimage(p, x: ConstructibleIdeal) -> ConstructibleIdeal:
     model = x.model
     if not model.in_p(model.validate(p)):
         raise ModelError("preimage expects a submonoid element")
-    if x.trace is None:
-        return empty_ideal(model, x.radius)
-    pairs = ((p, model.unit),) + x.trace.pairs
-    return from_trace(model, WordTrace(pairs), x.radius)
+    return _extend(x, (p, model.unit))
 
 
 def intersect(x: ConstructibleIdeal, y: ConstructibleIdeal) -> ConstructibleIdeal:
-    """x n y with a constructible trace: trace(y) + trace(y)* + trace(x)."""
+    """x n y, the canonical empty ideal when disjoint; the provenance trace
+    is trace(y) + trace(y)* + trace(x)."""
     if x.model is not y.model:
         raise ModelError("intersect expects ideals over the same model")
-    if x.trace is None or y.trace is None:
-        return empty_ideal(x.model, min(x.radius, y.radius))
+    radius = min(x.radius, y.radius)
+    tok = x.model.exact_intersect(x.exact, y.exact)
+    if tok == EMPTY:
+        return empty_ideal(x.model, radius)
     pairs = y.trace.pairs + y.trace.star().pairs + x.trace.pairs
-    out = from_trace(x.model, WordTrace(pairs), min(x.radius, y.radius))
-    if out.is_empty() is True:
-        return empty_ideal(x.model, out.radius)
-    return out
+    return ConstructibleIdeal(x.model, WordTrace(pairs), radius, tok)
 
 
-def ideal_eq(x: ConstructibleIdeal, y: ConstructibleIdeal):
-    """True / False when certifiable, else Undecided(radius).
-
-    Exact tokens are canonical, so token comparison decides.  Without
-    tokens: equal traces decide, certified emptiness decides, a member-set
-    difference within the shared radius refutes, and anything else is
-    Undecided at the smaller radius.
-    """
+def ideal_eq(x: ConstructibleIdeal, y: ConstructibleIdeal) -> bool:
+    """Equality of ideals: exact tokens are canonical."""
     if x.model is not y.model:
         raise ModelError("ideal_eq expects ideals over the same model")
-    if x.exact is not None and y.exact is not None:
-        return x.exact == y.exact
-    if x.trace is not None and y.trace is not None and x.trace == y.trace:
-        return True
-    ex, ey = x.is_empty(), y.is_empty()
-    if ex is True and ey is True:
-        return True
-    if (ex is True and ey is False) or (ex is False and ey is True):
-        return False
-    r = min(x.radius, y.radius)
-    mx = {a for a in x.members if x.model.length(a) <= r}
-    my = {a for a in y.members if y.model.length(a) <= r}
-    if mx != my:
-        return False
-    return Undecided(r)
+    return x.exact == y.exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,9 +193,7 @@ class IdealLattice:
     ``ideals[0]`` is the full ideal; the canonical empty ideal is always
     present.  ``depths[i]`` is the trace length at which ideal i first
     appeared (intersection-closure additions inherit the max of their
-    operands).  ``subset[i][j]`` holds iff ideal i is contained in ideal j;
-    for models without the exact hook this relation is at-radius only and
-    ``tier`` says so.
+    operands).  ``subset[i][j]`` holds iff ideal i is contained in ideal j.
     """
 
     model: object
@@ -298,10 +205,6 @@ class IdealLattice:
     hasse: tuple
     intersect_table: dict
     params: dict = field(default_factory=dict)
-
-    @property
-    def tier(self):
-        return "exact" if self.model.has_exact_ideals else "band-limited"
 
     def nonempty_indices(self):
         return tuple(i for i, x in enumerate(self.ideals) if i != self.empty_index)
@@ -315,7 +218,7 @@ class IdealLattice:
             nodes.append(node)
         return {
             "model": self.model.config() if hasattr(self.model, "config") else self.model.name,
-            "tier": self.tier,
+            "tier": "exact",
             "radius": self.radius,
             "params": self.params,
             "nodes": nodes,
@@ -375,10 +278,10 @@ def enumerate_ideals(model, max_trace_len, gen_len=None, radius=None,
 
     ideals = [full_ideal(model, radius), empty_ideal(model, radius)]
     depths = [0, 0]
-    keys = {ideals[0].dedup_key(): 0, ideals[1].dedup_key(): 1}
+    keys = {ideals[0].exact: 0, ideals[1].exact: 1}
 
     def add(ideal, depth):
-        key = ideal.dedup_key()
+        key = ideal.exact
         got = keys.get(key)
         if got is not None:
             return got
@@ -394,12 +297,9 @@ def enumerate_ideals(model, max_trace_len, gen_len=None, radius=None,
         fresh = []
         for idx in frontier:
             base = ideals[idx]
-            if base.trace is None:
-                continue
-            for p, q in pairs:
-                new_pairs = ((p, q),) + base.trace.pairs
-                cand_ideal = from_trace(model, WordTrace(new_pairs), radius)
-                if cand_ideal.is_empty() is True:
+            for pq in pairs:
+                cand_ideal = _extend(base, pq)
+                if cand_ideal.is_empty():
                     cand_ideal = empty_ideal(model, radius)
                 before = len(ideals)
                 got = add(cand_ideal, depth)
@@ -447,7 +347,7 @@ def enumerate_ideals(model, max_trace_len, gen_len=None, radius=None,
 
 @dataclass(frozen=True)
 class IndependenceResult:
-    status: str            # "independent" | "witness" | "inconclusive"
+    status: str            # "independent" | "witness"
     witness: object = None  # index of the covered ideal
     parts: tuple = ()       # indices of the covering ideals
     detail: str = ""
@@ -459,13 +359,8 @@ class IndependenceResult:
 
 def independence_test(lattice: IdealLattice) -> IndependenceResult:
     """Search for an ideal equal to a finite union of strictly smaller
-    lattice members.  Exact for models with the exact-ideal hook; models
-    without it cannot certify union coverage and report inconclusive."""
+    lattice members, decided exactly on the tokens."""
     model = lattice.model
-    if not model.has_exact_ideals:
-        return IndependenceResult(
-            "inconclusive",
-            detail="union coverage is not certifiable from truncated members alone")
     for i in lattice.nonempty_indices():
         x = lattice.ideals[i]
         proper = [j for j in lattice.nonempty_indices()
@@ -533,7 +428,7 @@ def independence_rank_oracle(lattice: IdealLattice, radius=None) -> RankResult:
 
 @dataclass(frozen=True)
 class OreResult:
-    status: str            # "ore_up_to" | "counterexample" | "inconclusive"
+    status: str            # "ore_up_to" | "counterexample"
     level: int = 0
     pair: object = None
 
@@ -546,30 +441,15 @@ class OreResult:
         return {"status": self.status, "level": self.level, "pair": pair}
 
 
-def ore_test(model, max_len, search_radius=None) -> OreResult:
-    """Decide pP n qP != empty for all p, q of length <= max_len.
-
-    With the exact hook the intersection emptiness is decided outright;
-    otherwise a common multiple is searched within ``search_radius`` and a
-    fruitless search is reported as inconclusive, not as a counterexample.
-    """
+def ore_test(model, max_len) -> OreResult:
+    """Decide pP n qP != empty for all p, q of length <= max_len, exactly
+    on the tokens of the principal ideals."""
+    full = model.exact_full()
     elems = model.enumerate_p(max_len)
     for i, p in enumerate(elems):
+        xp = model.exact_left_mul(p, full)
         for q in elems[i:]:
-            if model.has_exact_ideals:
-                xp = model.exact_left_mul(p, model.exact_full())
-                xq = model.exact_left_mul(q, model.exact_full())
-                if model.exact_intersect(xp, xq) == EMPTY:
-                    return OreResult("counterexample", level=max_len, pair=(p, q))
-            else:
-                bound = search_radius
-                if bound is None:
-                    bound = model.length(p) + model.length(q) + model.default_radius
-                found = False
-                for z in model.enumerate_p(bound):
-                    if model.divide(p, z) is not None and model.divide(q, z) is not None:
-                        found = True
-                        break
-                if not found:
-                    return OreResult("inconclusive", level=max_len, pair=(p, q))
+            xq = model.exact_left_mul(q, full)
+            if model.exact_intersect(xp, xq) == EMPTY:
+                return OreResult("counterexample", level=max_len, pair=(p, q))
     return OreResult("ore_up_to", level=max_len)

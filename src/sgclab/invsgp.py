@@ -9,7 +9,13 @@ the ideal of the starred trace.  Nonzero words are determined by the pair
 (grading, domain ideal): on a common nonempty domain the actions x -> g1*x
 and x -> g2*x agree only for g1 == g2, because the ambient group cancels.
 
-The zero word absorbs composition and carries no grading.
+Composites are computed on ideal tokens, not on traces: the domain of v*w
+is w's pullback of dom v and its range is v's image of ran w, each one
+``walk`` from a token at hand.  The concatenated trace is kept only as
+provenance, for reports and guard bands.
+
+The zero word absorbs composition and carries no grading; every nonzero
+word has a non-empty domain.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import ideals as ideals_mod
-from .ideals import ConstructibleIdeal, Undecided, WordTrace, from_trace
-from .models import ModelError
+from .ideals import ConstructibleIdeal, WordTrace, walk
+from .models import EMPTY, ModelError
 
 
 @dataclass(frozen=True)
@@ -37,17 +43,13 @@ class VWord:
         return self.model.mul(self.grading, x)
 
     def is_idempotent(self):
-        if self.is_zero:
-            return True
-        if self.grading != self.model.unit:
-            return False
-        eq = ideals_mod.ideal_eq(self.dom, self.ran)
-        return eq if eq is not True else True
+        return self.is_zero or (self.grading == self.model.unit
+                                and ideals_mod.ideal_eq(self.dom, self.ran))
 
     def dedup_key(self):
         if self.is_zero:
             return ("zero",)
-        return (self.grading, self.dom.dedup_key())
+        return (self.grading, self.dom.exact)
 
     def render(self):
         return {
@@ -66,28 +68,42 @@ def zero_vword(model, radius=None) -> VWord:
     return VWord(model, None, None, empty, empty, True)
 
 
+def _word(model, trace, grading, dom, ran, radius) -> VWord:
+    """The word of ``trace`` from its domain and range tokens; the zero
+    word when they are empty."""
+    if dom == EMPTY or ran == EMPTY:
+        return zero_vword(model, radius)
+    return VWord(model, trace, grading,
+                 ConstructibleIdeal(model, trace.star(), radius, dom),
+                 ConstructibleIdeal(model, trace, radius, ran), False)
+
+
 def make_vword(model, trace, radius=None) -> VWord:
-    """Build the word of a trace; collapses to the zero word when the
-    domain ideal is certified empty."""
+    """Build the word of a trace: its range is the walk of the trace from
+    the full ideal, its domain that of the starred trace."""
     if not isinstance(trace, WordTrace):
         trace = WordTrace.make(model, trace)
     if radius is None:
         radius = model.default_radius
-    ran = from_trace(model, trace, radius)
-    dom = from_trace(model, trace.star(), radius)
-    if dom.is_empty() is True or ran.is_empty() is True:
-        return zero_vword(model, radius)
-    return VWord(model, trace, trace.grading(model), dom, ran, False)
+    full = model.exact_full()
+    return _word(model, trace, trace.grading(model),
+                 walk(model, trace.star().pairs, full),
+                 walk(model, trace.pairs, full), radius)
 
 
 def compose(v: VWord, w: VWord) -> VWord:
-    """Concatenate traces; the zero word absorbs."""
+    """v after w: domain w^-1(dom v), range v(ran w), grading g_v g_w; the
+    zero word absorbs."""
     if v.model is not w.model:
         raise ModelError("compose expects words over the same model")
+    model = v.model
+    radius = min(v.dom.radius, w.dom.radius)
     if v.is_zero or w.is_zero:
-        return zero_vword(v.model, min(v.dom.radius, w.dom.radius))
-    return make_vword(v.model, WordTrace(v.trace.pairs + w.trace.pairs),
-                      min(v.dom.radius, w.dom.radius))
+        return zero_vword(model, radius)
+    return _word(model, WordTrace(v.trace.pairs + w.trace.pairs),
+                 model.mul(v.grading, w.grading),
+                 walk(model, w.trace.star().pairs, v.dom.exact),
+                 walk(model, v.trace.pairs, w.ran.exact), radius)
 
 
 def star(v: VWord) -> VWord:
@@ -97,34 +113,23 @@ def star(v: VWord) -> VWord:
                  v.ran, v.dom, False)
 
 
-def vword_eq(v: VWord, w: VWord):
-    """Equality of the realized partial bijections.
-
-    Nonzero words are compared by (grading, domain ideal); Undecided
-    propagates from the ideal comparison.
-    """
+def vword_eq(v: VWord, w: VWord) -> bool:
+    """Equality of the realized partial bijections: nonzero words are
+    compared by (grading, domain ideal)."""
     if v.model is not w.model:
         raise ModelError("vword_eq expects words over the same model")
-    if v.is_zero and w.is_zero:
-        return True
-    if v.is_zero != w.is_zero:
-        other = w if v.is_zero else v
-        empt = other.dom.is_empty()
-        if empt is None:
-            return Undecided(other.dom.radius)
-        return empt  # an uncollapsed-but-empty word equals zero
-    if v.grading != w.grading:
-        return False
-    return ideals_mod.ideal_eq(v.dom, w.dom)
+    if v.is_zero or w.is_zero:
+        return v.is_zero and w.is_zero
+    return v.grading == w.grading and ideals_mod.ideal_eq(v.dom, w.dom)
 
 
 def idempotent_vword(x: ConstructibleIdeal) -> VWord:
-    """The diagonal word of an ideal: trace(x) followed by its star."""
+    """The diagonal word of an ideal, x as both domain and range; its
+    provenance trace is trace(x) followed by its star."""
     if x.trace is None:
         return zero_vword(x.model, x.radius)
-    v = make_vword(x.model, WordTrace(x.trace.pairs + x.trace.star().pairs),
-                   x.radius)
-    return v
+    trace = WordTrace(x.trace.pairs + x.trace.star().pairs)
+    return _word(x.model, trace, x.model.unit, x.exact, x.exact, x.radius)
 
 
 def semilattice(lattice) -> dict:
@@ -174,14 +179,11 @@ def enumerate_vwords(model, max_trace_len, gen_len=None, radius=None,
     respects equality of words and the zero word absorbs, so the words one
     pair past any trace are those one pair past its word's representative:
     only representatives are extended, at O(words x pairs) ``make_vword``
-    calls instead of O(pairs^depth).  That needs ``dedup_key`` to identify
-    a word exactly, so models without exact ideals are refused with
-    ``ModelError``.  ``eq_pairs`` is then replayed from the table of
+    calls instead of O(pairs^depth); ``dedup_key`` identifies a word
+    exactly.  ``eq_pairs`` is then replayed from the table of
     representative steps, in the order the full walk over every trace
     would log it.
     """
-    if not model.has_exact_ideals:
-        raise ModelError(f"{model.name}: word enumeration needs exact ideals")
     if gen_len is None:
         gen_len = model.default_gen_len
     if radius is None:

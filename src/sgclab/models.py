@@ -13,15 +13,14 @@ Three families ship built in:
   strings (lower case letters are generators, upper case their inverses);
 * ``numerical``: a numerical semigroup <g1,...,gm> inside Z, gcd 1.
 
-Models also carry an exact-ideal hook: a canonical finite token for every
-right ideal the calculus can build, with exact membership, preimage,
-intersection, subset and union-cover tests.  The hook keeps ideal
-enumeration exact at any radius; models without it (see
-:class:`WithoutExactIdeals`) fall back to truncated set arithmetic.
+Every model carries an exact-ideal hook: a canonical finite token for
+every right ideal the calculus can build, with exact membership, preimage,
+intersection, subset and union-cover tests.  The token is the ideal's only
+representation, so ideal enumeration is exact at any radius.
 
-Elements are validated once, where raw values come in: ``parse``,
-``WordTrace.make``, ``left_mul``/``preimage`` and ``build_frame`` call
-``validate``.  Arithmetic (``mul``, ``inv``, ``in_p``, ``meets_p``) trusts
+Config documents are validated once, in ``build_model``.  Elements are
+validated once, where raw values come in: ``parse``, ``WordTrace.make``,
+``left_mul``/``preimage`` and ``build_frame`` call ``validate``.  Arithmetic (``mul``, ``inv``, ``in_p``, ``meets_p``) trusts
 its arguments to be normal forms of the model and does not re-check them.
 
 All model state is immutable after construction and every operation is a
@@ -54,7 +53,6 @@ class Model:
     """
 
     family = "abstract"
-    has_exact_ideals = True
     default_radius = 50
     default_trunc = 30
     default_gen_len = 1
@@ -167,11 +165,6 @@ class Model:
     def exact_members_upto(self, tok, radius: int):
         raise NotImplementedError
 
-    def empty_witness_bound(self, pairs) -> int:
-        """Radius B such that a non-empty ideal produced by a trace with the
-        given (p, q) pairs must contain an element of length <= B."""
-        return sum(self.length(q) for _, q in pairs)
-
 
 class FreeAbelianModel(Model):
     """N^k inside Z^k; elements are int tuples, length is the l1 norm.
@@ -184,7 +177,7 @@ class FreeAbelianModel(Model):
 
     def __init__(self, rank: int):
         super().__init__()
-        if not isinstance(rank, int) or rank < 1:
+        if rank < 1:
             raise ModelError("free_abelian rank must be a positive int")
         self.rank = rank
         self.name = f"N^{rank}"
@@ -322,7 +315,7 @@ class FreeMonoidModel(Model):
 
     def __init__(self, rank: int):
         super().__init__()
-        if not isinstance(rank, int) or not 1 <= rank <= 10:
+        if not 1 <= rank <= 10:
             raise ModelError("free_monoid rank must be an int in 1..10")
         self.rank = rank
         self.letters = _LETTERS[:rank]
@@ -478,7 +471,7 @@ class NumericalModel(Model):
 
     def __init__(self, gens):
         super().__init__()
-        gens = tuple(sorted(set(int(g) for g in gens)))
+        gens = tuple(sorted(set(gens)))
         if not gens or any(g < 1 for g in gens):
             raise ModelError("numerical generators must be positive integers")
         if _gcd_all(gens) != 1:
@@ -620,40 +613,32 @@ class NumericalModel(Model):
         out.extend(range(tail, radius + 1))
         return out
 
-    def empty_witness_bound(self, pairs):
-        return (sum(self.length(q) for _, q in pairs)
-                + self.conductor * (len(pairs) + 1))
+
+def _int(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelError(f"{what} must be an int, got {value!r}")
+    return value
 
 
-class WithoutExactIdeals:
-    """Delegating wrapper that hides a model's exact-ideal hook.
-
-    Forces the truncated-set code paths; used to exercise the radius-limited
-    contracts (Undecided equality, witness-bound emptiness certificates).
-    """
-
-    has_exact_ideals = False
-
-    def __init__(self, base: Model):
-        self._base = base
-        self.name = base.name + "/trunc"
-
-    def __getattr__(self, item):
-        if item.startswith("exact_"):
-            raise AttributeError(f"{self.name} has no exact-ideal hook")
-        return getattr(self._base, item)
+def _ints(value, what):
+    if not isinstance(value, (list, tuple)):
+        raise ModelError(f"{what} must be a list of ints, got {value!r}")
+    return [_int(v, what) for v in value]
 
 
 _FAMILIES = {
-    "free_abelian": lambda cfg: FreeAbelianModel(cfg["rank"]),
-    "free_monoid": lambda cfg: FreeMonoidModel(cfg["rank"]),
-    "numerical": lambda cfg: NumericalModel(cfg["generators"]),
+    "free_abelian": lambda cfg: FreeAbelianModel(_int(cfg["rank"], "rank")),
+    "free_monoid": lambda cfg: FreeMonoidModel(_int(cfg["rank"], "rank")),
+    "numerical": lambda cfg: NumericalModel(
+        _ints(cfg["generators"], "generators")),
 }
 
 
 def build_model(config: dict) -> Model:
     """Construct a model from a config document, e.g.
-    ``{"family": "free_abelian", "rank": 2}``."""
+    ``{"family": "free_abelian", "rank": 2}``; the one check of its
+    fields: ``rank`` is an int, ``generators`` a list of ints (bools are
+    refused as ints)."""
     if not isinstance(config, dict) or "family" not in config:
         raise ModelError("model config must be a dict with a 'family' key")
     family = config["family"]

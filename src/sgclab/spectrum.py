@@ -9,7 +9,8 @@ character is the fragment position of its least supported ideal.
 
 The group acts partially: a word v with grading g carries the character
 chi (with chi(dom v) = 1) to the character y -> chi(pullback of y along v),
-where the pullback of y is the domain ideal of v* E_y v.  At finite
+where the pullback of y is the domain ideal of v* E_y v: the image of y
+under v*, one walk of v's starred trace from y's token.  At finite
 fragment scale a pulled-back ideal may fall outside the fragment; its value
 is then forced upward (some supported fragment ideal sits inside it),
 forced downward (some unsupported fragment ideal contains it), or genuinely
@@ -36,8 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import invsgp
-from .models import ModelError
+from .ideals import walk
+from .models import EMPTY, ModelError
 
 
 class FragmentError(ValueError):
@@ -54,7 +55,7 @@ class Fragment:
     meet: tuple               # per (i, j) flattened: position of meet, or -1 for empty
     depths: tuple             # per position: discovery depth
     full_pos: int
-    pos_of_key: dict          # ideal dedup key -> position
+    pos_of_token: dict        # ideal token -> position
     pos_of_up: dict           # up mask -> position: the filters
 
     @staticmethod
@@ -79,13 +80,13 @@ class Fragment:
                 meet.append(pos_of.get(k, -1))
         full_pos = pos_of[0]
         depths = tuple(lattice.depths[li] for li in positions)
-        pos_of_key = {lattice.ideals[li].dedup_key(): b
-                      for b, li in enumerate(positions)}
+        pos_of_token = {lattice.ideals[li].exact: b
+                        for b, li in enumerate(positions)}
         pos_of_up = {mask: b for b, mask in enumerate(up_masks)}
         if len(pos_of_up) != len(positions):
             raise FragmentError("two fragment ideals contain each other")
         return Fragment(lattice, positions, tuple(up_masks),
-                        tuple(meet), depths, full_pos, pos_of_key, pos_of_up)
+                        tuple(meet), depths, full_pos, pos_of_token, pos_of_up)
 
     def size(self):
         return len(self.positions)
@@ -97,7 +98,7 @@ class Fragment:
         return self.meet[i * len(self.positions) + j]
 
     def position_of_ideal(self, ideal):
-        return self.pos_of_key.get(ideal.dedup_key())
+        return self.pos_of_token.get(ideal.exact)
 
     def sub_frontier_positions(self):
         frontier = max(self.depths) if self.depths else 0
@@ -178,22 +179,20 @@ class ThetaContext:
         return tuple(out)
 
     def _recipe(self, v, pos):
-        y = self.fragment.ideal_at(pos)
-        pulled = invsgp.compose(invsgp.compose(invsgp.star(v),
-                                               invsgp.idempotent_vword(y)), v)
-        z = pulled.dom
-        if pulled.is_zero or z.is_empty() is True:
+        frag, model = self.fragment, self.model
+        z = walk(model, v.trace.star().pairs, frag.ideal_at(pos).exact)
+        if z == EMPTY:
             return ("empty",)
-        zpos = self.fragment.position_of_ideal(z)
+        zpos = frag.pos_of_token.get(z)
         if zpos is not None:
             return ("pos", zpos)
         ups = 0
         downs = 0
-        for w in range(self.fragment.size()):
-            wid = self.fragment.ideal_at(w)
-            if wid.subset_of(z):
+        for w in range(frag.size()):
+            wtok = frag.ideal_at(w).exact
+            if model.exact_subset(wtok, z):
                 ups |= 1 << w
-            if z.subset_of(wid):
+            if model.exact_subset(z, wtok):
                 downs |= 1 << w
         return ("bounds", ups, downs)
 

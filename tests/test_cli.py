@@ -42,6 +42,17 @@ def test_config_rejects_unknown():
         RunConfig.from_dict({"model": {}, "caps": {"trace_depth": True}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"model": {}, "caps": {"samples": False}})
+    for doc in ([1], "model", None,
+                {"model": {}, "caps": [1, 2]},
+                {"model": {}, "seed": "abc"},
+                {"model": {}, "seed": True},
+                {"model": {}, "seed": 1.5},
+                {"model": {}, "analyses": "ore"},
+                {"model": {}, "analyses": [1]},
+                {"model": {}, "freeness_g": "a"},
+                {"model": {}, "freeness_g": {"g": 1}}):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(doc)
 
 
 def test_run_produces_tiers_and_ops():
@@ -129,11 +140,14 @@ GOLDEN_STABLE_BODIES = (
      "3300ff329e29d027050657b70e924ab2ea96dceda4cab3d9665cb1e72af6132f"),
     ({"family": "numerical", "generators": [2, 3]},
      "e6b88058fafa98be0e9bffc5f6b06a49f06354453e251b144a601d39c712e36d"),
+    # the config whose theta recipes pull back the most ideals
+    ({"family": "numerical", "generators": [3, 5, 7]},
+     "2a4ce2518eea16d245c0b5b20217242cb505f24fcd9069643758e54d5146779e"),
 )
 
 
 @pytest.mark.parametrize("model,digest", GOLDEN_STABLE_BODIES,
-                         ids=["N^1", "F2+", "<2,3>"])
+                         ids=["N^1", "F2+", "<2,3>", "<3,5,7>"])
 def test_stable_body_matches_golden_hash(model, digest):
     doc = {"model": model, "caps": {"trace_depth": 2}, "seed": 0}
     report, _ = run(RunConfig.from_dict(doc))
@@ -251,6 +265,24 @@ def test_main_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"model\": {\"family\": \"nope\"}}")
     assert main(["analyze", "--config", str(bad)]) == 1
+    model = {"family": "numerical", "generators": [2, 3]}
+    for doc in ([1], {"model": model, "caps": [1, 2]},
+                {"model": model, "seed": "abc"},
+                {"model": model, "seed": True},
+                {"model": model, "analyses": [["ore"]]},
+                {"model": model, "freeness_g": 3},
+                {"model": {"family": "free_monoid", "rank": True}},
+                {"model": {"family": "numerical", "generators": "23"}}):
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    for caps_flag in ([], ["--depth", "1"]):
+        bad.write_text(json.dumps({"model": model, "caps": [1, 2]}))
+        assert main(["analyze", "--config", str(bad)] + caps_flag) == 1
+    assert main(["analyze", "--family", "numerical",
+                 "--generators", "2,x"]) == 1
+    assert "--generators" in capsys.readouterr().err
 
 
 def test_report_json_is_sorted():

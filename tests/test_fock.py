@@ -15,10 +15,10 @@ from sgclab.fock import (BandExhausted, GradingMismatch, CovarianceFrame, TruncO
                          generator_covariance_terms, graded_sum, identity_op,
                          mul_op, projection_op, rep_vword, scale_op, sc_norm,
                          sc_limit_probe, word_reach, zero_op)
-from sgclab.ideals import (UndecidedMembership, WordTrace, from_trace,
-                           full_ideal, left_mul)
-from sgclab.invsgp import compose, enumerate_vwords, idempotent_vword, make_vword, star
-from sgclab.models import ModelError, NumericalModel, WithoutExactIdeals, build_model
+from sgclab.ideals import WordTrace, from_trace, full_ideal, left_mul
+from sgclab.invsgp import (compose, enumerate_vwords, idempotent_vword,
+                           make_vword, star, zero_vword)
+from sgclab.models import ModelError, build_model
 
 TOL = Fraction(1, 10 ** 9)
 
@@ -110,38 +110,6 @@ def test_member_driven_columns_match_basis_scan(all_models, family_of):
 
 def _nonzero(cols):
     return {j: c for j, c in enumerate(cols) if c}
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except UndecidedMembership:
-        return UndecidedMembership
-
-
-def test_member_driven_columns_without_exact_ideals(n1):
-    # truncated ideals: the matrix builders raise UndecidedMembership
-    # exactly where the basis scan's `contains` does
-    bare_n1 = WithoutExactIdeals(n1)
-    bare_gap = WithoutExactIdeals(NumericalModel([3, 5]))
-    for model, radius in ((bare_n1, 5), (bare_gap, 1), (bare_gap, 4)):
-        q = model.generators[0]
-        x = from_trace(model, WordTrace(((model.unit, q),)), radius)
-        v = make_vword(model, WordTrace(((model.unit, q),)), radius)
-        for n in range(radius - 1, radius + 4):
-            want = _outcome(lambda: _nonzero(
-                basis_scan_columns(model, model.unit, x, n)))
-            got = _outcome(lambda: projection_op(x, n).cols)
-            assert got == want
-            if n >= word_reach(v):
-                want = _outcome(lambda: _nonzero(
-                    basis_scan_columns(model, q, v.dom, n)))
-                got = _outcome(lambda: rep_vword(v, n).cols)
-                assert got == want
-    with pytest.raises(UndecidedMembership):
-        projection_op(full_ideal(bare_n1, 5), 6)
-    # <3,5> has no element of length 2, so radius 1 still decides n = 2
-    assert projection_op(full_ideal(bare_gap, 1), 2).cols == {0: {0: 1}}
 
 
 def test_basis_index_cached_per_model_instance(f2):
@@ -295,6 +263,28 @@ def test_cond_expectation_mixed_combination(n1):
     assert ce.cols.get(3, {}).get(3, 0) == Fraction(3, 2) + Fraction(1, 3)
     full = graded_sum(terms, 8)
     assert equal_on_band(diagonal_part(full), ce)
+
+
+def test_cond_expectation_builds_each_term_once(n1, monkeypatch):
+    import sgclab.fock as fock_mod
+    calls = []
+    real = fock_mod.rep_vword
+
+    def counted(v, n):
+        calls.append(v)
+        return real(v, n)
+
+    monkeypatch.setattr(fock_mod, "rep_vword", counted)
+    P = full_ideal(n1, 30)
+    v1 = make_vword(n1, WordTrace((((0,), (1,)),)), 30)
+    terms = [(Fraction(3, 2), idempotent_vword(P)), (Fraction(-2), v1),
+             (Fraction(1, 3), idempotent_vword(left_mul((2,), P))),
+             (Fraction(1), zero_vword(n1, 30))]
+    ce = cond_expectation(terms, 8)
+    assert [id(v) for v in calls] == [id(v) for _, v in terms]
+    assert ce.cols.get(3, {}).get(3, 0) == Fraction(3, 2) + Fraction(1, 3)
+    with pytest.raises(ModelError):
+        cond_expectation([], 8)
 
 
 def test_nonzero_grading_is_strictly_off_diagonal(all_models, family_of):

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import brute_trace_members, gauss_rank
-from sgclab.ideals import (CapExceeded, Undecided, WordTrace, empty_ideal,
+from sgclab.ideals import (CapExceeded, WordTrace, empty_ideal,
                            enumerate_ideals, from_trace, full_ideal, ideal_eq,
                            independence_rank_oracle, independence_test,
                            intersect, left_mul, ore_test, preimage)
-from sgclab.models import EMPTY, WithoutExactIdeals
+from sgclab.models import EMPTY
 
 
 def traces_upto(model, depth, gen_len):
@@ -96,16 +96,6 @@ def test_random_deep_traces_match_oracle_f2(pairs):
     assert got.members == brute_trace_members(model, pairs, 5)
 
 
-def test_hookless_path_matches_exact_path(num23, f2):
-    for model, radius in ((num23, 15), (f2, 5)):
-        bare = WithoutExactIdeals(model)
-        gen_len = 3 if model.family == "numerical" else 1
-        for pairs in traces_upto(model, 2, gen_len):
-            exact = from_trace(model, WordTrace(pairs), radius)
-            trunc = from_trace(bare, WordTrace(pairs), radius)
-            assert exact.members == trunc.members
-
-
 # ---------------------------------------------------------------------------
 # intersection
 
@@ -131,7 +121,7 @@ def test_intersect_matches_pointwise_oracle(all_models, lattice_of):
                 assert z.members == x.members & y.members
 
 
-def test_intersect_trace_is_constructible(n1):
+def test_intersect_trace_is_constructible(n1, all_models, lattice_of):
     # the combined trace re-evaluates to the same ideal through the primitives
     P = full_ideal(n1, 12)
     x = left_mul((2,), P)
@@ -140,6 +130,23 @@ def test_intersect_trace_is_constructible(n1):
     again = from_trace(n1, z.trace, 12)
     assert ideal_eq(z, again) is True
     assert z.members == x.members & y.members
+    # intersect takes the token's meet; the doubling trick's trace, kept as
+    # provenance, evaluates from P to the same token on every lattice pair
+    for model in all_models:
+        lat = lattice_of(model, depth=2)
+        for x in lat.ideals:
+            for y in lat.ideals:
+                z = intersect(x, y)
+                if x.trace is None or y.trace is None:
+                    assert z.trace is None and z.is_empty()
+                    continue
+                pairs = y.trace.pairs + y.trace.star().pairs + x.trace.pairs
+                want = from_trace(model, WordTrace(pairs), lat.radius)
+                assert z.exact == want.exact, (model.name, pairs)
+                if want.is_empty():
+                    assert z.trace is None
+                else:
+                    assert z.trace.pairs == pairs
 
 
 def test_semilattice_laws_on_fragment(all_models, lattice_of):
@@ -183,23 +190,11 @@ def test_ideal_eq_examples(n1, f2):
 
 
 def test_ideal_eq_undecided_contract(num23):
-    bare = WithoutExactIdeals(num23)
-    P = full_ideal(bare, 30)
-    x = from_trace(bare, WordTrace(((2, 2),)), 30)
+    # ideals that agree within the radius are decided by their tokens
+    P = full_ideal(num23, 30)
+    x = from_trace(num23, WordTrace(((2, 2),)), 30)
     assert x.members == P.members
-    verdict = ideal_eq(x, P)
-    assert verdict == Undecided(30)
-    assert not isinstance(ideal_eq(full_ideal(num23, 30),
-                                   from_trace(num23, WordTrace(((2, 2),)), 30)),
-                          Undecided)
-
-
-def test_empty_certificate_without_hook(f2):
-    bare = WithoutExactIdeals(f2)
-    z = from_trace(bare, WordTrace((("a", "b"),)), 6)
-    assert z.is_empty() is True      # radius beats the witness bound
-    shallow = from_trace(bare, WordTrace((("a", "b"),)), 0)
-    assert shallow.is_empty() is None
+    assert ideal_eq(x, P) is True
 
 
 def test_empty_ideal_is_canonical(all_models):
@@ -207,7 +202,7 @@ def test_empty_ideal_is_canonical(all_models):
         e1 = empty_ideal(model, 10)
         e2 = intersect(left_mul(model.generators[0], full_ideal(model, 10)), e1)
         assert e2.trace is None and e2.is_empty() is True
-        assert e1.dedup_key() == e2.dedup_key()
+        assert e1.exact == e2.exact
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +229,12 @@ def test_enumerate_matches_exhaustive_trace_oracle(n1, f2, num23):
     for model, depth, gen_len, radius in ((n1, 2, 1, 12), (f2, 2, 1, 6),
                                           (num23, 2, 3, 20)):
         lat = enumerate_ideals(model, depth, gen_len, radius, close=False)
-        keys = {x.dedup_key() for x in lat.ideals}
+        keys = {x.exact for x in lat.ideals}
         for pairs in traces_upto(model, depth, gen_len):
             ideal = from_trace(model, WordTrace(pairs), radius)
             if ideal.is_empty() is True:
                 ideal = empty_ideal(model, radius)
-            assert ideal.dedup_key() in keys
+            assert ideal.exact in keys
 
 
 def test_enumeration_cap(n1):
@@ -336,10 +331,3 @@ def test_ore_monotone_for_abelian(n2, num23):
         lo = ore_test(model, 2)
         hi = ore_test(model, 4)
         assert lo.status == "ore_up_to" and hi.status == "ore_up_to"
-
-
-def test_ore_without_hook(f2, num23):
-    bare = WithoutExactIdeals(num23)
-    assert ore_test(bare, 4).status == "ore_up_to"
-    res = ore_test(WithoutExactIdeals(f2), 1)
-    assert res.status == "inconclusive" and res.pair == ("a", "b")

@@ -8,7 +8,7 @@ from sgclab.ideals import (CapExceeded, WordTrace, from_trace, full_ideal,
                            ideal_eq, intersect, left_mul)
 from sgclab.invsgp import (compose, enumerate_vwords, idempotent_vword,
                            make_vword, semilattice, star, vword_eq, zero_vword)
-from sgclab.models import ModelError, WithoutExactIdeals, build_model
+from sgclab.models import ModelError, build_model
 
 
 def test_make_vword_shift(all_models):
@@ -134,6 +134,45 @@ def test_inverse_semigroup_laws(all_models, family_of):
             assert vword_eq(star(compose(v, w)), compose(star(w), star(v))) is True
 
 
+def test_compose_matches_concatenated_trace(all_models, family_of):
+    # compose walks from the factors' tokens; make_vword evaluates the
+    # concatenated trace from P: they agree in every field
+    for model in all_models:
+        fam = family_of(model)
+        radius = fam.params["radius"]
+        for v in fam.members:
+            for w in fam.members:
+                got = compose(v, w)
+                want = make_vword(
+                    model, WordTrace(v.trace.pairs + w.trace.pairs), radius)
+                assert got.is_zero == want.is_zero, (v.trace, w.trace)
+                if want.is_zero:
+                    continue
+                assert got.grading == want.grading
+                assert got.dom.exact == want.dom.exact
+                assert got.ran.exact == want.ran.exact
+                assert got.trace == want.trace
+                assert got.dom.trace == want.dom.trace
+                assert got.ran.trace == want.ran.trace
+
+
+def test_idempotent_word_matches_doubled_trace(all_models, lattice_of):
+    # the diagonal word of x takes x's token as domain and range; the
+    # trace x . x* evaluates from P to the same word
+    for model in all_models:
+        lat = lattice_of(model, depth=2)
+        for x in lat.ideals:
+            got = idempotent_vword(x)
+            if x.trace is None:
+                assert got.is_zero
+                continue
+            want = make_vword(model, WordTrace(x.trace.pairs
+                                               + x.trace.star().pairs), x.radius)
+            assert not got.is_zero and not want.is_zero
+            assert (got.grading, got.dom.exact, got.ran.exact, got.trace) == \
+                (want.grading, want.dom.exact, want.ran.exact, want.trace)
+
+
 def test_grading_multiplicative(all_models, family_of):
     for model in all_models:
         fam = family_of(model)
@@ -226,7 +265,7 @@ def test_classification_by_grading_and_domain(n1, family_of):
     fam = family_of(n1)
     seen = set()
     for v in fam.members:
-        key = (v.grading, v.dom.dedup_key())
+        key = (v.grading, v.dom.exact)
         assert key not in seen
         seen.add(key)
 
@@ -270,7 +309,7 @@ def _exhaustive_vwords(model, max_trace_len, gen_len=None, radius=None,
 
 
 def _family_view(members, zero, by_grading, eq_pairs):
-    return ([(v.trace.pairs, v.grading, v.dom.dedup_key()) for v in members],
+    return ([(v.trace.pairs, v.grading, v.dom.exact) for v in members],
             zero is not None,
             [(g, tuple(ix)) for g, ix in by_grading.items()],
             [(i, t.pairs) for i, t in eq_pairs])
@@ -322,8 +361,3 @@ def test_enumeration_caps(f2):
         len(fam.members)
     with pytest.raises(CapExceeded):
         enumerate_vwords(f2, 3, cap=len(fam.members) - 1)
-
-
-def test_enumeration_refuses_without_exact_ideals(f2):
-    with pytest.raises(ModelError, match="exact ideals"):
-        enumerate_vwords(WithoutExactIdeals(f2), 3, 1, 2)

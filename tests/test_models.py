@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sgclab.ideals import WordTrace, full_ideal, left_mul, preimage
 from sgclab.models import (EMPTY, FreeAbelianModel, FreeMonoidModel, ModelError,
-                           NumericalModel, WithoutExactIdeals, build_model)
+                           NumericalModel, build_model)
 
 
 def test_build_model_from_config(all_models):
@@ -24,6 +24,16 @@ def test_build_model_rejects_bad_configs():
         build_model({"family": "numerical", "generators": [2, 4]})  # gcd 2
     with pytest.raises(ModelError):
         build_model({"family": "numerical", "generators": [0, 3]})
+    # field types are checked once, here: no bool as an int, no coercion
+    for family in ("free_monoid", "free_abelian"):
+        for rank in (True, 2.0, "2", None, [2]):
+            with pytest.raises(ModelError):
+                build_model({"family": family, "rank": rank})
+    for gens in ("23", [2.7, 3], ["2", "3"], [True, 3], True, 7, None,
+                 {"2": 3}):
+        with pytest.raises(ModelError):
+            build_model({"family": "numerical", "generators": gens})
+    assert build_model({"family": "numerical", "generators": (2, 3)}).name == "<2,3>"
 
 
 def test_mul_examples(n2, f2, num23):
@@ -185,14 +195,6 @@ def test_exact_tokens_roundtrip_members(all_models):
         assert set(model.exact_members_upto(full, radius)) == set(model.enumerate_p(radius))
         assert model.exact_union_covers(EMPTY, [])
         assert not model.exact_union_covers(full, [])
-
-
-def test_without_exact_wrapper(num23):
-    bare = WithoutExactIdeals(num23)
-    assert not bare.has_exact_ideals
-    assert bare.in_p(4) and not bare.in_p(1)
-    with pytest.raises(AttributeError):
-        bare.exact_full()
 
 
 def test_parse_render_roundtrip(all_models):

@@ -1,9 +1,9 @@
 import pytest
 
-from oracles import brute_filters
-from sgclab.ideals import enumerate_ideals
+from oracles import brute_filters, brute_trace_members
+from sgclab.ideals import WordTrace, enumerate_ideals, from_trace
 from sgclab.invsgp import enumerate_vwords
-from sgclab.models import ModelError
+from sgclab.models import ModelError, build_model
 from sgclab.spectrum import (Fragment, FragmentError, ThetaContext,
                              boundary, enumerate_characters, invariant_closure,
                              principal_character, theta_apply,
@@ -215,6 +215,45 @@ def test_theta_carriers_agree(all_models):
                     if ok:
                         images.append(bits)
                 assert len(set(images)) <= 1, (model.name, g)
+
+
+def test_recipe_pullback_matches_trace_evaluation(all_models):
+    # the pullback of y along v is the domain of v* E_y v; _recipe takes it
+    # with one walk from y's token, this evaluates the whole trace of
+    # v* . y . y* . v from P and checks its members against the raw sets
+    # (on <3,5,7> for the first carrier of each grading only: all 4,100
+    # of its recipes would take seconds)
+    num357 = build_model({"family": "numerical", "generators": [3, 5, 7]})
+    cases = [(model, context_for(model, 2)) for model in all_models]
+    lat = enumerate_ideals(num357, 2)
+    cases.append((num357, ThetaContext(Fragment.from_lattice(lat),
+                                       enumerate_vwords(num357, 2))))
+    for model, ctx in cases:
+        frag = ctx.fragment
+        radius = {"free_monoid": 4, "free_abelian": 6}.get(model.family, 12)
+        checked = 0
+        for g in ctx.gradings():
+            carriers = ctx.carriers(g)
+            for _, v, _, recipes in carriers[:1] if model is num357 else carriers:
+                for pos, recipe in enumerate(recipes):
+                    y = frag.ideal_at(pos)
+                    pairs = (v.trace.star().pairs + y.trace.pairs
+                             + y.trace.star().pairs + v.trace.pairs)
+                    z = from_trace(model, WordTrace(pairs), radius)
+                    checked += 1
+                    assert z.members == brute_trace_members(
+                        model, pairs, radius), (model.name, pairs)
+                    if z.is_empty():
+                        assert recipe == ("empty",)
+                    elif z.exact in frag.pos_of_token:
+                        assert recipe == ("pos", frag.pos_of_token[z.exact])
+                    else:
+                        ups = sum(1 << w for w in range(frag.size())
+                                  if frag.ideal_at(w).subset_of(z))
+                        downs = sum(1 << w for w in range(frag.size())
+                                    if z.subset_of(frag.ideal_at(w)))
+                        assert recipe == ("bounds", ups, downs)
+        assert checked, model.name
 
 
 # ---------------------------------------------------------------------------
