@@ -21,7 +21,6 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import __version__
 from . import fock, invsgp, spectrum
@@ -187,6 +186,12 @@ def _an_ore(model, caps, rng, store):
     }, "exact"
 
 
+def _index_pairs(rng, m):
+    """All m * m index pairs row by row, or 400 drawn without listing them."""
+    picks = rng.sample(range(m * m), 400) if m * m > 400 else range(m * m)
+    return [divmod(k, m) for k in picks]
+
+
 def _an_invsgp(model, caps, rng, store):
     fam = invsgp.enumerate_vwords(model, caps["trace_depth"], caps["gen_len"],
                                   caps["radius"])
@@ -195,12 +200,8 @@ def _an_invsgp(model, caps, rng, store):
     involution_ok = all(
         invsgp.vword_eq(invsgp.compose(invsgp.compose(v, invsgp.star(v)), v), v)
         for v in fam.members)
-    pool = list(range(len(fam.members)))
-    pairs = [(i, j) for i in pool for j in pool]
-    if len(pairs) > 400:
-        pairs = rng.sample(sorted(pairs), 400)
     grading_ok = True
-    for i, j in pairs:
+    for i, j in _index_pairs(rng, len(fam.members)):
         v, w = fam.members[i], fam.members[j]
         vw = invsgp.compose(v, w)
         if not vw.is_zero and vw.grading != model.mul(v.grading, w.grading):
@@ -311,21 +312,16 @@ def _an_fock(model, caps, rng, store):
                 proj_ok = False
             pairs_checked += 1
     mult_ok = True
-    idxs = list(range(len(fam.members)))
-    sample = [(rng.choice(idxs), rng.choice(idxs)) for _ in range(caps["samples"])]
-    for i, j in sample:
-        v, w = fam.members[i], fam.members[j]
+    for _ in range(caps["samples"]):
+        v, w = rng.choice(fam.members), rng.choice(fam.members)
         lhs = fock.mul_op(fock.rep_vword(v, n), fock.rep_vword(w, n))
         rhs = fock.rep_vword(invsgp.compose(v, w), n)
         if lhs.band >= 0 and not fock.equal_on_band(lhs, rhs):
             mult_ok = False
     exp_ok = True
-    coeffs = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(-1, 3)]
-    for _ in range(caps["samples"]):
-        terms = [(rng.choice(coeffs), fam.members[rng.choice(idxs)])
-                 for _ in range(rng.randint(1, 3))]
+    for v in fam.members:
         try:
-            fock.cond_expectation(terms, n)
+            fock.cond_expectation([(1, v)], n)
         except fock.GradingMismatch:
             exp_ok = False
     tier = "exact" if (proj_ok and mult_ok and exp_ok) else "inconclusive"

@@ -21,6 +21,9 @@ An operator stores only its nonzero columns, and in them only nonzero
 entries, so a word's matrix is its partial map: at most one entry per
 column.  All entries are exact rationals; unit entries are the int 1.
 
+The diagonal expectation is checked word by word, as both of its routes
+are linear, so no matrix of a word combination is ever built.
+
 A word combination whose gradings are all trivial acts diagonally (a
 nonzero grading moves every basis point, because the ambient group
 cancels), so a frame-compressed norm is the exact maximum absolute
@@ -201,39 +204,27 @@ def check_projection_identity(x, y, n) -> bool:
     return equal_on_band(left, right)
 
 
-def graded_sum(terms, n) -> TruncOp:
-    """Realize a rational combination of words as one operator."""
-    if not terms:
-        raise ModelError("empty term list")
-    model = terms[0][1].model
-    acc = zero_op(model, n)
-    for c, v in terms:
-        acc = add_op(acc, scale_op(c, rep_vword(v, n)))
-    return acc
-
-
 def cond_expectation(terms, n) -> TruncOp:
     """Diagonal expectation of a word combination, computed two ways.
 
     Route one keeps exactly the terms with trivial grading; route two
-    compresses the realized matrix to the diagonal.  Each term's matrix is
-    built once and summed into the full matrix, and into route one when
-    its grading is trivial.  The routes must agree on the band;
-    disagreement signals a grading bug and raises.
+    compresses a matrix to its diagonal.  Both are linear, so each term's
+    matrix is built once and its diagonal must equal its grading filter on
+    the term's band; disagreement signals a grading bug and raises.
+    Returns route one, the scaled sum of the trivially graded terms.
     """
     if not terms:
         raise ModelError("empty term list")
     model = terms[0][1].model
-    full = via_grading = zero_op(model, n)
+    via_grading = zero_op(model, n)
     for c, v in terms:
-        op = scale_op(c, rep_vword(v, n))
-        full = add_op(full, op)
-        if not v.is_zero and v.grading == model.unit:
-            via_grading = add_op(via_grading, op)
-        del op   # free it before the next term's matrix is built
-    via_compress = diagonal_part(full)
-    if not equal_on_band(via_grading, via_compress, min(via_grading.band, full.band)):
-        raise GradingMismatch("grading filter and diagonal compression disagree")
+        op = rep_vword(v, n)
+        unit_graded = not v.is_zero and v.grading == model.unit
+        if not equal_on_band(op if unit_graded else zero_op(model, n),
+                             diagonal_part(op), op.band):
+            raise GradingMismatch("grading filter and diagonal compression disagree")
+        if unit_graded:
+            via_grading = add_op(via_grading, scale_op(c, op))
     return via_grading
 
 
@@ -260,26 +251,19 @@ class CovarianceFrame:
         return tuple(j for j, ok in enumerate(self.base_flags) if ok)
 
 
-def _frame_flags(model, f_set, basis):
-    flags = []
-    for r in basis:
-        ok = True
-        for g in f_set:
-            u = model.mul(model.inv(g), r)
-            if model.meets_p(u) and not model.in_p(u):
-                ok = False
-                break
-        flags.append(ok)
-    return tuple(flags)
-
-
 def build_frame(model, f_elems, n) -> CovarianceFrame:
-    """Flags and slices for a finite frame set of group elements."""
-    f_set = tuple(sorted({model.validate(g) for g in f_elems},
-                         key=lambda g: (model.length(g), g)))
+    """Flags and slices for a finite frame set of group elements: a basis
+    point is admissible when it is admissible for each element."""
+    f_set = tuple(sorted({model.validate(g) for g in f_elems}, key=model.sort_key))
     basis, index = model.basis(n)
-    return CovarianceFrame(model, n, f_set, basis, index,
-                       _frame_flags(model, f_set, basis))
+    flags = [True] * len(basis)
+    for g in f_set:
+        g_inv = model.inv(g)
+        for j, r in enumerate(basis):
+            if flags[j]:
+                u = model.mul(g_inv, r)
+                flags[j] = not model.meets_p(u) or model.in_p(u)
+    return CovarianceFrame(model, n, f_set, basis, index, tuple(flags))
 
 
 def compressed_matrix(terms, frame: CovarianceFrame):
@@ -351,12 +335,19 @@ class ScProbeReport:
 
 def sc_limit_probe(terms, f_chain, model, n,
                    tol=Fraction(1, 10 ** 9)) -> ScProbeReport:
+    basis, index = model.basis(n)
+    element_flags = {}   # each distinct element is tested once per probe
     enclosures = []
     frames = []
     for f_elems in f_chain:
-        frame = build_frame(model, f_elems, n)
+        f_set = tuple(sorted({model.validate(g) for g in f_elems}, key=model.sort_key))
+        for g in f_set:
+            if g not in element_flags:
+                element_flags[g] = build_frame(model, [g], n).base_flags
+        flags = map(all, zip([True] * len(basis), *map(element_flags.get, f_set)))
+        frame = CovarianceFrame(model, n, f_set, basis, index, tuple(flags))
         enclosures.append(sc_norm(terms, frame))
-        frames.append(frame.f_set)
+        frames.append(f_set)
     non_increasing = all(enclosures[k + 1][1] <= enclosures[k][1] or
                          enclosures[k + 1][0] <= enclosures[k][1]
                          for k in range(len(enclosures) - 1))

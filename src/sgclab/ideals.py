@@ -96,17 +96,15 @@ class ConstructibleIdeal:
         return self.model.exact_contains(self.exact, a)
 
     def members_upto(self, n):
-        """The members of length <= n."""
+        """The members of length <= n, in ``sort_key`` order."""
         return self.model.exact_members_upto(self.exact, n)
-
-    def sorted_members(self):
-        return sorted(self.members, key=self.model.sort_key)
 
     def subset_of(self, other) -> bool:
         return self.model.exact_subset(self.exact, other.exact)
 
     def render(self, limit=20):
-        mem = [self.model.render(a) for a in self.sorted_members()[:limit]]
+        mem = [self.model.render(a)
+               for a in self.members_upto(self.radius)[:limit]]
         return {
             "trace": None if self.trace is None else self.trace.render(self.model),
             "radius": self.radius,

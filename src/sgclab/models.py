@@ -163,6 +163,7 @@ class Model:
         raise NotImplementedError
 
     def exact_members_upto(self, tok, radius: int):
+        """The members of length <= radius, in ``sort_key`` order."""
         raise NotImplementedError
 
 

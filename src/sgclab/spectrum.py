@@ -165,17 +165,14 @@ class ThetaContext:
         return tuple(g for g in self.family.by_grading if g != unit)
 
     def carriers(self, g):
-        """Usable words with grading g: those whose domain ideal matches a
-        fragment position, each with a per-ideal pullback recipe."""
+        """Usable words with grading g: ``(word, domain position)`` for
+        each word whose domain ideal matches a fragment position."""
         out = []
         for idx in self.family.by_grading.get(g, ()):
             v = self.family.members[idx]
             dom_pos = self.fragment.position_of_ideal(v.dom)
-            if dom_pos is None:
-                continue
-            recipes = tuple(self._recipe(v, pos)
-                            for pos in range(self.fragment.size()))
-            out.append((idx, v, dom_pos, recipes))
+            if dom_pos is not None:
+                out.append((v, dom_pos))
         return tuple(out)
 
     def _recipe(self, v, pos):
@@ -207,21 +204,25 @@ class ThetaContext:
         got = self._tables.get(g)
         if got is None:
             carriers = self.carriers(g)
-            got = tuple(self._apply(carriers, chi)
+            recipes = {}   # carrier index -> its recipes, built on first read
+            got = tuple(self._apply(carriers, recipes, chi)
                         for chi in range(self.fragment.size()))
             self._tables[g] = got
         return got
 
-    def _apply(self, carriers, chi):
+    def _apply(self, carriers, recipes, chi):
         frag = self.fragment
         chi_bits = frag.up_masks[chi]
-        for _, _, dom_pos, recipes in carriers:
+        for k, (v, dom_pos) in enumerate(carriers):
             if not frag.value(chi, dom_pos):
                 continue
+            if k not in recipes:
+                recipes[k] = tuple(self._recipe(v, pos)
+                                   for pos in range(frag.size()))
             bits = 0
             ambiguous = []
             determined = []
-            for pos, recipe in enumerate(recipes):
+            for pos, recipe in enumerate(recipes[k]):
                 kind = recipe[0]
                 if kind == "empty":
                     determined.append((pos, 0))

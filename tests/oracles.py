@@ -3,11 +3,15 @@
 These deliberately avoid the package's exact-token calculus: traces are
 evaluated by raw set comprehensions over a widened truncation, word actions
 by stepping through the factors pointwise, filters by a full subset scan,
-and matrix rank by Fraction Gaussian elimination.  Expected values frozen
-into tests were produced by these functions.
+matrix rank by Fraction Gaussian elimination, and a rational combination
+of words by summing their basis-scan columns entrywise (the package itself
+never realizes a combination as one matrix).  Expected values frozen into
+tests were produced by these functions.
 """
 
 from fractions import Fraction
+
+from sgclab.fock import TruncOp
 
 
 def brute_trace_members(model, pairs, radius):
@@ -145,3 +149,31 @@ def basis_scan_columns(model, grading, dom, n):
                 col[index[t]] = 1
         cols.append(col)
     return cols
+
+
+def graded_sum(terms, n):
+    """A rational combination of words as one ``TruncOp``: each word's
+    columns come from ``basis_scan_columns``, whose entries are all 1, so
+    the word adds its coefficient at each of them; zero entries and
+    columns are dropped.  Band and reach follow the guard-band discipline:
+    ``n`` minus, and plus, the largest reach of a word with a nonzero
+    coefficient."""
+    model = terms[0][1].model
+    basis = model.enumerate_p(n)
+    sums = [{} for _ in basis]
+    reach = 0
+    for c, v in terms:
+        if v.is_zero or c == 0:
+            continue
+        reach = max(reach, sum(model.length(q) for _, q in v.trace.pairs))
+        c = Fraction(c)
+        for acc, col in zip(sums, basis_scan_columns(model, v.grading, v.dom, n)):
+            for i in col:
+                acc[i] = acc[i] + c if i in acc else c
+    cols = {}
+    for j, acc in enumerate(sums):
+        acc = {i: x for i, x in acc.items() if x != 0}
+        if acc:
+            cols[j] = acc
+    return TruncOp(model, n, basis, {s: k for k, s in enumerate(basis)},
+                   cols, n - reach, reach)

@@ -11,10 +11,11 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import graded_sum
 from sgclab.cli import ANALYSES, RunConfig, run, stable_body
 from sgclab.fock import (build_frame, check_projection_identity,
                          cond_expectation, diagonal_part, equal_on_band,
-                         graded_sum, rep_vword, sc_norm, word_reach)
+                         rep_vword, sc_norm, word_reach)
 from sgclab.ideals import (enumerate_ideals, full_ideal,
                            independence_rank_oracle, independence_test,
                            intersect, left_mul, ore_test, ideal_eq)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
@@ -143,15 +144,32 @@ GOLDEN_STABLE_BODIES = (
     # the config whose theta recipes pull back the most ideals
     ({"family": "numerical", "generators": [3, 5, 7]},
      "2a4ce2518eea16d245c0b5b20217242cb505f24fcd9069643758e54d5146779e"),
+    # the config where fock and sc take the most time
+    ({"family": "free_monoid", "rank": 3},
+     "10956b578edea0a80dc70e9cdd72399eaca23403db87104e8667aba05140b4f9"),
 )
 
 
 @pytest.mark.parametrize("model,digest", GOLDEN_STABLE_BODIES,
-                         ids=["N^1", "F2+", "<2,3>", "<3,5,7>"])
+                         ids=["N^1", "F2+", "<2,3>", "<3,5,7>", "F3+"])
 def test_stable_body_matches_golden_hash(model, digest):
     doc = {"model": model, "caps": {"trace_depth": 2}, "seed": 0}
     report, _ = run(RunConfig.from_dict(doc))
     assert hashlib.sha256(stable_body(report).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("m", [0, 1, 20, 21, 25, 34, 110, 769])
+def test_index_pairs_match_sample_of_sorted_pair_list(m):
+    # same pairs, same order and same generator state as drawing from the
+    # full sorted list of pairs
+    for seed in ("(0, 'invsgp')", "(7, 'invsgp')", 2026):
+        new, old = random.Random(seed), random.Random(seed)
+        pool = list(range(m))
+        pairs = [(i, j) for i in pool for j in pool]
+        if len(pairs) > 400:
+            pairs = old.sample(sorted(pairs), 400)
+        assert cli._index_pairs(new, m) == pairs
+        assert new.getstate() == old.getstate()
 
 
 def test_explain_topics():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -5,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (basis_scan_columns, frame_flag, frame_pointwise_applies,
-                     gauss_rank)
+                     gauss_rank, graded_sum)
+from sgclab.cli import RunConfig, run
 from sgclab.exactla import (bareiss_rank, operator_norm_enclosure,
                             sqrt_enclosure, sym_top_eig_enclosure)
 from sgclab.fock import (BandExhausted, GradingMismatch, CovarianceFrame, TruncOp,
                          add_op, build_frame, check_projection_identity,
                          compressed_matrix, cond_expectation, default_f_chain,
                          diagonal_part, equal_on_band,
-                         generator_covariance_terms, graded_sum, identity_op,
+                         generator_covariance_terms, identity_op,
                          mul_op, projection_op, rep_vword, scale_op, sc_norm,
                          sc_limit_probe, word_reach, zero_op)
 from sgclab.ideals import WordTrace, from_trace, full_ideal, left_mul
@@ -287,6 +289,69 @@ def test_cond_expectation_builds_each_term_once(n1, monkeypatch):
         cond_expectation([], 8)
 
 
+def _corrupt_trivially_graded(monkeypatch):
+    """Give each trivially graded word's matrix one off-diagonal unit entry,
+    at row 1 of column 0: column 0 is the unit, of length 0, so the entry
+    lies inside every band."""
+    import sgclab.fock as fock_mod
+    real = fock_mod.rep_vword
+
+    def corrupted(v, n):
+        op = real(v, n)
+        if v.is_zero or v.grading != v.model.unit:
+            return op
+        col = {**op.cols.get(0, {}), 1: 1}
+        return dataclasses.replace(op, cols={**op.cols, 0: col})
+
+    monkeypatch.setattr(fock_mod, "rep_vword", corrupted)
+
+
+def test_cond_expectation_checks_each_term(n1, monkeypatch):
+    # v - v cancels, so only a check on each term sees v's stray entry
+    v = idempotent_vword(full_ideal(n1, 30))
+    cond_expectation([(1, v), (-1, v)], 8)
+    _corrupt_trivially_graded(monkeypatch)
+    with pytest.raises(GradingMismatch):
+        cond_expectation([(1, v), (-1, v)], 8)
+
+
+def test_run_reports_grading_mismatch(monkeypatch):
+    _corrupt_trivially_graded(monkeypatch)
+    doc = {"model": {"family": "free_monoid", "rank": 2},
+           "analyses": ["fock"], "caps": {"trace_depth": 2}}
+    report, code = run(RunConfig.from_dict(doc))
+    result = report["results"]["fock"]
+    assert result["expectation_two_routes_agree"] is False
+    assert result["tier"] == "inconclusive" and code == 2
+
+
+def test_run_checks_expectation_once_per_family_word(monkeypatch):
+    import sgclab.fock as fock_mod
+    import sgclab.invsgp as invsgp_mod
+    families, calls = [], []
+    real_enumerate = invsgp_mod.enumerate_vwords
+    real_expectation = fock_mod.cond_expectation
+
+    def enumerate_recorded(*args):
+        families.append(real_enumerate(*args))
+        return families[-1]
+
+    def expectation_recorded(terms, n):
+        calls.append(terms)
+        return real_expectation(terms, n)
+
+    monkeypatch.setattr(invsgp_mod, "enumerate_vwords", enumerate_recorded)
+    monkeypatch.setattr(fock_mod, "cond_expectation", expectation_recorded)
+    doc = {"model": {"family": "free_monoid", "rank": 2},
+           "caps": {"trace_depth": 2}}
+    report, _ = run(RunConfig.from_dict(doc))
+    assert report["results"]["fock"]["expectation_two_routes_agree"] is True
+    (fam,) = families
+    assert len(fam.members) > 1
+    assert ([[(c, id(v)) for c, v in terms] for terms in calls]
+            == [[(1, id(v))] for v in fam.members])
+
+
 def test_nonzero_grading_is_strictly_off_diagonal(all_models, family_of):
     for model in all_models:
         n = 6 if model.family == "free_monoid" else 10
@@ -360,6 +425,35 @@ def test_frame_translation_invariance(all_models):
                     continue
                 down = [model.mul(model.inv(s), g) for g in frame.f_set]
                 assert frame.base_flags[j] == frame_flag(model, down, div)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_sc_limit_probe_tests_each_frame_element_once(rank, monkeypatch):
+    # the default F2+ and F3+ chains, at the default truncation
+    import sgclab.fock as fock_mod
+    model = build_model({"family": "free_monoid", "rank": rank})
+    n = model.default_trunc
+    chain = default_f_chain(model, enumerate_vwords(model, 2).by_grading, 4)
+    frames, tested = [], []
+    real_norm, real_meets = fock_mod.sc_norm, model.meets_p
+
+    def norm_recorded(terms, frame):
+        frames.append(frame)
+        return real_norm(terms, frame)
+
+    def meets_counted(g):
+        tested.append(g)
+        return real_meets(g)
+
+    monkeypatch.setattr(fock_mod, "sc_norm", norm_recorded)
+    monkeypatch.setattr(model, "meets_p", meets_counted)
+    sc_limit_probe(generator_covariance_terms(model), chain, model, n)
+    elements = {g for f_set in chain for g in f_set}
+    assert len(tested) <= len(elements) * len(model.basis(n)[0])
+    assert [frame.f_set for frame in frames] == list(chain)
+    for frame in frames:
+        assert frame.base_flags == tuple(frame_flag(model, frame.f_set, r)
+                                         for r in frame.basis)
 
 
 def test_compressed_matrix_matches_frame_oracle(f2):

@@ -197,6 +197,22 @@ def test_ideal_eq_undecided_contract(num23):
     assert ideal_eq(x, P) is True
 
 
+def test_members_upto_in_sort_key_order(all_models, lattice_of, family_of):
+    # render takes its members prefix straight from members_upto
+    for model in all_models:
+        ideals = (list(lattice_of(model).ideals)
+                  + [v.dom for v in family_of(model).members])
+        for radius in (0, 3, model.default_radius):
+            for ideal in ideals:
+                keys = [model.sort_key(a) for a in ideal.members_upto(radius)]
+                assert all(a < b for a, b in zip(keys, keys[1:])), \
+                    (model.name, ideal.exact, radius)
+        for ideal in ideals:
+            prefix = sorted(ideal.members, key=model.sort_key)[:20]
+            assert (ideal.render()["members_prefix"]
+                    == [model.render(a) for a in prefix])
+
+
 def test_empty_ideal_is_canonical(all_models):
     for model in all_models:
         e1 = empty_ideal(model, 10)

@@ -189,12 +189,14 @@ def test_theta_carriers_agree(all_models):
         frag = ctx.fragment
         chars = enumerate_characters(frag)
         for g in ctx.gradings():
-            carriers = ctx.carriers(g)
+            carriers = [(dom_pos, [ctx._recipe(v, pos)
+                                   for pos in range(frag.size())])
+                        for v, dom_pos in ctx.carriers(g)]
             if len(carriers) < 2:
                 continue
             for chi in chars:
                 images = []
-                for idx, v, dom_pos, recipes in carriers:
+                for dom_pos, recipes in carriers:
                     if not frag.value(chi, dom_pos):
                         continue
                     bits = 0
@@ -234,8 +236,9 @@ def test_recipe_pullback_matches_trace_evaluation(all_models):
         checked = 0
         for g in ctx.gradings():
             carriers = ctx.carriers(g)
-            for _, v, _, recipes in carriers[:1] if model is num357 else carriers:
-                for pos, recipe in enumerate(recipes):
+            for v, _ in carriers[:1] if model is num357 else carriers:
+                for pos in range(frag.size()):
+                    recipe = ctx._recipe(v, pos)
                     y = frag.ideal_at(pos)
                     pairs = (v.trace.star().pairs + y.trace.pairs
                              + y.trace.star().pairs + v.trace.pairs)
