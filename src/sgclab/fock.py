@@ -11,18 +11,16 @@ the band by the inner factor's reach; identities are asserted only inside
 the surviving band, so truncation artifacts never masquerade as algebraic
 facts.
 
-A word acts as the partial map x -> g*x on its domain ideal, so its matrix
-is read straight off the domain: one unit entry per domain member of length
-<= n whose image stays in the basis.  Projections likewise fill only the
-members of their ideal.  The basis and its position index are cached per
-model instance.
-
-An operator stores only its nonzero columns, and in them only nonzero
-entries, so a word's matrix is its partial map: at most one entry per
-column.  All entries are exact rationals; unit entries are the int 1.
+A word acts as the partial map x -> g*x on its domain ideal, and in the
+basis its matrix has one unit entry per domain member of length <= n whose
+image stays in the basis.  So an operator is stored as that partial map,
+column -> row; words, ideal masks and their products are all of this
+form, and a product is map composition.  The basis and its position index
+are cached per model instance.
 
 The diagonal expectation is checked word by word, as both of its routes
-are linear, so no matrix of a word combination is ever built.
+are linear, so no matrix of a word combination is ever built; its value
+is a diagonal, stored as ``{column: coefficient}``.
 
 A word combination whose gradings are all trivial acts diagonally (a
 nonzero grading moves every basis point, because the ambient group
@@ -49,35 +47,32 @@ class GradingMismatch(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class TruncOp:
-    """Sparse rational matrix on the length-truncated basis.
+    """0/1 partial map on the length-truncated basis.
 
-    ``cols`` maps a basis column j to its nonzero entries ``{row: value}``.
-    Zero columns are absent and no zero value is stored; unit entries are
-    the int 1, and Fractions appear only where a coefficient brings them
-    in.  Stored columns are never mutated, so operators may share them.
-    ``band`` and ``reach`` implement the guard-band discipline described in
-    the module docstring.
+    ``cols`` maps a basis column j to the row of its one unit entry; absent
+    columns are zero.  Stored maps are never mutated, so operators may
+    share them.  ``band`` and ``reach`` implement the guard-band discipline
+    described in the module docstring.
     """
 
     model: object
     n: int
     basis: tuple
     index: object            # dict elem -> position
-    cols: dict               # column -> {row: nonzero value}
+    cols: dict               # column -> row of its unit entry
     band: int
     reach: int
 
     def triplets(self):
-        return sorted((i, j, v) for j, col in self.cols.items()
-                      for i, v in col.items())
+        return sorted((i, j, 1) for j, i in self.cols.items())
 
     def to_triplet_text(self) -> str:
         """Documented dump format: a header line
         ``# truncop rows cols band reach`` followed by one ``row col value``
-        line per nonzero entry, values as exact rationals."""
+        line per unit entry, the value written as the rational ``1/1``."""
         lines = [f"# truncop {len(self.basis)} {len(self.basis)} {self.band} {self.reach}"]
-        for i, j, v in self.triplets():
-            lines.append(f"{i} {j} {v.numerator}/{v.denominator}")
+        for i, j, _ in self.triplets():
+            lines.append(f"{i} {j} 1/1")
         return "\n".join(lines) + "\n"
 
 
@@ -88,8 +83,7 @@ def zero_op(model, n) -> TruncOp:
 
 def identity_op(model, n) -> TruncOp:
     basis, index = model.basis(n)
-    cols = {j: {j: 1} for j in range(len(basis))}
-    return TruncOp(model, n, basis, index, cols, n, 0)
+    return TruncOp(model, n, basis, index, {j: j for j in range(len(basis))}, n, 0)
 
 
 def projection_op(ideal, n) -> TruncOp:
@@ -99,7 +93,7 @@ def projection_op(ideal, n) -> TruncOp:
     cols = {}
     for s in ideal.members_upto(n):
         j = index[s]
-        cols[j] = {j: 1}
+        cols[j] = j
     return TruncOp(model, n, basis, index, cols, n, 0)
 
 
@@ -111,16 +105,17 @@ def word_reach(v) -> int:
 
 def rep_vword(v, n) -> TruncOp:
     """Compression of a word's partial shift to the truncated basis: each
-    domain member of length <= n goes through ``VWord.apply``, and its
-    column gets a unit entry when the image lies in the basis."""
+    domain member s of length <= n maps to g*s when that lies in the
+    basis."""
     model = v.model
     basis, index = model.basis(n)
     cols = {}
     if not v.is_zero:
+        mul, g = model.mul, v.grading
         for s in v.dom.members_upto(n):
-            i = index.get(v.apply(s))
+            i = index.get(mul(g, s))
             if i is not None:
-                cols[index[s]] = {i: 1}
+                cols[index[s]] = i
     reach = word_reach(v)
     band = n - reach
     if band < 0:
@@ -134,54 +129,17 @@ def _check_compat(a: TruncOp, b: TruncOp):
 
 
 def mul_op(a: TruncOp, b: TruncOp) -> TruncOp:
-    """a * b with band shrunk by b's reach."""
+    """a * b, the composite map, with band shrunk by b's reach."""
     _check_compat(a, b)
-    cols = {}
-    for j, bcol in b.cols.items():
-        out = {}
-        for k, bv in bcol.items():
-            for i, av in a.cols.get(k, {}).items():
-                val = out.get(i, 0) + av * bv
-                if val == 0:
-                    out.pop(i, None)
-                else:
-                    out[i] = val
-        if out:
-            cols[j] = out
+    acols = a.cols
+    cols = {j: acols[k] for j, k in b.cols.items() if k in acols}
     return TruncOp(a.model, a.n, a.basis, a.index, cols,
                    min(b.band, a.band - b.reach), a.reach + b.reach)
 
 
-def add_op(a: TruncOp, b: TruncOp) -> TruncOp:
-    _check_compat(a, b)
-    cols = dict(a.cols)
-    for j, bcol in b.cols.items():
-        out = dict(cols.get(j, {}))
-        for i, v in bcol.items():
-            val = out.get(i, 0) + v
-            if val == 0:
-                out.pop(i, None)
-            else:
-                out[i] = val
-        if out:
-            cols[j] = out
-        else:
-            cols.pop(j, None)
-    return TruncOp(a.model, a.n, a.basis, a.index, cols,
-                   min(a.band, b.band), max(a.reach, b.reach))
-
-
-def scale_op(c, a: TruncOp) -> TruncOp:
-    c = Fraction(c)
-    if c == 0:
-        return zero_op(a.model, a.n)
-    cols = {j: {i: c * v for i, v in col.items()} for j, col in a.cols.items()}
-    return TruncOp(a.model, a.n, a.basis, a.index, cols, a.band, a.reach)
-
-
 def diagonal_part(a: TruncOp) -> TruncOp:
-    """Compression to the diagonal: keep only the (s, s) entries."""
-    cols = {j: {j: col[j]} for j, col in a.cols.items() if j in col}
+    """Compression to the diagonal: keep only the fixed points."""
+    cols = {j: j for j, i in a.cols.items() if i == j}
     return TruncOp(a.model, a.n, a.basis, a.index, cols, a.band, 0)
 
 
@@ -204,19 +162,21 @@ def check_projection_identity(x, y, n) -> bool:
     return equal_on_band(left, right)
 
 
-def cond_expectation(terms, n) -> TruncOp:
+def cond_expectation(terms, n) -> dict:
     """Diagonal expectation of a word combination, computed two ways.
 
     Route one keeps exactly the terms with trivial grading; route two
     compresses a matrix to its diagonal.  Both are linear, so each term's
     matrix is built once and its diagonal must equal its grading filter on
     the term's band; disagreement signals a grading bug and raises.
-    Returns route one, the scaled sum of the trivially graded terms.
+    Returns route one as a diagonal ``{column: nonzero coefficient}``: the
+    coefficients of the trivially graded terms, summed over every stored
+    column of their matrices.
     """
     if not terms:
         raise ModelError("empty term list")
     model = terms[0][1].model
-    via_grading = zero_op(model, n)
+    diagonal = {}
     for c, v in terms:
         op = rep_vword(v, n)
         unit_graded = not v.is_zero and v.grading == model.unit
@@ -224,8 +184,10 @@ def cond_expectation(terms, n) -> TruncOp:
                              diagonal_part(op), op.band):
             raise GradingMismatch("grading filter and diagonal compression disagree")
         if unit_graded:
-            via_grading = add_op(via_grading, scale_op(c, op))
-    return via_grading
+            c = Fraction(c)
+            for j in op.cols:
+                diagonal[j] = diagonal.get(j, 0) + c
+    return {j: x for j, x in diagonal.items() if x != 0}
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,6 @@ class WordTrace:
             g = model.mul(model.mul(g, model.inv(p)), q)
         return g
 
-    def __len__(self):
-        return len(self.pairs)
-
     def render(self, model):
         return [[model.render(p), model.render(q)] for p, q in self.pairs]
 
@@ -215,7 +212,7 @@ class IdealLattice:
             node["depth"] = self.depths[i]
             nodes.append(node)
         return {
-            "model": self.model.config() if hasattr(self.model, "config") else self.model.name,
+            "model": self.model.config(),
             "tier": "exact",
             "radius": self.radius,
             "params": self.params,
@@ -430,12 +427,10 @@ class OreResult:
     level: int = 0
     pair: object = None
 
-    def to_json(self, model=None):
+    def to_json(self, model):
         pair = None
-        if self.pair is not None and model is not None:
+        if self.pair is not None:
             pair = [model.render(self.pair[0]), model.render(self.pair[1])]
-        elif self.pair is not None:
-            pair = list(self.pair)
         return {"status": self.status, "level": self.level, "pair": pair}
 
 

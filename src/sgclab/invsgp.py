@@ -5,9 +5,12 @@ applying, right to left, multiplication by q_i and division by p_i; the
 composite is the partial bijection x -> g * x where g is the grading
 p1^-1 q1 ... pn^-1 qn, defined on the domain ideal and landing in the range
 ideal.  The range ideal is the ideal the trace denotes; the domain ideal is
-the ideal of the starred trace.  Nonzero words are determined by the pair
-(grading, domain ideal): on a common nonempty domain the actions x -> g1*x
-and x -> g2*x agree only for g1 == g2, because the ambient group cancels.
+the ideal of the starred trace.  A word keeps its grading and its domain
+and range ideals; ``fock.rep_vword`` reads its action off the domain's
+members, so no point is tested for membership.  Nonzero words are
+determined by the pair (grading, domain ideal): on a common nonempty
+domain the actions x -> g1*x and x -> g2*x agree only for g1 == g2,
+because the ambient group cancels.
 
 Composites are computed on ideal tokens, not on traces: the domain of v*w
 is w's pullback of dom v and its range is v's image of ran w, each one
@@ -35,12 +38,6 @@ class VWord:
     dom: ConstructibleIdeal
     ran: ConstructibleIdeal
     is_zero: bool
-
-    def apply(self, x):
-        """The partial bijection: g * x when x lies in the domain ideal."""
-        if self.is_zero or not self.dom.contains(x):
-            return None
-        return self.model.mul(self.grading, x)
 
     def is_idempotent(self):
         return self.is_zero or (self.grading == self.model.unit
@@ -178,11 +175,11 @@ def enumerate_vwords(model, max_trace_len, gen_len=None, radius=None,
     representative is the first trace that reached it.  Composition
     respects equality of words and the zero word absorbs, so the words one
     pair past any trace are those one pair past its word's representative:
-    only representatives are extended, at O(words x pairs) ``make_vword``
-    calls instead of O(pairs^depth); ``dedup_key`` identifies a word
-    exactly.  ``eq_pairs`` is then replayed from the table of
-    representative steps, in the order the full walk over every trace
-    would log it.
+    only representatives are extended, each by ``compose`` with the word
+    of one pair, at O(words x pairs) compositions instead of O(pairs^depth)
+    trace evaluations; ``dedup_key`` identifies a word exactly.
+    ``eq_pairs`` is then replayed from the table of representative steps,
+    in the order the full walk over every trace would log it.
     """
     if gen_len is None:
         gen_len = model.default_gen_len
@@ -196,10 +193,9 @@ def enumerate_vwords(model, max_trace_len, gen_len=None, radius=None,
     keys = {}
     by_grading = {}
 
-    def visit(trace_pairs):
-        """Member index of the trace's word, None for zero; records a new word."""
+    def visit(v):
+        """Member index of the word, None for zero; records a new word."""
         nonlocal zero
-        v = make_vword(model, WordTrace(trace_pairs), radius)
         if v.is_zero:
             if zero is None:
                 zero = v
@@ -214,13 +210,14 @@ def enumerate_vwords(model, max_trace_len, gen_len=None, radius=None,
             members.append(v)
         return got
 
-    visit(())
+    visit(make_vword(model, WordTrace(()), radius))
+    ones = [make_vword(model, WordTrace((pq,)), radius) for pq in pairs]
     # step[i][j]: member index of member i's representative extended by
     # pairs[j]; rows exist for the members found below the last depth
     step = []
     for _ in range(max_trace_len):
         for v in members[len(step):]:
-            step.append([visit(v.trace.pairs + (pq,)) for pq in pairs])
+            step.append([visit(compose(v, one)) for one in ones])
 
     return VWordFamily(
         model=model,

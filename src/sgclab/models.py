@@ -450,7 +450,7 @@ class FreeMonoidModel(Model):
         room = radius - len(w)
         if room < 0:
             return []
-        return [w + u for u in self._generate_p(room)]
+        return [w + u for u in self.enumerate_p(room)]
 
 
 def _gcd_all(values):

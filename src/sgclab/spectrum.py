@@ -54,7 +54,6 @@ class Fragment:
     up_masks: tuple           # per position: bitmask of superset positions
     meet: tuple               # per (i, j) flattened: position of meet, or -1 for empty
     depths: tuple             # per position: discovery depth
-    full_pos: int
     pos_of_token: dict        # ideal token -> position
     pos_of_up: dict           # up mask -> position: the filters
 
@@ -78,7 +77,6 @@ class Fragment:
                 if k is None:
                     raise FragmentError("lattice intersection table incomplete")
                 meet.append(pos_of.get(k, -1))
-        full_pos = pos_of[0]
         depths = tuple(lattice.depths[li] for li in positions)
         pos_of_token = {lattice.ideals[li].exact: b
                         for b, li in enumerate(positions)}
@@ -86,7 +84,7 @@ class Fragment:
         if len(pos_of_up) != len(positions):
             raise FragmentError("two fragment ideals contain each other")
         return Fragment(lattice, positions, tuple(up_masks),
-                        tuple(meet), depths, full_pos, pos_of_token, pos_of_up)
+                        tuple(meet), depths, pos_of_token, pos_of_up)
 
     def size(self):
         return len(self.positions)

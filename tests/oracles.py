@@ -11,8 +11,6 @@ tests were produced by these functions.
 
 from fractions import Fraction
 
-from sgclab.fock import TruncOp
-
 
 def brute_trace_members(model, pairs, radius):
     """Set evaluation of a trace, right to left, over a truncation widened
@@ -152,11 +150,12 @@ def basis_scan_columns(model, grading, dom, n):
 
 
 def graded_sum(terms, n):
-    """A rational combination of words as one ``TruncOp``: each word's
-    columns come from ``basis_scan_columns``, whose entries are all 1, so
-    the word adds its coefficient at each of them; zero entries and
-    columns are dropped.  Band and reach follow the guard-band discipline:
-    ``n`` minus, and plus, the largest reach of a word with a nonzero
+    """A rational combination of words as one sparse matrix, with its guard
+    band: ``(cols, band)``, where ``cols`` maps a column to its nonzero
+    entries ``{row: value}``.  Each word's columns come from
+    ``basis_scan_columns``, whose entries are all 1, so the word adds its
+    coefficient at each of them; zero entries and columns are dropped.  The
+    band is ``n`` minus the largest reach of a word with a nonzero
     coefficient."""
     model = terms[0][1].model
     basis = model.enumerate_p(n)
@@ -175,5 +174,4 @@ def graded_sum(terms, n):
         acc = {i: x for i, x in acc.items() if x != 0}
         if acc:
             cols[j] = acc
-    return TruncOp(model, n, basis, {s: k for k, s in enumerate(basis)},
-                   cols, n - reach, reach)
+    return cols, n - reach

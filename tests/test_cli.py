@@ -132,28 +132,41 @@ def test_reports_are_deterministic():
     assert "timings" in r1 and set(r1["timings"]) == set(r1["results"])
 
 
-# sha256 of the stable body of `run` at seed 0, trace depth 2, all analyses.
-# A change of representation must leave every report byte-identical.
+def _depth2(model):
+    return {"model": model, "caps": {"trace_depth": 2}}
+
+
+# sha256 of the stable body of `run` at seed 0, all analyses unless the
+# config names them.  A change of representation must leave every report
+# byte-identical.
 GOLDEN_STABLE_BODIES = (
-    ({"family": "free_abelian", "rank": 1},
+    (_depth2({"family": "free_abelian", "rank": 1}),
      "c4acd94a6a635f85d73f7ea67f99610a08be734caa9ef455888e385b261dcc70"),
-    ({"family": "free_monoid", "rank": 2},
+    (_depth2({"family": "free_monoid", "rank": 2}),
      "3300ff329e29d027050657b70e924ab2ea96dceda4cab3d9665cb1e72af6132f"),
-    ({"family": "numerical", "generators": [2, 3]},
+    (_depth2({"family": "numerical", "generators": [2, 3]}),
      "e6b88058fafa98be0e9bffc5f6b06a49f06354453e251b144a601d39c712e36d"),
     # the config whose theta recipes pull back the most ideals
-    ({"family": "numerical", "generators": [3, 5, 7]},
+    (_depth2({"family": "numerical", "generators": [3, 5, 7]}),
      "2a4ce2518eea16d245c0b5b20217242cb505f24fcd9069643758e54d5146779e"),
     # the config where fock and sc take the most time
-    ({"family": "free_monoid", "rank": 3},
+    (_depth2({"family": "free_monoid", "rank": 3}),
      "10956b578edea0a80dc70e9cdd72399eaca23403db87104e8667aba05140b4f9"),
+    (_depth2({"family": "free_abelian", "rank": 2}),
+     "92718cb80690121d266b6e1fa23cce700cb299e2d8ed08aaeba0292b19febd0a"),
+    # the deepest word enumeration
+    ({"model": {"family": "free_monoid", "rank": 2},
+      "caps": {"trace_depth": 6},
+      "analyses": ["ideals", "independence", "ore", "invsgp"]},
+     "12367ddd5b67bdf973e3497b9ae9d1d477942fe1f4fb2102172e5a4c86648215"),
 )
 
 
-@pytest.mark.parametrize("model,digest", GOLDEN_STABLE_BODIES,
-                         ids=["N^1", "F2+", "<2,3>", "<3,5,7>", "F3+"])
-def test_stable_body_matches_golden_hash(model, digest):
-    doc = {"model": model, "caps": {"trace_depth": 2}, "seed": 0}
+@pytest.mark.parametrize(
+    "config,digest", GOLDEN_STABLE_BODIES,
+    ids=["N^1", "F2+", "<2,3>", "<3,5,7>", "F3+", "N^2", "F2+ depth 6"])
+def test_stable_body_matches_golden_hash(config, digest):
+    doc = dict(config, seed=0)
     report, _ = run(RunConfig.from_dict(doc))
     assert hashlib.sha256(stable_body(report).encode()).hexdigest() == digest
 

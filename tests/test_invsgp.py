@@ -4,6 +4,7 @@ import pytest
 
 from oracles import pointwise_word_apply
 from sgclab import invsgp
+from sgclab.fock import rep_vword, word_reach
 from sgclab.ideals import (CapExceeded, WordTrace, from_trace, full_ideal,
                            ideal_eq, intersect, left_mul)
 from sgclab.invsgp import (compose, enumerate_vwords, idempotent_vword,
@@ -40,7 +41,7 @@ def test_make_vword_validates_raw_pairs(f2):
 def test_make_vword_zero(f2):
     v = make_vword(f2, WordTrace((("a", "b"),)), 6)
     assert v.is_zero
-    assert v.apply("") is None
+    assert rep_vword(v, 6).cols == {}
 
 
 def test_compose_shift_relation(n2):
@@ -87,8 +88,9 @@ def test_vword_eq_collapse_example(n1):
     v = make_vword(n1, WordTrace((((2,), (3,)),)), 15)
     w = make_vword(n1, WordTrace((((0,), (1,)),)), 15)
     assert vword_eq(v, w) is True
-    for x in n1.enumerate_p(10):
-        assert v.apply(x) == w.apply(x) == (x[0] + 1,)
+    basis, index = n1.basis(10)
+    shift = {index[x]: index[(x[0] + 1,)] for x in basis[:-1]}
+    assert rep_vword(v, 10).cols == rep_vword(w, 10).cols == shift
 
 
 def test_vword_eq_detects_domain_restriction(n1):
@@ -106,12 +108,22 @@ def test_vword_eq_two_spellings_of_same_projection(num23):
 
 
 def test_action_matches_pointwise_oracle(all_models, family_of):
+    # a word's matrix maps each basis point where stepping through its
+    # factors does, and drops it where the steps fail or leave the basis
     for model in all_models:
         fam = family_of(model)
-        sample = model.enumerate_p(4 if model.family == "free_monoid" else 6)
+        n = 4 if model.family == "free_monoid" else 6
+        basis, index = model.basis(n)
+        checked = 0
         for v in fam.members:
-            for x in sample:
-                assert v.apply(x) == pointwise_word_apply(model, v.trace.pairs, x)
+            if word_reach(v) > n:
+                continue
+            cols = rep_vword(v, n).cols
+            for x in basis:
+                want = pointwise_word_apply(model, v.trace.pairs, x)
+                assert cols.get(index[x]) == index.get(want)
+            checked += 1
+        assert checked > 0
 
 
 def test_dom_is_pointwise_domain(all_models, family_of):
@@ -337,17 +349,25 @@ def test_enumeration_matches_exhaustive_walk(name, depth, gen_len):
 
 
 def test_enumeration_extends_one_trace_per_word(f2, monkeypatch):
-    calls = []
-    real = invsgp.make_vword
+    # one trace evaluation for the identity and one per pair; every longer
+    # word is a representative composed with the word of one pair
+    made, composed = [], []
+    real_make, real_compose = invsgp.make_vword, invsgp.compose
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def make_counted(*args, **kwargs):
+        made.append(args)
+        return real_make(*args, **kwargs)
 
-    monkeypatch.setattr(invsgp, "make_vword", counted)
+    def compose_counted(v, w):
+        composed.append((v, w))
+        return real_compose(v, w)
+
+    monkeypatch.setattr(invsgp, "make_vword", make_counted)
+    monkeypatch.setattr(invsgp, "compose", compose_counted)
     fam = enumerate_vwords(f2, 5)
     pairs = len(f2.enumerate_p(fam.params["gen_len"])) ** 2
-    assert 0 < len(calls) <= 1 + len(fam.members) * pairs
+    assert len(made) == 1 + pairs
+    assert 0 < len(composed) <= len(fam.members) * pairs
 
 
 def test_enumeration_caps(f2):

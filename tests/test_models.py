@@ -197,6 +197,27 @@ def test_exact_tokens_roundtrip_members(all_models):
         assert not model.exact_union_covers(full, [])
 
 
+def test_free_monoid_members_reuse_the_cached_enumeration(monkeypatch):
+    model = build_model({"family": "free_monoid", "rank": 2})
+    rooms = []
+    real = model._generate_p
+
+    def counted(max_len):
+        rooms.append(max_len)
+        return real(max_len)
+
+    monkeypatch.setattr(model, "_generate_p", counted)
+    P = full_ideal(model, 6)
+    ideals = [P, left_mul("a", P), left_mul("ab", P), left_mul("bab", P)]
+    for _ in range(3):
+        for ideal in ideals:
+            w = ideal.exact[1]
+            for n in range(7):
+                assert ideal.members_upto(n) == [
+                    x for x in model.enumerate_p(n) if x.startswith(w)]
+    assert rooms and len(rooms) == len(set(rooms))
+
+
 def test_parse_render_roundtrip(all_models):
     for model in all_models:
         for x in model.enumerate_p(3):

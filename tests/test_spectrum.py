@@ -78,7 +78,7 @@ def test_characters_satisfy_filter_axioms(all_models):
         frag = fragment_for(model, 2)
         for c in enumerate_characters(frag):
             assert frag.is_filter(frag.up_masks[c])
-            assert frag.value(c, frag.full_pos) == 1
+            assert frag.value(c, frag.pos_of_token[model.exact_full()]) == 1
 
 
 def test_principal_characters(n1, f2):
