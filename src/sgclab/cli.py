@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from . import fock, invsgp, spectrum
-from .ideals import (enumerate_ideals, independence_rank_oracle,
+from .ideals import (WordTrace, enumerate_ideals, independence_rank_oracle,
                      independence_test, ore_test)
 from .models import ModelError, build_model
 
@@ -337,7 +337,7 @@ def _an_fock(model, caps, rng, store):
 def _an_sc(model, caps, rng, store):
     n = caps["trunc"]
     fam = store["family"]
-    terms = fock.generator_covariance_terms(model, caps["radius"])
+    terms = fock.generator_covariance_terms(model)
     chain = fock.default_f_chain(model, fam.by_grading.keys(), caps["f_chain"])
     probe = fock.sc_limit_probe(terms, chain, model, n)
     tier = "band-limited" if probe.verdict != "inconclusive" else "inconclusive"
@@ -584,10 +584,8 @@ def _dump_matrices(config: RunConfig, directory: str):
     model = build_model(config.model_config)
     caps = _caps_for(model, config.caps)
     os.makedirs(directory, exist_ok=True)
-    from .ideals import WordTrace
     for k, s in enumerate(model.generators):
-        word = invsgp.make_vword(model, WordTrace(((model.unit, s),)),
-                                 caps["radius"])
+        word = invsgp.make_vword(model, WordTrace(((model.unit, s),)))
         op = fock.rep_vword(word, caps["trunc"])
         path = os.path.join(directory, f"shift_{k}.txt")
         with open(path, "w", encoding="utf-8") as fh:

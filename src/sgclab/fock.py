@@ -30,10 +30,12 @@ diagonal value.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import invsgp
+from .ideals import WordTrace, from_trace, full_ideal, intersect
 from .models import ModelError
 
 
@@ -156,7 +158,6 @@ def equal_on_band(a: TruncOp, b: TruncOp, band=None) -> bool:
 
 def check_projection_identity(x, y, n) -> bool:
     """Product of two ideal masks against the mask of the intersection."""
-    from .ideals import intersect
     left = mul_op(projection_op(x, n), projection_op(y, n))
     right = projection_op(intersect(x, y), n)
     return equal_on_band(left, right)
@@ -336,22 +337,18 @@ def default_f_chain(model, gradings, depth):
     return chain
 
 
-def generator_covariance_terms(model, lattice_radius=None):
+def generator_covariance_terms(model):
     """The inclusion-exclusion defect of the generator masks: the
     alternating sum over subsets S of the generators of the diagonal word
     of the intersection of s*P over S."""
-    import itertools as _it
-    from .ideals import WordTrace, from_trace, intersect, full_ideal
-
-    radius = lattice_radius if lattice_radius is not None else model.default_radius
     terms = []
     gens = list(model.generators)
     for k in range(len(gens) + 1):
-        for subset in _it.combinations(gens, k):
-            ideal = full_ideal(model, radius)
+        for subset in itertools.combinations(gens, k):
+            ideal = full_ideal(model)
             for s in subset:
                 ideal = intersect(ideal, from_trace(
-                    model, WordTrace(((model.unit, s),)), radius))
+                    model, WordTrace(((model.unit, s),))))
             word = invsgp.idempotent_vword(ideal)
             terms.append((Fraction(-1) ** k, word))
     return terms

@@ -13,7 +13,9 @@ evaluator: it carries a token through the pairs of a trace, so the ideal of
 a trace is the walk from the full ideal's token, and one more pair, an
 intersection or a composite word is computed from tokens already at hand.
 The trace an ideal keeps is provenance only: reports render it and guard
-bands read it, but it is never evaluated again.
+bands read it, but it is never evaluated again.  An ideal carries no
+radius either: a truncation is chosen where members are listed, by the
+report that renders a members prefix and by the rank oracle's rows.
 
 Enumeration is breadth-first on trace length and deterministic; the lattice
 accumulator is the only mutable state during a build and is confined to a
@@ -67,24 +69,14 @@ class WordTrace:
 class ConstructibleIdeal:
     """A right ideal: its canonical exact token ``exact``, with the trace
     that built it as provenance (``trace is None`` marks the canonical
-    empty ideal).  ``members``, the members of length <= ``radius``, is
-    derived lazily from the token."""
+    empty ideal)."""
 
-    __slots__ = ("model", "trace", "radius", "exact", "_members")
+    __slots__ = ("model", "trace", "exact")
 
-    def __init__(self, model, trace, radius, exact):
+    def __init__(self, model, trace, exact):
         self.model = model
         self.trace = trace
-        self.radius = radius
         self.exact = exact
-        self._members = None
-
-    @property
-    def members(self) -> frozenset:
-        if self._members is None:
-            self._members = frozenset(
-                self.model.exact_members_upto(self.exact, self.radius))
-        return self._members
 
     def is_empty(self) -> bool:
         return self.exact == EMPTY
@@ -99,12 +91,13 @@ class ConstructibleIdeal:
     def subset_of(self, other) -> bool:
         return self.model.exact_subset(self.exact, other.exact)
 
-    def render(self, limit=20):
+    def render(self, radius, limit=20):
+        """Report form; ``radius`` sizes the ``members_prefix`` only."""
         mem = [self.model.render(a)
-               for a in self.members_upto(self.radius)[:limit]]
+               for a in self.members_upto(radius)[:limit]]
         return {
             "trace": None if self.trace is None else self.trace.render(self.model),
-            "radius": self.radius,
+            "radius": radius,
             "members_prefix": mem,
             "exact": repr(self.exact),
             "empty": self.is_empty(),
@@ -121,28 +114,26 @@ def walk(model, pairs, tok):
     return tok
 
 
-def full_ideal(model, radius) -> ConstructibleIdeal:
-    return from_trace(model, WordTrace(()), radius)
+def full_ideal(model) -> ConstructibleIdeal:
+    return from_trace(model, WordTrace(()))
 
 
-def empty_ideal(model, radius) -> ConstructibleIdeal:
-    return ConstructibleIdeal(model, None, radius, EMPTY)
+def empty_ideal(model) -> ConstructibleIdeal:
+    return ConstructibleIdeal(model, None, EMPTY)
 
 
-def from_trace(model, trace, radius=None) -> ConstructibleIdeal:
+def from_trace(model, trace) -> ConstructibleIdeal:
     """The ideal a trace denotes: its walk from the full ideal."""
-    if radius is None:
-        radius = model.default_radius
-    return ConstructibleIdeal(model, trace, radius,
+    return ConstructibleIdeal(model, trace,
                               walk(model, trace.pairs, model.exact_full()))
 
 
 def _extend(x: ConstructibleIdeal, pair) -> ConstructibleIdeal:
     """The ideal of the trace ``pair + trace(x)``: one step on x's token."""
     if x.trace is None:
-        return empty_ideal(x.model, x.radius)
+        return empty_ideal(x.model)
     return ConstructibleIdeal(x.model, WordTrace((pair,) + x.trace.pairs),
-                              x.radius, walk(x.model, (pair,), x.exact))
+                              walk(x.model, (pair,), x.exact))
 
 
 def left_mul(p, x: ConstructibleIdeal) -> ConstructibleIdeal:
@@ -166,12 +157,11 @@ def intersect(x: ConstructibleIdeal, y: ConstructibleIdeal) -> ConstructibleIdea
     is trace(y) + trace(y)* + trace(x)."""
     if x.model is not y.model:
         raise ModelError("intersect expects ideals over the same model")
-    radius = min(x.radius, y.radius)
     tok = x.model.exact_intersect(x.exact, y.exact)
     if tok == EMPTY:
-        return empty_ideal(x.model, radius)
+        return empty_ideal(x.model)
     pairs = y.trace.pairs + y.trace.star().pairs + x.trace.pairs
-    return ConstructibleIdeal(x.model, WordTrace(pairs), radius, tok)
+    return ConstructibleIdeal(x.model, WordTrace(pairs), tok)
 
 
 def ideal_eq(x: ConstructibleIdeal, y: ConstructibleIdeal) -> bool:
@@ -207,7 +197,7 @@ class IdealLattice:
     def to_json(self):
         nodes = []
         for i, x in enumerate(self.ideals):
-            node = x.render()
+            node = x.render(self.radius)
             node["id"] = i
             node["depth"] = self.depths[i]
             nodes.append(node)
@@ -271,7 +261,7 @@ def enumerate_ideals(model, max_trace_len, gen_len=None, radius=None,
     cand = model.enumerate_p(gen_len)
     pairs = [(p, q) for p in cand for q in cand]
 
-    ideals = [full_ideal(model, radius), empty_ideal(model, radius)]
+    ideals = [full_ideal(model), empty_ideal(model)]
     depths = [0, 0]
     keys = {ideals[0].exact: 0, ideals[1].exact: 1}
 
@@ -293,11 +283,8 @@ def enumerate_ideals(model, max_trace_len, gen_len=None, radius=None,
         for idx in frontier:
             base = ideals[idx]
             for pq in pairs:
-                cand_ideal = _extend(base, pq)
-                if cand_ideal.is_empty():
-                    cand_ideal = empty_ideal(model, radius)
                 before = len(ideals)
-                got = add(cand_ideal, depth)
+                got = add(_extend(base, pq), depth)
                 if got == before:
                     fresh.append(got)
         frontier = fresh
@@ -397,11 +384,8 @@ def independence_rank_oracle(lattice: IdealLattice, radius=None) -> RankResult:
     the characteristic functions."""
     radius = lattice.radius if radius is None else radius
     idxs = lattice.nonempty_indices()
-    rows_members = []
-    for i in idxs:
-        x = lattice.ideals[i]
-        mem = frozenset(a for a in x.members if lattice.model.length(a) <= radius)
-        rows_members.append(mem)
+    rows_members = [frozenset(lattice.ideals[i].members_upto(radius))
+                    for i in idxs]
     seen = {}
     for pos, mem in enumerate(rows_members):
         if mem in seen:
@@ -409,13 +393,8 @@ def independence_rank_oracle(lattice: IdealLattice, radius=None) -> RankResult:
                 "inconclusive", nonempty=len(idxs), radius=radius,
                 detail=f"ideals {seen[mem]} and {idxs[pos]} agree within the radius")
         seen[mem] = idxs[pos]
-    columns = sorted(set().union(*rows_members) if rows_members else set(),
-                     key=lattice.model.sort_key)
-    col_pos = {c: k for k, c in enumerate(columns)}
-    matrix = [[0] * len(columns) for _ in rows_members]
-    for r, mem in enumerate(rows_members):
-        for a in mem:
-            matrix[r][col_pos[a]] = 1
+    columns = sorted(set().union(*rows_members), key=lattice.model.sort_key)
+    matrix = [[int(c in mem) for c in columns] for mem in rows_members]
     rank = bareiss_rank(matrix)
     status = "full_rank" if rank == len(rows_members) else "deficient"
     return RankResult(status, rank=rank, nonempty=len(idxs), radius=radius)

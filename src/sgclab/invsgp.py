@@ -17,8 +17,9 @@ is w's pullback of dom v and its range is v's image of ran w, each one
 ``walk`` from a token at hand.  The concatenated trace is kept only as
 provenance, for reports and guard bands.
 
-The zero word absorbs composition and carries no grading; every nonzero
-word has a non-empty domain.
+The zero word absorbs composition and carries no grading or trace; every
+nonzero word has a non-empty domain.  Like an ideal, a word carries no
+radius: ``render`` takes the one its report lists members up to.
 """
 
 from __future__ import annotations
@@ -37,7 +38,10 @@ class VWord:
     grading: object          # group element; None on the zero word
     dom: ConstructibleIdeal
     ran: ConstructibleIdeal
-    is_zero: bool
+
+    @property
+    def is_zero(self):
+        return self.trace is None
 
     def is_idempotent(self):
         return self.is_zero or (self.grading == self.model.unit
@@ -48,44 +52,40 @@ class VWord:
             return ("zero",)
         return (self.grading, self.dom.exact)
 
-    def render(self):
+    def render(self, radius):
         return {
             "zero": self.is_zero,
             "trace": None if self.trace is None else self.trace.render(self.model),
             "grading": None if self.is_zero else self.model.render(self.grading),
-            "dom": self.dom.render(),
-            "ran": self.ran.render(),
+            "dom": self.dom.render(radius),
+            "ran": self.ran.render(radius),
         }
 
 
-def zero_vword(model, radius=None) -> VWord:
-    if radius is None:
-        radius = model.default_radius
-    empty = ideals_mod.empty_ideal(model, radius)
-    return VWord(model, None, None, empty, empty, True)
+def zero_vword(model) -> VWord:
+    empty = ideals_mod.empty_ideal(model)
+    return VWord(model, None, None, empty, empty)
 
 
-def _word(model, trace, grading, dom, ran, radius) -> VWord:
+def _word(model, trace, grading, dom, ran) -> VWord:
     """The word of ``trace`` from its domain and range tokens; the zero
     word when they are empty."""
     if dom == EMPTY or ran == EMPTY:
-        return zero_vword(model, radius)
+        return zero_vword(model)
     return VWord(model, trace, grading,
-                 ConstructibleIdeal(model, trace.star(), radius, dom),
-                 ConstructibleIdeal(model, trace, radius, ran), False)
+                 ConstructibleIdeal(model, trace.star(), dom),
+                 ConstructibleIdeal(model, trace, ran))
 
 
-def make_vword(model, trace, radius=None) -> VWord:
+def make_vword(model, trace) -> VWord:
     """Build the word of a trace: its range is the walk of the trace from
     the full ideal, its domain that of the starred trace."""
     if not isinstance(trace, WordTrace):
         trace = WordTrace.make(model, trace)
-    if radius is None:
-        radius = model.default_radius
     full = model.exact_full()
     return _word(model, trace, trace.grading(model),
                  walk(model, trace.star().pairs, full),
-                 walk(model, trace.pairs, full), radius)
+                 walk(model, trace.pairs, full))
 
 
 def compose(v: VWord, w: VWord) -> VWord:
@@ -94,20 +94,19 @@ def compose(v: VWord, w: VWord) -> VWord:
     if v.model is not w.model:
         raise ModelError("compose expects words over the same model")
     model = v.model
-    radius = min(v.dom.radius, w.dom.radius)
     if v.is_zero or w.is_zero:
-        return zero_vword(model, radius)
+        return zero_vword(model)
     return _word(model, WordTrace(v.trace.pairs + w.trace.pairs),
                  model.mul(v.grading, w.grading),
                  walk(model, w.trace.star().pairs, v.dom.exact),
-                 walk(model, v.trace.pairs, w.ran.exact), radius)
+                 walk(model, v.trace.pairs, w.ran.exact))
 
 
 def star(v: VWord) -> VWord:
     if v.is_zero:
         return v
     return VWord(v.model, v.trace.star(), v.model.inv(v.grading),
-                 v.ran, v.dom, False)
+                 v.ran, v.dom)
 
 
 def vword_eq(v: VWord, w: VWord) -> bool:
@@ -124,9 +123,9 @@ def idempotent_vword(x: ConstructibleIdeal) -> VWord:
     """The diagonal word of an ideal, x as both domain and range; its
     provenance trace is trace(x) followed by its star."""
     if x.trace is None:
-        return zero_vword(x.model, x.radius)
+        return zero_vword(x.model)
     trace = WordTrace(x.trace.pairs + x.trace.star().pairs)
-    return _word(x.model, trace, x.model.unit, x.exact, x.exact, x.radius)
+    return _word(x.model, trace, x.model.unit, x.exact, x.exact)
 
 
 def semilattice(lattice) -> dict:
@@ -158,7 +157,7 @@ class VWordFamily:
 
     def to_json(self):
         return {
-            "members": [v.render() for v in self.members],
+            "members": [v.render(self.params["radius"]) for v in self.members],
             "zero_seen": self.zero is not None,
             "gradings": [self.model.render(g) for g in self.gradings()],
             "equality_pairs_logged": len(self.eq_pairs),
@@ -210,8 +209,8 @@ def enumerate_vwords(model, max_trace_len, gen_len=None, radius=None,
             members.append(v)
         return got
 
-    visit(make_vword(model, WordTrace(()), radius))
-    ones = [make_vword(model, WordTrace((pq,)), radius) for pq in pairs]
+    visit(make_vword(model, WordTrace(())))
+    ones = [make_vword(model, WordTrace((pq,))) for pq in pairs]
     # step[i][j]: member index of member i's representative extended by
     # pairs[j]; rows exist for the members found below the last depth
     step = []

@@ -20,8 +20,9 @@ representation, so ideal enumeration is exact at any radius.
 
 Config documents are validated once, in ``build_model``.  Elements are
 validated once, where raw values come in: ``parse``, ``WordTrace.make``,
-``left_mul``/``preimage`` and ``build_frame`` call ``validate``.  Arithmetic (``mul``, ``inv``, ``in_p``, ``meets_p``) trusts
-its arguments to be normal forms of the model and does not re-check them.
+``left_mul``/``preimage`` and ``build_frame`` call ``validate``.
+Arithmetic (``mul``, ``inv``, ``in_p``, ``meets_p``) trusts its arguments
+to be normal forms of the model and does not re-check them.
 
 All model state is immutable after construction and every operation is a
 pure function, so instances may be shared freely across threads.

@@ -132,43 +132,75 @@ def test_reports_are_deterministic():
     assert "timings" in r1 and set(r1["timings"]) == set(r1["results"])
 
 
-def _depth2(model):
-    return {"model": model, "caps": {"trace_depth": 2}}
+def _depth(model, depth=2):
+    return {"model": model, "caps": {"trace_depth": depth}}
 
 
 # sha256 of the stable body of `run` at seed 0, all analyses unless the
 # config names them.  A change of representation must leave every report
 # byte-identical.
 GOLDEN_STABLE_BODIES = (
-    (_depth2({"family": "free_abelian", "rank": 1}),
+    (_depth({"family": "free_abelian", "rank": 1}),
      "c4acd94a6a635f85d73f7ea67f99610a08be734caa9ef455888e385b261dcc70"),
-    (_depth2({"family": "free_monoid", "rank": 2}),
+    (_depth({"family": "free_monoid", "rank": 2}),
      "3300ff329e29d027050657b70e924ab2ea96dceda4cab3d9665cb1e72af6132f"),
-    (_depth2({"family": "numerical", "generators": [2, 3]}),
+    (_depth({"family": "numerical", "generators": [2, 3]}),
      "e6b88058fafa98be0e9bffc5f6b06a49f06354453e251b144a601d39c712e36d"),
     # the config whose theta recipes pull back the most ideals
-    (_depth2({"family": "numerical", "generators": [3, 5, 7]}),
+    (_depth({"family": "numerical", "generators": [3, 5, 7]}),
      "2a4ce2518eea16d245c0b5b20217242cb505f24fcd9069643758e54d5146779e"),
     # the config where fock and sc take the most time
-    (_depth2({"family": "free_monoid", "rank": 3}),
+    (_depth({"family": "free_monoid", "rank": 3}),
      "10956b578edea0a80dc70e9cdd72399eaca23403db87104e8667aba05140b4f9"),
-    (_depth2({"family": "free_abelian", "rank": 2}),
+    (_depth({"family": "free_abelian", "rank": 2}),
      "92718cb80690121d266b6e1fa23cce700cb299e2d8ed08aaeba0292b19febd0a"),
     # the deepest word enumeration
     ({"model": {"family": "free_monoid", "rank": 2},
       "caps": {"trace_depth": 6},
       "analyses": ["ideals", "independence", "ore", "invsgp"]},
      "12367ddd5b67bdf973e3497b9ae9d1d477942fe1f4fb2102172e5a4c86648215"),
+    # the depth-3 half of the small sweep
+    (_depth({"family": "free_abelian", "rank": 1}, 3),
+     "7ddce154231f66c623bfc77612fee6c12fc60066c96cfb7345ff94276a3ea67a"),
+    (_depth({"family": "free_abelian", "rank": 2}, 3),
+     "02156fa33c1e987f3041c6d9c04245c0fed3762844a35643c867b0726417cc06"),
+    (_depth({"family": "free_monoid", "rank": 2}, 3),
+     "cfd5c3804bd944d918aa7329e8506d58346a41e3dc5431e998b9d2af45490e6a"),
+    (_depth({"family": "numerical", "generators": [2, 3]}, 3),
+     "8f33b2e31da0cb9b4e9dedd871fb3b8d23082bcdf7f5f23d1eecfd703d7c7e70"),
 )
 
 
 @pytest.mark.parametrize(
     "config,digest", GOLDEN_STABLE_BODIES,
-    ids=["N^1", "F2+", "<2,3>", "<3,5,7>", "F3+", "N^2", "F2+ depth 6"])
+    ids=["N^1", "F2+", "<2,3>", "<3,5,7>", "F3+", "N^2", "F2+ depth 6",
+         "N^1 depth 3", "N^2 depth 3", "F2+ depth 3", "<2,3> depth 3"])
 def test_stable_body_matches_golden_hash(config, digest):
     doc = dict(config, seed=0)
     report, _ = run(RunConfig.from_dict(doc))
     assert hashlib.sha256(stable_body(report).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "model", [{"family": "free_abelian", "rank": 1},
+              {"family": "numerical", "generators": [2, 3]}],
+    ids=["N^1", "<2,3>"])
+def test_reported_ideals_list_members_up_to_the_cap_radius(model):
+    # the report's radius cap, not a model default, sizes every members
+    # prefix: lattice nodes and the domains and ranges of exported words
+    doc = {"model": model, "analyses": ["ideals", "invsgp"],
+           "caps": {"trace_depth": 2, "radius": 20}, "seed": 0}
+    cfg = RunConfig.from_dict(doc)
+    report, _ = run(cfg)
+    m = cli.build_model(cfg.model_config)
+    assert m.default_radius != 20
+    words = report["results"]["invsgp"]["export"]["members"]
+    rendered = (report["results"]["ideals"]["lattice"]["nodes"]
+                + [w[side] for w in words for side in ("dom", "ran")])
+    assert len(rendered) > 2 * len(words) > 0
+    for ideal in rendered:
+        assert ideal["radius"] == 20
+        assert all(m.length(m.parse(a)) <= 20 for a in ideal["members_prefix"])
 
 
 @pytest.mark.parametrize("m", [0, 1, 20, 21, 25, 34, 110, 769])

@@ -84,7 +84,7 @@ def test_operator_norm_against_float_power_iteration():
 def test_rep_identity(all_models):
     for model in all_models:
         n = 5
-        v = make_vword(model, WordTrace(()), 10)
+        v = make_vword(model, WordTrace(()))
         op = rep_vword(v, n)
         assert equal_on_band(op, identity_op(model, n), n)
 
@@ -138,19 +138,19 @@ def test_rep_vword_tests_no_membership(all_models, family_of, monkeypatch):
 
 def test_basis_index_cached_per_model_instance(f2):
     n = 5
-    P = full_ideal(f2, 6)
+    P = full_ideal(f2)
     a = projection_op(P, n)
-    b = rep_vword(make_vword(f2, WordTrace((("", "a"),)), 6), n)
+    b = rep_vword(make_vword(f2, WordTrace((("", "a"),))), n)
     assert a.basis is b.basis and a.index is b.index
     assert f2.basis(n) == (a.basis, a.index)
     other = build_model(f2.config())
-    c = projection_op(full_ideal(other, 6), n)
+    c = projection_op(full_ideal(other), n)
     assert c.basis == a.basis and c.index == a.index
     assert c.basis is not a.basis and c.index is not a.index
 
 
 def test_rep_shift_matrix(n1):
-    v = make_vword(n1, WordTrace((((0,), (1,)),)), 30)
+    v = make_vword(n1, WordTrace((((0,), (1,)),)))
     op = rep_vword(v, 4)
     assert op.cols == {0: 1, 1: 2, 2: 3, 3: 4}
     assert op.triplets() == [(1, 0, 1), (2, 1, 1), (3, 2, 1), (4, 3, 1)]
@@ -158,12 +158,12 @@ def test_rep_shift_matrix(n1):
 
 
 def test_rep_vstarv_is_domain_mask(n1):
-    v = make_vword(n1, WordTrace((((2,), (3,)),)), 30)
+    v = make_vword(n1, WordTrace((((2,), (3,)),)))
     vv = compose(star(v), v)
     op = rep_vword(vv, 8)
     want = projection_op(vv.dom, 8)
     assert equal_on_band(op, want)
-    ideal = from_trace(n1, WordTrace((((3,), (2,)),)), 30)
+    ideal = from_trace(n1, WordTrace((((3,), (2,)),)))
     assert equal_on_band(op, projection_op(ideal, 8))
 
 
@@ -210,20 +210,20 @@ def test_band_algebra():
     # band shrinks by the inner reach
     from sgclab.models import build_model
     m = build_model({"family": "free_abelian", "rank": 1})
-    v = make_vword(m, WordTrace((((0,), (2,)),)), 30)
+    v = make_vword(m, WordTrace((((0,), (2,)),)))
     a = rep_vword(v, 10)
     assert a.band == 8 and a.reach == 2
     prod = mul_op(a, a)
     assert prod.band == 6 and prod.reach == 4
     with pytest.raises(BandExhausted):
-        rep_vword(make_vword(m, WordTrace((((0,), (9,)),)), 30), 8)
+        rep_vword(make_vword(m, WordTrace((((0,), (9,)),))), 8)
 
 
 def test_projection_identity_examples(n1, f2):
-    P = full_ideal(n1, 30)
+    P = full_ideal(n1)
     assert check_projection_identity(P, P, 10)
     assert check_projection_identity(left_mul((2,), P), left_mul((3,), P), 10)
-    Pf = full_ideal(f2, 6)
+    Pf = full_ideal(f2)
     aP, bP = left_mul("a", Pf), left_mul("b", Pf)
     assert check_projection_identity(aP, bP, 6)
     prod = mul_op(projection_op(aP, 6), projection_op(bP, 6))
@@ -233,9 +233,9 @@ def test_projection_identity_examples(n1, f2):
 def test_ops_store_no_zero_columns(f2):
     # emptied columns are dropped, never stored
     n = 5
-    P = full_ideal(f2, 6)
+    P = full_ideal(f2)
     aP, bP = left_mul("a", P), left_mul("b", P)
-    v = make_vword(f2, WordTrace((("", "a"),)), 6)
+    v = make_vword(f2, WordTrace((("", "a"),)))
     assert v.grading == "a"
     a = rep_vword(v, n)
     assert a.cols
@@ -246,29 +246,29 @@ def test_ops_store_no_zero_columns(f2):
         assert not equal_on_band(op, a, n) and not equal_on_band(a, op, n)
     # down * up = 1, except on the words whose image under up leaves the
     # basis; up * down is the mask of aP
-    down = rep_vword(make_vword(f2, WordTrace((("a", ""),)), 6), n)
+    down = rep_vword(make_vword(f2, WordTrace((("a", ""),))), n)
     assert mul_op(down, a).cols == {j: j for j, s in enumerate(a.basis)
                                     if len(s) < n}
     assert mul_op(a, down).cols == projection_op(aP, n).cols
 
 
 def test_cond_expectation_examples(n1):
-    P = full_ideal(n1, 30)
+    P = full_ideal(n1)
     i1 = left_mul((1,), P)
-    v1 = make_vword(n1, WordTrace((((0,), (1,)),)), 30)
+    v1 = make_vword(n1, WordTrace((((0,), (1,)),)))
     ce = cond_expectation([(Fraction(1), v1)], 8)
     assert ce == {}
     e1 = idempotent_vword(i1)
     ce2 = cond_expectation([(Fraction(1), e1)], 8)
     assert ce2 == {j: 1 for j in projection_op(i1, 8).cols}
-    v12 = make_vword(n1, WordTrace((((1,), (2,)),)), 30)
+    v12 = make_vword(n1, WordTrace((((1,), (2,)),)))
     ce3 = cond_expectation([(Fraction(1), v12)], 8)
     assert ce3 == {}
 
 
 def test_cond_expectation_mixed_combination(n1):
-    P = full_ideal(n1, 30)
-    v1 = make_vword(n1, WordTrace((((0,), (1,)),)), 30)
+    P = full_ideal(n1)
+    v1 = make_vword(n1, WordTrace((((0,), (1,)),)))
     terms = [(Fraction(3, 2), idempotent_vword(P)),
              (Fraction(-2), v1),
              (Fraction(1, 3), idempotent_vword(left_mul((2,), P)))]
@@ -290,11 +290,11 @@ def test_cond_expectation_builds_each_term_once(n1, monkeypatch):
         return real(v, n)
 
     monkeypatch.setattr(fock_mod, "rep_vword", counted)
-    P = full_ideal(n1, 30)
-    v1 = make_vword(n1, WordTrace((((0,), (1,)),)), 30)
+    P = full_ideal(n1)
+    v1 = make_vword(n1, WordTrace((((0,), (1,)),)))
     terms = [(Fraction(3, 2), idempotent_vword(P)), (Fraction(-2), v1),
              (Fraction(1, 3), idempotent_vword(left_mul((2,), P))),
-             (Fraction(1), zero_vword(n1, 30))]
+             (Fraction(1), zero_vword(n1))]
     ce = cond_expectation(terms, 8)
     assert [id(v) for v in calls] == [id(v) for _, v in terms]
     assert ce[3] == Fraction(3, 2) + Fraction(1, 3)
@@ -320,7 +320,7 @@ def _corrupt_trivially_graded(monkeypatch):
 
 def test_cond_expectation_checks_each_term(n1, monkeypatch):
     # v - v cancels, so only a check on each term sees v's stray entry
-    v = idempotent_vword(full_ideal(n1, 30))
+    v = idempotent_vword(full_ideal(n1))
     cond_expectation([(1, v), (-1, v)], 8)
     _corrupt_trivially_graded(monkeypatch)
     with pytest.raises(GradingMismatch):
@@ -471,7 +471,7 @@ def test_sc_limit_probe_tests_each_frame_element_once(rank, monkeypatch):
 def test_compressed_matrix_matches_frame_oracle(f2):
     n = 6
     frame = build_frame(f2, ["a", "b"], n)
-    P = full_ideal(f2, n)
+    P = full_ideal(f2)
     aP, bP = left_mul("a", P), left_mul("b", P)
     terms = [(Fraction(1), idempotent_vword(P)),
              (Fraction(-1), idempotent_vword(aP)),
@@ -490,13 +490,13 @@ def test_sc_norm_identity(all_models):
     for model in all_models:
         n = 5
         frame = build_frame(model, [model.unit], n)
-        P = full_ideal(model, model.default_radius)
+        P = full_ideal(model)
         lo, hi = sc_norm([(Fraction(1), idempotent_vword(P))], frame)
         assert lo == hi == 1
 
 
 def test_sc_norm_free_monoid_covariance(f2):
-    P = full_ideal(f2, 7)
+    P = full_ideal(f2)
     aP, bP = left_mul("a", P), left_mul("b", P)
     terms = [(Fraction(1), idempotent_vword(P)),
              (Fraction(-1), idempotent_vword(aP)),
@@ -510,7 +510,7 @@ def test_sc_norm_free_monoid_covariance(f2):
 
 
 def test_sc_norm_band_exhausted(f2):
-    P = full_ideal(f2, 7)
+    P = full_ideal(f2)
     deep = left_mul("a", left_mul("a", left_mul("a", left_mul("a", P))))
     word = idempotent_vword(deep)   # reach 4 > trunc 3
     frame = build_frame(f2, ["a"], 3)
@@ -519,7 +519,7 @@ def test_sc_norm_band_exhausted(f2):
 
 
 def test_sc_limit_probe_chain(n1):
-    P = full_ideal(n1, 30)
+    P = full_ideal(n1)
     terms = [(Fraction(1), idempotent_vword(P)),
              (Fraction(-1), idempotent_vword(left_mul((1,), P)))]
     chain = [[(j,) for j in range(k + 1)] for k in range(7)]
@@ -530,7 +530,7 @@ def test_sc_limit_probe_chain(n1):
 
 
 def test_sc_limit_probe_zero(n1):
-    P = full_ideal(n1, 30)
+    P = full_ideal(n1)
     zero_terms = [(Fraction(0), idempotent_vword(P))]
     chain = [[(0,)], [(0,), (1,)]]
     probe = sc_limit_probe(zero_terms, chain, n1, 20)
@@ -539,7 +539,7 @@ def test_sc_limit_probe_zero(n1):
 
 
 def test_sc_limit_probe_nonvanishing(f2, family_of):
-    P = full_ideal(f2, 7)
+    P = full_ideal(f2)
     aP = left_mul("a", P)
     fam = family_of(f2)
     chain = default_f_chain(f2, fam.by_grading.keys(), 3)
@@ -549,26 +549,26 @@ def test_sc_limit_probe_nonvanishing(f2, family_of):
 
 
 def test_generator_covariance_terms(n2, f2):
-    terms = generator_covariance_terms(f2, 7)
+    terms = generator_covariance_terms(f2)
     assert len(terms) == 4
     frame = build_frame(f2, ["a", "b"], 7)
     lo, hi = sc_norm(terms, frame)
     assert lo == hi == 0
     # in the rank-2 lattice the product form is needed: the plain defect
     # of the two generator masks does not vanish
-    P2 = full_ideal(n2, 12)
+    P2 = full_ideal(n2)
     plain = [(Fraction(1), idempotent_vword(P2)),
              (Fraction(-1), idempotent_vword(left_mul((1, 0), P2))),
              (Fraction(-1), idempotent_vword(left_mul((0, 1), P2)))]
     frame2 = build_frame(n2, [(0, 0), (1, 0), (0, 1), (1, 1)], 8)
     lo, hi = sc_norm(plain, frame2)
     assert lo == hi == 1
-    lo, hi = sc_norm(generator_covariance_terms(n2, 12), frame2)
+    lo, hi = sc_norm(generator_covariance_terms(n2), frame2)
     assert lo == hi == 0
 
 
 def test_triplet_dump_format(n1):
-    v = make_vword(n1, WordTrace((((0,), (1,)),)), 30)
+    v = make_vword(n1, WordTrace((((0,), (1,)),)))
     text = rep_vword(v, 3).to_triplet_text()
     lines = text.strip().split("\n")
     assert lines[0] == "# truncop 4 4 2 1"

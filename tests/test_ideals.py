@@ -24,34 +24,34 @@ def traces_upto(model, depth, gen_len):
 
 def test_preimage_of_full_is_full(all_models):
     for model in all_models:
-        P = full_ideal(model, 10 if model.family != "free_monoid" else 5)
+        P = full_ideal(model)
         for p in model.enumerate_p(2):
             assert ideal_eq(preimage(p, P), P) is True
 
 
 def test_left_mul_examples(n1, f2, num23):
-    P = full_ideal(n1, 12)
+    P = full_ideal(n1)
     assert left_mul((2,), P).exact == ("corner", (2,))
-    Pf = full_ideal(f2, 6)
+    Pf = full_ideal(f2)
     assert left_mul("a", left_mul("b", Pf)).exact == ("word", "ab")
-    Pn = full_ideal(num23, 20)
+    Pn = full_ideal(num23)
     two_shift = left_mul(2, left_mul(3, Pn))
-    assert sorted(two_shift.members)[:4] == [5, 7, 8, 9]
+    assert sorted(two_shift.members_upto(20))[:4] == [5, 7, 8, 9]
 
 
 def test_preimage_examples(n1, f2):
-    P = full_ideal(n1, 12)
+    P = full_ideal(n1)
     assert preimage((2,), left_mul((3,), P)).exact == ("corner", (1,))
-    Pf = full_ideal(f2, 6)
+    Pf = full_ideal(f2)
     assert preimage("a", left_mul("b", Pf)).is_empty() is True
 
 
 def test_from_trace_examples(n1, f2):
-    x = from_trace(n1, WordTrace((((2,), (3,)),)), 12)
+    x = from_trace(n1, WordTrace((((2,), (3,)),)))
     assert x.exact == ("corner", (1,))
-    q = from_trace(n1, WordTrace((((0,), (2,)),)), 12)
+    q = from_trace(n1, WordTrace((((0,), (2,)),)))
     assert q.exact == ("corner", (2,))
-    z = from_trace(f2, WordTrace((("a", "b"),)), 6)
+    z = from_trace(f2, WordTrace((("a", "b"),)))
     assert z.is_empty() is True
 
 
@@ -68,9 +68,9 @@ def test_from_trace_matches_bruteforce_oracle(all_models):
         radius = 8 if model.family == "free_monoid" else 12
         gen_len = 3 if model.family == "numerical" else 1
         for pairs in traces_upto(model, 2, gen_len):
-            got = from_trace(model, WordTrace(pairs), radius)
+            got = from_trace(model, WordTrace(pairs))
             want = brute_trace_members(model, pairs, radius)
-            assert got.members == want, pairs
+            assert set(got.members_upto(radius)) == want, pairs
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -80,8 +80,8 @@ def test_random_deep_traces_match_oracle_num23(pairs):
     from sgclab.models import build_model
     model = build_model({"family": "numerical", "generators": [2, 3]})
     pairs = tuple((p, q) for p, q in pairs if model.in_p(p) and model.in_p(q))
-    got = from_trace(model, WordTrace(pairs), 12)
-    assert got.members == brute_trace_members(model, pairs, 12)
+    got = from_trace(model, WordTrace(pairs))
+    assert set(got.members_upto(12)) == brute_trace_members(model, pairs, 12)
 
 
 @given(st.lists(st.tuples(st.sampled_from(["", "a", "b"]),
@@ -92,23 +92,23 @@ def test_random_deep_traces_match_oracle_f2(pairs):
     from sgclab.models import build_model
     model = build_model({"family": "free_monoid", "rank": 2})
     pairs = tuple(pairs)
-    got = from_trace(model, WordTrace(pairs), 5)
-    assert got.members == brute_trace_members(model, pairs, 5)
+    got = from_trace(model, WordTrace(pairs))
+    assert set(got.members_upto(5)) == brute_trace_members(model, pairs, 5)
 
 
 # ---------------------------------------------------------------------------
 # intersection
 
 def test_intersect_examples(n1, f2, num23):
-    P = full_ideal(n1, 12)
+    P = full_ideal(n1)
     two, three = left_mul((2,), P), left_mul((3,), P)
     assert intersect(two, three).exact == ("corner", (3,))
-    Pf = full_ideal(f2, 6)
+    Pf = full_ideal(f2)
     assert intersect(left_mul("a", Pf), left_mul("b", Pf)).is_empty() is True
-    Pn = full_ideal(num23, 20)
+    Pn = full_ideal(num23)
     both = intersect(left_mul(2, Pn), left_mul(3, Pn))
     assert both.exact == ("num", (), 5)
-    assert sorted(both.members)[:4] == [5, 6, 7, 8]
+    assert sorted(both.members_upto(20))[:4] == [5, 6, 7, 8]
 
 
 def test_intersect_matches_pointwise_oracle(all_models, lattice_of):
@@ -118,18 +118,21 @@ def test_intersect_matches_pointwise_oracle(all_models, lattice_of):
         for x in lat.ideals:
             for y in lat.ideals:
                 z = intersect(x, y)
-                assert z.members == x.members & y.members
+                assert (set(z.members_upto(radius))
+                        == set(x.members_upto(radius))
+                        & set(y.members_upto(radius)))
 
 
 def test_intersect_trace_is_constructible(n1, all_models, lattice_of):
     # the combined trace re-evaluates to the same ideal through the primitives
-    P = full_ideal(n1, 12)
+    P = full_ideal(n1)
     x = left_mul((2,), P)
     y = preimage((3,), left_mul((5,), P))
     z = intersect(x, y)
-    again = from_trace(n1, z.trace, 12)
+    again = from_trace(n1, z.trace)
     assert ideal_eq(z, again) is True
-    assert z.members == x.members & y.members
+    assert (set(z.members_upto(12))
+            == set(x.members_upto(12)) & set(y.members_upto(12)))
     # intersect takes the token's meet; the doubling trick's trace, kept as
     # provenance, evaluates from P to the same token on every lattice pair
     for model in all_models:
@@ -141,7 +144,7 @@ def test_intersect_trace_is_constructible(n1, all_models, lattice_of):
                     assert z.trace is None and z.is_empty()
                     continue
                 pairs = y.trace.pairs + y.trace.star().pairs + x.trace.pairs
-                want = from_trace(model, WordTrace(pairs), lat.radius)
+                want = from_trace(model, WordTrace(pairs))
                 assert z.exact == want.exact, (model.name, pairs)
                 if want.is_empty():
                     assert z.trace is None
@@ -168,8 +171,7 @@ def test_semilattice_laws_on_fragment(all_models, lattice_of):
 def test_left_mul_preimage_identity(all_models):
     # p * (p^-1 x) = pP n x
     for model in all_models:
-        radius = 6 if model.family == "free_monoid" else 15
-        P = full_ideal(model, radius)
+        P = full_ideal(model)
         gen_len = 3 if model.family == "numerical" else 1
         for p in model.enumerate_p(gen_len):
             for q in model.enumerate_p(gen_len):
@@ -183,17 +185,17 @@ def test_left_mul_preimage_identity(all_models):
 # equality verdicts
 
 def test_ideal_eq_examples(n1, f2):
-    P = full_ideal(n1, 12)
+    P = full_ideal(n1)
     assert ideal_eq(preimage((2,), left_mul((2,), P)), P) is True
-    Pf = full_ideal(f2, 6)
+    Pf = full_ideal(f2)
     assert ideal_eq(left_mul("a", Pf), left_mul("b", Pf)) is False
 
 
 def test_ideal_eq_undecided_contract(num23):
     # ideals that agree within the radius are decided by their tokens
-    P = full_ideal(num23, 30)
-    x = from_trace(num23, WordTrace(((2, 2),)), 30)
-    assert x.members == P.members
+    P = full_ideal(num23)
+    x = from_trace(num23, WordTrace(((2, 2),)))
+    assert set(x.members_upto(30)) == set(P.members_upto(30))
     assert ideal_eq(x, P) is True
 
 
@@ -207,16 +209,17 @@ def test_members_upto_in_sort_key_order(all_models, lattice_of, family_of):
                 keys = [model.sort_key(a) for a in ideal.members_upto(radius)]
                 assert all(a < b for a, b in zip(keys, keys[1:])), \
                     (model.name, ideal.exact, radius)
+        r = lattice_of(model).radius
         for ideal in ideals:
-            prefix = sorted(ideal.members, key=model.sort_key)[:20]
-            assert (ideal.render()["members_prefix"]
+            prefix = sorted(set(ideal.members_upto(r)), key=model.sort_key)[:20]
+            assert (ideal.render(r)["members_prefix"]
                     == [model.render(a) for a in prefix])
 
 
 def test_empty_ideal_is_canonical(all_models):
     for model in all_models:
-        e1 = empty_ideal(model, 10)
-        e2 = intersect(left_mul(model.generators[0], full_ideal(model, 10)), e1)
+        e1 = empty_ideal(model)
+        e2 = intersect(left_mul(model.generators[0], full_ideal(model)), e1)
         assert e2.trace is None and e2.is_empty() is True
         assert e1.exact == e2.exact
 
@@ -247,9 +250,9 @@ def test_enumerate_matches_exhaustive_trace_oracle(n1, f2, num23):
         lat = enumerate_ideals(model, depth, gen_len, radius, close=False)
         keys = {x.exact for x in lat.ideals}
         for pairs in traces_upto(model, depth, gen_len):
-            ideal = from_trace(model, WordTrace(pairs), radius)
+            ideal = from_trace(model, WordTrace(pairs))
             if ideal.is_empty() is True:
-                ideal = empty_ideal(model, radius)
+                ideal = empty_ideal(model)
             assert ideal.exact in keys
 
 
@@ -293,10 +296,11 @@ def test_independence_witness_num23(num23, lattice_of):
     assert res.status == "witness"
     x = lat.ideals[res.witness]
     parts = [lat.ideals[j] for j in res.parts]
-    union = set().union(*(p.members for p in parts))
-    assert union == set(x.members)
+    r = lat.radius
+    union = set().union(*(set(p.members_upto(r)) for p in parts))
+    assert union == set(x.members_upto(r))
     for p in parts:
-        assert p.members < x.members
+        assert set(p.members_upto(r)) < set(x.members_upto(r))
 
 
 def test_rank_oracle_examples(n1):
@@ -310,10 +314,9 @@ def test_rank_oracle_agrees_with_gauss(all_models, lattice_of):
         lat = lattice_of(model, depth=2)
         res = independence_rank_oracle(lat)
         idxs = lat.nonempty_indices()
-        columns = sorted(set().union(*(lat.ideals[i].members for i in idxs)),
-                         key=model.sort_key)
-        matrix = [[1 if c in lat.ideals[i].members else 0 for c in columns]
-                  for i in idxs]
+        rows = [set(lat.ideals[i].members_upto(lat.radius)) for i in idxs]
+        columns = sorted(set().union(*rows), key=model.sort_key)
+        matrix = [[1 if c in row else 0 for c in columns] for row in rows]
         assert res.rank == gauss_rank(matrix)
 
 
@@ -321,6 +324,14 @@ def test_rank_radius_too_small_is_inconclusive(n1):
     lat = enumerate_ideals(n1, 3, 1, 30)
     res = independence_rank_oracle(lat, radius=1)
     assert res.status == "inconclusive"
+
+
+def test_rank_oracle_lists_rows_up_to_its_own_radius(n1):
+    # rows are members up to the oracle's radius, even past the lattice's
+    lat = enumerate_ideals(n1, 2, 1, radius=1)
+    res = independence_rank_oracle(lat, radius=6)
+    assert res.radius == 6
+    assert res.status == "full_rank" and res.rank == 3
 
 
 def test_independence_and_rank_agree(all_models, lattice_of):

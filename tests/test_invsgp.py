@@ -14,23 +14,21 @@ from sgclab.models import ModelError, build_model
 
 def test_make_vword_shift(all_models):
     for model in all_models:
-        radius = 6 if model.family == "free_monoid" else 15
         p = model.generators[0]
-        v = make_vword(model, WordTrace(((model.unit, p),)), radius)
+        v = make_vword(model, WordTrace(((model.unit, p),)))
         assert v.grading == p
-        assert ideal_eq(v.dom, full_ideal(model, radius)) is True
-        assert ideal_eq(v.ran, left_mul(p, full_ideal(model, radius))) is True
+        assert ideal_eq(v.dom, full_ideal(model)) is True
+        assert ideal_eq(v.ran, left_mul(p, full_ideal(model))) is True
 
 
 def test_make_vword_isometry_relation(all_models):
     # the single pair (p, p) realizes the identity
     for model in all_models:
-        radius = 6 if model.family == "free_monoid" else 15
         p = model.generators[-1]
-        v = make_vword(model, WordTrace(((p, p),)), radius)
+        v = make_vword(model, WordTrace(((p, p),)))
         assert v.grading == model.unit
-        assert ideal_eq(v.dom, full_ideal(model, radius)) is True
-        assert ideal_eq(v.ran, full_ideal(model, radius)) is True
+        assert ideal_eq(v.dom, full_ideal(model)) is True
+        assert ideal_eq(v.ran, full_ideal(model)) is True
 
 
 def test_make_vword_validates_raw_pairs(f2):
@@ -39,35 +37,35 @@ def test_make_vword_validates_raw_pairs(f2):
 
 
 def test_make_vword_zero(f2):
-    v = make_vword(f2, WordTrace((("a", "b"),)), 6)
+    v = make_vword(f2, WordTrace((("a", "b"),)))
     assert v.is_zero
     assert rep_vword(v, 6).cols == {}
 
 
 def test_compose_shift_relation(n2):
     p, q = (1, 0), (0, 1)
-    vp = make_vword(n2, WordTrace((((0, 0), p),)), 12)
-    vq = make_vword(n2, WordTrace((((0, 0), q),)), 12)
-    vpq = make_vword(n2, WordTrace((((0, 0), (1, 1)),)), 12)
+    vp = make_vword(n2, WordTrace((((0, 0), p),)))
+    vq = make_vword(n2, WordTrace((((0, 0), q),)))
+    vpq = make_vword(n2, WordTrace((((0, 0), (1, 1)),)))
     assert vword_eq(compose(vp, vq), vpq) is True
 
 
 def test_compose_idempotents_intersect(num23):
-    P = full_ideal(num23, 25)
+    P = full_ideal(num23)
     x, y = left_mul(2, P), left_mul(3, P)
     exy = compose(idempotent_vword(x), idempotent_vword(y))
     assert vword_eq(exy, idempotent_vword(intersect(x, y))) is True
 
 
 def test_zero_absorbs(f2):
-    z = zero_vword(f2, 6)
-    va = make_vword(f2, WordTrace((("", "a"),)), 6)
+    z = zero_vword(f2)
+    va = make_vword(f2, WordTrace((("", "a"),)))
     assert compose(z, va).is_zero and compose(va, z).is_zero
     assert star(z).is_zero
 
 
 def test_star_swaps_dom_ran(f2):
-    va = make_vword(f2, WordTrace((("", "a"),)), 6)
+    va = make_vword(f2, WordTrace((("", "a"),)))
     sa = star(va)
     assert sa.grading == "A"
     assert ideal_eq(sa.dom, va.ran) is True
@@ -78,15 +76,15 @@ def test_star_swaps_dom_ran(f2):
 
 
 def test_star_reverses_pairs(n1):
-    v = make_vword(n1, WordTrace((((1,), (2,)), ((0,), (3,)))), 15)
+    v = make_vword(n1, WordTrace((((1,), (2,)), ((0,), (3,)))))
     assert star(v).trace.pairs == (((3,), (0,)), ((2,), (1,)))
 
 
 def test_vword_eq_collapse_example(n1):
     # in the chain model the pair (2, 3) realizes the same shift as (e, 1):
     # both have grading 1 and full domain (isometry relation collapse)
-    v = make_vword(n1, WordTrace((((2,), (3,)),)), 15)
-    w = make_vword(n1, WordTrace((((0,), (1,)),)), 15)
+    v = make_vword(n1, WordTrace((((2,), (3,)),)))
+    w = make_vword(n1, WordTrace((((0,), (1,)),)))
     assert vword_eq(v, w) is True
     basis, index = n1.basis(10)
     shift = {index[x]: index[(x[0] + 1,)] for x in basis[:-1]}
@@ -94,13 +92,13 @@ def test_vword_eq_collapse_example(n1):
 
 
 def test_vword_eq_detects_domain_restriction(n1):
-    v = make_vword(n1, WordTrace((((0,), (1,)),)), 15)
-    restricted = compose(v, idempotent_vword(left_mul((1,), full_ideal(n1, 15))))
+    v = make_vword(n1, WordTrace((((0,), (1,)),)))
+    restricted = compose(v, idempotent_vword(left_mul((1,), full_ideal(n1))))
     assert vword_eq(v, restricted) is False
 
 
 def test_vword_eq_two_spellings_of_same_projection(num23):
-    P = full_ideal(num23, 25)
+    P = full_ideal(num23)
     a = idempotent_vword(left_mul(2, left_mul(3, P)))
     b = idempotent_vword(left_mul(3, left_mul(2, P)))
     assert a.trace.pairs != b.trace.pairs
@@ -151,12 +149,11 @@ def test_compose_matches_concatenated_trace(all_models, family_of):
     # concatenated trace from P: they agree in every field
     for model in all_models:
         fam = family_of(model)
-        radius = fam.params["radius"]
         for v in fam.members:
             for w in fam.members:
                 got = compose(v, w)
                 want = make_vword(
-                    model, WordTrace(v.trace.pairs + w.trace.pairs), radius)
+                    model, WordTrace(v.trace.pairs + w.trace.pairs))
                 assert got.is_zero == want.is_zero, (v.trace, w.trace)
                 if want.is_zero:
                     continue
@@ -179,7 +176,7 @@ def test_idempotent_word_matches_doubled_trace(all_models, lattice_of):
                 assert got.is_zero
                 continue
             want = make_vword(model, WordTrace(x.trace.pairs
-                                               + x.trace.star().pairs), x.radius)
+                                               + x.trace.star().pairs))
             assert not got.is_zero and not want.is_zero
             assert (got.grading, got.dom.exact, got.ran.exact, got.trace) == \
                 (want.grading, want.dom.exact, want.ran.exact, want.trace)
@@ -222,7 +219,7 @@ def test_equality_detected_pairs_satisfy_projection_criterion(all_models, family
         fam = family_of(model)
         for idx, dup_trace in fam.eq_pairs[:25]:
             v = fam.members[idx]
-            w = make_vword(model, dup_trace, v.dom.radius)
+            w = make_vword(model, dup_trace)
             prods = [compose(v, star(v)), compose(w, star(w)),
                      compose(w, star(v)), compose(v, star(w))]
             for prod in prods:
@@ -255,7 +252,7 @@ def test_enumerate_depth0_is_identity(all_models):
         assert len(fam.members) == 1
         v = fam.members[0]
         assert v.grading == model.unit
-        assert ideal_eq(v.dom, full_ideal(model, v.dom.radius)) is True
+        assert ideal_eq(v.dom, full_ideal(model)) is True
 
 
 def test_enumerate_f2_depth1(f2, family_of):
@@ -282,13 +279,11 @@ def test_classification_by_grading_and_domain(n1, family_of):
         seen.add(key)
 
 
-def _exhaustive_vwords(model, max_trace_len, gen_len=None, radius=None,
-                       eq_log_cap=200):
+def _exhaustive_vwords(model, max_trace_len, gen_len=None, eq_log_cap=200):
     """Reference walk that extends every trace, breadth first, pairs in
     order: (members, zero, by_grading, eq_pairs) as enumerate_vwords
     defines them."""
     gen_len = model.default_gen_len if gen_len is None else gen_len
-    radius = model.default_radius if radius is None else radius
     cand = model.enumerate_p(gen_len)
     pairs = [(p, q) for p in cand for q in cand]
     members, keys, eq_pairs, by_grading = [], {}, [], {}
@@ -296,7 +291,7 @@ def _exhaustive_vwords(model, max_trace_len, gen_len=None, radius=None,
 
     def visit(trace_pairs):
         nonlocal zero
-        v = make_vword(model, WordTrace(trace_pairs), radius)
+        v = make_vword(model, WordTrace(trace_pairs))
         key = v.dedup_key()
         if key == ("zero",):
             if zero is None:

@@ -207,7 +207,7 @@ def test_free_monoid_members_reuse_the_cached_enumeration(monkeypatch):
         return real(max_len)
 
     monkeypatch.setattr(model, "_generate_p", counted)
-    P = full_ideal(model, 6)
+    P = full_ideal(model)
     ideals = [P, left_mul("a", P), left_mul("ab", P), left_mul("bab", P)]
     for _ in range(3):
         for ideal in ideals:
@@ -234,9 +234,9 @@ def test_raw_elements_are_validated_at_the_boundary(n2, f2, num23):
     with pytest.raises(ModelError):
         WordTrace.make(num23, [("2", 3)])         # wrong type
     with pytest.raises(ModelError):
-        left_mul("x", full_ideal(f2, 6))
+        left_mul("x", full_ideal(f2))
     with pytest.raises(ModelError):
-        preimage((1, 0, 0), full_ideal(n2, 6))
+        preimage((1, 0, 0), full_ideal(n2))
     with pytest.raises(ModelError):
         f2.parse("abc")
     # valid raw input still goes through
