@@ -467,6 +467,11 @@ class NumericalModel(Model):
     Membership below the conductor is decided by a sieve; every integer at
     or above the conductor belongs.  Ideals are stored as a finite sporadic
     part plus a full integer tail ("num", sporadic_tuple, tail_start).
+    ``_token`` makes every token canonical: the sporadic members lie
+    strictly below the tail, and tail - 1 is never a member.  The subset,
+    cover and intersection kernels rely on it and look only at the
+    sporadic parts and the stretches between tails: a token whose tail
+    starts below another's holds that other's missing point tail - 1.
     """
 
     family = "numerical"
@@ -577,10 +582,10 @@ class NumericalModel(Model):
     def exact_intersect(self, tok, other):
         if EMPTY in (tok, other):
             return EMPTY
-        tail = max(tok[2], other[2])
-        fin = [m for m in range(tail)
-               if self.exact_contains(tok, m) and self.exact_contains(other, m)]
-        return self._token(fin, tail)
+        _, fin, tail = tok
+        top = max(tail, other[2])
+        return self._token((m for m in (*fin, *range(tail, top))
+                            if self.exact_contains(other, m)), top)
 
     def exact_contains(self, tok, a):
         if tok == EMPTY or a < 0:
@@ -593,9 +598,9 @@ class NumericalModel(Model):
             return True
         if other == EMPTY:
             return False
-        bound = max(tok[2], other[2])
-        return all(self.exact_contains(other, m)
-                   for m in range(bound) if self.exact_contains(tok, m))
+        # other's tail - 1 is not in other, so tok's tail may not start lower
+        return tok[2] >= other[2] and all(
+            self.exact_contains(other, m) for m in tok[1])
 
     def exact_union_covers(self, tok, others):
         if tok == EMPTY:
@@ -603,9 +608,11 @@ class NumericalModel(Model):
         others = [o for o in others if o != EMPTY]
         if not others:
             return False
-        bound = max([tok[2]] + [o[2] for o in others])
+        _, fin, tail = tok
+        # every point from the lowest other tail on is covered
+        low = min(o[2] for o in others)
         return all(any(self.exact_contains(o, m) for o in others)
-                   for m in range(bound) if self.exact_contains(tok, m))
+                   for m in (*fin, *range(tail, low)))
 
     def exact_members_upto(self, tok, radius):
         if tok == EMPTY:

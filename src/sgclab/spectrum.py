@@ -19,6 +19,13 @@ character has several extensions with different images, so the instance is
 reported, never guessed.  Fragment characters carry the discrete topology,
 so closure computations add only images of defined instances.
 
+``ThetaContext.table(g)`` holds theta_g as a tuple of ints, one per
+character: the image's position, or the sentinel OUTSIDE, AMBIGUOUS or
+INVALID (all below zero).  The settled bits and unsettled positions of an
+ambiguous or invalid entry live in a side map keyed ``(g, chi)``, for the
+freeness probe; ``theta_apply`` reads one instance back as a
+``ThetaResult``.  The composition law is checked on the tables directly.
+
 The boundary is computed two independent ways (closure of the maximal
 filters, and the intersection of the closures of all singletons when that
 intersection is itself invariant and non-empty) and the routes are
@@ -139,10 +146,13 @@ def principal_character(fragment: Fragment, p) -> int:
 class ThetaResult:
     status: str               # "image" | "outside" | "ambiguous" | "invalid"
     image: object = None      # character position when status == "image"
-    determined: tuple = ()    # ((pos, bit), ...) when ambiguous
+    determined: tuple = ()    # ((pos, bit), ...) when ambiguous or invalid
     ambiguous: tuple = ()     # positions that no rule settled
 
 
+# Table entries below zero: the non-image statuses.
+OUTSIDE, AMBIGUOUS, INVALID = -1, -2, -3
+_STATUS = {OUTSIDE: "outside", AMBIGUOUS: "ambiguous", INVALID: "invalid"}
 _OUTSIDE = ThetaResult("outside")
 
 
@@ -156,7 +166,12 @@ class ThetaContext:
         self.fragment = fragment
         self.family = family
         self.model = family.model
-        self._tables = {}
+        n = fragment.size()
+        self._tables = {self.model.unit: tuple(range(n))}
+        self._no_carrier = (OUTSIDE,) * n
+        self.details = {}     # (g, chi) -> (determined, ambiguous)
+        # theta_apply hands out one shared result per image position
+        self._images = tuple(ThetaResult("image", image=p) for p in range(n))
 
     def gradings(self):
         unit = self.model.unit
@@ -192,66 +207,88 @@ class ThetaContext:
         return ("bounds", ups, downs)
 
     def table(self, g):
-        """theta_g at every character, in position order.
+        """theta_g at every character, in position order, as ints.
 
-        "outside" when chi vanishes on every usable domain ideal; otherwise
-        the first usable word's pullback recipe determines the image bits
-        per fragment ideal, and any unresolved position makes the whole
-        instance ambiguous.
+        An entry is the image character's position, or a sentinel below
+        zero: OUTSIDE when chi vanishes on every usable domain ideal,
+        AMBIGUOUS when the first usable word's pullback recipes leave some
+        fragment ideal unsettled, INVALID when the image bits are not a
+        filter.  The unit's table is the identity, and a grading no word
+        carries is OUTSIDE everywhere.  Each AMBIGUOUS or INVALID entry
+        keeps its settled bits and unsettled positions in ``details``,
+        keyed ``(g, chi)``.
         """
         got = self._tables.get(g)
         if got is None:
+            if g not in self.family.by_grading:
+                return self._no_carrier
             carriers = self.carriers(g)
             recipes = {}   # carrier index -> its recipes, built on first read
-            got = tuple(self._apply(carriers, recipes, chi)
+            got = tuple(self._apply(g, carriers, recipes, chi)
                         for chi in range(self.fragment.size()))
             self._tables[g] = got
         return got
 
-    def _apply(self, carriers, recipes, chi):
+    def _apply(self, g, carriers, recipes, chi):
         frag = self.fragment
         chi_bits = frag.up_masks[chi]
         for k, (v, dom_pos) in enumerate(carriers):
-            if not frag.value(chi, dom_pos):
+            if not chi_bits >> dom_pos & 1:
                 continue
             if k not in recipes:
                 recipes[k] = tuple(self._recipe(v, pos)
                                    for pos in range(frag.size()))
             bits = 0
-            ambiguous = []
-            determined = []
+            settled = True
             for pos, recipe in enumerate(recipes[k]):
                 kind = recipe[0]
-                if kind == "empty":
-                    determined.append((pos, 0))
-                elif kind == "pos":
-                    bit = frag.value(chi, recipe[1])
-                    determined.append((pos, bit))
-                    if bit:
+                if kind == "pos":
+                    if chi_bits >> recipe[1] & 1:
                         bits |= 1 << pos
-                else:
-                    _, ups, downs = recipe
-                    if chi_bits & ups:
-                        determined.append((pos, 1))
+                elif kind == "bounds":
+                    if chi_bits & recipe[1]:
                         bits |= 1 << pos
-                    elif downs & ~chi_bits:
-                        determined.append((pos, 0))
-                    else:
-                        ambiguous.append(pos)
-            if ambiguous:
-                return ThetaResult("ambiguous", determined=tuple(determined),
-                                   ambiguous=tuple(ambiguous))
-            if not frag.is_filter(bits):
-                return ThetaResult("invalid", determined=tuple(determined))
-            return ThetaResult("image", image=frag.pos_of_up[bits])
-        return _OUTSIDE
+                    elif not recipe[2] & ~chi_bits:
+                        settled = False
+            if settled and frag.is_filter(bits):
+                return frag.pos_of_up[bits]
+            self.details[g, chi] = _detail(recipes[k], chi_bits)
+            return INVALID if settled else AMBIGUOUS
+        return OUTSIDE
+
+
+def _detail(recipes, chi_bits):
+    """The bits the recipes settle at chi, ``((pos, bit), ...)``, and the
+    positions they leave open."""
+    determined = []
+    ambiguous = []
+    for pos, recipe in enumerate(recipes):
+        kind = recipe[0]
+        if kind == "empty":
+            determined.append((pos, 0))
+        elif kind == "pos":
+            determined.append((pos, chi_bits >> recipe[1] & 1))
+        elif chi_bits & recipe[1]:
+            determined.append((pos, 1))
+        elif recipe[2] & ~chi_bits:
+            determined.append((pos, 0))
+        else:
+            ambiguous.append(pos)
+    return tuple(determined), tuple(ambiguous)
 
 
 def theta_apply(ctx: ThetaContext, g, chi: int) -> ThetaResult:
-    """Carry chi along the grading-g dynamics (see ``ThetaContext.table``)."""
-    if g == ctx.model.unit:
-        return ThetaResult("image", image=chi)
-    return ctx.table(g)[chi]
+    """Carry chi along the grading-g dynamics: the entry of
+    ``ThetaContext.table`` as a result, with its details when not an
+    image."""
+    entry = ctx.table(g)[chi]
+    if entry >= 0:
+        return ctx._images[entry]
+    if entry == OUTSIDE:
+        return _OUTSIDE
+    determined, ambiguous = ctx.details[g, chi]
+    return ThetaResult(_STATUS[entry], determined=determined,
+                       ambiguous=ambiguous)
 
 
 @dataclass(frozen=True)

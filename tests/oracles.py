@@ -5,11 +5,17 @@ evaluated by raw set comprehensions over a widened truncation, word actions
 by stepping through the factors pointwise, filters by a full subset scan,
 matrix rank by Fraction Gaussian elimination, and a rational combination
 of words by summing their basis-scan columns entrywise (the package itself
-never realizes a combination as one matrix).  Expected values frozen into
+never realizes a combination as one matrix).  Numerical-token subset,
+cover and intersection scan every point below the largest tail; the
+composition law of the partial action is checked one ``theta_apply``
+instance at a time.  Expected values frozen into
 tests were produced by these functions.
 """
 
 from fractions import Fraction
+
+from sgclab.models import EMPTY
+from sgclab.spectrum import theta_apply
 
 
 def brute_trace_members(model, pairs, radius):
@@ -175,3 +181,67 @@ def graded_sum(terms, n):
         if acc:
             cols[j] = acc
     return cols, n - reach
+
+
+def scan_subset(model, tok, other):
+    """Numerical-token inclusion by testing every member of ``tok`` below
+    the larger tail."""
+    if tok == EMPTY:
+        return True
+    if other == EMPTY:
+        return False
+    bound = max(tok[2], other[2])
+    return all(model.exact_contains(other, m)
+               for m in range(bound) if model.exact_contains(tok, m))
+
+
+def scan_union_covers(model, tok, others):
+    """Numerical-token cover by testing every member of ``tok`` below the
+    largest tail against each of ``others``."""
+    if tok == EMPTY:
+        return True
+    others = [o for o in others if o != EMPTY]
+    if not others:
+        return False
+    bound = max([tok[2]] + [o[2] for o in others])
+    return all(any(model.exact_contains(o, m) for o in others)
+               for m in range(bound) if model.exact_contains(tok, m))
+
+
+def scan_intersect(model, tok, other):
+    """Numerical-token intersection from the common members of every point
+    below the larger tail."""
+    if EMPTY in (tok, other):
+        return EMPTY
+    tail = max(tok[2], other[2])
+    fin = [m for m in range(tail)
+           if model.exact_contains(tok, m) and model.exact_contains(other, m)]
+    return model._token(fin, tail)
+
+
+def theta_law_counts(ctx):
+    """The composition law theta_g1(theta_g2(chi)) == theta_g1g2(chi), one
+    ``theta_apply`` instance at a time over every pair of gradings and
+    every character: ``(checked, failures, skipped_at_fragment_edge)``.  A
+    triple is skipped when theta_g2(chi) is ambiguous, or is an image but
+    one side of the law is not."""
+    model = ctx.model
+    checked = ambiguous = failures = 0
+    gradings = ctx.gradings()
+    for g2 in gradings:
+        for g1 in gradings:
+            g12 = model.mul(g1, g2)
+            for chi in range(ctx.fragment.size()):
+                r2 = theta_apply(ctx, g2, chi)
+                if r2.status != "image":
+                    ambiguous += r2.status == "ambiguous"
+                    continue
+                r1 = theta_apply(ctx, g1, r2.image)
+                r12 = theta_apply(ctx, g12, chi)
+                if r1.status == "image" and r12.status == "image":
+                    checked += 1
+                    if r1.image != r12.image:
+                        failures += 1
+                else:
+                    ambiguous += 1
+    return checked, failures, ambiguous

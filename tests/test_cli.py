@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from sgclab import cli
+from sgclab import cli, spectrum
 from sgclab.cli import (ANALYSES, ConfigError, RunConfig, explain, main,
                         report_to_json, run, stable_body)
 from sgclab.models import FreeMonoidModel
@@ -124,6 +124,31 @@ def test_run_validates_once_per_input(monkeypatch):
     assert 0 < len(calls) < 1000
 
 
+def test_run_reaches_the_traced_theta_and_filter_calls(monkeypatch):
+    # the benchmark tracer wraps theta_apply and Fragment.is_filter, reads
+    # each theta result's status, and fails on a traced name no workload
+    # calls: the law check reads tables, the boundary and freeness paths
+    # must still go through both
+    results, filters = [], []
+    apply, is_filter = spectrum.theta_apply, spectrum.Fragment.is_filter
+
+    def counted_apply(ctx, g, chi):
+        results.append(apply(ctx, g, chi))
+        return results[-1]
+
+    def counted_filter(self, bits):
+        filters.append(bits)
+        return is_filter(self, bits)
+    monkeypatch.setattr(spectrum, "theta_apply", counted_apply)
+    monkeypatch.setattr(spectrum.Fragment, "is_filter", counted_filter)
+    doc = {"model": {"family": "numerical", "generators": [3, 5, 7]},
+           "caps": {"trace_depth": 2}, "seed": 0}
+    run(RunConfig.from_dict(doc))
+    assert results and filters
+    assert {r.status for r in results} <= {"image", "outside", "ambiguous",
+                                           "invalid"}
+
+
 def test_reports_are_deterministic():
     cfg = RunConfig.from_dict(small_config(analyses=list(ANALYSES)))
     r1, _ = run(cfg)
@@ -168,13 +193,17 @@ GOLDEN_STABLE_BODIES = (
      "cfd5c3804bd944d918aa7329e8506d58346a41e3dc5431e998b9d2af45490e6a"),
     (_depth({"family": "numerical", "generators": [2, 3]}, 3),
      "8f33b2e31da0cb9b4e9dedd871fb3b8d23082bcdf7f5f23d1eecfd703d7c7e70"),
+    # the deepest numerical config: theta pulls back ideals at depth 3
+    (_depth({"family": "numerical", "generators": [3, 5]}, 3),
+     "eb30effbc2c05c5242018cf7d7b515e8b40ad8caba531afcde4c717cb3fa81df"),
 )
 
 
 @pytest.mark.parametrize(
     "config,digest", GOLDEN_STABLE_BODIES,
     ids=["N^1", "F2+", "<2,3>", "<3,5,7>", "F3+", "N^2", "F2+ depth 6",
-         "N^1 depth 3", "N^2 depth 3", "F2+ depth 3", "<2,3> depth 3"])
+         "N^1 depth 3", "N^2 depth 3", "F2+ depth 3", "<2,3> depth 3",
+         "<3,5> depth 3"])
 def test_stable_body_matches_golden_hash(config, digest):
     doc = dict(config, seed=0)
     report, _ = run(RunConfig.from_dict(doc))

@@ -1,9 +1,12 @@
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgclab.ideals import WordTrace, full_ideal, left_mul, preimage
+from oracles import scan_intersect, scan_subset, scan_union_covers
+from sgclab.ideals import (WordTrace, enumerate_ideals, full_ideal, left_mul,
+                           preimage)
 from sgclab.models import (EMPTY, FreeAbelianModel, FreeMonoidModel, ModelError,
                            NumericalModel, build_model)
 
@@ -241,3 +244,58 @@ def test_raw_elements_are_validated_at_the_boundary(n2, f2, num23):
         f2.parse("abc")
     # valid raw input still goes through
     assert WordTrace.make(f2, [("a", "ab")]).pairs == (("a", "ab"),)
+
+
+# ---------------------------------------------------------------------------
+# numerical token kernels against the range-scan oracles
+
+@functools.lru_cache(maxsize=None)
+def _lattice_tokens(gens):
+    model = NumericalModel(gens)
+    toks = {ideal.exact for ideal in enumerate_ideals(model, 2).ideals}
+    return model, sorted(toks | {EMPTY, model.exact_full()})
+
+
+@pytest.mark.parametrize("gens", [[2, 3], [3, 5], [3, 5, 7]],
+                         ids=["<2,3>", "<3,5>", "<3,5,7>"])
+def test_numerical_kernels_match_scans_on_depth2_lattice(gens):
+    model, toks = _lattice_tokens(tuple(gens))
+    for tok in toks:
+        for other in toks:
+            assert model.exact_subset(tok, other) == scan_subset(
+                model, tok, other), (tok, other)
+            assert model.exact_intersect(tok, other) == scan_intersect(
+                model, tok, other), (tok, other)
+    # every subset of up to 3 others on <2,3>; up to 2 on the larger
+    # lattices, whose 3-subsets would take the scan about 20 s
+    for k in range(4 if len(toks) < 20 else 3):
+        for others in itertools.combinations(toks, k):
+            for tok in toks:
+                assert model.exact_union_covers(tok, others) == \
+                    scan_union_covers(model, tok, others), (tok, others)
+
+
+_NUM357 = NumericalModel([3, 5, 7])
+_canonical = st.one_of(
+    st.just(EMPTY),
+    st.builds(_NUM357._token, st.sets(st.integers(0, 24), max_size=12),
+              st.integers(0, 26)))
+
+
+@given(_canonical, _canonical, st.lists(_canonical, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_numerical_kernels_match_scans_on_canonical_tokens(tok, other, others):
+    m = _NUM357
+    assert m.exact_subset(tok, other) == scan_subset(m, tok, other)
+    assert m.exact_intersect(tok, other) == scan_intersect(m, tok, other)
+    assert m.exact_union_covers(tok, others) == scan_union_covers(m, tok, others)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_numerical_cover_matches_scan_on_lattice_triples(data):
+    model, toks = _lattice_tokens((3, 5, 7))
+    tok = data.draw(st.sampled_from(toks))
+    others = data.draw(st.lists(st.sampled_from(toks), min_size=3, max_size=3))
+    assert model.exact_union_covers(tok, others) == scan_union_covers(
+        model, tok, others)

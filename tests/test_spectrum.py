@@ -1,6 +1,7 @@
 import pytest
 
-from oracles import brute_filters, brute_trace_members
+from oracles import brute_filters, brute_trace_members, theta_law_counts
+from sgclab import cli
 from sgclab.ideals import WordTrace, enumerate_ideals, from_trace
 from sgclab.invsgp import enumerate_vwords
 from sgclab.models import ModelError, build_model
@@ -259,6 +260,54 @@ def test_recipe_pullback_matches_trace_evaluation(all_models):
                                     if z.subset_of(frag.ideal_at(w)))
                         assert recipe == ("bounds", ups, downs)
         assert checked, model.name
+
+
+def _law_counts(model, lattice, family):
+    """The composition-law counts of the spectrum analysis, and its
+    context."""
+    store = {"lattice": lattice, "family": family}
+    out, _ = cli._an_spectrum(model, None, None, store)
+    law = out["composition_law"]
+    return ((law["checked"], law["failures"], law["skipped_at_fragment_edge"]),
+            store["theta"])
+
+
+def test_table_law_counts_match_per_instance_oracle(all_models, lattice_of,
+                                                    family_of):
+    num357 = build_model({"family": "numerical", "generators": [3, 5, 7]})
+    cases = [(m, lattice_of(m, depth=2), family_of(m, depth=2))
+             for m in all_models]
+    cases.append((num357, enumerate_ideals(num357, 2),
+                  enumerate_vwords(num357, 2)))
+    for model, lat, fam in cases:
+        counts, ctx = _law_counts(model, lat, fam)
+        assert counts == theta_law_counts(ctx), model.name
+        assert counts[0] > 0
+    assert counts == (8289, 0, 14979)
+
+
+def test_planted_table_entry_fails_both_law_checks(monkeypatch, num23,
+                                                   lattice_of, family_of):
+    lat, fam = lattice_of(num23, depth=2), family_of(num23, depth=2)
+    ctx = ThetaContext(Fragment.from_lattice(lat), fam)
+    # an image of g1 that some checked triple reads, moved to another image
+    g1, a = next((g1, a) for g2 in ctx.gradings() for g1 in ctx.gradings()
+                 for a, c in zip(ctx.table(g2), ctx.table(num23.mul(g1, g2)))
+                 if a >= 0 and c >= 0 and ctx.table(g1)[a] >= 0)
+    wrong = next(x for x in range(ctx.fragment.size())
+                 if x != ctx.table(g1)[a])
+    table = ThetaContext.table
+
+    def planted(self, g):
+        got = table(self, g)
+        if g == g1:
+            got = got[:a] + (wrong,) + got[a + 1:]
+        return got
+
+    monkeypatch.setattr(ThetaContext, "table", planted)
+    counts, ctx = _law_counts(num23, lat, fam)
+    assert counts[1] > 0
+    assert counts == theta_law_counts(ctx)
 
 
 # ---------------------------------------------------------------------------
