@@ -14,7 +14,7 @@ from .invsgp import (VWord, make_vword, compose, star, vword_eq,
 from .spectrum import (Fragment, ThetaContext, enumerate_characters,
                        principal_character, theta_apply, invariant_closure,
                        boundary, topological_freeness_probe)
-from .fock import (TruncOp, rep_vword, projection_op, identity_op,
+from .fock import (TruncOp, rep_vword, projection_op,
                    check_projection_identity, cond_expectation, build_frame,
                    sc_norm, sc_limit_probe, default_f_chain)
 

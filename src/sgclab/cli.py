@@ -141,7 +141,7 @@ def _caps_for(model, caps):
 
 def _an_ideals(model, caps, rng, store):
     lat = enumerate_ideals(model, caps["trace_depth"], caps["gen_len"],
-                           caps["radius"], caps["max_ideals"], close=True)
+                           caps["radius"], caps["max_ideals"])
     store["lattice"] = lat
     return {
         "op": "ideals.enumerate_ideals",

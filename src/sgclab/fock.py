@@ -83,11 +83,6 @@ def zero_op(model, n) -> TruncOp:
     return TruncOp(model, n, basis, index, {}, n, 0)
 
 
-def identity_op(model, n) -> TruncOp:
-    basis, index = model.basis(n)
-    return TruncOp(model, n, basis, index, {j: j for j in range(len(basis))}, n, 0)
-
-
 def projection_op(ideal, n) -> TruncOp:
     """Diagonal 0/1 mask of an ideal's members on the basis."""
     model = ideal.model

@@ -173,12 +173,15 @@ def ideal_eq(x: ConstructibleIdeal, y: ConstructibleIdeal) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class IdealLattice:
-    """Deduplicated ideal family with containment data.
+    """Deduplicated, intersection-closed ideal family with containment data.
 
     ``ideals[0]`` is the full ideal; the canonical empty ideal is always
     present.  ``depths[i]`` is the trace length at which ideal i first
     appeared (intersection-closure additions inherit the max of their
-    operands).  ``subset[i][j]`` holds iff ideal i is contained in ideal j.
+    operands).  ``intersect_table[(i, j)]`` is the index of ideal i n ideal
+    j, and the order is read off it: i is contained in j iff their meet is
+    i.  ``up[i]`` holds that order as a bitmask, bit j set iff ideal i is
+    contained in ideal j.
     """
 
     model: object
@@ -186,7 +189,7 @@ class IdealLattice:
     depths: tuple
     radius: int
     empty_index: int
-    subset: tuple
+    up: tuple
     hasse: tuple
     intersect_table: dict
     params: dict = field(default_factory=dict)
@@ -212,48 +215,27 @@ class IdealLattice:
         }
 
 
-def _subset_matrix(ideals, empty_index):
-    n = len(ideals)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(True)
-            elif i == empty_index:
-                row.append(True)
-            elif j == empty_index:
-                row.append(False)
-            else:
-                row.append(ideals[i].subset_of(ideals[j]))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _hasse(subset, empty_index):
-    n = len(subset)
+def _hasse(up):
+    """Covering pairs (i, j), ascending: the covers of i are the ideals
+    strictly above i minus those strictly above one of them."""
+    n = len(up)
+    strict = [m & ~(1 << i) for i, m in enumerate(up)]
     edges = []
     for i in range(n):
-        for j in range(n):
-            if i == j or not subset[i][j] or subset[j][i]:
-                continue
-            direct = True
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                if subset[i][k] and subset[k][j] and not subset[k][i] and not subset[j][k]:
-                    direct = False
-                    break
-            if direct:
-                edges.append((i, j))
+        covers = strict[i]
+        for k in range(n):
+            if strict[i] >> k & 1:
+                covers &= ~strict[k]
+        edges.extend((i, j) for j in range(n) if covers >> j & 1)
     return tuple(edges)
 
 
 def enumerate_ideals(model, max_trace_len, gen_len=None, radius=None,
-                     cap=10000, close=True) -> IdealLattice:
+                     cap=10000) -> IdealLattice:
     """Breadth-first enumeration of ideals reachable by traces of at most
     ``max_trace_len`` pairs over submonoid elements of length <= gen_len,
-    deduplicated, optionally intersection-closed, with containment data."""
+    deduplicated and closed under intersection, with containment read off
+    the intersection table."""
     if gen_len is None:
         gen_len = model.default_gen_len
     if radius is None:
@@ -292,38 +274,37 @@ def enumerate_ideals(model, max_trace_len, gen_len=None, radius=None,
             break
 
     table = {}
-    if close:
-        changed = True
-        while changed:
-            changed = False
-            snapshot = list(enumerate(ideals))
-            for i, x in snapshot:
-                for j, y in snapshot:
-                    if j < i or (i, j) in table:
-                        continue
-                    z = intersect(x, y)
-                    depth = max(depths[i], depths[j])
-                    before = len(ideals)
-                    k = add(z, depth)
-                    table[(i, j)] = k
-                    table[(j, i)] = k
-                    if k == before:
-                        changed = True
-    for i in range(len(ideals)):
-        table.setdefault((i, i), i)
+    changed = True
+    while changed:
+        changed = False
+        snapshot = list(enumerate(ideals))
+        for i, x in snapshot:
+            for j, y in snapshot:
+                if j < i or (i, j) in table:
+                    continue
+                z = intersect(x, y)
+                depth = max(depths[i], depths[j])
+                before = len(ideals)
+                k = add(z, depth)
+                table[(i, j)] = k
+                table[(j, i)] = k
+                if k == before:
+                    changed = True
 
-    subset = _subset_matrix(ideals, 1)
+    n = len(ideals)
+    up = tuple(sum(1 << j for j in range(n) if table[(i, j)] == i)
+               for i in range(n))
     return IdealLattice(
         model=model,
         ideals=tuple(ideals),
         depths=tuple(depths),
         radius=radius,
         empty_index=1,
-        subset=subset,
-        hasse=_hasse(subset, 1),
+        up=up,
+        hasse=_hasse(up),
         intersect_table=table,
         params={"max_trace_len": max_trace_len, "gen_len": gen_len,
-                "radius": radius, "cap": cap, "closed": close},
+                "radius": radius, "cap": cap, "closed": True},
     )
 
 
@@ -346,7 +327,7 @@ def independence_test(lattice: IdealLattice) -> IndependenceResult:
     for i in lattice.nonempty_indices():
         x = lattice.ideals[i]
         proper = [j for j in lattice.nonempty_indices()
-                  if j != i and lattice.subset[j][i] and not lattice.subset[i][j]]
+                  if j != i and lattice.up[j] >> i & 1]
         if not proper:
             continue
         toks = [lattice.ideals[j].exact for j in proper]

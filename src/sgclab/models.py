@@ -184,7 +184,6 @@ class FreeAbelianModel(Model):
         self.rank = rank
         self.name = f"N^{rank}"
         self.default_trunc = 30 if rank == 1 else 12
-        self._vec_cache = {}
 
     @property
     def unit(self):
@@ -217,38 +216,22 @@ class FreeAbelianModel(Model):
     def length(self, a):
         return sum(abs(x) for x in a)
 
-    def _vectors_upto(self, total):
-        got = self._vec_cache.get(total)
-        if got is None:
-            vecs = []
-            for t in range(total + 1):
-                vecs.extend(self._vectors_of_sum(t))
-            got = tuple(vecs)
-            self._vec_cache[total] = got
-        return got
-
-    def _vectors_of_sum(self, t):
-        if self.rank == 1:
-            return [(t,)]
-        out = []
-        for cuts in itertools.combinations(range(t + self.rank - 1), self.rank - 1):
-            prev, vec = -1, []
-            for c in cuts:
-                vec.append(c - prev - 1)
-                prev = c
-            vec.append(t + self.rank - 2 - prev)
-            out.append(tuple(vec))
-        return sorted(out)
-
     def _generate_p(self, max_len):
-        return self._vectors_upto(max_len)
+        """Stars and bars: the vectors of sum t are the rank - 1 cuts
+        among t + rank - 1 slots."""
+        k = self.rank
+        for t in range(max_len + 1):
+            for cuts in itertools.combinations(range(t + k - 1), k - 1):
+                ends = (-1,) + cuts + (t + k - 1,)
+                yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
 
     def meets_p(self, g):
         return True
 
     def parse(self, obj):
-        if isinstance(obj, (list, tuple)):
-            return self.validate(tuple(int(x) for x in obj))
+        if isinstance(obj, (list, tuple)) and all(
+                isinstance(x, int) and not isinstance(x, bool) for x in obj):
+            return self.validate(tuple(obj))
         raise ModelError(f"cannot parse {obj!r} as a vector")
 
     def render(self, a):
@@ -301,7 +284,7 @@ class FreeAbelianModel(Model):
         room = radius - self.length(corner)
         if room < 0:
             return []
-        return [self.mul(corner, v) for v in self._vectors_upto(room)]
+        return [self.mul(corner, v) for v in self.enumerate_p(room)]
 
 
 class FreeMonoidModel(Model):

@@ -49,7 +49,7 @@ from .models import EMPTY, ModelError
 
 
 class FragmentError(ValueError):
-    """Fragment is not intersection-closed or misses required data."""
+    """A membership pattern is not a filter of the fragment."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,39 +59,24 @@ class Fragment:
     lattice: object
     positions: tuple          # lattice indices, bit position -> lattice index
     up_masks: tuple           # per position: bitmask of superset positions
-    meet: tuple               # per (i, j) flattened: position of meet, or -1 for empty
     depths: tuple             # per position: discovery depth
     pos_of_token: dict        # ideal token -> position
     pos_of_up: dict           # up mask -> position: the filters
 
     @staticmethod
     def from_lattice(lattice) -> "Fragment":
-        if not lattice.params.get("closed", False):
-            raise FragmentError("fragment requires an intersection-closed lattice")
+        """The lattice's up masks with the empty ideal's bit dropped."""
         positions = lattice.nonempty_indices()
-        pos_of = {li: b for b, li in enumerate(positions)}
-        up_masks = []
-        for b, li in enumerate(positions):
-            mask = 0
-            for c, lj in enumerate(positions):
-                if lattice.subset[li][lj]:
-                    mask |= 1 << c
-            up_masks.append(mask)
-        meet = []
-        for li in positions:
-            for lj in positions:
-                k = lattice.intersect_table.get((li, lj))
-                if k is None:
-                    raise FragmentError("lattice intersection table incomplete")
-                meet.append(pos_of.get(k, -1))
+        e = lattice.empty_index
+        low = (1 << e) - 1
+        up_masks = tuple((m & low) | (m >> (e + 1) << e)
+                         for m in map(lattice.up.__getitem__, positions))
         depths = tuple(lattice.depths[li] for li in positions)
         pos_of_token = {lattice.ideals[li].exact: b
                         for b, li in enumerate(positions)}
         pos_of_up = {mask: b for b, mask in enumerate(up_masks)}
-        if len(pos_of_up) != len(positions):
-            raise FragmentError("two fragment ideals contain each other")
-        return Fragment(lattice, positions, tuple(up_masks),
-                        tuple(meet), depths, pos_of_token, pos_of_up)
+        return Fragment(lattice, positions, up_masks, depths, pos_of_token,
+                        pos_of_up)
 
     def size(self):
         return len(self.positions)
@@ -100,7 +85,10 @@ class Fragment:
         return self.lattice.ideals[self.positions[pos]]
 
     def meet_pos(self, i, j):
-        return self.meet[i * len(self.positions) + j]
+        """Position of the meet of positions i and j, -1 if it is empty."""
+        lat = self.lattice
+        k = lat.intersect_table[(self.positions[i], self.positions[j])]
+        return self.pos_of_token.get(lat.ideals[k].exact, -1)
 
     def position_of_ideal(self, ideal):
         return self.pos_of_token.get(ideal.exact)

@@ -49,12 +49,12 @@ def params_for(model):
 def lattice_of():
     cache = {}
 
-    def get(model, depth=None, gen_len=None, radius=None, close=True):
+    def get(model, depth=None, gen_len=None, radius=None):
         d0, g0, r0, _ = params_for(model)
-        key = (model.name, depth or d0, gen_len or g0, radius or r0, close)
+        key = (model.name, depth or d0, gen_len or g0, radius or r0)
         if key not in cache:
             cache[key] = enumerate_ideals(model, depth or d0, gen_len or g0,
-                                          radius or r0, close=close)
+                                          radius or r0)
         return cache[key]
 
     return get

@@ -107,6 +107,20 @@ def test_run_reports_foreign_freeness_grading_as_error():
     assert "error" not in report["results"]["boundary"]
 
 
+@pytest.mark.parametrize("grading", [[0.5, 1], [True, 0], ["3", 1]],
+                         ids=["float", "bool", "str"])
+def test_run_reports_non_int_vector_grading_as_error(grading):
+    # once coerced to [0, 1] and tested as that grading
+    doc = {"model": {"family": "free_abelian", "rank": 2},
+           "analyses": ["freeness"], "caps": {"trace_depth": 2},
+           "freeness_g": [grading], "seed": 0}
+    report, code = run(RunConfig.from_dict(doc))
+    res = report["results"]["freeness"]
+    assert res["error"].startswith("ModelError: cannot parse")
+    assert "verdicts" not in res
+    assert res["tier"] == "inconclusive" and code == 2
+
+
 def test_run_validates_once_per_input(monkeypatch):
     # elements are validated where they come in, not inside arithmetic;
     # a check inside mul/in_p would run ~300k times on this config

@@ -14,7 +14,7 @@ from sgclab.fock import (BandExhausted, GradingMismatch, CovarianceFrame, TruncO
                          build_frame, check_projection_identity,
                          compressed_matrix, cond_expectation, default_f_chain,
                          diagonal_part, equal_on_band,
-                         generator_covariance_terms, identity_op,
+                         generator_covariance_terms,
                          mul_op, projection_op, rep_vword, sc_norm,
                          sc_limit_probe, word_reach, zero_op)
 from sgclab.ideals import (ConstructibleIdeal, WordTrace, from_trace,
@@ -82,11 +82,17 @@ def test_operator_norm_against_float_power_iteration():
 # word matrices
 
 def test_rep_identity(all_models):
+    # the empty-trace word is the identity: it fixes every basis point and
+    # is a unit for the product of word matrices
     for model in all_models:
         n = 5
-        v = make_vword(model, WordTrace(()))
-        op = rep_vword(v, n)
-        assert equal_on_band(op, identity_op(model, n), n)
+        unit = rep_vword(make_vword(model, WordTrace(())), n)
+        assert unit.cols == {j: j for j in range(len(unit.basis))}
+        assert equal_on_band(unit, projection_op(full_ideal(model), n), n)
+        g = model.generators[0]
+        shift = rep_vword(make_vword(model, WordTrace(((model.unit, g),))), n)
+        assert equal_on_band(mul_op(unit, shift), shift, n)
+        assert equal_on_band(mul_op(shift, unit), shift, n)
 
 
 def test_member_driven_columns_match_basis_scan(all_models, family_of):

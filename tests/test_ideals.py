@@ -8,7 +8,7 @@ from sgclab.ideals import (CapExceeded, WordTrace, empty_ideal,
                            enumerate_ideals, from_trace, full_ideal, ideal_eq,
                            independence_rank_oracle, independence_test,
                            intersect, left_mul, ore_test, preimage)
-from sgclab.models import EMPTY
+from sgclab.models import EMPTY, build_model
 
 
 def traces_upto(model, depth, gen_len):
@@ -247,7 +247,7 @@ def test_enumerate_matches_exhaustive_trace_oracle(n1, f2, num23):
     # every ideal reachable by a raw trace of the same caps appears
     for model, depth, gen_len, radius in ((n1, 2, 1, 12), (f2, 2, 1, 6),
                                           (num23, 2, 3, 20)):
-        lat = enumerate_ideals(model, depth, gen_len, radius, close=False)
+        lat = enumerate_ideals(model, depth, gen_len, radius)
         keys = {x.exact for x in lat.ideals}
         for pairs in traces_upto(model, depth, gen_len):
             ideal = from_trace(model, WordTrace(pairs))
@@ -261,15 +261,46 @@ def test_enumeration_cap(n1):
         enumerate_ideals(n1, 3, 1, 30, cap=3)
 
 
+def _containment(lat):
+    """Containment of every ordered pair, decided on the tokens."""
+    return [[x.subset_of(y) for y in lat.ideals] for x in lat.ideals]
+
+
 def test_hasse_is_reduced_and_sound(num23, lattice_of):
     lat = lattice_of(num23, depth=2)
-    for i, j in lat.hasse:
-        assert lat.subset[i][j] and not lat.subset[j][i]
-        for k in range(len(lat.ideals)):
-            if k in (i, j):
-                continue
-            assert not (lat.subset[i][k] and lat.subset[k][j]
-                        and not lat.subset[k][i] and not lat.subset[j][k])
+    sub = _containment(lat)
+    n = len(lat.ideals)
+    strict = [[sub[i][j] and not sub[j][i] for j in range(n)] for i in range(n)]
+    covers = {(i, j) for i in range(n) for j in range(n) if strict[i][j]
+              and not any(strict[i][k] and strict[k][j] for k in range(n))}
+    assert set(lat.hasse) == covers
+    assert list(lat.hasse) == sorted(lat.hasse)
+
+
+def test_up_masks_match_token_containment(all_models, lattice_of):
+    num357 = build_model({"family": "numerical", "generators": [3, 5, 7]})
+    lattices = [lattice_of(m, depth=d) for m in all_models for d in (2, 3)]
+    lattices.append(enumerate_ideals(num357, 2))
+    for lat in lattices:
+        sub = _containment(lat)
+        for i, mask in enumerate(lat.up):
+            assert [bool(mask >> j & 1) for j in range(len(lat.ideals))] == sub[i]
+
+
+def test_enumeration_reads_containment_off_the_table(monkeypatch):
+    calls = []
+    for model in (build_model({"family": "free_abelian", "rank": 2}),
+                  build_model({"family": "free_monoid", "rank": 2}),
+                  build_model({"family": "numerical", "generators": [3, 5]})):
+        real = model.exact_subset
+
+        def counted(tok, other, real=real):
+            calls.append((tok, other))
+            return real(tok, other)
+
+        monkeypatch.setattr(model, "exact_subset", counted)
+        enumerate_ideals(model, 2)
+    assert calls == []
 
 
 def test_lattice_export_shape(n2, lattice_of):

@@ -221,6 +221,37 @@ def test_free_monoid_members_reuse_the_cached_enumeration(monkeypatch):
     assert rooms and len(rooms) == len(set(rooms))
 
 
+def test_free_abelian_members_reuse_the_cached_enumeration(monkeypatch):
+    model = build_model({"family": "free_abelian", "rank": 2})
+    rooms = []
+    real = model._generate_p
+
+    def counted(max_len):
+        rooms.append(max_len)
+        return real(max_len)
+
+    monkeypatch.setattr(model, "_generate_p", counted)
+    P = full_ideal(model)
+    ideals = [P, left_mul((1, 0), P), left_mul((0, 2), P), left_mul((3, 1), P)]
+    got = [[ideal.members_upto(n) for n in range(9)]
+           for _ in range(3) for ideal in ideals]
+    # members are read off enumerate_p, each room generated once
+    assert rooms and len(rooms) == len(set(rooms))
+    for members, ideal in zip(got, ideals * 3):
+        c = ideal.exact[1]
+        assert members == [[x for x in model.enumerate_p(n)
+                            if all(a >= b for a, b in zip(x, c))]
+                           for n in range(9)]
+
+
+@pytest.mark.parametrize("raw", [[0.5, 1], [True, 0], ["3", 1], [1.0, 0]],
+                         ids=["float", "bool", "str", "integral-float"])
+def test_free_abelian_parse_refuses_non_int_entries(n2, raw):
+    # vector entries are ints as given: no coercion, no bool
+    with pytest.raises(ModelError):
+        n2.parse(raw)
+
+
 def test_parse_render_roundtrip(all_models):
     for model in all_models:
         for x in model.enumerate_p(3):

@@ -5,7 +5,7 @@ from sgclab import cli
 from sgclab.ideals import WordTrace, enumerate_ideals, from_trace
 from sgclab.invsgp import enumerate_vwords
 from sgclab.models import ModelError, build_model
-from sgclab.spectrum import (Fragment, FragmentError, ThetaContext,
+from sgclab.spectrum import (Fragment, ThetaContext,
                              boundary, enumerate_characters, invariant_closure,
                              principal_character, theta_apply,
                              topological_freeness_probe)
@@ -102,12 +102,6 @@ def test_principal_characters_are_enumerated(all_models):
         chars = set(enumerate_characters(frag))
         for p in model.enumerate_p(2):
             assert principal_character(frag, p) in chars
-
-
-def test_fragment_requires_closure(n1):
-    lat = enumerate_ideals(n1, 2, 1, 30, close=False)
-    with pytest.raises(FragmentError):
-        Fragment.from_lattice(lat)
 
 
 # ---------------------------------------------------------------------------
