@@ -284,10 +284,9 @@ def _an_boundary(model, caps, rng, store):
 def _an_freeness(model, caps, rng, store):
     ctx = store["theta"]
     bd = store["boundary"]
-    if store.get("freeness_g") is not None:
-        g_list = [model.parse(g) for g in store["freeness_g"]]
-    else:
-        g_list = [g for g in ctx.gradings()]
+    g_list = store["freeness_g"]
+    if g_list is None:
+        g_list = list(ctx.gradings())
     verdicts = spectrum.topological_freeness_probe(ctx, bd.chars, g_list)
     rendered = [verdicts[g].to_json(model) for g in g_list]
     any_inconclusive = any(v.status == "inconclusive" for v in verdicts.values())
@@ -302,24 +301,30 @@ def _an_fock(model, caps, rng, store):
     n = caps["trunc"]
     lat = store["lattice"]
     fam = store["family"]
-    pairs_checked = 0
-    proj_ok = True
-    for i in lat.nonempty_indices():
-        for j in lat.nonempty_indices():
-            if not fock.check_projection_identity(lat.ideals[i], lat.ideals[j], n):
-                proj_ok = False
-            pairs_checked += 1
+    # the check keeps its masks local, so they are freed before any word
+    # matrix is built
+    pairs_checked, proj_ok = fock.check_projection_identity(lat, n)
+    ops = {}
+
+    def word_op(v):
+        """One matrix per family word, built when first read: a word whose
+        reach exceeds the truncation raises at the same read as ever."""
+        key = v.dedup_key()
+        if key not in ops:
+            ops[key] = fock.rep_vword(v, n)
+        return ops[key]
+
     mult_ok = True
     for _ in range(caps["samples"]):
         v, w = rng.choice(fam.members), rng.choice(fam.members)
-        lhs = fock.mul_op(fock.rep_vword(v, n), fock.rep_vword(w, n))
+        lhs = fock.mul_op(word_op(v), word_op(w))
         rhs = fock.rep_vword(invsgp.compose(v, w), n)
         if lhs.band >= 0 and not fock.equal_on_band(lhs, rhs):
             mult_ok = False
     exp_ok = True
     for v in fam.members:
         try:
-            fock.cond_expectation([(1, v)], n)
+            fock.cond_expectation([(1, v, word_op(v))])
         except fock.GradingMismatch:
             exp_ok = False
     tier = "exact" if (proj_ok and mult_ok and exp_ok) else "inconclusive"
@@ -365,12 +370,13 @@ def run(config: RunConfig):
 
     Returns (report_dict, exit_code).  Analyses run sequentially, in one
     process, so reports are deterministic; per-analysis errors are reported
-    without aborting the rest of the run.
+    without aborting the rest of the run.  The ``freeness_g`` elements are
+    parsed first, so a malformed one raises ModelError before any analysis.
     """
     model = build_model(config.model_config)
     caps = _caps_for(model, config.caps)
-    store = {}
-    store["freeness_g"] = config.freeness_g
+    store = {"freeness_g": None if config.freeness_g is None
+             else [model.parse(g) for g in config.freeness_g]}
     results = {}
     timings = {}
     tiers = []

@@ -18,14 +18,18 @@ column -> row; words, ideal masks and their products are all of this
 form, and a product is map composition.  The basis and its position index
 are cached per model instance.
 
-The diagonal expectation is checked word by word, as both of its routes
-are linear, so no matrix of a word combination is ever built; its value
-is a diagonal, stored as ``{column: coefficient}``.
+Each matrix is built once per check, and only where the check reads it.
+The projection identity builds one mask per lattice ideal and multiplies
+them pairwise.  The diagonal expectation is checked word by word, on word
+matrices the caller built, as both of its routes are linear, so no matrix
+of a word combination is ever built; its value is a diagonal, stored as
+``{column: coefficient}``.
 
 A word combination whose gradings are all trivial acts diagonally (a
 nonzero grading moves every basis point, because the ambient group
 cancels), so a frame-compressed norm is the exact maximum absolute
-diagonal value.
+diagonal value.  A norm probe reads only basis points inside its guard
+band, so its frames flag that band's basis alone.
 """
 
 from __future__ import annotations
@@ -151,32 +155,40 @@ def equal_on_band(a: TruncOp, b: TruncOp, band=None) -> bool:
                if length(basis[j]) <= band)
 
 
-def check_projection_identity(x, y, n) -> bool:
-    """Product of two ideal masks against the mask of the intersection."""
-    left = mul_op(projection_op(x, n), projection_op(y, n))
-    right = projection_op(intersect(x, y), n)
-    return equal_on_band(left, right)
+def check_projection_identity(lattice, n):
+    """P_x P_y = P_{x n y} on every ordered pair of nonempty lattice ideals.
+
+    Each ideal's mask is built once from its members; the right side is the
+    mask of the ideal the token route put in ``intersect_table``.  Returns
+    ``(pairs checked, whether every pair agrees on the band)``.
+    """
+    masks = [projection_op(x, n) for x in lattice.ideals]
+    table = lattice.intersect_table
+    idxs = lattice.nonempty_indices()
+    ok = all(equal_on_band(mul_op(masks[i], masks[j]), masks[table[(i, j)]])
+             for i in idxs for j in idxs)
+    return len(idxs) ** 2, ok
 
 
-def cond_expectation(terms, n) -> dict:
+def cond_expectation(terms) -> dict:
     """Diagonal expectation of a word combination, computed two ways.
 
-    Route one keeps exactly the terms with trivial grading; route two
-    compresses a matrix to its diagonal.  Both are linear, so each term's
-    matrix is built once and its diagonal must equal its grading filter on
-    the term's band; disagreement signals a grading bug and raises.
-    Returns route one as a diagonal ``{column: nonzero coefficient}``: the
-    coefficients of the trivially graded terms, summed over every stored
-    column of their matrices.
+    Each term is ``(c, v, op)`` with ``op`` the matrix of the word v, built
+    by the caller.  Route one keeps exactly the terms with trivial grading;
+    route two compresses a matrix to its diagonal.  Both are linear, so
+    each term's diagonal must equal its grading filter on the term's band;
+    disagreement signals a grading bug and raises.  Returns route one as a
+    diagonal ``{column: nonzero coefficient}``: the coefficients of the
+    trivially graded terms, summed over every stored column of their
+    matrices.
     """
     if not terms:
         raise ModelError("empty term list")
     model = terms[0][1].model
     diagonal = {}
-    for c, v in terms:
-        op = rep_vword(v, n)
+    for c, v, op in terms:
         unit_graded = not v.is_zero and v.grading == model.unit
-        if not equal_on_band(op if unit_graded else zero_op(model, n),
+        if not equal_on_band(op if unit_graded else zero_op(model, op.n),
                              diagonal_part(op), op.band):
             raise GradingMismatch("grading filter and diagonal compression disagree")
         if unit_graded:
@@ -194,7 +206,11 @@ class CovarianceFrame:
     """Finite frame set F in the group, with per-basis admissibility flags.
 
     A basis point r is admissible when, for every g in F whose translate
-    g*P meets r*P, the point r already lies in g*P.
+    g*P meets r*P, the point r already lies in g*P.  ``n`` is the
+    truncation; ``basis`` and the flags cover the points of length <= n, or
+    only those inside a probe's guard band when ``sc_limit_probe`` built the
+    frame.  Bases are sorted length first, so a band's basis is a prefix of
+    the truncation's and positions agree.
     """
 
     model: object
@@ -293,15 +309,22 @@ class ScProbeReport:
 
 def sc_limit_probe(terms, f_chain, model, n,
                    tol=Fraction(1, 10 ** 9)) -> ScProbeReport:
-    basis, index = model.basis(n)
-    element_flags = {}   # each distinct element is tested once per probe
+    """Norms of ``terms`` along the frame chain at truncation n.  Only basis
+    points inside the guard band are ever read, so the frames flag the
+    band's basis only, each distinct element once per probe."""
+    reach = max([word_reach(v) for _, v in terms] or [0])
+    band = n - reach
+    if band < 0:
+        raise BandExhausted("no admissible basis points inside the guard band")
+    basis, index = model.basis(band)
+    element_flags = {}
     enclosures = []
     frames = []
     for f_elems in f_chain:
         f_set = tuple(sorted({model.validate(g) for g in f_elems}, key=model.sort_key))
         for g in f_set:
             if g not in element_flags:
-                element_flags[g] = build_frame(model, [g], n).base_flags
+                element_flags[g] = build_frame(model, [g], band).base_flags
         flags = map(all, zip([True] * len(basis), *map(element_flags.get, f_set)))
         frame = CovarianceFrame(model, n, f_set, basis, index, tuple(flags))
         enclosures.append(sc_norm(terms, frame))
@@ -316,9 +339,8 @@ def sc_limit_probe(terms, f_chain, model, n,
         verdict = "non-vanishing-evidence"
     else:
         verdict = "inconclusive"
-    reach = max([word_reach(v) for _, v in terms] or [0])
     return ScProbeReport(tuple(frames), tuple(enclosures),
-                         non_increasing, verdict, n - reach)
+                         non_increasing, verdict, band)
 
 
 def default_f_chain(model, gradings, depth):

@@ -91,10 +91,27 @@ class ConstructibleIdeal:
     def subset_of(self, other) -> bool:
         return self.model.exact_subset(self.exact, other.exact)
 
+    def members_prefix(self, radius, limit):
+        """``members_upto(radius)[:limit]``, without listing every member
+        up to the radius.  Members come length first, so each shorter
+        listing is a prefix of the longer ones.  The length runs 0, 1, 3,
+        7, ... up to the radius, and listing starts only once P itself has
+        ``limit`` elements that short, as no ideal has more."""
+        if self.is_empty():
+            return []
+        r = 0
+        while r < radius and len(self.model.enumerate_p(r)) < limit:
+            r = 2 * r + 1
+        while True:
+            mem = self.members_upto(min(r, radius))
+            if len(mem) >= limit or r >= radius:
+                return mem[:limit]
+            r = 2 * r + 1
+
     def render(self, radius, limit=20):
         """Report form; ``radius`` sizes the ``members_prefix`` only."""
         mem = [self.model.render(a)
-               for a in self.members_upto(radius)[:limit]]
+               for a in self.members_prefix(radius, limit)]
         return {
             "trace": None if self.trace is None else self.trace.render(self.model),
             "radius": radius,

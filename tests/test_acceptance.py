@@ -14,7 +14,8 @@ from fractions import Fraction
 from oracles import graded_sum
 from sgclab.cli import ANALYSES, RunConfig, run, stable_body
 from sgclab.fock import (build_frame, check_projection_identity,
-                         cond_expectation, rep_vword, sc_norm, word_reach)
+                         cond_expectation, equal_on_band, mul_op,
+                         projection_op, rep_vword, sc_norm, word_reach)
 from sgclab.ideals import (enumerate_ideals, full_ideal,
                            independence_rank_oracle, independence_test,
                            intersect, left_mul, ore_test, ideal_eq)
@@ -64,9 +65,17 @@ def test_criterion_1_projection_calculus(all_models):
         _, _, trunc = _caps(model)
         lat = _lattice(model, 3)
         assert lat.radius <= 30
+        pairs, ok = check_projection_identity(lat, trunc)
+        assert ok, (model.name,)
+        assert pairs == len(lat.nonempty_indices()) ** 2
+        # the pairs with the empty ideal, mask against mask
+        empty = lat.ideals[lat.empty_index]
         for x in lat.ideals:
-            for y in lat.ideals:
-                assert check_projection_identity(x, y, trunc), (model.name,)
+            for left, right in ((x, empty), (empty, x)):
+                prod = mul_op(projection_op(left, trunc),
+                              projection_op(right, trunc))
+                want = projection_op(intersect(left, right), trunc)
+                assert equal_on_band(prod, want), (model.name,)
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"projection calculus took {elapsed:.1f}s"
     _ok(1, "projection calculus, zero tolerance, "
@@ -223,7 +232,9 @@ def test_criterion_8_conditional_expectation(all_models):
                      for _ in range(rng.randint(1, 3))]
             reach = max(word_reach(v) for _, v in terms)
             assert trunc - reach >= 0, "sample not band safe"
-            ce = cond_expectation(terms, trunc)   # raises on route mismatch
+            # raises on route mismatch
+            ce = cond_expectation([(c, v, rep_vword(v, trunc))
+                                   for c, v in terms])
             full, band = graded_sum(terms, trunc)
             diagonal = {j: col[j] for j, col in full.items() if j in col}
             basis = model.enumerate_p(trunc)

@@ -8,7 +8,7 @@ import pytest
 from sgclab import cli, spectrum
 from sgclab.cli import (ANALYSES, ConfigError, RunConfig, explain, main,
                         report_to_json, run, stable_body)
-from sgclab.models import FreeMonoidModel
+from sgclab.models import FreeMonoidModel, ModelError
 
 
 def small_config(**over):
@@ -95,30 +95,48 @@ def test_exit_code_two_when_inconclusive():
     assert report["results"]["freeness"]["tier"] == "inconclusive"
 
 
+def _refused(doc):
+    """The message of the ModelError that ``run`` raises on ``doc``: run
+    reports an analysis's own errors inside the report, so a raise comes
+    from the start of the run."""
+    with pytest.raises(ModelError) as err:
+        run(RunConfig.from_dict(doc))
+    return str(err.value)
+
+
 def test_run_reports_foreign_freeness_grading_as_error():
+    # a letter outside the rank refuses the run when it starts
     doc = {"model": {"family": "free_monoid", "rank": 2},
            "analyses": ["freeness"], "caps": {"trace_depth": 1},
            "freeness_g": ["a", "aC"], "seed": 1}
-    report, code = run(RunConfig.from_dict(doc))
-    res = report["results"]["freeness"]
-    assert res["error"].startswith("ModelError: ")
-    assert "'C'" in res["error"]
-    assert res["tier"] == "inconclusive" and code == 2
-    assert "error" not in report["results"]["boundary"]
+    assert "'C'" in _refused(doc)
 
 
 @pytest.mark.parametrize("grading", [[0.5, 1], [True, 0], ["3", 1]],
                          ids=["float", "bool", "str"])
 def test_run_reports_non_int_vector_grading_as_error(grading):
-    # once coerced to [0, 1] and tested as that grading
+    # once coerced to [0, 1] and tested as that grading, then reported
+    # inside the freeness result; now the run is refused when it starts
     doc = {"model": {"family": "free_abelian", "rank": 2},
            "analyses": ["freeness"], "caps": {"trace_depth": 2},
            "freeness_g": [grading], "seed": 0}
-    report, code = run(RunConfig.from_dict(doc))
-    res = report["results"]["freeness"]
-    assert res["error"].startswith("ModelError: cannot parse")
-    assert "verdicts" not in res
-    assert res["tier"] == "inconclusive" and code == 2
+    assert _refused(doc).startswith("cannot parse")
+
+
+def test_main_refuses_bad_freeness_grading(tmp_path, capsys):
+    # exit 1 with an error line, as for any other malformed config field
+    model = {"family": "free_abelian", "rank": 2}
+    path = tmp_path / "bad.json"
+    for bad in ([[0.5, 1]], [[1, 0], "x"], [[1, 0, 0]]):
+        path.write_text(json.dumps({"model": model, "freeness_g": bad}))
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+    path.write_text(json.dumps({"model": {"family": "free_monoid", "rank": 2},
+                                "freeness_g": ["aC"]}))
+    assert main(["analyze", "--config", str(path)]) == 1
+    assert "'C'" in capsys.readouterr().err
 
 
 def test_run_validates_once_per_input(monkeypatch):

@@ -17,8 +17,8 @@ from sgclab.fock import (BandExhausted, GradingMismatch, CovarianceFrame, TruncO
                          generator_covariance_terms,
                          mul_op, projection_op, rep_vword, sc_norm,
                          sc_limit_probe, word_reach, zero_op)
-from sgclab.ideals import (ConstructibleIdeal, WordTrace, from_trace,
-                           full_ideal, left_mul)
+from sgclab.ideals import (ConstructibleIdeal, WordTrace, enumerate_ideals,
+                           from_trace, full_ideal, left_mul)
 from sgclab.invsgp import (compose, enumerate_vwords, idempotent_vword,
                            make_vword, star, zero_vword)
 from sgclab.models import ModelError, build_model
@@ -226,14 +226,47 @@ def test_band_algebra():
 
 
 def test_projection_identity_examples(n1, f2):
+    # N^1 at depth 1 over 0..3 holds P, 2P and 3P; F2+ at depth 1 holds P,
+    # aP and bP, whose meet is empty
+    lat = enumerate_ideals(n1, 1, 3, 10)
     P = full_ideal(n1)
-    assert check_projection_identity(P, P, 10)
-    assert check_projection_identity(left_mul((2,), P), left_mul((3,), P), 10)
+    tokens = {x.exact for x in lat.ideals}
+    assert {left_mul((k,), P).exact for k in (0, 2, 3)} <= tokens
+    assert check_projection_identity(lat, 10) == ((len(lat.ideals) - 1) ** 2,
+                                                 True)
+    flat = enumerate_ideals(f2, 1, 1, 6)
     Pf = full_ideal(f2)
     aP, bP = left_mul("a", Pf), left_mul("b", Pf)
-    assert check_projection_identity(aP, bP, 6)
+    assert {aP.exact, bP.exact} <= {x.exact for x in flat.ideals}
+    assert check_projection_identity(flat, 6) == ((len(flat.ideals) - 1) ** 2,
+                                                  True)
     prod = mul_op(projection_op(aP, 6), projection_op(bP, 6))
     assert prod.cols == {}
+
+
+def test_run_projection_identity_checks_the_intersection_table(monkeypatch):
+    # the right side is the mask the table names: one wrong entry, here the
+    # full ideal for a proper meet, fails the check and only it
+    import sgclab.cli as cli_mod
+    real = cli_mod.enumerate_ideals
+
+    def wrong_entry(*args):
+        lat = real(*args)
+        i, j = next((i, j) for i in lat.nonempty_indices()
+                    for j in lat.nonempty_indices()
+                    if lat.intersect_table[(i, j)] != 0)
+        table = {**lat.intersect_table, (i, j): 0}
+        return dataclasses.replace(lat, intersect_table=table)
+
+    doc = {"model": {"family": "free_monoid", "rank": 2},
+           "analyses": ["fock"], "caps": {"trace_depth": 2}}
+    result = run(RunConfig.from_dict(doc))[0]["results"]["fock"]
+    assert result["projection_identity"]["ok"] is True
+    monkeypatch.setattr(cli_mod, "enumerate_ideals", wrong_entry)
+    result = run(RunConfig.from_dict(doc))[0]["results"]["fock"]
+    assert result["projection_identity"]["ok"] is False
+    assert result["multiplicative_on_band"] is True
+    assert result["tier"] == "inconclusive"
 
 
 def test_ops_store_no_zero_columns(f2):
@@ -258,17 +291,24 @@ def test_ops_store_no_zero_columns(f2):
     assert mul_op(a, down).cols == projection_op(aP, n).cols
 
 
+def _terms(words, n):
+    """``(c, v, op)`` terms of ``(c, v)`` pairs, each matrix built here by
+    the module's (possibly patched) ``rep_vword``."""
+    import sgclab.fock as fock_mod
+    return [(c, v, fock_mod.rep_vword(v, n)) for c, v in words]
+
+
 def test_cond_expectation_examples(n1):
     P = full_ideal(n1)
     i1 = left_mul((1,), P)
     v1 = make_vword(n1, WordTrace((((0,), (1,)),)))
-    ce = cond_expectation([(Fraction(1), v1)], 8)
+    ce = cond_expectation(_terms([(Fraction(1), v1)], 8))
     assert ce == {}
     e1 = idempotent_vword(i1)
-    ce2 = cond_expectation([(Fraction(1), e1)], 8)
+    ce2 = cond_expectation(_terms([(Fraction(1), e1)], 8))
     assert ce2 == {j: 1 for j in projection_op(i1, 8).cols}
     v12 = make_vword(n1, WordTrace((((1,), (2,)),)))
-    ce3 = cond_expectation([(Fraction(1), v12)], 8)
+    ce3 = cond_expectation(_terms([(Fraction(1), v12)], 8))
     assert ce3 == {}
 
 
@@ -278,7 +318,7 @@ def test_cond_expectation_mixed_combination(n1):
     terms = [(Fraction(3, 2), idempotent_vword(P)),
              (Fraction(-2), v1),
              (Fraction(1, 3), idempotent_vword(left_mul((2,), P)))]
-    ce = cond_expectation(terms, 8)
+    ce = cond_expectation(_terms(terms, 8))
     assert ce[0] == Fraction(3, 2)
     assert ce[3] == Fraction(3, 2) + Fraction(1, 3)
     full, _ = graded_sum(terms, 8)
@@ -287,6 +327,7 @@ def test_cond_expectation_mixed_combination(n1):
 
 
 def test_cond_expectation_builds_each_term_once(n1, monkeypatch):
+    # the caller builds each term's matrix once; the check builds none
     import sgclab.fock as fock_mod
     calls = []
     real = fock_mod.rep_vword
@@ -298,14 +339,16 @@ def test_cond_expectation_builds_each_term_once(n1, monkeypatch):
     monkeypatch.setattr(fock_mod, "rep_vword", counted)
     P = full_ideal(n1)
     v1 = make_vword(n1, WordTrace((((0,), (1,)),)))
-    terms = [(Fraction(3, 2), idempotent_vword(P)), (Fraction(-2), v1),
+    words = [(Fraction(3, 2), idempotent_vword(P)), (Fraction(-2), v1),
              (Fraction(1, 3), idempotent_vword(left_mul((2,), P))),
              (Fraction(1), zero_vword(n1))]
-    ce = cond_expectation(terms, 8)
-    assert [id(v) for v in calls] == [id(v) for _, v in terms]
+    terms = _terms(words, 8)
+    assert [id(v) for v in calls] == [id(v) for _, v in words]
+    ce = cond_expectation(terms)
+    assert len(calls) == len(words)
     assert ce[3] == Fraction(3, 2) + Fraction(1, 3)
     with pytest.raises(ModelError):
-        cond_expectation([], 8)
+        cond_expectation([])
 
 
 def _corrupt_trivially_graded(monkeypatch):
@@ -327,10 +370,10 @@ def _corrupt_trivially_graded(monkeypatch):
 def test_cond_expectation_checks_each_term(n1, monkeypatch):
     # v - v cancels, so only a check on each term sees v's stray entry
     v = idempotent_vword(full_ideal(n1))
-    cond_expectation([(1, v), (-1, v)], 8)
+    cond_expectation(_terms([(1, v), (-1, v)], 8))
     _corrupt_trivially_graded(monkeypatch)
     with pytest.raises(GradingMismatch):
-        cond_expectation([(1, v), (-1, v)], 8)
+        cond_expectation(_terms([(1, v), (-1, v)], 8))
 
 
 def test_run_reports_grading_mismatch(monkeypatch):
@@ -354,9 +397,9 @@ def test_run_checks_expectation_once_per_family_word(monkeypatch):
         families.append(real_enumerate(*args))
         return families[-1]
 
-    def expectation_recorded(terms, n):
+    def expectation_recorded(terms):
         calls.append(terms)
-        return real_expectation(terms, n)
+        return real_expectation(terms)
 
     monkeypatch.setattr(invsgp_mod, "enumerate_vwords", enumerate_recorded)
     monkeypatch.setattr(fock_mod, "cond_expectation", expectation_recorded)
@@ -366,8 +409,56 @@ def test_run_checks_expectation_once_per_family_word(monkeypatch):
     assert report["results"]["fock"]["expectation_two_routes_agree"] is True
     (fam,) = families
     assert len(fam.members) > 1
-    assert ([[(c, id(v)) for c, v in terms] for terms in calls]
+    assert ([[(c, id(v)) for c, v, _ in terms] for terms in calls]
             == [[(1, id(v))] for v in fam.members])
+    # each term carries its word's matrix at the run's truncation
+    n = report["results"]["fock"]["params"]["trunc"]
+    for ((_, v, op),) in calls:
+        assert op.n == n and op.cols == rep_vword(v, n).cols
+
+
+def test_run_builds_each_ideal_mask_and_word_matrix_once(monkeypatch):
+    # one mask per lattice ideal, the empty one included; one matrix per
+    # family word, plus the product side of each sampled pair
+    import sgclab.cli as cli_mod
+    import sgclab.fock as fock_mod
+    import sgclab.invsgp as invsgp_mod
+    lattices, families, words, masks = [], [], [], []
+    real_lattice, real_family = cli_mod.enumerate_ideals, invsgp_mod.enumerate_vwords
+    real_rep, real_mask = fock_mod.rep_vword, fock_mod.projection_op
+
+    def lattice_recorded(*args):
+        lattices.append(real_lattice(*args))
+        return lattices[-1]
+
+    def family_recorded(*args):
+        families.append(real_family(*args))
+        return families[-1]
+
+    def rep_counted(v, n):
+        words.append(v)
+        return real_rep(v, n)
+
+    def mask_counted(x, n):
+        masks.append(x)
+        return real_mask(x, n)
+
+    monkeypatch.setattr(cli_mod, "enumerate_ideals", lattice_recorded)
+    monkeypatch.setattr(invsgp_mod, "enumerate_vwords", family_recorded)
+    monkeypatch.setattr(fock_mod, "rep_vword", rep_counted)
+    monkeypatch.setattr(fock_mod, "projection_op", mask_counted)
+    doc = {"model": {"family": "free_monoid", "rank": 3},
+           "analyses": ["fock"], "caps": {"trace_depth": 2}}
+    report, _ = run(RunConfig.from_dict(doc))
+    result = report["results"]["fock"]
+    assert result["tier"] == "exact"
+    (lat,), (fam,) = lattices, families
+    samples = result["params"]["samples"]
+    assert samples == 50
+    assert len(words) == len(fam.members) + samples
+    assert len({v.dedup_key() for v in fam.members}) == len(fam.members)
+    assert [x.exact for x in masks] == [x.exact for x in lat.ideals]
+    assert result["projection_identity"]["pairs"] == (len(lat.ideals) - 1) ** 2
 
 
 def test_nonzero_grading_is_strictly_off_diagonal(all_models, family_of):
@@ -465,13 +556,62 @@ def test_sc_limit_probe_tests_each_frame_element_once(rank, monkeypatch):
 
     monkeypatch.setattr(fock_mod, "sc_norm", norm_recorded)
     monkeypatch.setattr(model, "meets_p", meets_counted)
-    sc_limit_probe(generator_covariance_terms(model), chain, model, n)
+    terms = generator_covariance_terms(model)
+    band = sc_limit_probe(terms, chain, model, n).band
     elements = {g for f_set in chain for g in f_set}
-    assert len(tested) <= len(elements) * len(model.basis(n)[0])
+    assert len(tested) <= len(elements) * len(model.basis(band)[0])
     assert [frame.f_set for frame in frames] == list(chain)
     for frame in frames:
         assert frame.base_flags == tuple(frame_flag(model, frame.f_set, r)
                                          for r in frame.basis)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_sc_limit_probe_frames_cover_the_band_basis(rank, monkeypatch):
+    # the frames flag exactly the points inside the guard band, and each
+    # norm equals the one over a frame of the whole truncation
+    import sgclab.fock as fock_mod
+    model = build_model({"family": "free_monoid", "rank": rank})
+    n = model.default_trunc
+    terms = generator_covariance_terms(model)
+    band = n - max(word_reach(v) for _, v in terms)
+    chain = default_f_chain(model, enumerate_vwords(model, 2).by_grading, 4)
+    frames = []
+    real_norm = fock_mod.sc_norm
+
+    def norm_recorded(terms, frame):
+        frames.append(frame)
+        return real_norm(terms, frame)
+
+    monkeypatch.setattr(fock_mod, "sc_norm", norm_recorded)
+    probe = sc_limit_probe(terms, chain, model, n)
+    assert 0 <= band < n and probe.band == band
+    basis = model.basis(band)[0]
+    assert len(frames) == len(chain)
+    for frame, enclosure in zip(frames, probe.enclosures):
+        assert frame.n == n and frame.basis == basis
+        assert len(frame.base_flags) == len(basis)
+        whole = build_frame(model, frame.f_set, n)
+        assert whole.base_flags[:len(basis)] == frame.base_flags
+        assert compressed_matrix(terms, whole) == compressed_matrix(terms, frame)
+        assert real_norm(terms, whole) == enclosure
+
+
+def test_sc_limit_probe_reach_beyond_truncation(f2, monkeypatch):
+    # the probe refuses before it flags any frame, with the message the
+    # norm raises on an exhausted band
+    import sgclab.fock as fock_mod
+    P = full_ideal(f2)
+    deep = left_mul("a", left_mul("a", left_mul("a", left_mul("a", P))))
+    terms = [(Fraction(1), idempotent_vword(deep))]   # reach 4 > trunc 3
+    with pytest.raises(BandExhausted) as direct:
+        sc_norm(terms, build_frame(f2, ["a"], 3))
+    monkeypatch.setattr(fock_mod, "build_frame",
+                        lambda *args: pytest.fail("a frame was flagged"))
+    with pytest.raises(BandExhausted) as probed:
+        sc_limit_probe(terms, [["a"], ["a", "b"]], f2, 3)
+    assert str(probed.value) == str(direct.value) == (
+        "no admissible basis points inside the guard band")
 
 
 def test_compressed_matrix_matches_frame_oracle(f2):

@@ -200,7 +200,7 @@ def test_ideal_eq_undecided_contract(num23):
 
 
 def test_members_upto_in_sort_key_order(all_models, lattice_of, family_of):
-    # render takes its members prefix straight from members_upto
+    # render's members prefix relies on this order
     for model in all_models:
         ideals = (list(lattice_of(model).ideals)
                   + [v.dom for v in family_of(model).members])
@@ -214,6 +214,38 @@ def test_members_upto_in_sort_key_order(all_models, lattice_of, family_of):
             prefix = sorted(set(ideal.members_upto(r)), key=model.sort_key)[:20]
             assert (ideal.render(r)["members_prefix"]
                     == [model.render(a) for a in prefix])
+
+
+def test_members_prefix_is_the_head_of_the_full_listing(all_models, lattice_of,
+                                                         family_of):
+    for model in all_models:
+        lat = lattice_of(model)
+        ideals = list(lat.ideals) + [v.dom for v in family_of(model).members]
+        for radius in (0, 3, lat.radius):
+            for limit in (0, 1, 20, 10 ** 6):
+                for ideal in ideals:
+                    assert (ideal.members_prefix(radius, limit)
+                            == ideal.members_upto(radius)[:limit]), \
+                        (model.name, ideal.exact, radius, limit)
+
+
+def test_render_lists_members_only_as_far_as_needed(monkeypatch):
+    # N^2 at radius 30: up to 496 members per ideal, of which 20 are shown
+    model = build_model({"family": "free_abelian", "rank": 2})
+    lat = enumerate_ideals(model, 2, 1, 30)
+    want = [[model.render(a) for a in x.members_upto(30)[:20]]
+            for x in lat.ideals]
+    asked = []
+    real = model.exact_members_upto
+
+    def recorded(tok, radius):
+        asked.append(radius)
+        return real(tok, radius)
+
+    monkeypatch.setattr(model, "exact_members_upto", recorded)
+    nodes = lat.to_json()["nodes"]
+    assert [node["members_prefix"] for node in nodes] == want
+    assert asked and max(asked) < 30
 
 
 def test_empty_ideal_is_canonical(all_models):
