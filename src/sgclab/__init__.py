@@ -12,8 +12,8 @@ from .ideals import (WordTrace, ConstructibleIdeal, IdealLattice,
 from .invsgp import (VWord, make_vword, compose, star, vword_eq,
                      idempotent_vword, semilattice, enumerate_vwords)
 from .spectrum import (Fragment, ThetaContext, enumerate_characters,
-                       principal_character, theta_apply, invariant_closure,
-                       boundary, topological_freeness_probe)
+                       theta_apply, invariant_closure, boundary,
+                       topological_freeness_probe)
 from .fock import (TruncOp, rep_vword, projection_op,
                    check_projection_identity, cond_expectation, build_frame,
                    sc_norm, sc_limit_probe, default_f_chain)

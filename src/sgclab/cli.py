@@ -200,15 +200,16 @@ def _an_invsgp(model, caps, rng, store):
     involution_ok = all(
         invsgp.vword_eq(invsgp.compose(invsgp.compose(v, invsgp.star(v)), v), v)
         for v in fam.members)
+    # compose's grading must be the one its composite trace denotes
     grading_ok = True
     for i, j in _index_pairs(rng, len(fam.members)):
-        v, w = fam.members[i], fam.members[j]
-        vw = invsgp.compose(v, w)
-        if not vw.is_zero and vw.grading != model.mul(v.grading, w.grading):
+        vw = invsgp.compose(fam.members[i], fam.members[j])
+        if not vw.is_zero and vw.grading != vw.trace.grading(model):
             grading_ok = False
-    collapse_ok = all(
-        invsgp.vword_eq(v, invsgp.idempotent_vword(v.dom))
-        for v in fam.members if v.grading == unit)
+    # a unit-graded word's range (its trace's walk) is its domain (its
+    # starred trace's walk)
+    collapse_ok = all(v.is_idempotent() for v in fam.members
+                      if v.grading == unit)
     table = sorted([i, j, k] for (i, j), k
                    in invsgp.semilattice(store["lattice"]).items())
     tier = "exact" if (involution_ok and grading_ok and collapse_ok) else "inconclusive"
@@ -249,7 +250,7 @@ def _an_spectrum(model, caps, rng, store):
                     failures += t1[a] != c
                 else:
                     ambiguous += 1
-    tier = "exact" if failures == 0 else "inconclusive"
+    tier = "exact" if identity_ok and failures == 0 else "inconclusive"
     return {
         "op": "spectrum.enumerate_characters",
         "params": {"fragment_size": frag.size(), "gradings": len(gradings)},
@@ -319,7 +320,7 @@ def _an_fock(model, caps, rng, store):
         v, w = rng.choice(fam.members), rng.choice(fam.members)
         lhs = fock.mul_op(word_op(v), word_op(w))
         rhs = fock.rep_vword(invsgp.compose(v, w), n)
-        if lhs.band >= 0 and not fock.equal_on_band(lhs, rhs):
+        if not fock.equal_on_band(lhs, rhs):
             mult_ok = False
     exp_ok = True
     for v in fam.members:

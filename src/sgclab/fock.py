@@ -144,15 +144,18 @@ def diagonal_part(a: TruncOp) -> TruncOp:
     return TruncOp(a.model, a.n, a.basis, a.index, cols, a.band, 0)
 
 
-def equal_on_band(a: TruncOp, b: TruncOp, band=None) -> bool:
-    """Entrywise equality restricted to columns inside the trusted band."""
+def _band_width(model, band) -> int:
+    """Number of basis columns inside a band: bases are sorted length
+    first, so those columns are a prefix, empty when the band is below 0."""
+    return len(model.enumerate_p(band)) if band >= 0 else 0
+
+
+def equal_on_band(a: TruncOp, b: TruncOp) -> bool:
+    """Entrywise equality restricted to columns inside both bands."""
     _check_compat(a, b)
-    if band is None:
-        band = min(a.band, b.band)
-    length, basis = a.model.length, a.basis
+    width = _band_width(a.model, min(a.band, b.band))
     return all(a.cols.get(j) == b.cols.get(j)
-               for j in a.cols.keys() | b.cols.keys()
-               if length(basis[j]) <= band)
+               for j in a.cols.keys() | b.cols.keys() if j < width)
 
 
 def check_projection_identity(lattice, n):
@@ -189,7 +192,7 @@ def cond_expectation(terms) -> dict:
     for c, v, op in terms:
         unit_graded = not v.is_zero and v.grading == model.unit
         if not equal_on_band(op if unit_graded else zero_op(model, op.n),
-                             diagonal_part(op), op.band):
+                             diagonal_part(op)):
             raise GradingMismatch("grading filter and diagonal compression disagree")
         if unit_graded:
             c = Fraction(c)
@@ -253,9 +256,8 @@ def compressed_matrix(terms, frame: CovarianceFrame):
         if not v.is_zero and v.grading != unit:
             raise ModelError("frame compression expects trivially graded terms")
     reach = max([word_reach(v) for _, v in terms] or [0])
-    band = frame.n - reach
-    labels = [j for j in frame.slice_indices()
-              if model.length(frame.basis[j]) <= band]
+    width = _band_width(model, frame.n - reach)
+    labels = [j for j in frame.slice_indices() if j < width]
     if not labels:
         raise BandExhausted("no admissible basis points inside the guard band")
     diagonal = [Fraction(0)] * len(labels)

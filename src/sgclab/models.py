@@ -200,7 +200,7 @@ class FreeAbelianModel(Model):
 
     def validate(self, a):
         if not (isinstance(a, tuple) and len(a) == self.rank
-                and all(isinstance(x, int) for x in a)):
+                and all(map(_is_int, a))):
             raise ModelError(f"bad element for {self.name}: {a!r}")
         return a
 
@@ -229,8 +229,7 @@ class FreeAbelianModel(Model):
         return True
 
     def parse(self, obj):
-        if isinstance(obj, (list, tuple)) and all(
-                isinstance(x, int) and not isinstance(x, bool) for x in obj):
+        if isinstance(obj, (list, tuple)) and all(map(_is_int, obj)):
             return self.validate(tuple(obj))
         raise ModelError(f"cannot parse {obj!r} as a vector")
 
@@ -497,7 +496,7 @@ class NumericalModel(Model):
         return self.gens
 
     def validate(self, a):
-        if not isinstance(a, int):
+        if not _is_int(a):
             raise ModelError(f"bad element for {self.name}: {a!r}")
         return a
 
@@ -524,7 +523,7 @@ class NumericalModel(Model):
         return True
 
     def parse(self, obj):
-        if isinstance(obj, int) and not isinstance(obj, bool):
+        if _is_int(obj):
             return obj
         raise ModelError(f"cannot parse {obj!r} as an integer")
 
@@ -606,8 +605,13 @@ class NumericalModel(Model):
         return out
 
 
+def _is_int(value) -> bool:
+    """The one int check on raw input: bools are refused as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int(value, what):
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ModelError(f"{what} must be an int, got {value!r}")
     return value
 

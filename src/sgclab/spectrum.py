@@ -21,10 +21,11 @@ so closure computations add only images of defined instances.
 
 ``ThetaContext.table(g)`` holds theta_g as a tuple of ints, one per
 character: the image's position, or the sentinel OUTSIDE, AMBIGUOUS or
-INVALID (all below zero).  The settled bits and unsettled positions of an
-ambiguous or invalid entry live in a side map keyed ``(g, chi)``, for the
-freeness probe; ``theta_apply`` reads one instance back as a
-``ThetaResult``.  The composition law is checked on the tables directly.
+INVALID (all below zero); the unit's table too is computed, not assumed.
+An ambiguous or invalid entry keeps its image bits and the mask of the
+positions they settle in a side map keyed ``(g, chi)``, for the freeness
+probe; ``theta_apply`` reads one instance back as a ``ThetaResult``.  The
+composition law is checked on the tables directly.
 
 The boundary is computed two independent ways (closure of the maximal
 filters, and the intersection of the closures of all singletons when that
@@ -33,7 +34,7 @@ cross-checked; a discrepancy is reported, not hidden.
 
 The freeness probe restricts the dynamics to the computed boundary: an
 ambiguous image is resolved only when exactly one boundary character is
-consistent with the determined values.  Its verdict uses basic open sets
+consistent with the settled bits.  Its verdict uses basic open sets
 from sub-frontier ideals only (ideals discovered strictly below the
 enumeration frontier), because a frontier cylinder says nothing about the
 dynamics beneath the resolution of the fragment; this is evidence at the
@@ -46,10 +47,6 @@ from dataclasses import dataclass
 
 from .ideals import walk
 from .models import EMPTY, ModelError
-
-
-class FragmentError(ValueError):
-    """A membership pattern is not a filter of the fragment."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,17 +113,6 @@ def enumerate_characters(fragment: Fragment):
     return tuple(range(fragment.size()))
 
 
-def principal_character(fragment: Fragment, p) -> int:
-    """The evaluation character x -> [p in x]."""
-    bits = 0
-    for pos in range(fragment.size()):
-        if fragment.ideal_at(pos).contains(p):
-            bits |= 1 << pos
-    if not fragment.is_filter(bits):
-        raise FragmentError("membership pattern is not a filter; fragment not closed?")
-    return fragment.pos_of_up[bits]
-
-
 # ---------------------------------------------------------------------------
 # Partial action
 
@@ -134,8 +120,8 @@ def principal_character(fragment: Fragment, p) -> int:
 class ThetaResult:
     status: str               # "image" | "outside" | "ambiguous" | "invalid"
     image: object = None      # character position when status == "image"
-    determined: tuple = ()    # ((pos, bit), ...) when ambiguous or invalid
-    ambiguous: tuple = ()     # positions that no rule settled
+    bits: int = 0             # image bits when ambiguous or invalid
+    settled: int = 0          # mask of the positions those bits settle
 
 
 # Table entries below zero: the non-image statuses.
@@ -155,9 +141,9 @@ class ThetaContext:
         self.family = family
         self.model = family.model
         n = fragment.size()
-        self._tables = {self.model.unit: tuple(range(n))}
+        self._tables = {}
         self._no_carrier = (OUTSIDE,) * n
-        self.details = {}     # (g, chi) -> (determined, ambiguous)
+        self.details = {}     # (g, chi) -> (bits, settled)
         # theta_apply hands out one shared result per image position
         self._images = tuple(ThetaResult("image", image=p) for p in range(n))
 
@@ -201,10 +187,10 @@ class ThetaContext:
         zero: OUTSIDE when chi vanishes on every usable domain ideal,
         AMBIGUOUS when the first usable word's pullback recipes leave some
         fragment ideal unsettled, INVALID when the image bits are not a
-        filter.  The unit's table is the identity, and a grading no word
-        carries is OUTSIDE everywhere.  Each AMBIGUOUS or INVALID entry
-        keeps its settled bits and unsettled positions in ``details``,
-        keyed ``(g, chi)``.
+        filter.  Every table is computed from its grading's carriers, the
+        unit's too; a grading no word carries is OUTSIDE everywhere.  Each
+        AMBIGUOUS or INVALID entry keeps its image bits and the mask of the
+        positions they settle in ``details``, keyed ``(g, chi)``.
         """
         got = self._tables.get(g)
         if got is None:
@@ -226,8 +212,9 @@ class ThetaContext:
             if k not in recipes:
                 recipes[k] = tuple(self._recipe(v, pos)
                                    for pos in range(frag.size()))
-            bits = 0
-            settled = True
+            # a pullback outside the fragment is 1 when chi holds an ideal
+            # inside it, 0 when chi misses one containing it, else open
+            bits = unsettled = 0
             for pos, recipe in enumerate(recipes[k]):
                 kind = recipe[0]
                 if kind == "pos":
@@ -237,32 +224,12 @@ class ThetaContext:
                     if chi_bits & recipe[1]:
                         bits |= 1 << pos
                     elif not recipe[2] & ~chi_bits:
-                        settled = False
-            if settled and frag.is_filter(bits):
+                        unsettled |= 1 << pos
+            if not unsettled and frag.is_filter(bits):
                 return frag.pos_of_up[bits]
-            self.details[g, chi] = _detail(recipes[k], chi_bits)
-            return INVALID if settled else AMBIGUOUS
+            self.details[g, chi] = (bits, ~unsettled & (1 << frag.size()) - 1)
+            return AMBIGUOUS if unsettled else INVALID
         return OUTSIDE
-
-
-def _detail(recipes, chi_bits):
-    """The bits the recipes settle at chi, ``((pos, bit), ...)``, and the
-    positions they leave open."""
-    determined = []
-    ambiguous = []
-    for pos, recipe in enumerate(recipes):
-        kind = recipe[0]
-        if kind == "empty":
-            determined.append((pos, 0))
-        elif kind == "pos":
-            determined.append((pos, chi_bits >> recipe[1] & 1))
-        elif chi_bits & recipe[1]:
-            determined.append((pos, 1))
-        elif recipe[2] & ~chi_bits:
-            determined.append((pos, 0))
-        else:
-            ambiguous.append(pos)
-    return tuple(determined), tuple(ambiguous)
 
 
 def theta_apply(ctx: ThetaContext, g, chi: int) -> ThetaResult:
@@ -274,9 +241,8 @@ def theta_apply(ctx: ThetaContext, g, chi: int) -> ThetaResult:
         return ctx._images[entry]
     if entry == OUTSIDE:
         return _OUTSIDE
-    determined, ambiguous = ctx.details[g, chi]
-    return ThetaResult(_STATUS[entry], determined=determined,
-                       ambiguous=ambiguous)
+    bits, settled = ctx.details[g, chi]
+    return ThetaResult(_STATUS[entry], bits=bits, settled=settled)
 
 
 @dataclass(frozen=True)
@@ -388,16 +354,14 @@ class FreenessVerdict:
 def _boundary_status(fragment, boundary_chars, chi, res):
     """Classify chi, whose grading-g result is res, under the dynamics
     restricted to the boundary: 'fixed' / 'moved' when certain for every
-    boundary-consistent completion, else 'unresolved'."""
+    boundary-consistent completion, else 'unresolved' (always for an
+    invalid result: it settles every bit, and its bits are no filter)."""
     if res.status == "image":
         if res.image not in boundary_chars:
             return "moved"   # image escaped; invariance cross-checks flag it
         return "fixed" if res.image == chi else "moved"
-    if res.status == "invalid":
-        return "unresolved"
     completions = [b for b in boundary_chars
-                   if all(fragment.value(b, pos) == bit
-                          for pos, bit in res.determined)]
+                   if not (fragment.up_masks[b] ^ res.bits) & res.settled]
     if not completions:
         return "unresolved"
     if all(b == chi for b in completions):

@@ -3,6 +3,7 @@
 These deliberately avoid the package's exact-token calculus: traces are
 evaluated by raw set comprehensions over a widened truncation, word actions
 by stepping through the factors pointwise, filters by a full subset scan,
+the character of a point by set evaluation of each fragment ideal's trace,
 matrix rank by Fraction Gaussian elimination, and a rational combination
 of words by summing their basis-scan columns entrywise (the package itself
 never realizes a combination as one matrix).  Numerical-token subset,
@@ -47,6 +48,19 @@ def pointwise_word_apply(model, pairs, x):
         if not model.in_p(cur):
             return None
     return cur
+
+
+def principal_character(fragment, p):
+    """The evaluation character x -> [p in x] of a fragment, as a position:
+    the ideals holding p are found by ``brute_trace_members``, and their
+    pattern must be the up mask of a fragment position."""
+    model = fragment.lattice.model
+    radius = model.length(p)
+    bits = sum(1 << pos for pos in range(fragment.size())
+               if p in brute_trace_members(
+                   model, fragment.ideal_at(pos).trace.pairs, radius))
+    assert bits in fragment.pos_of_up, "membership pattern is not a filter"
+    return fragment.pos_of_up[bits]
 
 
 def brute_filters(ideal_members):

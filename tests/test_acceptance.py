@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import graded_sum
+from oracles import graded_sum, principal_character
 from sgclab.cli import ANALYSES, RunConfig, run, stable_body
 from sgclab.fock import (build_frame, check_projection_identity,
                          cond_expectation, equal_on_band, mul_op,
@@ -22,8 +22,8 @@ from sgclab.ideals import (enumerate_ideals, full_ideal,
 from sgclab.invsgp import (compose, enumerate_vwords, idempotent_vword, star,
                            vword_eq)
 from sgclab.spectrum import (Fragment, ThetaContext, boundary,
-                             enumerate_characters, principal_character,
-                             theta_apply, topological_freeness_probe)
+                             enumerate_characters, theta_apply,
+                             topological_freeness_probe)
 
 WIDTH_TOL = Fraction(1, 10 ** 9)
 

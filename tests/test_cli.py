@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -5,9 +6,10 @@ import random
 
 import pytest
 
-from sgclab import cli, spectrum
+from sgclab import cli, invsgp, spectrum
 from sgclab.cli import (ANALYSES, ConfigError, RunConfig, explain, main,
                         report_to_json, run, stable_body)
+from sgclab.ideals import WordTrace
 from sgclab.models import FreeMonoidModel, ModelError
 
 
@@ -179,6 +181,70 @@ def test_run_reaches_the_traced_theta_and_filter_calls(monkeypatch):
     assert results and filters
     assert {r.status for r in results} <= {"image", "outside", "ambiguous",
                                            "invalid"}
+
+
+def _unit_recipes_read_as_full(monkeypatch):
+    recipe = spectrum.ThetaContext._recipe
+
+    def planted(self, v, pos):
+        if v.grading == self.model.unit:
+            return ("pos", self.fragment.pos_of_token[self.model.exact_full()])
+        return recipe(self, v, pos)
+    monkeypatch.setattr(spectrum.ThetaContext, "_recipe", planted)
+
+
+def _star_keeps_the_grading(monkeypatch):
+    star = invsgp.star
+
+    def planted(v):
+        return dataclasses.replace(star(v), grading=v.grading)
+    monkeypatch.setattr(invsgp, "star", planted)
+
+
+def _compose_swaps_the_traces(monkeypatch):
+    compose = invsgp.compose
+
+    def planted(v, w):
+        vw = compose(v, w)
+        if vw.is_zero:
+            return vw
+        return dataclasses.replace(
+            vw, trace=WordTrace(w.trace.pairs + v.trace.pairs))
+    monkeypatch.setattr(invsgp, "compose", planted)
+
+
+def _unit_words_range_over_everything(monkeypatch):
+    word = invsgp._word
+
+    def planted(model, trace, grading, dom, ran):
+        if grading == model.unit:
+            ran = model.exact_full()
+        return word(model, trace, grading, dom, ran)
+    monkeypatch.setattr(invsgp, "_word", planted)
+
+
+@pytest.mark.parametrize("plant,analysis,law", [
+    (_unit_recipes_read_as_full, "spectrum", "identity_law"),
+    (_star_keeps_the_grading, "invsgp", "vv*v=v"),
+    (_compose_swaps_the_traces, "invsgp", "grading_multiplicative"),
+    (_unit_words_range_over_everything, "invsgp",
+     "trivially_graded_collapse"),
+], ids=["identity", "involution", "grading", "collapse"])
+def test_every_reported_law_can_fail(monkeypatch, plant, analysis, law):
+    # each law reads true on working code; a planted defect of the kind it
+    # guards against makes it false and its analysis inconclusive
+    doc = {"model": {"family": "free_monoid", "rank": 2},
+           "analyses": ["invsgp", "spectrum"], "caps": {"trace_depth": 2},
+           "seed": 0}
+    report, code = run(RunConfig.from_dict(doc))
+    result = report["results"][analysis]
+    assert result.get("laws", result)[law] is True
+    assert result["tier"] == "exact"
+    plant(monkeypatch)
+    report, code = run(RunConfig.from_dict(doc))
+    result = report["results"][analysis]
+    assert result.get("laws", result)[law] is False
+    assert result["tier"] == "inconclusive" and code == 2
 
 
 def test_reports_are_deterministic():

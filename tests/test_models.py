@@ -252,6 +252,19 @@ def test_free_abelian_parse_refuses_non_int_entries(n2, raw):
         n2.parse(raw)
 
 
+def test_validate_refuses_bools_as_parse_does(n2, num23):
+    # True == 1 and hashes alike, so a bool let through passes for an int
+    # everywhere after the boundary and renders as true
+    for model, raw in ((n2, (True, 0)), (n2, (0, False)), (num23, True)):
+        with pytest.raises(ModelError):
+            model.validate(raw)
+    with pytest.raises(ModelError):
+        WordTrace.make(n2, [((0, 0), (True, 0))])
+    with pytest.raises(ModelError):
+        WordTrace.make(num23, [(0, False)])
+    assert n2.validate((1, 0)) == (1, 0) and num23.validate(1) == 1
+
+
 def test_parse_render_roundtrip(all_models):
     for model in all_models:
         for x in model.enumerate_p(3):

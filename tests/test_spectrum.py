@@ -1,14 +1,14 @@
 import pytest
 
-from oracles import brute_filters, brute_trace_members, theta_law_counts
+from oracles import (brute_filters, brute_trace_members, principal_character,
+                     theta_law_counts)
 from sgclab import cli
 from sgclab.ideals import WordTrace, enumerate_ideals, from_trace
 from sgclab.invsgp import enumerate_vwords
 from sgclab.models import ModelError, build_model
 from sgclab.spectrum import (Fragment, ThetaContext,
                              boundary, enumerate_characters, invariant_closure,
-                             principal_character, theta_apply,
-                             topological_freeness_probe)
+                             theta_apply, topological_freeness_probe)
 
 
 def fragment_for(model, depth, gen_len=None, radius=None):
@@ -139,7 +139,9 @@ def test_theta_ambiguous_at_fragment_edge(n1):
     assert up.status == "image" and up.image == top
     down = theta_apply(ctx, (-1,), top)
     assert down.status == "ambiguous"
-    assert (2,) == down.ambiguous or 2 in down.ambiguous
+    # the image is 1 on P and 1 + N; on 2 + N it is open, as the pullback
+    # 3 + N lies outside the fragment
+    assert (down.bits, down.settled) == (0b011, 0b011)
 
 
 def test_theta_principal_transport(all_models):
@@ -214,6 +216,46 @@ def test_theta_carriers_agree(all_models):
                     if ok:
                         images.append(bits)
                 assert len(set(images)) <= 1, (model.name, g)
+
+
+def test_theta_settled_mask_is_what_the_recipes_settle(all_models):
+    # the rule restated: an empty pullback settles 0, a fragment one chi's
+    # value there; a pullback outside the fragment settles 1 when chi holds
+    # an ideal inside it, 0 when chi misses an ideal containing it, and
+    # stays open otherwise.  The first carrier whose domain chi holds is
+    # the one read.
+    ambiguous = 0
+    for model in all_models:
+        ctx = context_for(model, 2)
+        frag = ctx.fragment
+        full = (1 << frag.size()) - 1
+        for g in ctx.gradings():
+            for chi in enumerate_characters(frag):
+                res = theta_apply(ctx, g, chi)
+                if res.status not in ("ambiguous", "invalid"):
+                    continue
+                up = frag.up_masks[chi]
+                v = next(v for v, dom_pos in ctx.carriers(g)
+                         if frag.value(chi, dom_pos))
+                bits = settled = 0
+                for pos in range(frag.size()):
+                    recipe = ctx._recipe(v, pos)
+                    if recipe[0] == "empty":
+                        bit = 0
+                    elif recipe[0] == "pos":
+                        bit = frag.value(chi, recipe[1])
+                    elif up & recipe[1]:
+                        bit = 1
+                    elif recipe[2] & ~up:
+                        bit = 0
+                    else:
+                        continue
+                    settled |= 1 << pos
+                    bits |= bit << pos
+                assert (res.bits, res.settled) == (bits, settled), model.name
+                assert (res.status == "invalid") == (settled == full)
+                ambiguous += res.status == "ambiguous"
+    assert ambiguous
 
 
 def test_recipe_pullback_matches_trace_evaluation(all_models):
