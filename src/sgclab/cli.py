@@ -13,14 +13,17 @@ Exit codes: 0 when every requested analysis produced a definite verdict,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import os
 import random
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _esc
 
 from . import __version__
 from . import fock, invsgp, spectrum
@@ -266,13 +269,14 @@ def _an_boundary(model, caps, rng, store):
     res = spectrum.boundary(ctx)
     store["boundary"] = res
     frag = store["fragment"]
+    support = functools.cache(lambda chi: list(frag.support(chi)))
     edges = []
     for chi in sorted(res.chars, key=frag.up_masks.__getitem__):
         for g in ctx.gradings():
             out = spectrum.theta_apply(ctx, g, chi)
             if out.status == "image":
-                edges.append([list(frag.support(chi)), model.render(g),
-                              list(frag.support(out.image))])
+                edges.append([support(chi), model.render(g),
+                              support(out.image)])
     tier = "band-limited" if res.routes_agree else "inconclusive"
     return {
         "op": "spectrum.boundary",
@@ -407,14 +411,45 @@ def run(config: RunConfig):
     return report, code
 
 
+def _json(o, nl="\n"):
+    """``json.dumps(o, sort_keys=True, indent=2)`` for o nested at ``nl``'s
+    indentation, each container joined by one C-level ``str.join``.  Takes
+    only what reports hold (dicts with str keys, lists, tuples, str, int,
+    bool, None, finite floats) and raises TypeError or ValueError on
+    anything else rather than drift from ``json.dumps``."""
+    t = type(o)
+    if t is str:
+        return _esc(o)
+    if t is int:
+        return int.__repr__(o)
+    inner = nl + "  "
+    if t is list or t is tuple:
+        items = [_json(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if o else "[]"
+    if t is dict:  # _esc refuses a key that is not a str
+        items = [_esc(k) + ": " + _json(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if o else "{}"
+    if t is bool:
+        return "true" if o else "false"
+    if o is None:
+        return "null"
+    if t is float and math.isfinite(o):
+        return float.__repr__(o)
+    error = ValueError if t is float else TypeError
+    raise error(f"no JSON form for the {t.__name__} {o!r:.60}")
+
+
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as ``json.dumps(report, sort_keys=True, indent=2) + "\\n"``
+    writes it, byte for byte.  That call is not made because CPython 3.11
+    drops to its pure-Python encoder whenever ``indent`` is set."""
+    return _json(report) + "\n"
 
 
 def stable_body(report: dict) -> str:
-    """The report minus segregated timing data, canonically serialized."""
-    body = {k: v for k, v in report.items() if k != "timings"}
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+    """The report minus segregated timing data, canonically serialized as
+    ``json.dumps(body, sort_keys=True, indent=2) + "\\n"``, by ``_json``."""
+    return _json({k: v for k, v in report.items() if k != "timings"}) + "\n"
 
 
 def explain(report: dict, topic: str) -> str:
@@ -610,16 +645,17 @@ def main(argv=None) -> int:
         cache_path = (_cache_path(args.cache_dir, config)
                       if args.cache_dir else None)
         report = _read_cache(cache_path) if cache_path else None
-        if report is not None:
+        if report is None:
+            report, code = run(config)
+            text = report_to_json(report)
+            if cache_path:
+                _write_cache(cache_path, text)
+        else:
             code = 0 if all(r.get("tier") != "inconclusive"
                             for r in report["results"].values()) else 2
-        else:
-            report, code = run(config)
-            if cache_path:
-                _write_cache(cache_path, report_to_json(report))
+            text = report_to_json(report)
         if args.matrix_dump:
             _dump_matrices(config, args.matrix_dump)
-        text = report_to_json(report)
         if config.out:
             with open(config.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -2,11 +2,12 @@
 spectral enclosures.
 
 Rank uses Bareiss elimination over the integers, so 0/1 membership
-matrices never suffer floating-point rank ambiguity.  Operator norms are
-bracketed by bisection with Fraction arithmetic: the largest eigenvalue of
-the symmetric matrix M^T M is located through matrix inertia (Sylvester's
-law via symmetric elimination), then a square root enclosure is bisected
-down to the requested width.
+matrices never suffer floating-point rank ambiguity; rows are updated
+whole, and a row whose update is the identity is skipped.  Operator norms
+are bracketed by bisection with Fraction arithmetic: the largest eigenvalue
+of the symmetric matrix M^T M is located through matrix inertia
+(Sylvester's law via symmetric elimination), then a square root enclosure
+is bisected down to the requested width.
 """
 
 from __future__ import annotations
@@ -15,33 +16,34 @@ from fractions import Fraction
 
 
 def bareiss_rank(matrix) -> int:
-    """Rank over the rationals of an integer matrix (fraction-free)."""
+    """Rank over the rationals of an integer matrix (fraction-free).
+
+    Under pivot p, a row with pivot-column entry f becomes (p*a - f*b) //
+    prev, exact since each entry is a minor (Sylvester's identity); when
+    f == 0 and p == prev that maps each a to a, so the row is skipped."""
     m = [list(map(int, row)) for row in matrix]
     if not m or not m[0]:
         return 0
     rows, cols = len(m), len(m[0])
-    rank = 0
     prev = 1
     r = 0
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
+        top = m[r]
+        p = top[c]
         for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+            row = m[i]
+            f = row[c]
+            if f or p != prev:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
         r += 1
-        rank += 1
         if r == rows:
             break
-    return rank
+    return r
 
 
 def _eigs_below(sym, t):

@@ -103,8 +103,9 @@ class Fragment:
         return (self.up_masks[chi] >> pos) & 1
 
     def support(self, chi):
-        """Positions of the ideals on which chi is 1, ascending."""
-        return tuple(p for p in range(self.size()) if self.value(chi, p))
+        """Positions of the ideals on which chi is 1: its up mask's bits."""
+        bits = self.up_masks[chi]
+        return tuple(p for p in range(bits.bit_length()) if bits >> p & 1)
 
 
 def enumerate_characters(fragment: Fragment):

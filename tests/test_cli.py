@@ -5,6 +5,7 @@ import os
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sgclab import cli, invsgp, spectrum
 from sgclab.cli import (ANALYSES, ConfigError, RunConfig, explain, main,
@@ -306,6 +307,10 @@ def test_stable_body_matches_golden_hash(config, digest):
     doc = dict(config, seed=0)
     report, _ = run(RunConfig.from_dict(doc))
     assert hashlib.sha256(stable_body(report).encode()).hexdigest() == digest
+    # the whole report, timings floats included, is the text json.dumps
+    # writes
+    assert report_to_json(report) == \
+        json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -450,6 +455,24 @@ def test_main_cache_dir(tmp_path, monkeypatch):
     assert len(os.listdir(cache)) == 3
 
 
+def test_main_cache_miss_serializes_once(tmp_path, monkeypatch):
+    out = tmp_path / "r.json"
+    cache = tmp_path / "cache"
+    calls = []
+
+    def counted(report):
+        calls.append(report)
+        return report_to_json(report)
+
+    monkeypatch.setattr(cli, "report_to_json", counted)
+    assert main(["analyze", "--family", "numerical", "--generators", "2,3",
+                 "--analyses", "ore", "--out", str(out),
+                 "--cache-dir", str(cache)]) == 0
+    assert len(calls) == 1
+    (entry,) = cache.iterdir()
+    assert entry.read_bytes() == out.read_bytes()
+
+
 def test_main_error_exit(tmp_path, capsys):
     assert main(["analyze", "--config", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"
@@ -480,3 +503,49 @@ def test_report_json_is_sorted():
     text = report_to_json(report)
     assert json.loads(text) == report
     assert text.index('"config"') < text.index('"results"')
+
+
+_ODD_TEXT = st.sampled_from(
+    ["", "\"", "\\", "\"q\\\"", "\x00\x1f\x7f", "\n\t\r\b\f", "\u00e9",
+     "\u2028", "\U0001f600", "\udc80"])
+_TEXT = st.one_of(st.text(max_size=6), _ODD_TEXT)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 80, 2 ** 80),
+    st.sampled_from([0, -1, True, False, -0.0, 0.0, 1e300, -1e300, 5e-324,
+                     0.1, 1.5e-7, 12345678901234567890.0]),
+    st.floats(allow_nan=False, allow_infinity=False), _TEXT)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_TEXT, kids, max_size=4)),
+    max_leaves=30)
+
+
+@given(_VALUES)
+@example({"": [], "a": {}, "b": [[], {}, [[]], {"c": {}}], "\"k\"": ()})
+@example([True, 1, False, 0, -1, 2 ** 70, -(2 ** 70), -0.0, 1e300, 5e-324])
+@example({"\u00e9\x01": {"\\": "\"\x1f\u2603"}})
+@settings(max_examples=300, deadline=None)
+def test_report_encoder_matches_json_dumps(value):
+    assert report_to_json(value) == \
+        json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value,error", [
+    ({1: "a"}, TypeError),
+    ({"a": 1, 2: "b"}, TypeError),
+    ({"a": {1, 2}}, TypeError),
+    ([frozenset()], TypeError),
+    ([b"bytes"], TypeError),
+    ({"a": [float("nan")]}, ValueError),
+    (float("inf"), ValueError),
+    ([-float("inf")], ValueError),
+])
+def test_report_encoder_refuses_what_reports_never_hold(value, error):
+    # json.dumps would write these (an int key as a string, NaN as a bare
+    # token) or refuse them; the encoder refuses rather than drift
+    with pytest.raises(error):
+        report_to_json(value)
+    with pytest.raises(error):
+        stable_body({"results": value})

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (basis_scan_columns, frame_flag, frame_pointwise_applies,
                      gauss_rank, graded_sum)
+from sgclab import ideals
 from sgclab.cli import RunConfig, run
 from sgclab.exactla import (bareiss_rank, operator_norm_enclosure,
                             sqrt_enclosure, sym_top_eig_enclosure)
@@ -29,11 +30,59 @@ TOL = Fraction(1, 10 ** 9)
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
-@given(st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4),
-                min_size=1, max_size=6))
-@settings(max_examples=50, deadline=None)
+@st.composite
+def int_matrices(draw):
+    """Signed matrices up to 8 x 8, tall, square and wide."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols,
+                                  max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@given(st.one_of(
+    st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4),
+             min_size=1, max_size=6),
+    int_matrices()))
+@settings(max_examples=300, deadline=None)
 def test_bareiss_matches_gauss(rows):
     assert bareiss_rank(rows) == gauss_rank(rows)
+
+
+@pytest.mark.parametrize("rows,rank", [
+    # a zero row
+    ([[1, 2, 0], [0, 0, 0], [0, 1, 3]], 2),
+    # a duplicate row
+    ([[1, -2, 3], [0, 1, 1], [1, -2, 3]], 2),
+    # a row that is the sum of two others
+    ([[1, 0, 2, -1], [0, 3, 1, 1], [1, 3, 3, 0], [0, 0, 0, 1]], 3),
+    # the pivot 2 differs from the previous pivot 1, so the rows with a
+    # zero pivot-column entry must still be scaled: left as they were,
+    # the next step would divide (0, 0, 1) by 2 and drop the last row
+    ([[2, 0, 0], [0, 1, 0], [0, 1, 1]], 3),
+    ([[0, 0, 1], [3, 1, 0], [0, 1, 2], [0, 2, 4]], 3),
+])
+def test_bareiss_deficient_and_pivot_change(rows, rank):
+    assert bareiss_rank(rows) == gauss_rank(rows) == rank
+
+
+def test_bareiss_on_the_f2_depth6_membership_matrix(monkeypatch):
+    # the 127-row matrix the rank oracle builds on the deepest word
+    # enumeration, against plain Fraction elimination
+    seen = []
+
+    def capture(matrix):
+        seen.append(matrix)
+        return bareiss_rank(matrix)
+
+    monkeypatch.setattr(ideals, "bareiss_rank", capture)
+    report, _ = run(RunConfig.from_dict(
+        {"model": {"family": "free_monoid", "rank": 2},
+         "caps": {"trace_depth": 6}, "analyses": ["independence"]}))
+    (matrix,) = seen
+    assert len(matrix) == 127
+    assert bareiss_rank(matrix) == gauss_rank(matrix) == 127
+    assert report["results"]["independence"]["rank_oracle"]["status"] == \
+        "full_rank"
 
 
 def test_sym_top_eig_known():
