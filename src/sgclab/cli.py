@@ -8,6 +8,8 @@ rest of the document is byte-stable.
 
 Exit codes: 0 when every requested analysis produced a definite verdict,
 2 when some verdict is inconclusive, 1 on errors.
+A ``--cache-dir`` hit writes the stored report text unchanged, with the
+exit code of its tiers, and runs no analysis.
 """
 
 from __future__ import annotations
@@ -32,21 +34,6 @@ from .ideals import (WordTrace, enumerate_ideals, independence_rank_oracle,
 from .models import ModelError, build_model
 
 SCHEMA_VERSION = 1
-
-ANALYSES = ("ideals", "independence", "ore", "invsgp", "spectrum",
-            "boundary", "freeness", "fock", "sc")
-
-_DEPS = {
-    "ideals": (),
-    "independence": ("ideals",),
-    "ore": (),
-    "invsgp": ("ideals",),
-    "spectrum": ("ideals", "invsgp"),
-    "boundary": ("spectrum",),
-    "freeness": ("boundary",),
-    "fock": ("ideals", "invsgp"),
-    "sc": ("invsgp",),
-}
 
 DEFAULT_CAPS = {
     "trace_depth": 2,
@@ -105,12 +92,11 @@ class RunConfig:
             if val is not None and (isinstance(val, bool)
                                     or not isinstance(val, int) or val < 0):
                 raise ConfigError(f"cap {key!r} must be a non-negative int")
+        # each analysis follows those it reads: one backward pass closes
         closure = set(analyses)
-        while True:
-            extra = {d for a in closure for d in _DEPS[a]} - closure
-            if not extra:
-                break
-            closure |= extra
+        for name in reversed(ANALYSES):
+            if name in closure:
+                closure.update(PIPELINE[name][1])
         ordered = tuple(a for a in ANALYSES if a in closure)
         return RunConfig(
             model_config=doc["model"],
@@ -146,13 +132,14 @@ def _an_ideals(model, caps, rng, store):
     lat = enumerate_ideals(model, caps["trace_depth"], caps["gen_len"],
                            caps["radius"], caps["max_ideals"])
     store["lattice"] = lat
+    store["lattice_json"] = lat.to_json()
     return {
         "op": "ideals.enumerate_ideals",
         "params": {"trace_depth": caps["trace_depth"], "gen_len": caps["gen_len"],
                    "radius": caps["radius"], "cap": caps["max_ideals"]},
         "count": len(lat.ideals),
         "nonempty": len(lat.nonempty_indices()),
-        "lattice": lat.to_json(),
+        "lattice": store["lattice_json"],
     }, "exact"
 
 
@@ -164,20 +151,19 @@ def _an_independence(model, caps, rng, store):
     if rank.status != "inconclusive":
         agree = ((comb.status == "independent") == (rank.status == "full_rank"))
     tier = "exact" if agree else "inconclusive"
-    result = {
-        "op": "ideals.independence_test",
-        "params": {"fragment_size": len(lat.ideals), "radius": lat.radius},
-        "combinatorial": comb.to_json(),
-        "rank_oracle": rank.to_json(),
-        "oracles_agree": agree,
-    }
-    store["independence_flags"] = {
+    store["lattice_json"]["flags"] = {
         "independence": comb.status,
         "witness": comb.witness,
         "witness_parts": list(comb.parts),
         "rank": rank.status,
     }
-    return result, tier
+    return {
+        "op": "ideals.independence_test",
+        "params": {"fragment_size": len(lat.ideals), "radius": lat.radius},
+        "combinatorial": comb.to_json(),
+        "rank_oracle": rank.to_json(),
+        "oracles_agree": agree,
+    }, tier
 
 
 def _an_ore(model, caps, rng, store):
@@ -357,17 +343,25 @@ def _an_sc(model, caps, rng, store):
     }, tier
 
 
-_RUNNERS = {
-    "ideals": _an_ideals,
-    "independence": _an_independence,
-    "ore": _an_ore,
-    "invsgp": _an_invsgp,
-    "spectrum": _an_spectrum,
-    "boundary": _an_boundary,
-    "freeness": _an_freeness,
-    "fock": _an_fock,
-    "sc": _an_sc,
+# name -> (runner, the analyses it reads), each after those it reads
+PIPELINE = {
+    "ideals": (_an_ideals, ()),
+    "independence": (_an_independence, ("ideals",)),
+    "ore": (_an_ore, ()),
+    "invsgp": (_an_invsgp, ("ideals",)),
+    "spectrum": (_an_spectrum, ("ideals", "invsgp")),
+    "boundary": (_an_boundary, ("spectrum",)),
+    "freeness": (_an_freeness, ("boundary",)),
+    "fock": (_an_fock, ("ideals", "invsgp")),
+    "sc": (_an_sc, ("invsgp",)),
 }
+
+ANALYSES = tuple(PIPELINE)
+
+
+def _exit_code(results) -> int:
+    """0 when every result's tier is definite, 2 when one is inconclusive."""
+    return 2 if any(r["tier"] == "inconclusive" for r in results.values()) else 0
 
 
 def run(config: RunConfig):
@@ -384,22 +378,17 @@ def run(config: RunConfig):
              else [model.parse(g) for g in config.freeness_g]}
     results = {}
     timings = {}
-    tiers = []
     for name in config.analyses:
         rng = random.Random((config.seed, name).__repr__())
         t0 = time.perf_counter()
         try:
-            result, tier = _RUNNERS[name](model, caps, rng, store)
+            result, tier = PIPELINE[name][0](model, caps, rng, store)
         except Exception as exc:  # per-analysis cap violations and the like
             result = {"op": name, "error": f"{type(exc).__name__}: {exc}"}
             tier = "inconclusive"
         timings[name] = round(time.perf_counter() - t0, 6)
         result["tier"] = tier
         results[name] = result
-        tiers.append(tier)
-    flags = store.get("independence_flags")
-    if flags and "ideals" in results and "lattice" in results["ideals"]:
-        results["ideals"]["lattice"]["flags"] = flags
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "sgclab", "version": __version__},
@@ -407,8 +396,7 @@ def run(config: RunConfig):
         "results": results,
         "timings": timings,
     }
-    code = 0 if all(t != "inconclusive" for t in tiers) else 2
-    return report, code
+    return report, _exit_code(results)
 
 
 def _json(o, nl="\n"):
@@ -532,7 +520,7 @@ def _parse_args(argv):
     an.add_argument("--rank", type=int)
     an.add_argument("--generators", help="comma-separated, e.g. 2,3")
     an.add_argument("--analyses", help="comma-separated subset of: " + ",".join(ANALYSES))
-    an.add_argument("--depth", type=int, help="trace depth cap")
+    an.add_argument("--depth", type=int, dest="trace_depth", help="trace depth cap")
     an.add_argument("--gen-len", type=int)
     an.add_argument("--radius", type=int)
     an.add_argument("--trunc", type=int)
@@ -571,11 +559,8 @@ def _doc_from_args(args) -> dict:
     if args.analyses:
         doc["analyses"] = args.analyses.split(",")
     caps = dict(_object(doc.get("caps", {}), "'caps'"))
-    for flag, cap in (("depth", "trace_depth"), ("gen_len", "gen_len"),
-                      ("radius", "radius"), ("trunc", "trunc"),
-                      ("f_chain", "f_chain"), ("ore_len", "ore_len"),
-                      ("samples", "samples")):
-        val = getattr(args, flag)
+    for cap in DEFAULT_CAPS:  # each cap flag's dest is its cap; max_ideals has none
+        val = getattr(args, cap, None)
         if val is not None:
             caps[cap] = val
     if caps:
@@ -597,10 +582,11 @@ def _cache_path(directory: str, config: RunConfig) -> str:
 
 
 def _read_cache(path: str):
-    """The cached report, or None when the entry is missing or unreadable."""
+    """The entry's text and exit code; None if it is missing or undecodable."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        return text, _exit_code(json.loads(text)["results"])
     except (FileNotFoundError, ValueError):
         return None
 
@@ -644,16 +630,14 @@ def main(argv=None) -> int:
         config = RunConfig.from_dict(doc)
         cache_path = (_cache_path(args.cache_dir, config)
                       if args.cache_dir else None)
-        report = _read_cache(cache_path) if cache_path else None
-        if report is None:
+        hit = _read_cache(cache_path) if cache_path else None
+        if hit is None:
             report, code = run(config)
             text = report_to_json(report)
             if cache_path:
                 _write_cache(cache_path, text)
         else:
-            code = 0 if all(r.get("tier") != "inconclusive"
-                            for r in report["results"].values()) else 2
-            text = report_to_json(report)
+            text, code = hit
         if args.matrix_dump:
             _dump_matrices(config, args.matrix_dump)
         if config.out:

@@ -42,6 +42,8 @@ from . import invsgp
 from .ideals import WordTrace, from_trace, full_ideal, intersect
 from .models import ModelError
 
+SC_TOL = Fraction(1, 10 ** 9)   # a probed norm at or below this vanishes
+
 
 class BandExhausted(RuntimeError):
     """No basis columns remain inside the trusted guard band."""
@@ -63,8 +65,6 @@ class TruncOp:
 
     model: object
     n: int
-    basis: tuple
-    index: object            # dict elem -> position
     cols: dict               # column -> row of its unit entry
     band: int
     reach: int
@@ -76,26 +76,26 @@ class TruncOp:
         """Documented dump format: a header line
         ``# truncop rows cols band reach`` followed by one ``row col value``
         line per unit entry, the value written as the rational ``1/1``."""
-        lines = [f"# truncop {len(self.basis)} {len(self.basis)} {self.band} {self.reach}"]
+        size = len(self.model.basis(self.n)[0])
+        lines = [f"# truncop {size} {size} {self.band} {self.reach}"]
         for i, j, _ in self.triplets():
             lines.append(f"{i} {j} 1/1")
         return "\n".join(lines) + "\n"
 
 
 def zero_op(model, n) -> TruncOp:
-    basis, index = model.basis(n)
-    return TruncOp(model, n, basis, index, {}, n, 0)
+    return TruncOp(model, n, {}, n, 0)
 
 
 def projection_op(ideal, n) -> TruncOp:
     """Diagonal 0/1 mask of an ideal's members on the basis."""
     model = ideal.model
-    basis, index = model.basis(n)
+    index = model.basis(n)[1]
     cols = {}
     for s in ideal.members_upto(n):
         j = index[s]
         cols[j] = j
-    return TruncOp(model, n, basis, index, cols, n, 0)
+    return TruncOp(model, n, cols, n, 0)
 
 
 def word_reach(v) -> int:
@@ -109,7 +109,7 @@ def rep_vword(v, n) -> TruncOp:
     domain member s of length <= n maps to g*s when that lies in the
     basis."""
     model = v.model
-    basis, index = model.basis(n)
+    index = model.basis(n)[1]
     cols = {}
     if not v.is_zero:
         mul, g = model.mul, v.grading
@@ -121,7 +121,7 @@ def rep_vword(v, n) -> TruncOp:
     band = n - reach
     if band < 0:
         raise BandExhausted(f"word reach {reach} exceeds truncation {n}")
-    return TruncOp(model, n, basis, index, cols, band, reach)
+    return TruncOp(model, n, cols, band, reach)
 
 
 def _check_compat(a: TruncOp, b: TruncOp):
@@ -134,14 +134,14 @@ def mul_op(a: TruncOp, b: TruncOp) -> TruncOp:
     _check_compat(a, b)
     acols = a.cols
     cols = {j: acols[k] for j, k in b.cols.items() if k in acols}
-    return TruncOp(a.model, a.n, a.basis, a.index, cols,
+    return TruncOp(a.model, a.n, cols,
                    min(b.band, a.band - b.reach), a.reach + b.reach)
 
 
 def diagonal_part(a: TruncOp) -> TruncOp:
     """Compression to the diagonal: keep only the fixed points."""
     cols = {j: j for j, i in a.cols.items() if i == j}
-    return TruncOp(a.model, a.n, a.basis, a.index, cols, a.band, 0)
+    return TruncOp(a.model, a.n, cols, a.band, 0)
 
 
 def _band_width(model, band) -> int:
@@ -309,8 +309,7 @@ class ScProbeReport:
         }
 
 
-def sc_limit_probe(terms, f_chain, model, n,
-                   tol=Fraction(1, 10 ** 9)) -> ScProbeReport:
+def sc_limit_probe(terms, f_chain, model, n) -> ScProbeReport:
     """Norms of ``terms`` along the frame chain at truncation n.  Only basis
     points inside the guard band are ever read, so the frames flag the
     band's basis only, each distinct element once per probe."""
@@ -335,9 +334,9 @@ def sc_limit_probe(terms, f_chain, model, n,
                          enclosures[k + 1][0] <= enclosures[k][1]
                          for k in range(len(enclosures) - 1))
     last_lo, last_hi = enclosures[-1]
-    if last_hi <= tol:
+    if last_hi <= SC_TOL:
         verdict = "vanishing-evidence"
-    elif last_lo > tol and (len(enclosures) == 1 or last_lo >= enclosures[-2][0]):
+    elif last_lo > SC_TOL and (len(enclosures) == 1 or last_lo >= enclosures[-2][0]):
         verdict = "non-vanishing-evidence"
     else:
         verdict = "inconclusive"

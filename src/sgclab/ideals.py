@@ -108,10 +108,9 @@ class ConstructibleIdeal:
                 return mem[:limit]
             r = 2 * r + 1
 
-    def render(self, radius, limit=20):
-        """Report form; ``radius`` sizes the ``members_prefix`` only."""
-        mem = [self.model.render(a)
-               for a in self.members_prefix(radius, limit)]
+    def render(self, radius):
+        """Report form, listing the first 20 members up to ``radius``."""
+        mem = [self.model.render(a) for a in self.members_prefix(radius, 20)]
         return {
             "trace": None if self.trace is None else self.trace.render(self.model),
             "radius": radius,

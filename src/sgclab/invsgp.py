@@ -141,15 +141,16 @@ class VWordFamily:
 
     ``members[0]`` is the identity.  ``zero`` is the canonical zero word
     when some enumerated trace collapsed (None otherwise).  ``by_grading``
-    groups member indices by grading.  ``eq_pairs`` logs (member_index,
-    duplicate_trace) equalities detected during deduplication, capped.
+    groups member indices by grading.  ``duplicates`` counts the nonzero
+    traces whose word a shorter or earlier trace already reached, up to
+    200.
     """
 
     model: object
     members: tuple
     zero: object
     by_grading: dict
-    eq_pairs: tuple
+    duplicates: int
     params: dict = field(default_factory=dict)
 
     def gradings(self):
@@ -160,13 +161,13 @@ class VWordFamily:
             "members": [v.render(self.params["radius"]) for v in self.members],
             "zero_seen": self.zero is not None,
             "gradings": [self.model.render(g) for g in self.gradings()],
-            "equality_pairs_logged": len(self.eq_pairs),
+            "equality_pairs_logged": self.duplicates,
             "params": self.params,
         }
 
 
 def enumerate_vwords(model, max_trace_len, gen_len=None, radius=None,
-                     cap=20000, eq_log_cap=200) -> VWordFamily:
+                     cap=20000) -> VWordFamily:
     """All distinct words with traces of at most ``max_trace_len`` pairs
     over submonoid elements of length <= gen_len.
 
@@ -177,8 +178,8 @@ def enumerate_vwords(model, max_trace_len, gen_len=None, radius=None,
     only representatives are extended, each by ``compose`` with the word
     of one pair, at O(words x pairs) compositions instead of O(pairs^depth)
     trace evaluations; ``dedup_key`` identifies a word exactly.
-    ``eq_pairs`` is then replayed from the table of representative steps,
-    in the order the full walk over every trace would log it.
+    ``duplicates`` is then counted from the table of representative steps:
+    every nonzero trace but each member's first is a duplicate.
     """
     if gen_len is None:
         gen_len = model.default_gen_len
@@ -218,42 +219,24 @@ def enumerate_vwords(model, max_trace_len, gen_len=None, radius=None,
         for v in members[len(step):]:
             step.append([visit(compose(v, one)) for one in ones])
 
+    # nonzero traces of the current length per member; zero stays zero
+    ways = {0: 1}
+    traces = 0
+    for _ in range(max_trace_len):
+        nxt = {}
+        for i, count in ways.items():
+            for j in step[i]:
+                if j is not None:
+                    nxt[j] = nxt.get(j, 0) + count
+        traces += sum(nxt.values())
+        ways = nxt
+
     return VWordFamily(
         model=model,
         members=tuple(members),
         zero=zero,
         by_grading={g: tuple(ix) for g, ix in by_grading.items()},
-        eq_pairs=_equality_log(pairs, step, max_trace_len, eq_log_cap),
+        duplicates=min(traces - (len(members) - 1), 200),
         params={"max_trace_len": max_trace_len, "gen_len": gen_len,
                 "radius": radius},
     )
-
-
-def _equality_log(pairs, step, max_trace_len, eq_log_cap):
-    """(member_index, duplicate_trace) for the first ``eq_log_cap`` traces,
-    breadth first, whose word an earlier trace already reached.
-
-    A trace's word is looked up in ``step``; it is new exactly when its
-    index equals the count of words seen so far.  Traces through zero stay
-    zero and are skipped, so each depth holds fewer than
-    ``len(members) + eq_log_cap`` traces.
-    """
-    eq_pairs = []
-    seen = 1
-    frontier = [((), 0)]
-    for _ in range(max_trace_len):
-        nxt = []
-        for tp, i in frontier:
-            for pq, j in zip(pairs, step[i]):
-                if j is None:
-                    continue
-                seq = tp + (pq,)
-                if j < seen:
-                    if len(eq_pairs) >= eq_log_cap:
-                        return tuple(eq_pairs)
-                    eq_pairs.append((j, WordTrace(seq)))
-                else:
-                    seen += 1
-                nxt.append((seq, j))
-        frontier = nxt
-    return tuple(eq_pairs)

@@ -252,15 +252,14 @@ class ClosureResult:
     events: tuple             # (grading, char, status) for non-image instances
 
 
-def invariant_closure(ctx: ThetaContext, seed, gradings=None) -> ClosureResult:
+def invariant_closure(ctx: ThetaContext, seed) -> ClosureResult:
     """Smallest superset of the seed closed under all defined images.
 
     Ambiguous and invalid instances add nothing but are reported in
     ``events``; at finite fragment scale pointwise limits are members, so
     the closure is purely dynamical.
     """
-    if gradings is None:
-        gradings = ctx.gradings()
+    gradings = ctx.gradings()
     chars = set(seed)
     queue = list(seed)
     events = []

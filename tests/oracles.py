@@ -9,12 +9,15 @@ of words by summing their basis-scan columns entrywise (the package itself
 never realizes a combination as one matrix).  Numerical-token subset,
 cover and intersection scan every point below the largest tail; the
 composition law of the partial action is checked one ``theta_apply``
-instance at a time.  Expected values frozen into
+instance at a time, and the word family is built by evaluating every trace
+instead of extending one trace per word.  Expected values frozen into
 tests were produced by these functions.
 """
 
 from fractions import Fraction
 
+from sgclab.ideals import WordTrace
+from sgclab.invsgp import make_vword
 from sgclab.models import EMPTY
 from sgclab.spectrum import theta_apply
 
@@ -259,3 +262,41 @@ def theta_law_counts(ctx):
                 else:
                     ambiguous += 1
     return checked, failures, ambiguous
+
+
+def exhaustive_vwords(model, max_trace_len, gen_len=None, cap=200):
+    """The word family by a walk that evaluates every trace, breadth first,
+    pairs in order: ``(members, zero, by_grading, duplicates)`` as
+    ``enumerate_vwords`` defines the first three.  ``duplicates`` lists
+    ``(member_index, WordTrace)`` for the first ``cap`` nonzero traces
+    whose word an earlier trace already reached."""
+    gen_len = model.default_gen_len if gen_len is None else gen_len
+    cand = model.enumerate_p(gen_len)
+    pairs = [(p, q) for p in cand for q in cand]
+    members, keys, duplicates, by_grading = [], {}, [], {}
+    zero = None
+
+    def visit(trace_pairs):
+        nonlocal zero
+        v = make_vword(model, WordTrace(trace_pairs))
+        key = v.dedup_key()
+        if key == ("zero",):
+            if zero is None:
+                zero = v
+            return
+        got = keys.get(key)
+        if got is not None:
+            if len(duplicates) < cap:
+                duplicates.append((got, WordTrace(trace_pairs)))
+            return
+        keys[key] = len(members)
+        by_grading.setdefault(v.grading, []).append(len(members))
+        members.append(v)
+
+    visit(())
+    frontier = [()]
+    for _ in range(max_trace_len):
+        frontier = [tp + (pq,) for tp in frontier for pq in pairs]
+        for seq in frontier:
+            visit(seq)
+    return members, zero, by_grading, duplicates

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import graded_sum, principal_character
+from oracles import exhaustive_vwords, graded_sum, principal_character
 from sgclab.cli import ANALYSES, RunConfig, run, stable_body
 from sgclab.fock import (build_frame, check_projection_identity,
                          cond_expectation, equal_on_band, mul_op,
@@ -19,8 +19,8 @@ from sgclab.fock import (build_frame, check_projection_identity,
 from sgclab.ideals import (enumerate_ideals, full_ideal,
                            independence_rank_oracle, independence_test,
                            intersect, left_mul, ore_test, ideal_eq)
-from sgclab.invsgp import (compose, enumerate_vwords, idempotent_vword, star,
-                           vword_eq)
+from sgclab.invsgp import (compose, enumerate_vwords, idempotent_vword,
+                           make_vword, star, vword_eq)
 from sgclab.spectrum import (Fragment, ThetaContext, boundary,
                              enumerate_characters, theta_apply,
                              topological_freeness_probe)
@@ -135,9 +135,8 @@ def test_criterion_4_inverse_semigroup_laws(all_models):
         for v in fam.members:
             if v.grading == unit:
                 assert vword_eq(v, idempotent_vword(v.dom)) is True
-        for idx, dup in fam.eq_pairs:
+        for idx, dup in exhaustive_vwords(model, 2, fam.params["gen_len"])[3]:
             v = fam.members[idx]
-            from sgclab.invsgp import make_vword
             w = make_vword(model, dup)
             prods = [compose(v, star(v)), compose(w, star(w)),
                      compose(w, star(v)), compose(v, star(w))]

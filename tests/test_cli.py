@@ -25,10 +25,27 @@ def small_config(**over):
     return doc
 
 
+# the analyses each single requested analysis runs, in run order
+CLOSURES = {
+    "ideals": ("ideals",),
+    "independence": ("ideals", "independence"),
+    "ore": ("ore",),
+    "invsgp": ("ideals", "invsgp"),
+    "spectrum": ("ideals", "invsgp", "spectrum"),
+    "boundary": ("ideals", "invsgp", "spectrum", "boundary"),
+    "freeness": ("ideals", "invsgp", "spectrum", "boundary", "freeness"),
+    "fock": ("ideals", "invsgp", "fock"),
+    "sc": ("ideals", "invsgp", "sc"),
+}
+
+
 def test_config_dependency_closure():
-    cfg = RunConfig.from_dict({"model": {"family": "free_abelian", "rank": 1},
-                               "analyses": ["freeness"]})
-    assert cfg.analyses == ("ideals", "invsgp", "spectrum", "boundary", "freeness")
+    assert tuple(CLOSURES) == ANALYSES
+    for name, (_, reads) in cli.PIPELINE.items():
+        assert all(ANALYSES.index(d) < ANALYSES.index(name) for d in reads)
+        cfg = RunConfig.from_dict({"model": {"family": "free_abelian", "rank": 1},
+                                   "analyses": [name]})
+        assert cfg.analyses == CLOSURES[name]
     cfg2 = RunConfig.from_dict({"model": {"family": "free_abelian", "rank": 1}})
     assert cfg2.analyses == ANALYSES
 
@@ -453,6 +470,33 @@ def test_main_cache_dir(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "SCHEMA_VERSION", 2)
     assert main(args) == 0
     assert len(os.listdir(cache)) == 3
+
+
+@pytest.mark.parametrize("flags,code", [
+    (["--family", "numerical", "--generators", "2,3", "--analyses", "ore"], 0),
+    # freeness is inconclusive on the rank-2 frontier gradings
+    (["--family", "free_monoid", "--rank", "2", "--depth", "2",
+      "--analyses", "freeness"], 2),
+], ids=["ore", "F2+ freeness"])
+def test_main_cache_hit_writes_the_stored_text(tmp_path, monkeypatch, capsys,
+                                               flags, code):
+    out = tmp_path / "r.json"
+    args = ["analyze", *flags, "--cache-dir", str(tmp_path / "cache")]
+    assert main(args + ["--out", str(out)]) == code
+    (entry,) = (tmp_path / "cache").iterdir()
+    stored = entry.read_bytes()
+
+    def refuse(*_):
+        raise AssertionError("a cache hit runs and encodes nothing")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    monkeypatch.setattr(cli, "report_to_json", refuse)
+    out.unlink()
+    assert main(args + ["--out", str(out)]) == code
+    assert out.read_bytes() == stored
+    capsys.readouterr()
+    assert main(args) == code
+    assert capsys.readouterr().out.encode() == stored
 
 
 def test_main_cache_miss_serializes_once(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import pointwise_word_apply
+from oracles import exhaustive_vwords, pointwise_word_apply
 from sgclab import invsgp
 from sgclab.fock import rep_vword, word_reach
 from sgclab.ideals import (CapExceeded, WordTrace, from_trace, full_ideal,
@@ -217,7 +217,8 @@ def test_equality_detected_pairs_satisfy_projection_criterion(all_models, family
     # the same idempotent
     for model in all_models:
         fam = family_of(model)
-        for idx, dup_trace in fam.eq_pairs[:25]:
+        duplicates = exhaustive_vwords(model, 2, fam.params["gen_len"])[3]
+        for idx, dup_trace in duplicates[:25]:
             v = fam.members[idx]
             w = make_vword(model, dup_trace)
             prods = [compose(v, star(v)), compose(w, star(w)),
@@ -264,8 +265,9 @@ def test_enumerate_f2_depth1(f2, family_of):
 
 def test_enumerate_dedup_keeps_shortest_trace(n1, family_of):
     fam = family_of(n1)
+    duplicates = exhaustive_vwords(n1, 2, fam.params["gen_len"])[3]
     for v in fam.members:
-        for idx, dup in fam.eq_pairs:
+        for idx, dup in duplicates:
             if idx < len(fam.members):
                 assert len(fam.members[idx].trace.pairs) <= len(dup.pairs)
 
@@ -279,47 +281,10 @@ def test_classification_by_grading_and_domain(n1, family_of):
         seen.add(key)
 
 
-def _exhaustive_vwords(model, max_trace_len, gen_len=None, eq_log_cap=200):
-    """Reference walk that extends every trace, breadth first, pairs in
-    order: (members, zero, by_grading, eq_pairs) as enumerate_vwords
-    defines them."""
-    gen_len = model.default_gen_len if gen_len is None else gen_len
-    cand = model.enumerate_p(gen_len)
-    pairs = [(p, q) for p in cand for q in cand]
-    members, keys, eq_pairs, by_grading = [], {}, [], {}
-    zero = None
-
-    def visit(trace_pairs):
-        nonlocal zero
-        v = make_vword(model, WordTrace(trace_pairs))
-        key = v.dedup_key()
-        if key == ("zero",):
-            if zero is None:
-                zero = v
-            return
-        got = keys.get(key)
-        if got is not None:
-            if len(eq_pairs) < eq_log_cap:
-                eq_pairs.append((got, WordTrace(trace_pairs)))
-            return
-        keys[key] = len(members)
-        by_grading.setdefault(v.grading, []).append(len(members))
-        members.append(v)
-
-    visit(())
-    frontier = [()]
-    for _ in range(max_trace_len):
-        frontier = [tp + (pq,) for tp in frontier for pq in pairs]
-        for seq in frontier:
-            visit(seq)
-    return members, zero, by_grading, eq_pairs
-
-
-def _family_view(members, zero, by_grading, eq_pairs):
+def _family_view(members, zero, by_grading):
     return ([(v.trace.pairs, v.grading, v.dom.exact) for v in members],
             zero is not None,
-            [(g, tuple(ix)) for g, ix in by_grading.items()],
-            [(i, t.pairs) for i, t in eq_pairs])
+            [(g, tuple(ix)) for g, ix in by_grading.items()])
 
 
 _MODELS = {
@@ -339,8 +304,11 @@ _MODELS = {
 def test_enumeration_matches_exhaustive_walk(name, depth, gen_len):
     model = build_model(_MODELS[name])
     fam = enumerate_vwords(model, depth, gen_len)
-    got = _family_view(fam.members, fam.zero, fam.by_grading, fam.eq_pairs)
-    assert got == _family_view(*_exhaustive_vwords(model, depth, gen_len))
+    members, zero, by_grading, duplicates = exhaustive_vwords(model, depth,
+                                                              gen_len)
+    got = _family_view(fam.members, fam.zero, fam.by_grading)
+    assert got == _family_view(members, zero, by_grading)
+    assert fam.duplicates == min(200, len(duplicates))
 
 
 def test_enumeration_extends_one_trace_per_word(f2, monkeypatch):
@@ -367,11 +335,7 @@ def test_enumeration_extends_one_trace_per_word(f2, monkeypatch):
 
 def test_enumeration_caps(f2):
     fam = enumerate_vwords(f2, 3)
-    assert len(fam.eq_pairs) == 200
-    short = enumerate_vwords(f2, 3, eq_log_cap=7)
-    assert [(i, t.pairs) for i, t in short.eq_pairs] == \
-        [(i, t.pairs) for i, t in fam.eq_pairs[:7]]
-    assert enumerate_vwords(f2, 3, eq_log_cap=0).eq_pairs == ()
+    assert fam.duplicates == len(exhaustive_vwords(f2, 3)[3]) == 200
     assert len(enumerate_vwords(f2, 3, cap=len(fam.members)).members) == \
         len(fam.members)
     with pytest.raises(CapExceeded):
