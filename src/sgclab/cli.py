@@ -24,7 +24,7 @@ import random
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _esc
 
 from . import __version__
@@ -582,13 +582,21 @@ def _cache_path(directory: str, config: RunConfig) -> str:
 
 
 def _read_cache(path: str):
-    """The entry's text and exit code; None if it is missing or undecodable."""
+    """The entry's text and exit code; None if it is missing, undecodable
+    or not a report (an object whose ``results`` are objects, each with a
+    str ``tier``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return text, _exit_code(json.loads(text)["results"])
+        doc = json.loads(text)
     except (FileNotFoundError, ValueError):
         return None
+    results = doc.get("results") if isinstance(doc, dict) else None
+    if not (isinstance(results, dict)
+            and all(isinstance(r, dict) and isinstance(r.get("tier"), str)
+                    for r in results.values())):
+        return None
+    return text, _exit_code(results)
 
 
 def _write_cache(path: str, text: str):

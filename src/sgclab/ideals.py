@@ -88,9 +88,6 @@ class ConstructibleIdeal:
         """The members of length <= n, in ``sort_key`` order."""
         return self.model.exact_members_upto(self.exact, n)
 
-    def subset_of(self, other) -> bool:
-        return self.model.exact_subset(self.exact, other.exact)
-
     def members_prefix(self, radius, limit):
         """``members_upto(radius)[:limit]``, without listing every member
         up to the radius.  Members come length first, so each shorter
@@ -146,26 +143,8 @@ def from_trace(model, trace) -> ConstructibleIdeal:
 
 def _extend(x: ConstructibleIdeal, pair) -> ConstructibleIdeal:
     """The ideal of the trace ``pair + trace(x)``: one step on x's token."""
-    if x.trace is None:
-        return empty_ideal(x.model)
     return ConstructibleIdeal(x.model, WordTrace((pair,) + x.trace.pairs),
                               walk(x.model, (pair,), x.exact))
-
-
-def left_mul(p, x: ConstructibleIdeal) -> ConstructibleIdeal:
-    """The ideal p*x, trace extended by the pair (e, p)."""
-    model = x.model
-    if not model.in_p(model.validate(p)):
-        raise ModelError("left_mul expects a submonoid element")
-    return _extend(x, (model.unit, p))
-
-
-def preimage(p, x: ConstructibleIdeal) -> ConstructibleIdeal:
-    """The pullback {y in P : p*y in x}, trace extended by (p, e)."""
-    model = x.model
-    if not model.in_p(model.validate(p)):
-        raise ModelError("preimage expects a submonoid element")
-    return _extend(x, (p, model.unit))
 
 
 def intersect(x: ConstructibleIdeal, y: ConstructibleIdeal) -> ConstructibleIdeal:
@@ -246,16 +225,12 @@ def _hasse(up):
     return tuple(edges)
 
 
-def enumerate_ideals(model, max_trace_len, gen_len=None, radius=None,
+def enumerate_ideals(model, max_trace_len, gen_len, radius,
                      cap=10000) -> IdealLattice:
     """Breadth-first enumeration of ideals reachable by traces of at most
     ``max_trace_len`` pairs over submonoid elements of length <= gen_len,
     deduplicated and closed under intersection, with containment read off
     the intersection table."""
-    if gen_len is None:
-        gen_len = model.default_gen_len
-    if radius is None:
-        radius = model.default_radius
     cand = model.enumerate_p(gen_len)
     pairs = [(p, q) for p in cand for q in cand]
 
@@ -289,23 +264,18 @@ def enumerate_ideals(model, max_trace_len, gen_len=None, radius=None,
         if not frontier:
             break
 
+    # close in rounds; each meets the pairs holding a new ideal, once each
     table = {}
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(enumerate(ideals))
-        for i, x in snapshot:
-            for j, y in snapshot:
-                if j < i or (i, j) in table:
-                    continue
-                z = intersect(x, y)
-                depth = max(depths[i], depths[j])
-                before = len(ideals)
-                k = add(z, depth)
+    done = 0
+    while done < len(ideals):
+        m = len(ideals)
+        for i in range(m):
+            for j in range(max(i, done), m):
+                k = add(intersect(ideals[i], ideals[j]),
+                        max(depths[i], depths[j]))
                 table[(i, j)] = k
                 table[(j, i)] = k
-                if k == before:
-                    changed = True
+        done = m
 
     n = len(ideals)
     up = tuple(sum(1 << j for j in range(n) if table[(i, j)] == i)
@@ -375,11 +345,11 @@ class RankResult:
                 "detail": self.detail}
 
 
-def independence_rank_oracle(lattice: IdealLattice, radius=None) -> RankResult:
+def independence_rank_oracle(lattice: IdealLattice) -> RankResult:
     """Exact rational rank of the 0/1 membership matrix of the non-empty
     ideals over the truncation; full rank certifies linear independence of
     the characteristic functions."""
-    radius = lattice.radius if radius is None else radius
+    radius = lattice.radius
     idxs = lattice.nonempty_indices()
     rows_members = [frozenset(lattice.ideals[i].members_upto(radius))
                     for i in idxs]

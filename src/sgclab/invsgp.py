@@ -110,13 +110,11 @@ def star(v: VWord) -> VWord:
 
 
 def vword_eq(v: VWord, w: VWord) -> bool:
-    """Equality of the realized partial bijections: nonzero words are
-    compared by (grading, domain ideal)."""
+    """Equality of the realized partial bijections: ``dedup_key`` encodes
+    zero and, for nonzero words, (grading, domain ideal)."""
     if v.model is not w.model:
         raise ModelError("vword_eq expects words over the same model")
-    if v.is_zero or w.is_zero:
-        return v.is_zero and w.is_zero
-    return v.grading == w.grading and ideals_mod.ideal_eq(v.dom, w.dom)
+    return v.dedup_key() == w.dedup_key()
 
 
 def idempotent_vword(x: ConstructibleIdeal) -> VWord:
@@ -166,7 +164,7 @@ class VWordFamily:
         }
 
 
-def enumerate_vwords(model, max_trace_len, gen_len=None, radius=None,
+def enumerate_vwords(model, max_trace_len, gen_len, radius,
                      cap=20000) -> VWordFamily:
     """All distinct words with traces of at most ``max_trace_len`` pairs
     over submonoid elements of length <= gen_len.
@@ -181,10 +179,6 @@ def enumerate_vwords(model, max_trace_len, gen_len=None, radius=None,
     ``duplicates`` is then counted from the table of representative steps:
     every nonzero trace but each member's first is a duplicate.
     """
-    if gen_len is None:
-        gen_len = model.default_gen_len
-    if radius is None:
-        radius = model.default_radius
     cand = model.enumerate_p(gen_len)
     pairs = [(p, q) for p in cand for q in cand]
 

@@ -19,8 +19,8 @@ intersection, subset and union-cover tests.  The token is the ideal's only
 representation, so ideal enumeration is exact at any radius.
 
 Config documents are validated once, in ``build_model``.  Elements are
-validated once, where raw values come in: ``parse``, ``WordTrace.make``,
-``left_mul``/``preimage`` and ``build_frame`` call ``validate``.
+validated once, where raw values come in: ``parse``, ``WordTrace.make``
+and ``build_frame`` call ``validate``.
 Arithmetic (``mul``, ``inv``, ``in_p``, ``meets_p``) trusts its arguments
 to be normal forms of the model and does not re-check them.
 
@@ -48,9 +48,7 @@ class Model:
     """Contract every concrete family implements.
 
     ``mul``/``inv`` operate on arbitrary group elements in normal form;
-    ``in_p``, ``length``, ``enumerate_p`` and ``divide`` see the submonoid.
-    ``divide(p, y)`` returns the unique x in P with p*x == y, or None;
-    uniqueness holds because P embeds in a group.
+    ``in_p``, ``length`` and ``enumerate_p`` see the submonoid.
     """
 
     family = "abstract"
@@ -84,12 +82,6 @@ class Model:
     def length(self, a) -> int:
         """Proper length on G restricting to the submonoid length on P."""
         raise NotImplementedError
-
-    def divide(self, p, y):
-        if not (self.in_p(p) and self.in_p(y)):
-            raise ModelError("divide expects submonoid elements")
-        x = self.mul(self.inv(p), y)
-        return x if self.in_p(x) else None
 
     def enumerate_p(self, max_len: int):
         """All submonoid elements of length <= max_len, sorted by

@@ -16,7 +16,7 @@ tests were produced by these functions.
 
 from fractions import Fraction
 
-from sgclab.ideals import WordTrace
+from sgclab.ideals import WordTrace, from_trace
 from sgclab.invsgp import make_vword
 from sgclab.models import EMPTY
 from sgclab.spectrum import theta_apply
@@ -300,3 +300,33 @@ def exhaustive_vwords(model, max_trace_len, gen_len=None, cap=200):
         for seq in frontier:
             visit(seq)
     return members, zero, by_grading, duplicates
+
+
+# ---------------------------------------------------------------------------
+# Builders, not oracles: these make test inputs through the package's own
+# calculus (``WordTrace.make`` and ``from_trace``), so they validate raw
+# elements as the package's entry points do.
+
+def left_mul(p, x):
+    """The ideal p*x: x's trace extended by the pair (e, p); the empty
+    ideal stays empty."""
+    return _extend(x, (x.model.unit, p))
+
+
+def preimage(p, x):
+    """The pullback {y in P : p*y in x}: x's trace extended by (p, e); the
+    empty ideal stays empty."""
+    return _extend(x, (p, x.model.unit))
+
+
+def _extend(x, pair):
+    if x.trace is None:
+        return x
+    model = x.model
+    return from_trace(model, WordTrace.make(model, [pair] + list(x.trace.pairs)))
+
+
+def divide(model, p, y):
+    """The x in P with p*x == y, or None."""
+    x = model.mul(model.inv(p), y)
+    return x if model.in_p(x) else None

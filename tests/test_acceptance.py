@@ -11,14 +11,15 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import exhaustive_vwords, graded_sum, principal_character
+from oracles import (exhaustive_vwords, graded_sum, left_mul,
+                     principal_character)
 from sgclab.cli import ANALYSES, RunConfig, run, stable_body
 from sgclab.fock import (build_frame, check_projection_identity,
                          cond_expectation, equal_on_band, mul_op,
                          projection_op, rep_vword, sc_norm, word_reach)
 from sgclab.ideals import (enumerate_ideals, full_ideal,
                            independence_rank_oracle, independence_test,
-                           intersect, left_mul, ore_test, ideal_eq)
+                           intersect, ore_test, ideal_eq)
 from sgclab.invsgp import (compose, enumerate_vwords, idempotent_vword,
                            make_vword, star, vword_eq)
 from sgclab.spectrum import (Fragment, ThetaContext, boundary,

@@ -517,6 +517,33 @@ def test_main_cache_miss_serializes_once(tmp_path, monkeypatch):
     assert entry.read_bytes() == out.read_bytes()
 
 
+@pytest.mark.parametrize("doc", [
+    {"results": 1}, [], {}, {"results": {"ore": 1}}, {"results": {"ore": {}}},
+    {"results": []},
+], ids=["int-results", "list", "empty", "int-result", "no-tier", "list-results"])
+def test_main_cache_entry_that_is_no_report_is_a_miss(tmp_path, monkeypatch,
+                                                      capsys, doc):
+    args = ["analyze", "--family", "numerical", "--generators", "2,3",
+            "--analyses", "ore", "--cache-dir", str(tmp_path / "cache")]
+    assert main(args) == 0
+    (entry,) = (tmp_path / "cache").iterdir()
+    entry.write_text(json.dumps(doc))
+    runs = []
+
+    def recorded(config):
+        runs.append(run(config))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run", recorded)
+    capsys.readouterr()
+    code = main(args)
+    ((report, fresh_code),) = runs
+    printed = capsys.readouterr().out
+    assert code == fresh_code
+    assert printed == report_to_json(report)
+    assert entry.read_text() == printed
+
+
 def test_main_error_exit(tmp_path, capsys):
     assert main(["analyze", "--config", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"

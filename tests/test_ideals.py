@@ -3,11 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_trace_members, gauss_rank
+from oracles import brute_trace_members, gauss_rank, left_mul, preimage
+from sgclab import ideals as ideals_mod
 from sgclab.ideals import (CapExceeded, WordTrace, empty_ideal,
                            enumerate_ideals, from_trace, full_ideal, ideal_eq,
                            independence_rank_oracle, independence_test,
-                           intersect, left_mul, ore_test, preimage)
+                           intersect, ore_test)
 from sgclab.models import EMPTY, build_model
 
 
@@ -288,6 +289,27 @@ def test_enumerate_matches_exhaustive_trace_oracle(n1, f2, num23):
             assert ideal.exact in keys
 
 
+def test_closure_meets_each_pair_once(all_models, monkeypatch):
+    # the intersection closure calls intersect(x_i, x_j) once for each
+    # i <= j of the closed lattice: n(n + 1)/2 calls
+    real = ideals_mod.intersect
+    for model in all_models:
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return real(x, y)
+
+        monkeypatch.setattr(ideals_mod, "intersect", counted)
+        gen_len = 3 if model.family == "numerical" else 1
+        lat = enumerate_ideals(model, 2, gen_len, 30)
+        index = {id(x): i for i, x in enumerate(lat.ideals)}
+        n = len(lat.ideals)
+        assert len(calls) == n * (n + 1) // 2, model.name
+        assert sorted((index[id(x)], index[id(y)]) for x, y in calls) == [
+            (i, j) for i in range(n) for j in range(i, n)], model.name
+
+
 def test_enumeration_cap(n1):
     with pytest.raises(CapExceeded):
         enumerate_ideals(n1, 3, 1, 30, cap=3)
@@ -295,7 +317,8 @@ def test_enumeration_cap(n1):
 
 def _containment(lat):
     """Containment of every ordered pair, decided on the tokens."""
-    return [[x.subset_of(y) for y in lat.ideals] for x in lat.ideals]
+    return [[lat.model.exact_subset(x.exact, y.exact) for y in lat.ideals]
+            for x in lat.ideals]
 
 
 def test_hasse_is_reduced_and_sound(num23, lattice_of):
@@ -312,7 +335,7 @@ def test_hasse_is_reduced_and_sound(num23, lattice_of):
 def test_up_masks_match_token_containment(all_models, lattice_of):
     num357 = build_model({"family": "numerical", "generators": [3, 5, 7]})
     lattices = [lattice_of(m, depth=d) for m in all_models for d in (2, 3)]
-    lattices.append(enumerate_ideals(num357, 2))
+    lattices.append(enumerate_ideals(num357, 2, 7, 50))
     for lat in lattices:
         sub = _containment(lat)
         for i, mask in enumerate(lat.up):
@@ -331,7 +354,7 @@ def test_enumeration_reads_containment_off_the_table(monkeypatch):
             return real(tok, other)
 
         monkeypatch.setattr(model, "exact_subset", counted)
-        enumerate_ideals(model, 2)
+        enumerate_ideals(model, 2, model.default_gen_len, model.default_radius)
     assert calls == []
 
 
@@ -384,16 +407,17 @@ def test_rank_oracle_agrees_with_gauss(all_models, lattice_of):
 
 
 def test_rank_radius_too_small_is_inconclusive(n1):
-    lat = enumerate_ideals(n1, 3, 1, 30)
-    res = independence_rank_oracle(lat, radius=1)
+    # at radius 1 the ideals 2 + N and 3 + N have no members: equal rows
+    lat = enumerate_ideals(n1, 3, 1, 1)
+    res = independence_rank_oracle(lat)
     assert res.status == "inconclusive"
 
 
 def test_rank_oracle_lists_rows_up_to_its_own_radius(n1):
-    # rows are members up to the oracle's radius, even past the lattice's
-    lat = enumerate_ideals(n1, 2, 1, radius=1)
-    res = independence_rank_oracle(lat, radius=6)
-    assert res.radius == 6
+    # rows are members up to the lattice's radius, the oracle's own
+    lat = enumerate_ideals(n1, 2, 1, 6)
+    res = independence_rank_oracle(lat)
+    assert res.radius == lat.radius == 6
     assert res.status == "full_rank" and res.rank == 3
 
 

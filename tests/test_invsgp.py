@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
-from oracles import exhaustive_vwords, pointwise_word_apply
+from oracles import exhaustive_vwords, left_mul, pointwise_word_apply
 from sgclab import invsgp
 from sgclab.fock import rep_vword, word_reach
 from sgclab.ideals import (CapExceeded, WordTrace, from_trace, full_ideal,
-                           ideal_eq, intersect, left_mul)
+                           ideal_eq, intersect)
 from sgclab.invsgp import (compose, enumerate_vwords, idempotent_vword,
                            make_vword, semilattice, star, vword_eq, zero_vword)
 from sgclab.models import ModelError, build_model
@@ -303,7 +303,8 @@ _MODELS = {
     + [("F2+", 4, None), ("F2+", 2, 2)])
 def test_enumeration_matches_exhaustive_walk(name, depth, gen_len):
     model = build_model(_MODELS[name])
-    fam = enumerate_vwords(model, depth, gen_len)
+    gen_len = gen_len or model.default_gen_len
+    fam = enumerate_vwords(model, depth, gen_len, model.default_radius)
     members, zero, by_grading, duplicates = exhaustive_vwords(model, depth,
                                                               gen_len)
     got = _family_view(fam.members, fam.zero, fam.by_grading)
@@ -327,16 +328,16 @@ def test_enumeration_extends_one_trace_per_word(f2, monkeypatch):
 
     monkeypatch.setattr(invsgp, "make_vword", make_counted)
     monkeypatch.setattr(invsgp, "compose", compose_counted)
-    fam = enumerate_vwords(f2, 5)
+    fam = enumerate_vwords(f2, 5, 1, 6)
     pairs = len(f2.enumerate_p(fam.params["gen_len"])) ** 2
     assert len(made) == 1 + pairs
     assert 0 < len(composed) <= len(fam.members) * pairs
 
 
 def test_enumeration_caps(f2):
-    fam = enumerate_vwords(f2, 3)
+    fam = enumerate_vwords(f2, 3, 1, 6)
     assert fam.duplicates == len(exhaustive_vwords(f2, 3)[3]) == 200
-    assert len(enumerate_vwords(f2, 3, cap=len(fam.members)).members) == \
-        len(fam.members)
+    assert len(enumerate_vwords(f2, 3, 1, 6, cap=len(fam.members)).members) \
+        == len(fam.members)
     with pytest.raises(CapExceeded):
-        enumerate_vwords(f2, 3, cap=len(fam.members) - 1)
+        enumerate_vwords(f2, 3, 1, 6, cap=len(fam.members) - 1)

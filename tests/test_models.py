@@ -4,9 +4,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import scan_intersect, scan_subset, scan_union_covers
-from sgclab.ideals import (WordTrace, enumerate_ideals, full_ideal, left_mul,
-                           preimage)
+from oracles import (left_mul, preimage, scan_intersect, scan_subset,
+                     scan_union_covers)
+from sgclab.ideals import WordTrace, enumerate_ideals, full_ideal
 from sgclab.models import (EMPTY, FreeAbelianModel, FreeMonoidModel, ModelError,
                            NumericalModel, build_model)
 
@@ -63,14 +63,6 @@ def test_enumerate_examples(n1, f2, num23):
     assert num23.enumerate_p(5) == (0, 2, 3, 4, 5)
 
 
-def test_divide_examples(n2, f2, num23):
-    assert n2.divide((1, 0), (3, 2)) == (2, 2)
-    assert f2.divide("a", "ba") is None
-    assert num23.divide(2, 3) is None  # 1 is a gap
-    with pytest.raises(ModelError):
-        num23.divide(2, -4)
-
-
 def test_unit_laws(all_models):
     for model in all_models:
         e = model.unit
@@ -103,19 +95,6 @@ def test_length_subadditive(all_models):
         for p in model.enumerate_p(3):
             for q in model.enumerate_p(3):
                 assert model.length(model.mul(p, q)) <= model.length(p) + model.length(q)
-
-
-def test_divide_is_exact_division(all_models):
-    for model in all_models:
-        elems = model.enumerate_p(4)
-        for p in elems:
-            for y in elems:
-                x = model.divide(p, y)
-                if x is not None:
-                    assert model.in_p(x)
-                    assert model.mul(p, x) == y
-                else:
-                    assert all(model.mul(p, z) != y for z in elems)
 
 
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=2),
@@ -296,7 +275,8 @@ def test_raw_elements_are_validated_at_the_boundary(n2, f2, num23):
 @functools.lru_cache(maxsize=None)
 def _lattice_tokens(gens):
     model = NumericalModel(gens)
-    toks = {ideal.exact for ideal in enumerate_ideals(model, 2).ideals}
+    lat = enumerate_ideals(model, 2, model.default_gen_len, model.default_radius)
+    toks = {ideal.exact for ideal in lat.ideals}
     return model, sorted(toks | {EMPTY, model.exact_full()})
 
 

@@ -266,9 +266,9 @@ def test_recipe_pullback_matches_trace_evaluation(all_models):
     # of its recipes would take seconds)
     num357 = build_model({"family": "numerical", "generators": [3, 5, 7]})
     cases = [(model, context_for(model, 2)) for model in all_models]
-    lat = enumerate_ideals(num357, 2)
+    lat = enumerate_ideals(num357, 2, 7, 50)
     cases.append((num357, ThetaContext(Fragment.from_lattice(lat),
-                                       enumerate_vwords(num357, 2))))
+                                       enumerate_vwords(num357, 2, 7, 50))))
     for model, ctx in cases:
         frag = ctx.fragment
         radius = {"free_monoid": 4, "free_abelian": 6}.get(model.family, 12)
@@ -291,9 +291,11 @@ def test_recipe_pullback_matches_trace_evaluation(all_models):
                         assert recipe == ("pos", frag.pos_of_token[z.exact])
                     else:
                         ups = sum(1 << w for w in range(frag.size())
-                                  if frag.ideal_at(w).subset_of(z))
+                                  if model.exact_subset(frag.ideal_at(w).exact,
+                                                        z.exact))
                         downs = sum(1 << w for w in range(frag.size())
-                                    if z.subset_of(frag.ideal_at(w)))
+                                    if model.exact_subset(
+                                        z.exact, frag.ideal_at(w).exact))
                         assert recipe == ("bounds", ups, downs)
         assert checked, model.name
 
@@ -313,8 +315,8 @@ def test_table_law_counts_match_per_instance_oracle(all_models, lattice_of,
     num357 = build_model({"family": "numerical", "generators": [3, 5, 7]})
     cases = [(m, lattice_of(m, depth=2), family_of(m, depth=2))
              for m in all_models]
-    cases.append((num357, enumerate_ideals(num357, 2),
-                  enumerate_vwords(num357, 2)))
+    cases.append((num357, enumerate_ideals(num357, 2, 7, 50),
+                  enumerate_vwords(num357, 2, 7, 50)))
     for model, lat, fam in cases:
         counts, ctx = _law_counts(model, lat, fam)
         assert counts == theta_law_counts(ctx), model.name
