@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from sgclab.ideals import WordTrace, from_trace
 from sgclab.invsgp import make_vword
-from sgclab.models import EMPTY
+from sgclab.models import EMPTY, ModelError
 from sgclab.spectrum import theta_apply
 
 
@@ -327,6 +327,9 @@ def _extend(x, pair):
 
 
 def divide(model, p, y):
-    """The x in P with p*x == y, or None."""
+    """The x in P with p*x == y, or None; unique because P embeds in a
+    group.  Raises ModelError unless p and y are in P."""
+    if not (model.in_p(p) and model.in_p(y)):
+        raise ModelError("divide expects submonoid elements")
     x = model.mul(model.inv(p), y)
     return x if model.in_p(x) else None

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (left_mul, preimage, scan_intersect, scan_subset,
+from oracles import (divide, left_mul, preimage, scan_intersect, scan_subset,
                      scan_union_covers)
 from sgclab.ideals import WordTrace, enumerate_ideals, full_ideal
 from sgclab.models import (EMPTY, FreeAbelianModel, FreeMonoidModel, ModelError,
@@ -63,6 +63,14 @@ def test_enumerate_examples(n1, f2, num23):
     assert num23.enumerate_p(5) == (0, 2, 3, 4, 5)
 
 
+def test_divide_examples(n2, f2, num23):
+    assert divide(n2, (1, 0), (3, 2)) == (2, 2)
+    assert divide(f2, "a", "ba") is None
+    assert divide(num23, 2, 3) is None  # 1 is a gap
+    with pytest.raises(ModelError):
+        divide(num23, 2, -4)
+
+
 def test_unit_laws(all_models):
     for model in all_models:
         e = model.unit
@@ -95,6 +103,19 @@ def test_length_subadditive(all_models):
         for p in model.enumerate_p(3):
             for q in model.enumerate_p(3):
                 assert model.length(model.mul(p, q)) <= model.length(p) + model.length(q)
+
+
+def test_divide_is_exact_division(all_models):
+    for model in all_models:
+        elems = model.enumerate_p(4)
+        for p in elems:
+            for y in elems:
+                x = divide(model, p, y)
+                if x is not None:
+                    assert model.in_p(x)
+                    assert model.mul(p, x) == y
+                else:
+                    assert all(model.mul(p, z) != y for z in elems)
 
 
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=2),
