@@ -84,6 +84,9 @@ class RunConfig:
         freeness_g = doc.get("freeness_g")
         if freeness_g is not None and not isinstance(freeness_g, list):
             raise ConfigError(f"'freeness_g' must be null or a list, got {freeness_g!r}")
+        out = doc.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ConfigError(f"'out' must be null or a path, got {out!r}")
         caps = dict(DEFAULT_CAPS)
         caps.update(_object(doc.get("caps", {}), "'caps'"))
         for key, val in caps.items():
@@ -104,7 +107,7 @@ class RunConfig:
             caps=caps,
             seed=seed,
             freeness_g=freeness_g,
-            out=doc.get("out"),
+            out=out,
         )
 
     def canonical(self) -> dict:
@@ -441,16 +444,26 @@ def stable_body(report: dict) -> str:
 
 
 def explain(report: dict, topic: str) -> str:
-    """Prose rendering of one analysis verdict with its witnesses."""
-    results = report.get("results", {})
+    """Prose rendering of one analysis verdict with its witnesses; a
+    document that is not a report raises ConfigError."""
+    results = _object(_object(report, "the report").get("results", {}),
+                      "the report's 'results'")
     if topic not in results:
         raise ConfigError(f"topic {topic!r} not in report; "
                           f"have: {sorted(results)}")
-    r = results[topic]
+    r = _object(results[topic], f"the report's {topic!r} entry")
+    try:
+        return "\n".join(_explain_lines(topic, r))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"the report's {topic!r} entry lacks or garbles"
+                          f" a field it renders: {exc!r}") from None
+
+
+def _explain_lines(topic, r):
     lines = [f"{topic}: tier={r.get('tier')}"]
     if "error" in r:
         lines.append(f"  error: {r['error']}")
-        return "\n".join(lines)
+        return lines
     if topic == "ore":
         res = r["result"]
         if res["status"] == "ore_up_to":
@@ -465,10 +478,12 @@ def explain(report: dict, topic: str) -> str:
                          f" smaller ideals {comb['parts']}")
         else:
             lines.append(f"  {comb['status']}: {comb['detail']}")
-        lines.append(f"  rank oracle: {r['rank_oracle']['status']}"
-                     f" (rank {r['rank_oracle']['rank']} of"
-                     f" {r['rank_oracle']['nonempty']});"
+        rank = r["rank_oracle"]
+        lines.append(f"  rank oracle: {rank['status']}"
+                     f" (rank {rank['rank']} of {rank['nonempty']});"
                      f" agreement={r['oracles_agree']}")
+        if rank["detail"]:
+            lines.append(f"  rank oracle detail: {rank['detail']}")
     elif topic == "sc":
         probe = r["probe"]
         lines.append(f"  element: {r['element']}")
@@ -505,7 +520,7 @@ def explain(report: dict, topic: str) -> str:
                      f" band multiplicativity: {r['multiplicative_on_band']};"
                      f" expectation routes agree:"
                      f" {r['expectation_two_routes_agree']}")
-    return "\n".join(lines)
+    return lines
 
 
 def _parse_args(argv):

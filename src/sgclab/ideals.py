@@ -345,26 +345,50 @@ class RankResult:
                 "detail": self.detail}
 
 
+def _membership_rank(model, rows_members):
+    """Bareiss rank of the 0/1 matrix of the rows over their union, the
+    columns in ``sort_key`` order."""
+    columns = sorted(set().union(*rows_members), key=model.sort_key)
+    return bareiss_rank([[int(c in mem) for c in columns]
+                         for mem in rows_members])
+
+
 def independence_rank_oracle(lattice: IdealLattice) -> RankResult:
     """Exact rational rank of the 0/1 membership matrix of the non-empty
     ideals over the truncation; full rank certifies linear independence of
-    the characteristic functions."""
-    radius = lattice.radius
+    the characteristic functions.
+
+    The rows are listed first only up to r0, the longest least member.
+    When every ideal has a least member c_i within the radius and these
+    are distinct, that short matrix has full rank: sorted by c_i, entry
+    (i, j) = [c_j in x_i] can be 1 only when c_j >= c_i in ``sort_key``
+    order, and the diagonal is all 1s, so the least-member columns alone
+    form an upper unitriangular submatrix.  Its columns are those of the
+    full matrix of length <= r0, and adding columns never lowers rank, so
+    the full listing would read ``full_rank`` too; rows that differ up to
+    r0 differ up to the radius.  Otherwise, or should Bareiss read less
+    than full rank, the rows are listed up to the radius."""
+    model, radius = lattice.model, lattice.radius
     idxs = lattice.nonempty_indices()
+    n = len(idxs)
+    least = [lattice.ideals[i].members_prefix(radius, 1) for i in idxs]
+    if all(least) and len({m[0] for m in least}) == n:
+        r0 = max(model.length(m[0]) for m in least)
+        short = [frozenset(lattice.ideals[i].members_upto(r0)) for i in idxs]
+        if _membership_rank(model, short) == n:
+            return RankResult("full_rank", rank=n, nonempty=n, radius=radius)
     rows_members = [frozenset(lattice.ideals[i].members_upto(radius))
                     for i in idxs]
     seen = {}
     for pos, mem in enumerate(rows_members):
         if mem in seen:
             return RankResult(
-                "inconclusive", nonempty=len(idxs), radius=radius,
+                "inconclusive", nonempty=n, radius=radius,
                 detail=f"ideals {seen[mem]} and {idxs[pos]} agree within the radius")
         seen[mem] = idxs[pos]
-    columns = sorted(set().union(*rows_members), key=lattice.model.sort_key)
-    matrix = [[int(c in mem) for c in columns] for mem in rows_members]
-    rank = bareiss_rank(matrix)
-    status = "full_rank" if rank == len(rows_members) else "deficient"
-    return RankResult(status, rank=rank, nonempty=len(idxs), radius=radius)
+    rank = _membership_rank(model, rows_members)
+    status = "full_rank" if rank == n else "deficient"
+    return RankResult(status, rank=rank, nonempty=n, radius=radius)
 
 
 @dataclass(frozen=True)

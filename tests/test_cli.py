@@ -569,6 +569,61 @@ def test_main_error_exit(tmp_path, capsys):
     assert "--generators" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", [1, 2, True, []])
+def test_main_refuses_an_out_that_is_no_path(tmp_path, capsys, monkeypatch,
+                                             out):
+    # open() would take an int as a file descriptor: write the report to
+    # it, then close it
+    def open_path(file, *args, **kw):
+        assert isinstance(file, str), f"open({file!r})"
+        return open(file, *args, **kw)
+
+    monkeypatch.setattr(cli, "open", open_path, raising=False)
+    bad = tmp_path / "out.json"
+    bad.write_text(json.dumps(
+        {"model": {"family": "free_abelian", "rank": 1},
+         "analyses": ["ore"], "out": out}))
+    assert main(["analyze", "--config", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'out'" in captured.err
+
+
+@pytest.mark.parametrize("doc,topic", [
+    ([1, 2], "independence"),
+    ({"results": [1]}, "ore"),
+    ({"results": {"ore": [1]}}, "ore"),
+    ({"results": {"ore": {"tier": "exact"}}}, "ore"),
+    ({"results": {"ore": {"tier": "exact", "result": 3}}}, "ore"),
+    ({"results": {"sc": {"tier": "exact", "element": "x",
+                         "probe": {"frames": [1], "enclosures": [7]}}}}, "sc"),
+])
+def test_main_explain_refuses_what_is_no_report(tmp_path, capsys, doc, topic):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert main(["explain", str(path), topic]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_explain_shows_the_rank_oracle_detail():
+    # at radius 1 the ideals 2 + N and 3 + N of N^1 have no members
+    report, _ = run(RunConfig.from_dict(
+        {"model": {"family": "free_abelian", "rank": 1},
+         "analyses": ["independence"],
+         "caps": {"trace_depth": 3, "radius": 1}}))
+    rank = report["results"]["independence"]["rank_oracle"]
+    assert rank["status"] == "inconclusive"
+    assert "agree within the radius" in rank["detail"]
+    text = explain(report, "independence")
+    assert f"rank oracle detail: {rank['detail']}" in text.splitlines()[-1]
+    # a definite verdict has no detail, and no detail line
+    report, _ = run(RunConfig.from_dict(small_config()))
+    assert "detail" not in explain(report, "independence")
+
+
 def test_report_json_is_sorted():
     report, _ = run(RunConfig.from_dict(small_config()))
     text = report_to_json(report)

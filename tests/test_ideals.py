@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import brute_trace_members, gauss_rank, left_mul, preimage
 from sgclab import ideals as ideals_mod
-from sgclab.ideals import (CapExceeded, WordTrace, empty_ideal,
+from sgclab.exactla import bareiss_rank
+from sgclab.ideals import (CapExceeded, RankResult, WordTrace, empty_ideal,
                            enumerate_ideals, from_trace, full_ideal, ideal_eq,
                            independence_rank_oracle, independence_test,
                            intersect, ore_test)
@@ -395,15 +396,115 @@ def test_rank_oracle_examples(n1):
     assert res.status == "full_rank" and res.rank == 3
 
 
+def _full_radius_rank(lat):
+    """The verdict of the rows listed up to the radius, by Gauss rank."""
+    idxs = lat.nonempty_indices()
+    n = len(idxs)
+    rows = [frozenset(lat.ideals[i].members_upto(lat.radius)) for i in idxs]
+    if len(set(rows)) < n:
+        return ("inconclusive", 0, n, lat.radius)
+    columns = sorted(set().union(*rows), key=lat.model.sort_key)
+    rank = gauss_rank([[1 if c in row else 0 for c in columns] for row in rows])
+    return ("full_rank" if rank == n else "deficient", rank, n, lat.radius)
+
+
+def _verdict(res):
+    return (res.status, res.rank, res.nonempty, res.radius)
+
+
 def test_rank_oracle_agrees_with_gauss(all_models, lattice_of):
     for model in all_models:
-        lat = lattice_of(model, depth=2)
-        res = independence_rank_oracle(lat)
-        idxs = lat.nonempty_indices()
-        rows = [set(lat.ideals[i].members_upto(lat.radius)) for i in idxs]
-        columns = sorted(set().union(*rows), key=model.sort_key)
-        matrix = [[1 if c in row else 0 for c in columns] for row in rows]
-        assert res.rank == gauss_rank(matrix)
+        for depth in (2, 3):
+            lat = lattice_of(model, depth=depth)
+            res = independence_rank_oracle(lat)
+            assert _verdict(res) == _full_radius_rank(lat), (model.name, depth)
+
+
+# the benchmark's configs at the default caps, but for F2+ at depth 6,
+# whose 127-row matrix test_fock checks against Gauss
+BENCH_LATTICES = (
+    [({"family": "numerical", "generators": [3, 5, 7]}, 2),
+     ({"family": "free_monoid", "rank": 3}, 2)]
+    + [(model, depth)
+       for model in ({"family": "free_abelian", "rank": 1},
+                     {"family": "free_abelian", "rank": 2},
+                     {"family": "free_monoid", "rank": 2},
+                     {"family": "numerical", "generators": [2, 3]})
+       for depth in (2, 3)])
+
+
+def _pipeline_lattice(model_config, depth):
+    model = build_model(model_config)
+    return enumerate_ideals(model, depth, model.default_gen_len,
+                            model.default_radius)
+
+
+@pytest.mark.parametrize("model_config,depth", BENCH_LATTICES)
+def test_rank_oracle_agrees_with_gauss_on_benchmark_configs(model_config,
+                                                            depth):
+    lat = _pipeline_lattice(model_config, depth)
+    assert _verdict(independence_rank_oracle(lat)) == _full_radius_rank(lat)
+
+
+def _spy_oracle(monkeypatch, lat, bareiss=bareiss_rank):
+    """Run the oracle, recording the radii it lists members up to and the
+    matrices it hands to Bareiss."""
+    radii, matrices = [], []
+    members_upto = ideals_mod.ConstructibleIdeal.members_upto
+
+    def listing(self, n):
+        radii.append(n)
+        return members_upto(self, n)
+
+    def ranking(matrix):
+        matrices.append(matrix)
+        return bareiss(matrix)
+
+    monkeypatch.setattr(ideals_mod.ConstructibleIdeal, "members_upto", listing)
+    monkeypatch.setattr(ideals_mod, "bareiss_rank", ranking)
+    res = independence_rank_oracle(lat)
+    monkeypatch.undo()
+    return res, radii, matrices
+
+
+def test_rank_oracle_lists_up_to_the_radius_only_when_it_must(monkeypatch):
+    # N^2 at depth 3: 16 distinct least members, rows listed only as far
+    # as the longest of them, and one Bareiss call on that matrix
+    lat = _pipeline_lattice({"family": "free_abelian", "rank": 2}, 3)
+    res, radii, matrices = _spy_oracle(monkeypatch, lat)
+    assert _verdict(res) == ("full_rank", 16, 16, 50)
+    assert radii and max(radii) < lat.radius
+    (matrix,) = matrices
+    assert len(matrix) == 16
+    # <3,5,7> at depth 2: 17 distinct least members among 41 ideals, so
+    # the rows are listed up to the radius at once, and ranked once
+    lat = _pipeline_lattice({"family": "numerical", "generators": [3, 5, 7]}, 2)
+    res, radii, matrices = _spy_oracle(monkeypatch, lat)
+    assert _verdict(res) == ("deficient", 17, 41, 50)
+    assert lat.radius in radii
+    (matrix,) = matrices
+    assert len(matrix) == 41
+
+
+def test_rank_oracle_falls_back_when_the_short_rows_read_deficient(
+        monkeypatch):
+    # a Bareiss reading one short on the short matrix sends the oracle to
+    # the full listing, which reads as it would alone
+    lat = _pipeline_lattice({"family": "free_abelian", "rank": 2}, 2)
+    calls = []
+
+    def first_short_by_one(matrix):
+        calls.append(matrix)
+        return bareiss_rank(matrix) - (len(calls) == 1)
+
+    res, radii, matrices = _spy_oracle(monkeypatch, lat, first_short_by_one)
+    assert _verdict(res) == _full_radius_rank(lat) == ("full_rank", 9, 9, 50)
+    assert lat.radius in radii
+    short, full = matrices
+    assert len(short) == len(full) == 9
+    assert len(short[0]) < len(full[0]) == len(
+        set().union(*(lat.ideals[i].members_upto(lat.radius)
+                      for i in lat.nonempty_indices())))
 
 
 def test_rank_radius_too_small_is_inconclusive(n1):
