@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import brute_trace_members, gauss_rank, left_mul, preimage
 from sgclab import ideals as ideals_mod
 from sgclab.exactla import bareiss_rank
-from sgclab.ideals import (CapExceeded, RankResult, WordTrace, empty_ideal,
+from sgclab.ideals import (CapExceeded, WordTrace, empty_ideal,
                            enumerate_ideals, from_trace, full_ideal, ideal_eq,
                            independence_rank_oracle, independence_test,
                            intersect, ore_test)
