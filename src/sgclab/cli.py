@@ -7,7 +7,8 @@ wall-clock data is segregated under the top-level "timings" key so the
 rest of the document is byte-stable.
 
 Exit codes: 0 when every requested analysis produced a definite verdict,
-2 when some verdict is inconclusive, 1 on errors.
+2 when some verdict is inconclusive, 1 on errors (an analysis of tier
+"error" among them).
 A ``--cache-dir`` hit writes the stored report text unchanged, with the
 exit code of its tiers, and runs no analysis.
 """
@@ -29,8 +30,8 @@ from json.encoder import encode_basestring_ascii as _esc
 
 from . import __version__
 from . import fock, invsgp, spectrum
-from .ideals import (WordTrace, enumerate_ideals, independence_rank_oracle,
-                     independence_test, ore_test)
+from .ideals import (CapExceeded, WordTrace, enumerate_ideals,
+                     independence_rank_oracle, independence_test, ore_test)
 from .models import ModelError, build_model
 
 SCHEMA_VERSION = 1
@@ -362,9 +363,15 @@ PIPELINE = {
 ANALYSES = tuple(PIPELINE)
 
 
+# what a truncation or cap cannot certify: inconclusive, not an error
+CANNOT_CERTIFY = (fock.BandExhausted, CapExceeded)
+
+
 def _exit_code(results) -> int:
-    """0 when every result's tier is definite, 2 when one is inconclusive."""
-    return 2 if any(r["tier"] == "inconclusive" for r in results.values()) else 0
+    """1 when some result's tier is error, else 2 when one is
+    inconclusive, else 0."""
+    tiers = {r["tier"] for r in results.values()}
+    return 1 if "error" in tiers else 2 if "inconclusive" in tiers else 0
 
 
 def run(config: RunConfig):
@@ -372,8 +379,11 @@ def run(config: RunConfig):
 
     Returns (report_dict, exit_code).  Analyses run sequentially, in one
     process, so reports are deterministic; per-analysis errors are reported
-    without aborting the rest of the run.  The ``freeness_g`` elements are
-    parsed first, so a malformed one raises ModelError before any analysis.
+    without aborting the rest of the run.  An analysis that raises
+    ``CANNOT_CERTIFY`` is inconclusive, one that raises anything else is an
+    error, and an analysis reading one that raised is skipped.  The
+    ``freeness_g`` elements are parsed first, so a malformed one raises
+    ModelError before any analysis.
     """
     model = build_model(config.model_config)
     caps = _caps_for(model, config.caps)
@@ -381,14 +391,24 @@ def run(config: RunConfig):
              else [model.parse(g) for g in config.freeness_g]}
     results = {}
     timings = {}
+    missing = {}   # analysis -> why its store entries are absent
     for name in config.analyses:
         rng = random.Random((config.seed, name).__repr__())
         t0 = time.perf_counter()
-        try:
-            result, tier = PIPELINE[name][0](model, caps, rng, store)
-        except Exception as exc:  # per-analysis cap violations and the like
-            result = {"op": name, "error": f"{type(exc).__name__}: {exc}"}
+        runner, reads = PIPELINE[name]
+        dep = next((d for d in reads if d in missing), None)
+        if dep is not None:
+            result = {"op": name, "skipped": f"reads {dep}, which {missing[dep]}"}
             tier = "inconclusive"
+            missing[name] = "was skipped"
+        else:
+            try:
+                result, tier = runner(model, caps, rng, store)
+            except Exception as exc:
+                result = {"op": name, "error": f"{type(exc).__name__}: {exc}"}
+                tier = ("inconclusive" if isinstance(exc, CANNOT_CERTIFY)
+                        else "error")
+                missing[name] = "raised"
         timings[name] = round(time.perf_counter() - t0, 6)
         result["tier"] = tier
         results[name] = result
@@ -461,9 +481,10 @@ def explain(report: dict, topic: str) -> str:
 
 def _explain_lines(topic, r):
     lines = [f"{topic}: tier={r.get('tier')}"]
-    if "error" in r:
-        lines.append(f"  error: {r['error']}")
-        return lines
+    for key in ("error", "skipped"):
+        if key in r:
+            lines.append(f"  {key}: {r[key]}")
+            return lines
     if topic == "ore":
         res = r["result"]
         if res["status"] == "ore_up_to":
@@ -657,7 +678,7 @@ def main(argv=None) -> int:
         if hit is None:
             report, code = run(config)
             text = report_to_json(report)
-            if cache_path:
+            if cache_path and code != 1:   # an error tier is never cached
                 _write_cache(cache_path, text)
         else:
             text, code = hit

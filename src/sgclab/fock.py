@@ -11,12 +11,12 @@ the band by the inner factor's reach; identities are asserted only inside
 the surviving band, so truncation artifacts never masquerade as algebraic
 facts.
 
-A word acts as the partial map x -> g*x on its domain ideal, and in the
-basis its matrix has one unit entry per domain member of length <= n whose
-image stays in the basis.  So an operator is stored as that partial map,
-column -> row; words, ideal masks and their products are all of this
-form, and a product is map composition.  The basis and its position index
-are cached per model instance.
+A word maps its domain ideal onto its range ideal by x -> g*x, keeping
+``Model.sort_key`` order, so its matrix pairs the domain's listing up to
+length n with the range's until either runs out.  An operator is stored
+as that partial map, column -> row; words, ideal masks and their products
+are all of this form, and a product is map composition.  The basis and
+its position index are cached per model instance.
 
 Each matrix is built once per check, and only where the check reads it.
 The projection identity builds one mask per lattice ideal and multiplies
@@ -105,18 +105,12 @@ def word_reach(v) -> int:
 
 
 def rep_vword(v, n) -> TruncOp:
-    """Compression of a word's partial shift to the truncated basis: each
-    domain member s of length <= n maps to g*s when that lies in the
-    basis."""
+    """Compression of a word's partial shift to the truncated basis: the
+    domain's members of length <= n paired in order with the range's."""
     model = v.model
     index = model.basis(n)[1]
-    cols = {}
-    if not v.is_zero:
-        mul, g = model.mul, v.grading
-        for s in v.dom.members_upto(n):
-            i = index.get(mul(g, s))
-            if i is not None:
-                cols[index[s]] = i
+    cols = dict(zip([index[s] for s in v.dom.members_upto(n)],
+                    [index[s] for s in v.ran.members_upto(n)]))
     reach = word_reach(v)
     band = n - reach
     if band < 0:
@@ -220,7 +214,6 @@ class CovarianceFrame:
     n: int
     f_set: tuple
     basis: tuple
-    index: object
     base_flags: tuple
 
     def slice_indices(self):
@@ -232,7 +225,7 @@ def build_frame(model, f_elems, n) -> CovarianceFrame:
     """Flags and slices for a finite frame set of group elements: a basis
     point is admissible when it is admissible for each element."""
     f_set = tuple(sorted({model.validate(g) for g in f_elems}, key=model.sort_key))
-    basis, index = model.basis(n)
+    basis = model.basis(n)[0]
     flags = [True] * len(basis)
     for g in f_set:
         g_inv = model.inv(g)
@@ -240,7 +233,7 @@ def build_frame(model, f_elems, n) -> CovarianceFrame:
             if flags[j]:
                 u = model.mul(g_inv, r)
                 flags[j] = not model.meets_p(u) or model.in_p(u)
-    return CovarianceFrame(model, n, f_set, basis, index, tuple(flags))
+    return CovarianceFrame(model, n, f_set, basis, tuple(flags))
 
 
 def compressed_matrix(terms, frame: CovarianceFrame):
@@ -312,22 +305,24 @@ class ScProbeReport:
 def sc_limit_probe(terms, f_chain, model, n) -> ScProbeReport:
     """Norms of ``terms`` along the frame chain at truncation n.  Only basis
     points inside the guard band are ever read, so the frames flag the
-    band's basis only, each distinct element once per probe."""
+    band's basis only, each distinct element once per probe; ``build_frame``
+    validates it then."""
     reach = max([word_reach(v) for _, v in terms] or [0])
     band = n - reach
     if band < 0:
         raise BandExhausted("no admissible basis points inside the guard band")
-    basis, index = model.basis(band)
-    element_flags = {}
+    basis = model.basis(band)[0]
+    element_flags = {}   # by repr: True equals 1 but is no normal form
     enclosures = []
     frames = []
     for f_elems in f_chain:
-        f_set = tuple(sorted({model.validate(g) for g in f_elems}, key=model.sort_key))
-        for g in f_set:
-            if g not in element_flags:
-                element_flags[g] = build_frame(model, [g], band).base_flags
-        flags = map(all, zip([True] * len(basis), *map(element_flags.get, f_set)))
-        frame = CovarianceFrame(model, n, f_set, basis, index, tuple(flags))
+        for g in f_elems:
+            if repr(g) not in element_flags:
+                element_flags[repr(g)] = build_frame(model, [g], band).base_flags
+        f_set = tuple(sorted(set(f_elems), key=model.sort_key))
+        flags = map(all, zip([True] * len(basis),
+                             *(element_flags[repr(g)] for g in f_set)))
+        frame = CovarianceFrame(model, n, f_set, basis, tuple(flags))
         enclosures.append(sc_norm(terms, frame))
         frames.append(f_set)
     non_increasing = all(enclosures[k + 1][1] <= enclosures[k][1] or

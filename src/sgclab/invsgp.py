@@ -6,8 +6,8 @@ composite is the partial bijection x -> g * x where g is the grading
 p1^-1 q1 ... pn^-1 qn, defined on the domain ideal and landing in the range
 ideal.  The range ideal is the ideal the trace denotes; the domain ideal is
 the ideal of the starred trace.  A word keeps its grading and its domain
-and range ideals; ``fock.rep_vword`` reads its action off the domain's
-members, so no point is tested for membership.  Nonzero words are
+and range ideals; ``fock.rep_vword`` pairs the domain's members with the
+range's and tests no point for membership.  Nonzero words are
 determined by the pair (grading, domain ideal): on a common nonempty
 domain the actions x -> g1*x and x -> g2*x agree only for g1 == g2,
 because the ambient group cancels.

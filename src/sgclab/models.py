@@ -108,6 +108,10 @@ class Model:
         raise NotImplementedError
 
     def sort_key(self, a):
+        """Listing order: length, then normal form.  Required of a family:
+        each word's shift x -> g*x keeps this order from its domain onto
+        its range (it prefixes words, translates a cone, shifts a set), so
+        ``fock.rep_vword`` pairs the two listings."""
         return (self.length(a), a)
 
     def meets_p(self, g) -> bool:

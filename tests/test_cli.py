@@ -115,6 +115,58 @@ def test_exit_code_two_when_inconclusive():
     assert report["results"]["freeness"]["tier"] == "inconclusive"
 
 
+def test_analyses_reading_one_that_raised_are_skipped(tmp_path, capsys):
+    # the ideal cap is a declared "cannot certify": ideals is inconclusive,
+    # and what reads it, directly or not, is skipped rather than crashing
+    # on the store entry ideals never wrote
+    doc = {"model": {"family": "free_monoid", "rank": 2},
+           "caps": {"max_ideals": 3}}
+    report, code = run(RunConfig.from_dict(doc))
+    results = report["results"]
+    assert code == 2 and "KeyError" not in json.dumps(results)
+    assert results["ideals"]["tier"] == "inconclusive"
+    assert results["ideals"]["error"].startswith("CapExceeded: ")
+    assert results["ore"]["tier"] == "exact"
+    skipped = {name: r["skipped"] for name, r in results.items()
+               if "skipped" in r}
+    assert skipped == {
+        "independence": "reads ideals, which raised",
+        "invsgp": "reads ideals, which raised",
+        "spectrum": "reads ideals, which raised",
+        "boundary": "reads spectrum, which was skipped",
+        "freeness": "reads boundary, which was skipped",
+        "fock": "reads ideals, which raised",
+        "sc": "reads invsgp, which was skipped",
+    }
+    assert all(results[name]["tier"] == "inconclusive" for name in skipped)
+    path = tmp_path / "r.json"
+    path.write_text(report_to_json(report))
+    assert main(["explain", str(path), "fock"]) == 0
+    assert capsys.readouterr().out == (
+        "fock: tier=inconclusive\n  skipped: reads ideals, which raised\n")
+
+
+def test_internal_error_is_an_error_tier_and_exits_1(tmp_path, monkeypatch):
+    # an exception that is no declared "cannot certify" is an error: the
+    # run exits 1, what reads the failed analysis is skipped, and the
+    # report is not cached
+    def broken(ctx):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(spectrum, "boundary", broken)
+    out, cache = tmp_path / "r.json", tmp_path / "cache"
+    assert main(["analyze", "--family", "free_abelian", "--rank", "1",
+                 "--analyses", "freeness", "--out", str(out),
+                 "--cache-dir", str(cache)]) == 1
+    results = json.loads(out.read_text())["results"]
+    assert results["boundary"]["tier"] == "error"
+    assert results["boundary"]["error"] == "ZeroDivisionError: planted"
+    assert results["freeness"] == {"op": "freeness", "tier": "inconclusive",
+                                   "skipped": "reads boundary, which raised"}
+    assert results["spectrum"]["tier"] == "exact"
+    assert not cache.exists() or os.listdir(cache) == []
+
+
 def _refused(doc):
     """The message of the ModelError that ``run`` raises on ``doc``: run
     reports an analysis's own errors inside the report, so a raise comes

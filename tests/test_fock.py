@@ -191,6 +191,36 @@ def test_rep_vword_tests_no_membership(all_models, family_of, monkeypatch):
     assert built > 0 and calls == []
 
 
+def test_rep_vword_multiplies_no_element(all_models, family_of, monkeypatch):
+    # the rows are the range's members, listed beside the domain's, so no
+    # image is computed point by point: the only products are those a
+    # listing makes (a translated cone adds its corner), none on F2+ or
+    # <2,3>
+    families = [(model, family_of(model)) for model in all_models]
+    calls = []
+    for cls in {type(model) for model in all_models}:
+        def counted(self, a, b, real=cls.mul):
+            calls.append((a, b))
+            return real(self, a, b)
+        monkeypatch.setattr(cls, "mul", counted)
+    built = 0
+    for model, fam in families:
+        n = 6 if model.family == "free_monoid" else 10
+        for v in fam.members:
+            if word_reach(v) <= n:
+                for side in (v.dom, v.ran):
+                    side.members_upto(n)
+                listed = calls[:]
+                del calls[:]
+                rep_vword(v, n)
+                assert calls == listed
+                if model.family != "free_abelian":
+                    assert calls == []
+                del calls[:]
+                built += 1
+    assert built > 0
+
+
 def test_basis_index_cached_per_model_instance(f2):
     n = 5
     basis, index = f2.basis(n)
@@ -551,9 +581,10 @@ def test_frame_chain_flags(n1):
 def test_frame_f2_single_letter(f2):
     frame = build_frame(f2, ["a"], 4)
     flags = frame.base_flags
-    assert flags[frame.index["b"]]       # disjoint translate: no constraint
-    assert not flags[frame.index[""]]    # unit escapes a*P while meeting it
-    assert flags[frame.index["aa"]]
+    index = f2.basis(4)[1]
+    assert flags[index["b"]]       # disjoint translate: no constraint
+    assert not flags[index[""]]    # unit escapes a*P while meeting it
+    assert flags[index["aa"]]
 
 
 def test_frame_flags_match_oracle(all_models):
@@ -572,12 +603,13 @@ def test_frame_translation_invariance(all_models):
         n = 5 if model.family == "free_monoid" else 8
         gens = list(model.generators)
         frame = build_frame(model, [model.unit, gens[0]], n)
+        index = model.basis(n)[1]
         for p in gens:
             shifted = build_frame(model, [model.mul(p, g) for g in frame.f_set],
                                   n).base_flags
             for j, r in enumerate(frame.basis):
                 pr = model.mul(p, r)
-                i = frame.index.get(pr)
+                i = index.get(pr)
                 if i is not None:
                     assert frame.base_flags[j] == shifted[i]
         for s in gens:
@@ -618,6 +650,36 @@ def test_sc_limit_probe_tests_each_frame_element_once(rank, monkeypatch):
     for frame in frames:
         assert frame.base_flags == tuple(frame_flag(model, frame.f_set, r)
                                          for r in frame.basis)
+
+
+def test_sc_limit_probe_validates_each_frame_element_once(monkeypatch):
+    # build_frame is the one validation point: the default F3+ chain holds
+    # 31 distinct elements, each validated once, and a malformed element
+    # is still refused
+    model = build_model({"family": "free_monoid", "rank": 3})
+    n = model.default_trunc
+    chain = default_f_chain(model, enumerate_vwords(model, 2, 1, 6).by_grading,
+                            4)
+    terms = generator_covariance_terms(model)
+    calls = []
+    real = model.validate
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(model, "validate", counted)
+    sc_limit_probe(terms, chain, model, n)
+    elements = {g for f_set in chain for g in f_set}
+    assert len(elements) == 31 and sorted(calls) == sorted(elements)
+    for bad in (["a", "aZ"], ["aA", ""], [("a",)]):
+        with pytest.raises(ModelError):
+            sc_limit_probe(terms, [["a"], bad], model, n)
+    # True equals the flagged 1, and is refused all the same
+    num = build_model({"family": "numerical", "generators": [2, 3]})
+    with pytest.raises(ModelError):
+        sc_limit_probe(generator_covariance_terms(num), [[0, 1], [True]],
+                       num, num.default_trunc)
 
 
 @pytest.mark.parametrize("rank", [2, 3])

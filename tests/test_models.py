@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (divide, left_mul, preimage, scan_intersect, scan_subset,
                      scan_union_covers)
+from sgclab import models
 from sgclab.ideals import WordTrace, enumerate_ideals, full_ideal
+from sgclab.invsgp import enumerate_vwords
 from sgclab.models import (EMPTY, FreeAbelianModel, FreeMonoidModel, ModelError,
                            NumericalModel, build_model)
 
@@ -198,6 +200,32 @@ def test_exact_tokens_roundtrip_members(all_models):
         assert set(model.exact_members_upto(full, radius)) == set(model.enumerate_p(radius))
         assert model.exact_union_covers(EMPTY, [])
         assert not model.exact_union_covers(full, [])
+
+
+def test_shift_carries_domain_onto_range_in_listing_order(all_models,
+                                                         family_of):
+    # the Model.sort_key requirement that fock.rep_vword rests on: listed
+    # in sort_key order, the images of a word's domain members are the
+    # first members of its range
+    extra = [build_model(cfg) for cfg in (
+        {"family": "free_abelian", "rank": 3},
+        {"family": "free_monoid", "rank": 3},
+        {"family": "numerical", "generators": [3, 5, 7]})]
+    words = [(model, family_of(model).members) for model in all_models]
+    words += [(model, enumerate_vwords(model, 2, model.default_gen_len,
+                                       model.default_radius).members)
+              for model in extra]
+    assert {model.family for model, _ in words} == set(models._FAMILIES)
+    for model, members in words:
+        for v in members:
+            for n in (4, 8):
+                dom = v.dom.members_upto(n)
+                images = [model.mul(v.grading, s) for s in dom]
+                longest = max(map(model.length, images), default=0)
+                ran = v.ran.members_upto(longest)
+                assert dom == sorted(dom, key=model.sort_key)
+                assert ran == sorted(ran, key=model.sort_key)
+                assert images == ran[:len(images)]
 
 
 def test_free_monoid_members_reuse_the_cached_enumeration(monkeypatch):
