@@ -25,6 +25,7 @@ import random
 import sys
 import tempfile
 import time
+import traceback
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _esc
 
@@ -381,7 +382,8 @@ def run(config: RunConfig):
     process, so reports are deterministic; per-analysis errors are reported
     without aborting the rest of the run.  An analysis that raises
     ``CANNOT_CERTIFY`` is inconclusive, one that raises anything else is an
-    error, and an analysis reading one that raised is skipped.  The
+    error, carrying under ``where`` the innermost sgclab function of its
+    traceback, and an analysis reading one that raised is skipped.  The
     ``freeness_g`` elements are parsed first, so a malformed one raises
     ModelError before any analysis.
     """
@@ -406,8 +408,17 @@ def run(config: RunConfig):
                 result, tier = runner(model, caps, rng, store)
             except Exception as exc:
                 result = {"op": name, "error": f"{type(exc).__name__}: {exc}"}
-                tier = ("inconclusive" if isinstance(exc, CANNOT_CERTIFY)
-                        else "error")
+                if isinstance(exc, CANNOT_CERTIFY):
+                    tier = "inconclusive"
+                else:
+                    tier = "error"
+                    # the innermost sgclab frame (run's own frame is one),
+                    # without a line number, so it stays put when code moves
+                    frame = [f for f, _ in traceback.walk_tb(exc.__traceback__)
+                             if f.f_globals.get("__name__", "")
+                             .startswith("sgclab.")][-1]
+                    module = frame.f_globals["__name__"].removeprefix("sgclab.")
+                    result["where"] = f"{module}.{frame.f_code.co_name}"
                 missing[name] = "raised"
         timings[name] = round(time.perf_counter() - t0, 6)
         result["tier"] = tier
@@ -484,6 +495,8 @@ def _explain_lines(topic, r):
     for key in ("error", "skipped"):
         if key in r:
             lines.append(f"  {key}: {r[key]}")
+            if "where" in r:
+                lines.append(f"  where: {r['where']}")
             return lines
     if topic == "ore":
         res = r["result"]

@@ -15,8 +15,10 @@ A word maps its domain ideal onto its range ideal by x -> g*x, keeping
 ``Model.sort_key`` order, so its matrix pairs the domain's listing up to
 length n with the range's until either runs out.  An operator is stored
 as that partial map, column -> row; words, ideal masks and their products
-are all of this form, and a product is map composition.  The basis and
-its position index are cached per model instance.
+are all of this form, and a product is map composition.  The basis, its
+position index and each ideal's member positions (``Model.positions``)
+are cached per model instance, so a word's matrix zips two cached tuples
+and a mask maps one onto itself.
 
 Each matrix is built once per check, and only where the check reads it.
 The projection identity builds one mask per lattice ideal and multiplies
@@ -90,12 +92,8 @@ def zero_op(model, n) -> TruncOp:
 def projection_op(ideal, n) -> TruncOp:
     """Diagonal 0/1 mask of an ideal's members on the basis."""
     model = ideal.model
-    index = model.basis(n)[1]
-    cols = {}
-    for s in ideal.members_upto(n):
-        j = index[s]
-        cols[j] = j
-    return TruncOp(model, n, cols, n, 0)
+    return TruncOp(model, n, {j: j for j in model.positions(ideal.exact, n)},
+                   n, 0)
 
 
 def word_reach(v) -> int:
@@ -106,11 +104,11 @@ def word_reach(v) -> int:
 
 def rep_vword(v, n) -> TruncOp:
     """Compression of a word's partial shift to the truncated basis: the
-    domain's members of length <= n paired in order with the range's."""
+    domain's members of length <= n paired in order with the range's, as
+    the zip of the two sides' cached basis positions."""
     model = v.model
-    index = model.basis(n)[1]
-    cols = dict(zip([index[s] for s in v.dom.members_upto(n)],
-                    [index[s] for s in v.ran.members_upto(n)]))
+    cols = dict(zip(model.positions(v.dom.exact, n),
+                    model.positions(v.ran.exact, n)))
     reach = word_reach(v)
     band = n - reach
     if band < 0:

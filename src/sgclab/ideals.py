@@ -12,6 +12,8 @@ An ideal is its model's canonical exact token.  ``walk`` is the one
 evaluator: it carries a token through the pairs of a trace, so the ideal of
 a trace is the walk from the full ideal's token, and one more pair, an
 intersection or a composite word is computed from tokens already at hand.
+Each step is keyed on its pair and token in the model's step cache, so a
+run computes each distinct step once.
 The trace an ideal keeps is provenance only: reports render it and guard
 bands read it, but it is never evaluated again.  An ideal carries no
 radius either: a truncation is chosen where members are listed, by the
@@ -121,9 +123,17 @@ def walk(model, pairs, tok):
     """Carry a token through (p, q) pairs, right to left: multiply on the
     left by q, then pull back along p.  From ``exact_full()`` this is the
     ideal the pairs denote; from the token of an ideal y it is the image
-    of y under the word of the pairs."""
-    for p, q in reversed(pairs):
-        tok = model.exact_preimage(p, model.exact_left_mul(q, tok))
+    of y under the word of the pairs.  Each step is computed once per
+    model instance and kept in its step cache."""
+    steps = model._step_cache
+    for pq in reversed(pairs):
+        key = (pq, tok)
+        got = steps.get(key)
+        if got is None:
+            p, q = pq
+            got = model.exact_preimage(p, model.exact_left_mul(q, tok))
+            steps[key] = got
+        tok = got
     return tok
 
 

@@ -6,16 +6,18 @@ composite is the partial bijection x -> g * x where g is the grading
 p1^-1 q1 ... pn^-1 qn, defined on the domain ideal and landing in the range
 ideal.  The range ideal is the ideal the trace denotes; the domain ideal is
 the ideal of the starred trace.  A word keeps its grading and its domain
-and range ideals; ``fock.rep_vword`` pairs the domain's members with the
-range's and tests no point for membership.  Nonzero words are
+and range ideals; ``fock.rep_vword`` builds its matrix by zipping the
+cached basis positions of the domain's members with those of the range's
+(``Model.positions``), and tests no point for membership.  Nonzero words are
 determined by the pair (grading, domain ideal): on a common nonempty
 domain the actions x -> g1*x and x -> g2*x agree only for g1 == g2,
 because the ambient group cancels.
 
 Composites are computed on ideal tokens, not on traces: the domain of v*w
 is w's pullback of dom v and its range is v's image of ran w, each one
-``walk`` from a token at hand.  The concatenated trace is kept only as
-provenance, for reports and guard bands.
+``walk`` from a token at hand, whose steps the model caches.  The
+concatenated trace is kept only as provenance, for reports and guard
+bands.
 
 The zero word absorbs composition and carries no grading or trace; every
 nonzero word has a non-empty domain.  Like an ideal, a word carries no

@@ -49,6 +49,16 @@ class Model:
 
     ``mul``/``inv`` operate on arbitrary group elements in normal form;
     ``in_p``, ``length`` and ``enumerate_p`` see the submonoid.
+
+    An instance keeps four caches, each filled on first use:
+    ``_enum_cache`` (``enumerate_p`` by length), ``_basis_cache``
+    (``basis`` by length), ``_step_cache`` (one ``ideals.walk`` step,
+    ``((p, q), token) -> token``) and ``_positions_cache`` (``positions``
+    by ``(token, n)``).  Their keys are normal forms, canonical exact
+    tokens and ints, which are immutable and equal exactly when the
+    elements or ideals they denote are equal, and the model itself never
+    changes; so an entry can never go stale, and each cache lives and dies
+    with the instance.
     """
 
     family = "abstract"
@@ -59,6 +69,8 @@ class Model:
     def __init__(self):
         self._enum_cache = {}
         self._basis_cache = {}
+        self._step_cache = {}
+        self._positions_cache = {}
 
     # -- group arithmetic ------------------------------------------------
     def mul(self, a, b):
@@ -102,6 +114,18 @@ class Model:
             elems = self.enumerate_p(max_len)
             got = (elems, {s: k for k, s in enumerate(elems)})
             self._basis_cache[max_len] = got
+        return got
+
+    def positions(self, tok, n):
+        """The basis indices of the members of length <= n of the ideal of
+        ``tok``, as a tuple, ascending: both lists follow ``sort_key``.
+        Cached per model instance."""
+        key = (tok, n)
+        got = self._positions_cache.get(key)
+        if got is None:
+            index = self.basis(n)[1]
+            got = tuple([index[s] for s in self.exact_members_upto(tok, n)])
+            self._positions_cache[key] = got
         return got
 
     def _generate_p(self, max_len):

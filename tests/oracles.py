@@ -10,8 +10,10 @@ never realizes a combination as one matrix).  Numerical-token subset,
 cover and intersection scan every point below the largest tail; the
 composition law of the partial action is checked one ``theta_apply``
 instance at a time, and the word family is built by evaluating every trace
-instead of extending one trace per word.  Expected values frozen into
-tests were produced by these functions.
+instead of extending one trace per word.  ``uncached_walk`` carries a
+token through the model's kernels afresh at every step, without the
+model's step cache.  Expected values frozen into tests were produced by
+these functions.
 """
 
 from fractions import Fraction
@@ -39,6 +41,14 @@ def brute_trace_members(model, pairs, radius):
             if model.in_p(z):
                 cur.add(z)
     return frozenset(x for x in cur if model.length(x) <= radius)
+
+
+def uncached_walk(model, pairs, tok):
+    """``ideals.walk`` without the step cache: each step calls
+    ``exact_left_mul`` and ``exact_preimage``, right to left."""
+    for p, q in reversed(pairs):
+        tok = model.exact_preimage(p, model.exact_left_mul(q, tok))
+    return tok
 
 
 def pointwise_word_apply(model, pairs, x):

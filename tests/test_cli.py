@@ -11,7 +11,7 @@ from sgclab import cli, invsgp, spectrum
 from sgclab.cli import (ANALYSES, ConfigError, RunConfig, explain, main,
                         report_to_json, run, stable_body)
 from sgclab.ideals import WordTrace
-from sgclab.models import FreeMonoidModel, ModelError
+from sgclab.models import FreeMonoidModel, ModelError, NumericalModel
 
 
 def small_config(**over):
@@ -148,8 +148,9 @@ def test_analyses_reading_one_that_raised_are_skipped(tmp_path, capsys):
 
 def test_internal_error_is_an_error_tier_and_exits_1(tmp_path, monkeypatch):
     # an exception that is no declared "cannot certify" is an error: the
-    # run exits 1, what reads the failed analysis is skipped, and the
-    # report is not cached
+    # run exits 1, the error names the innermost sgclab function it passed
+    # through (the planted one lives in this test), what reads the failed
+    # analysis is skipped, and the report is not cached
     def broken(ctx):
         raise ZeroDivisionError("planted")
 
@@ -158,13 +159,36 @@ def test_internal_error_is_an_error_tier_and_exits_1(tmp_path, monkeypatch):
     assert main(["analyze", "--family", "free_abelian", "--rank", "1",
                  "--analyses", "freeness", "--out", str(out),
                  "--cache-dir", str(cache)]) == 1
-    results = json.loads(out.read_text())["results"]
-    assert results["boundary"]["tier"] == "error"
-    assert results["boundary"]["error"] == "ZeroDivisionError: planted"
+    report = json.loads(out.read_text())
+    results = report["results"]
+    assert results["boundary"] == {"op": "boundary", "tier": "error",
+                                   "error": "ZeroDivisionError: planted",
+                                   "where": "cli._an_boundary"}
+    assert "  where: cli._an_boundary" in explain(report, "boundary")
     assert results["freeness"] == {"op": "freeness", "tier": "inconclusive",
                                    "skipped": "reads boundary, which raised"}
     assert results["spectrum"]["tier"] == "exact"
     assert not cache.exists() or os.listdir(cache) == []
+
+
+def test_internal_error_names_its_innermost_package_function(monkeypatch):
+    # an error raised below the package (here by a planted model kernel)
+    # names the package function that called it; a cannot-certify result,
+    # such as the guard band of sc on <3,5,7>, carries no such field
+    doc = {"model": {"family": "numerical", "generators": [3, 5, 7]},
+           "analyses": ["ideals", "sc"], "caps": {"trace_depth": 2}}
+    report, code = run(RunConfig.from_dict(doc))
+    sc = report["results"]["sc"]
+    assert code == 2 and sc["error"].startswith("BandExhausted")
+    assert "where" not in sc
+
+    def planted(self, tok, other):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(NumericalModel, "exact_intersect", planted)
+    report, code = run(RunConfig.from_dict(doc))
+    assert code == 1
+    assert report["results"]["ideals"]["where"] == "ideals.intersect"
 
 
 def _refused(doc):

@@ -192,10 +192,11 @@ def test_rep_vword_tests_no_membership(all_models, family_of, monkeypatch):
 
 
 def test_rep_vword_multiplies_no_element(all_models, family_of, monkeypatch):
-    # the rows are the range's members, listed beside the domain's, so no
-    # image is computed point by point: the only products are those a
-    # listing makes (a translated cone adds its corner), none on F2+ or
-    # <2,3>
+    # the rows are the range's basis positions, zipped beside the domain's,
+    # so no image is computed point by point: on a fresh model instance the
+    # first matrix of a word makes only the products its two listings make
+    # (a translated cone adds its corner), none on F2+ or <2,3>, and the
+    # positions are cached, so a second matrix of the word makes none
     families = [(model, family_of(model)) for model in all_models]
     calls = []
     for cls in {type(model) for model in all_models}:
@@ -206,10 +207,13 @@ def test_rep_vword_multiplies_no_element(all_models, family_of, monkeypatch):
     built = 0
     for model, fam in families:
         n = 6 if model.family == "free_monoid" else 10
-        for v in fam.members:
-            if word_reach(v) <= n:
-                for side in (v.dom, v.ran):
-                    side.members_upto(n)
+        for w in fam.members:
+            if word_reach(w) <= n:
+                fresh = build_model(model.config())
+                v = make_vword(fresh, w.trace)
+                del calls[:]
+                for tok in dict.fromkeys((v.dom.exact, v.ran.exact)):
+                    fresh.exact_members_upto(tok, n)
                 listed = calls[:]
                 del calls[:]
                 rep_vword(v, n)
@@ -217,6 +221,8 @@ def test_rep_vword_multiplies_no_element(all_models, family_of, monkeypatch):
                 if model.family != "free_abelian":
                     assert calls == []
                 del calls[:]
+                rep_vword(v, n)
+                assert calls == []
                 built += 1
     assert built > 0
 

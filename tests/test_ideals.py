@@ -3,13 +3,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_trace_members, gauss_rank, left_mul, preimage
+from oracles import (brute_trace_members, gauss_rank, left_mul, preimage,
+                     uncached_walk)
 from sgclab import ideals as ideals_mod
 from sgclab.exactla import bareiss_rank
 from sgclab.ideals import (CapExceeded, WordTrace, empty_ideal,
                            enumerate_ideals, from_trace, full_ideal, ideal_eq,
                            independence_rank_oracle, independence_test,
-                           intersect, ore_test)
+                           intersect, ore_test, walk)
 from sgclab.models import EMPTY, build_model
 
 
@@ -73,6 +74,22 @@ def test_from_trace_matches_bruteforce_oracle(all_models):
             got = from_trace(model, WordTrace(pairs))
             want = brute_trace_members(model, pairs, radius)
             assert set(got.members_upto(radius)) == want, pairs
+
+
+def test_cached_walk_matches_the_uncached_walk(all_models, lattice_of):
+    # every step walk serves from the model's step cache equals the
+    # kernels' own step: each lattice token through each pair, and through
+    # each lattice trace, at depths 1-3
+    for model in all_models:
+        for depth in (1, 2, 3):
+            lat = lattice_of(model, depth=depth)
+            cand = model.enumerate_p(lat.params["gen_len"])
+            pairs = [((p, q),) for p in cand for q in cand]
+            traces = [x.trace.pairs for x in lat.ideals if x.trace is not None]
+            for tok in (x.exact for x in lat.ideals):
+                for t in pairs + traces:
+                    assert walk(model, t, tok) == uncached_walk(model, t, tok), \
+                        (model.name, t, tok)
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),

@@ -228,6 +228,33 @@ def test_shift_carries_domain_onto_range_in_listing_order(all_models,
                 assert images == ran[:len(images)]
 
 
+def test_positions_index_the_members_in_order(all_models, lattice_of):
+    # positions is the basis index map of the listing, ascending, at every
+    # truncation: a cached tuple keyed on the token and n together
+    for model in all_models:
+        trunc = 7 if model.family == "free_monoid" else 12
+        toks = [x.exact for x in lattice_of(model).ideals]
+        for n in (0, 3, trunc):
+            index = model.basis(n)[1]
+            for tok in toks:
+                got = model.positions(tok, n)
+                assert type(got) is tuple
+                assert got == tuple(index[s] for s in
+                                    model.exact_members_upto(tok, n))
+                assert all(a < b for a, b in zip(got, got[1:]))
+
+
+def test_positions_cached_per_model_instance(all_models, lattice_of):
+    for model in all_models:
+        other = build_model(model.config())
+        for x in lattice_of(model).ideals:
+            got = model.positions(x.exact, 5)
+            assert model.positions(x.exact, 5) is got
+            assert other.positions(x.exact, 5) == got
+            if got:   # the empty tuple is one object in CPython
+                assert other.positions(x.exact, 5) is not got
+
+
 def test_free_monoid_members_reuse_the_cached_enumeration(monkeypatch):
     model = build_model({"family": "free_monoid", "rank": 2})
     rooms = []
