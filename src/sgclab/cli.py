@@ -25,7 +25,6 @@ import random
 import sys
 import tempfile
 import time
-import traceback
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _esc
 
@@ -414,11 +413,14 @@ def run(config: RunConfig):
                     tier = "error"
                     # the innermost sgclab frame (run's own frame is one),
                     # without a line number, so it stays put when code moves
-                    frame = [f for f, _ in traceback.walk_tb(exc.__traceback__)
-                             if f.f_globals.get("__name__", "")
-                             .startswith("sgclab.")][-1]
-                    module = frame.f_globals["__name__"].removeprefix("sgclab.")
-                    result["where"] = f"{module}.{frame.f_code.co_name}"
+                    tb = exc.__traceback__
+                    while tb is not None:
+                        frame = tb.tb_frame
+                        module = frame.f_globals.get("__name__", "")
+                        if module.startswith("sgclab."):
+                            result["where"] = (module.removeprefix("sgclab.")
+                                               + "." + frame.f_code.co_name)
+                        tb = tb.tb_next
                 missing[name] = "raised"
         timings[name] = round(time.perf_counter() - t0, 6)
         result["tier"] = tier
