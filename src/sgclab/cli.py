@@ -418,8 +418,8 @@ def run(config: RunConfig):
                         frame = tb.tb_frame
                         module = frame.f_globals.get("__name__", "")
                         if module.startswith("sgclab."):
-                            result["where"] = (module.removeprefix("sgclab.")
-                                               + "." + frame.f_code.co_name)
+                            result["where"] = (f"{module[len('sgclab.'):]}."
+                                               f"{frame.f_code.co_name}")
                         tb = tb.tb_next
                 missing[name] = "raised"
         timings[name] = round(time.perf_counter() - t0, 6)
