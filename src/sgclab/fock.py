@@ -8,35 +8,34 @@ length b such that applying the operator to a basis vector of length <= b
 agrees with the true (untruncated) action, and ``reach`` bounds how far the
 operator can push support lengths upward.  Multiplying operators shrinks
 the band by the inner factor's reach; identities are asserted only inside
-the surviving band, so truncation artifacts never masquerade as algebraic
-facts.
+the surviving band (as whole maps when it covers the basis), so truncation
+artifacts never masquerade as algebraic facts.
 
+An operator is stored as a partial map, column -> row; words, ideal masks
+and their products are all of this form, and a product is map composition.
 A word maps its domain ideal onto its range ideal by x -> g*x, keeping
-``Model.sort_key`` order, so its matrix pairs the domain's listing up to
-length n with the range's until either runs out.  An operator is stored
-as that partial map, column -> row; words, ideal masks and their products
-are all of this form, and a product is map composition.  The basis, its
-position index and each ideal's member positions (``Model.positions``)
-are cached per model instance, so a word's matrix zips two cached tuples
-and a mask maps one onto itself.
+``Model.sort_key`` order, so its matrix zips the two sides' cached basis
+positions (``Model.positions``), and a mask maps one onto itself.
 
 Each matrix is built once per check, and only where the check reads it.
-The projection identity builds one mask per lattice ideal and multiplies
-them pairwise.  The diagonal expectation is checked word by word, on word
-matrices the caller built, as both of its routes are linear, so no matrix
-of a word combination is ever built; its value is a diagonal, stored as
+The projection identity multiplies one mask per lattice ideal pairwise.
+The diagonal expectation is checked word by word, on word matrices the
+caller built, as both of its routes are linear; its value is a diagonal,
 ``{column: coefficient}``.
 
 A word combination whose gradings are all trivial acts diagonally (a
 nonzero grading moves every basis point, because the ambient group
 cancels), so a frame-compressed norm is the exact maximum absolute
 diagonal value.  A norm probe reads only basis points inside its guard
-band, so its frames flag that band's basis alone.
+band, so its frames flag that band's basis alone, and it reads each term's
+domain as its cached positions in the band.  Coefficients are summed per
+column exactly, as integers over their common denominator.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,8 +79,7 @@ class TruncOp:
         line per unit entry, the value written as the rational ``1/1``."""
         size = len(self.model.basis(self.n)[0])
         lines = [f"# truncop {size} {size} {self.band} {self.reach}"]
-        for i, j, _ in self.triplets():
-            lines.append(f"{i} {j} 1/1")
+        lines += [f"{i} {j} 1/1" for i, j, _ in self.triplets()]
         return "\n".join(lines) + "\n"
 
 
@@ -91,15 +89,12 @@ def zero_op(model, n) -> TruncOp:
 
 def projection_op(ideal, n) -> TruncOp:
     """Diagonal 0/1 mask of an ideal's members on the basis."""
-    model = ideal.model
-    return TruncOp(model, n, {j: j for j in model.positions(ideal.exact, n)},
-                   n, 0)
+    pos = ideal.model.positions(ideal.exact, n)
+    return TruncOp(ideal.model, n, dict(zip(pos, pos)), n, 0)
 
 
 def word_reach(v) -> int:
-    if v.is_zero:
-        return 0
-    return sum(v.model.length(q) for _, q in v.trace.pairs)
+    return 0 if v.is_zero else sum(v.model.length(q) for _, q in v.trace.pairs)
 
 
 def rep_vword(v, n) -> TruncOp:
@@ -110,10 +105,9 @@ def rep_vword(v, n) -> TruncOp:
     cols = dict(zip(model.positions(v.dom.exact, n),
                     model.positions(v.ran.exact, n)))
     reach = word_reach(v)
-    band = n - reach
-    if band < 0:
+    if reach > n:
         raise BandExhausted(f"word reach {reach} exceeds truncation {n}")
-    return TruncOp(model, n, cols, band, reach)
+    return TruncOp(model, n, cols, n - reach, reach)
 
 
 def _check_compat(a: TruncOp, b: TruncOp):
@@ -143,8 +137,11 @@ def _band_width(model, band) -> int:
 
 
 def equal_on_band(a: TruncOp, b: TruncOp) -> bool:
-    """Entrywise equality restricted to columns inside both bands."""
+    """Entrywise equality restricted to columns inside both bands; map
+    equality when those bands cover the truncated basis."""
     _check_compat(a, b)
+    if min(a.band, b.band) >= a.n:
+        return a.cols == b.cols
     width = _band_width(a.model, min(a.band, b.band))
     return all(a.cols.get(j) == b.cols.get(j)
                for j in a.cols.keys() | b.cols.keys() if j < width)
@@ -165,6 +162,21 @@ def check_projection_identity(lattice, n):
     return len(idxs) ** 2, ok
 
 
+def _column_sums(weighted):
+    """``({column: sum}, zero)``: the exact sum of the coefficients at each
+    column of ``(coefficient, columns)`` pairs, added as integers over the
+    common denominator; each distinct sum is made a rational once."""
+    weighted = [(Fraction(c), cols) for c, cols in weighted]
+    den = math.lcm(*(c.denominator for c, _ in weighted))
+    sums = {}
+    for c, cols in weighted:
+        k = c.numerator * (den // c.denominator)
+        for j in cols:
+            sums[j] = sums.get(j, 0) + k
+    value = {x: Fraction(x, den) for x in {0, *sums.values()}}
+    return {j: value[x] for j, x in sums.items()}, value[0]
+
+
 def cond_expectation(terms) -> dict:
     """Diagonal expectation of a word combination, computed two ways.
 
@@ -180,17 +192,15 @@ def cond_expectation(terms) -> dict:
     if not terms:
         raise ModelError("empty term list")
     model = terms[0][1].model
-    diagonal = {}
+    kept = []
     for c, v, op in terms:
         unit_graded = not v.is_zero and v.grading == model.unit
         if not equal_on_band(op if unit_graded else zero_op(model, op.n),
                              diagonal_part(op)):
             raise GradingMismatch("grading filter and diagonal compression disagree")
         if unit_graded:
-            c = Fraction(c)
-            for j in op.cols:
-                diagonal[j] = diagonal.get(j, 0) + c
-    return {j: x for j, x in diagonal.items() if x != 0}
+            kept.append((c, op.cols))
+    return {j: x for j, x in _column_sums(kept)[0].items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -239,26 +249,20 @@ def compressed_matrix(terms, frame: CovarianceFrame):
 
     Returns (diagonal, labels): the matrix is diagonal, so only its
     diagonal is built, one rational per admissible basis point surviving
-    the guard band.
+    the guard band.  A term's entries are its domain's members inside the
+    band, read as cached positions.
     """
     model = frame.model
-    unit = model.unit
-    for _, v in terms:
-        if not v.is_zero and v.grading != unit:
-            raise ModelError("frame compression expects trivially graded terms")
-    reach = max([word_reach(v) for _, v in terms] or [0])
-    width = _band_width(model, frame.n - reach)
+    if any(not v.is_zero and v.grading != model.unit for _, v in terms):
+        raise ModelError("frame compression expects trivially graded terms")
+    band = frame.n - max((word_reach(v) for _, v in terms), default=0)
+    width = _band_width(model, band)
     labels = [j for j in frame.slice_indices() if j < width]
     if not labels:
         raise BandExhausted("no admissible basis points inside the guard band")
-    diagonal = [Fraction(0)] * len(labels)
-    for c, v in terms:
-        if v.is_zero:
-            continue
-        for k, j in enumerate(labels):
-            if v.dom.contains(frame.basis[j]):
-                diagonal[k] += Fraction(c)
-    return diagonal, labels
+    sums, zero = _column_sums((c, model.positions(v.dom.exact, band))
+                              for c, v in terms if not v.is_zero)
+    return [sums.get(j, zero) for j in labels], labels
 
 
 def sc_norm(terms, frame: CovarianceFrame):
@@ -268,7 +272,7 @@ def sc_norm(terms, frame: CovarianceFrame):
     maximum absolute diagonal value, returned as a width-zero enclosure.
     """
     diagonal, _ = compressed_matrix(terms, frame)
-    value = max(abs(d) for d in diagonal)
+    value = max(map(abs, set(diagonal)))
     return value, value
 
 
@@ -305,14 +309,12 @@ def sc_limit_probe(terms, f_chain, model, n) -> ScProbeReport:
     points inside the guard band are ever read, so the frames flag the
     band's basis only, each distinct element once per probe; ``build_frame``
     validates it then."""
-    reach = max([word_reach(v) for _, v in terms] or [0])
-    band = n - reach
+    band = n - max((word_reach(v) for _, v in terms), default=0)
     if band < 0:
         raise BandExhausted("no admissible basis points inside the guard band")
     basis = model.basis(band)[0]
     element_flags = {}   # by repr: True equals 1 but is no normal form
-    enclosures = []
-    frames = []
+    enclosures, frames = [], []
     for f_elems in f_chain:
         for g in f_elems:
             if repr(g) not in element_flags:
@@ -342,10 +344,8 @@ def default_f_chain(model, gradings, depth):
     realized gradings (plus the unit); a cofinal, reproducible choice."""
     pool = sorted(set(gradings) | {model.unit},
                   key=lambda g: (model.length(g), g))
-    chain = []
-    for rho in range(depth + 1):
-        chain.append(tuple(g for g in pool if model.length(g) <= rho))
-    return chain
+    return [tuple(g for g in pool if model.length(g) <= rho)
+            for rho in range(depth + 1)]
 
 
 def generator_covariance_terms(model):
@@ -360,6 +360,5 @@ def generator_covariance_terms(model):
             for s in subset:
                 ideal = intersect(ideal, from_trace(
                     model, WordTrace(((model.unit, s),))))
-            word = invsgp.idempotent_vword(ideal)
-            terms.append((Fraction(-1) ** k, word))
+            terms.append((Fraction(-1) ** k, invsgp.idempotent_vword(ideal)))
     return terms

@@ -83,28 +83,30 @@ class ConstructibleIdeal:
     def is_empty(self) -> bool:
         return self.exact == EMPTY
 
-    def contains(self, a) -> bool:
-        return self.model.exact_contains(self.exact, a)
-
     def members_upto(self, n):
         """The members of length <= n, in ``sort_key`` order."""
         return self.model.exact_members_upto(self.exact, n)
 
     def members_prefix(self, radius, limit):
-        """``members_upto(radius)[:limit]``, without listing every member
-        up to the radius.  Members come length first, so each shorter
-        listing is a prefix of the longer ones.  The length runs 0, 1, 3,
-        7, ... up to the radius, and listing starts only once P itself has
-        ``limit`` elements that short, as no ideal has more."""
+        """``members_upto(radius)[:limit]``, cut from ``prefix_listing``."""
+        return self.prefix_listing(radius, limit)[1][:limit]
+
+    def prefix_listing(self, radius, limit):
+        """``(r, members_upto(r))`` for the first r of 0, 1, 3, 7, ... up to
+        the radius whose listing has ``limit`` members, else r = radius.
+        Members come length first, so each shorter listing is a prefix of
+        the longer ones; listing starts only once P itself has ``limit``
+        elements that short, as no ideal has more."""
         if self.is_empty():
-            return []
+            return radius, []
         r = 0
         while r < radius and len(self.model.enumerate_p(r)) < limit:
             r = 2 * r + 1
         while True:
-            mem = self.members_upto(min(r, radius))
+            r = min(r, radius)
+            mem = self.members_upto(r)
             if len(mem) >= limit or r >= radius:
-                return mem[:limit]
+                return r, mem
             r = 2 * r + 1
 
     def render(self, radius):
@@ -377,18 +379,25 @@ def independence_rank_oracle(lattice: IdealLattice) -> RankResult:
     full matrix of length <= r0, and adding columns never lowers rank, so
     the full listing would read ``full_rank`` too; rows that differ up to
     r0 differ up to the radius.  Otherwise, or should Bareiss read less
-    than full rank, the rows are listed up to the radius."""
+    than full rank, the rows are listed up to the radius.  A listing
+    already made at the length a pass reads is reused, not made again."""
     model, radius = lattice.model, lattice.radius
     idxs = lattice.nonempty_indices()
     n = len(idxs)
-    least = [lattice.ideals[i].members_prefix(radius, 1) for i in idxs]
+    listed = [lattice.ideals[i].prefix_listing(radius, 1) for i in idxs]
+
+    def rows(upto):
+        return [frozenset(mem if r == upto
+                          else lattice.ideals[i].members_upto(upto))
+                for i, (r, mem) in zip(idxs, listed)]
+    least = [mem[:1] for _, mem in listed]
     if all(least) and len({m[0] for m in least}) == n:
         r0 = max(model.length(m[0]) for m in least)
-        short = [frozenset(lattice.ideals[i].members_upto(r0)) for i in idxs]
+        short = rows(r0)
         if _membership_rank(model, short) == n:
             return RankResult("full_rank", rank=n, nonempty=n, radius=radius)
-    rows_members = [frozenset(lattice.ideals[i].members_upto(radius))
-                    for i in idxs]
+        listed = [(r0, mem) for mem in short]
+    rows_members = rows(radius)
     seen = {}
     for pos, mem in enumerate(rows_members):
         if mem in seen:

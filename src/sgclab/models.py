@@ -172,9 +172,6 @@ class Model:
     def exact_intersect(self, tok, other):
         raise NotImplementedError
 
-    def exact_contains(self, tok, a) -> bool:
-        raise NotImplementedError
-
     def exact_subset(self, tok, other) -> bool:
         raise NotImplementedError
 
@@ -427,11 +424,6 @@ class FreeMonoidModel(Model):
         if v.startswith(w):
             return ("word", v)
         return EMPTY
-
-    def exact_contains(self, tok, a):
-        if tok == EMPTY:
-            return False
-        return self.in_p(a) and a.startswith(tok[1])
 
     def exact_subset(self, tok, other):
         if tok == EMPTY:

@@ -4,9 +4,10 @@ These deliberately avoid the package's exact-token calculus: traces are
 evaluated by raw set comprehensions over a widened truncation, word actions
 by stepping through the factors pointwise, filters by a full subset scan,
 the character of a point by set evaluation of each fragment ideal's trace,
-matrix rank by Fraction Gaussian elimination, and a rational combination
-of words by summing their basis-scan columns entrywise (the package itself
-never realizes a combination as one matrix).  Numerical-token subset,
+matrix rank by Fraction Gaussian elimination, a rational combination of
+words by summing their basis-scan columns entrywise (the package itself
+never realizes a combination as one matrix), and the equality of two
+operators on their guard band column by column.  Numerical-token subset,
 cover and intersection scan every point below the largest tail; the
 composition law of the partial action is checked one ``theta_apply``
 instance at a time, and the word family is built by evaluating every trace
@@ -168,13 +169,13 @@ def frame_pointwise_applies(model, f_set, pairs, r):
 def basis_scan_columns(model, grading, dom, n):
     """Columns of the partial shift s -> grading*s on dom, by scanning the
     whole length-<= n basis: column j holds {index[g*s]: 1} iff
-    dom.contains(s) and g*s lies inside the truncation, else {}."""
+    contains(dom, s) and g*s lies inside the truncation, else {}."""
     basis = model.enumerate_p(n)
     index = {s: k for k, s in enumerate(basis)}
     cols = []
     for s in basis:
         col = {}
-        if dom.contains(s):
+        if contains(dom, s):
             t = model.mul(grading, s)
             if t in index:
                 col[index[t]] = 1
@@ -208,6 +209,16 @@ def graded_sum(terms, n):
         if acc:
             cols[j] = acc
     return cols, n - reach
+
+
+def entrywise_equal_on_band(a, b):
+    """``fock.equal_on_band`` one column at a time: the two maps agree at
+    every column of either inside both bands (the first ``width`` basis
+    positions, as bases are sorted length first)."""
+    band = min(a.band, b.band)
+    width = len(a.model.enumerate_p(band)) if band >= 0 else 0
+    return all(a.cols.get(j) == b.cols.get(j)
+               for j in a.cols.keys() | b.cols.keys() if j < width)
 
 
 def scan_subset(model, tok, other):
@@ -343,3 +354,20 @@ def divide(model, p, y):
         raise ModelError("divide expects submonoid elements")
     x = model.mul(model.inv(p), y)
     return x if model.in_p(x) else None
+
+
+# ---------------------------------------------------------------------------
+# Token readings: the package lists an ideal's members and never tests one
+# point for membership, so these tests do it here.
+
+def contains(x, a):
+    """Whether the ideal x holds the element a, read off its exact token.
+    A free-monoid token names the common prefix of its members; the other
+    families decide membership with the kernel their token calculus uses,
+    ``exact_contains``."""
+    model, tok = x.model, x.exact
+    if tok == EMPTY:
+        return False
+    if model.family == "free_monoid":
+        return model.in_p(a) and a.startswith(tok[1])
+    return model.exact_contains(tok, a)

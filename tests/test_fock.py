@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (basis_scan_columns, divide, frame_flag,
+from oracles import (basis_scan_columns, contains, divide,
+                     entrywise_equal_on_band, frame_flag,
                      frame_pointwise_applies, gauss_rank, graded_sum, left_mul)
 from sgclab import ideals
 from sgclab.cli import RunConfig, run
@@ -18,8 +19,8 @@ from sgclab.fock import (BandExhausted, GradingMismatch, CovarianceFrame, TruncO
                          generator_covariance_terms,
                          mul_op, projection_op, rep_vword, sc_norm,
                          sc_limit_probe, word_reach, zero_op)
-from sgclab.ideals import (ConstructibleIdeal, WordTrace, enumerate_ideals,
-                           from_trace, full_ideal)
+from sgclab.ideals import (WordTrace, enumerate_ideals, from_trace,
+                           full_ideal, intersect)
 from sgclab.invsgp import (compose, enumerate_vwords, idempotent_vword,
                            make_vword, star, zero_vword)
 from sgclab.models import ModelError, build_model
@@ -162,7 +163,7 @@ def test_member_driven_columns_match_basis_scan(all_models, family_of):
                 # domain members whose image lies beyond length n
                 leaves_basis += sum(
                     1 for j, s in enumerate(model.enumerate_p(n))
-                    if v.dom.contains(s) and not want[j])
+                    if contains(v.dom, s) and not want[j])
     assert leaves_basis > 0
 
 
@@ -170,17 +171,23 @@ def _nonzero(cols):
     return {j: i for j, c in enumerate(cols) for i in c}
 
 
+def _count_membership_tests(models, monkeypatch):
+    """Record every point a family's membership kernel tests; the free
+    monoid has none in the package."""
+    calls = []
+    for cls in {type(model) for model in models}:
+        if hasattr(cls, "exact_contains"):
+            def counted(self, tok, a, real=cls.exact_contains):
+                calls.append(a)
+                return real(self, tok, a)
+            monkeypatch.setattr(cls, "exact_contains", counted)
+    return calls
+
+
 def test_rep_vword_tests_no_membership(all_models, family_of, monkeypatch):
     # the columns are the domain's members, so no point is tested again
     families = [(model, family_of(model)) for model in all_models]
-    calls = []
-    real = ConstructibleIdeal.contains
-
-    def counted(self, a):
-        calls.append(a)
-        return real(self, a)
-
-    monkeypatch.setattr(ConstructibleIdeal, "contains", counted)
+    calls = _count_membership_tests(all_models, monkeypatch)
     built = 0
     for model, fam in families:
         n = 6 if model.family == "free_monoid" else 10
@@ -377,6 +384,51 @@ def test_ops_store_no_zero_columns(f2):
     assert mul_op(a, down).cols == projection_op(aP, n).cols
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_equal_on_band_matches_entrywise_oracle(all_models, family_of,
+                                               lattice_of, n):
+    # masks have band n, so mask pairs take the whole-map comparison;
+    # words and products shrink the band and are compared column by column
+    whole = banded = 0
+    for model in all_models:
+        masks = [projection_op(x, n) for x in lattice_of(model).ideals[:10]]
+        words = [rep_vword(v, n) for v in family_of(model).members[:30]
+                 if word_reach(v) <= n][:10]
+        ops = masks + words + [mul_op(a, b) for a, b in zip(words, masks)]
+        for a, b in itertools.product(ops, repeat=2):
+            whole += min(a.band, b.band) >= n
+            assert equal_on_band(a, b) == entrywise_equal_on_band(a, b)
+        for a in ops:
+            if not a.cols:
+                continue
+            # a change at column 0, the unit, lies inside every band
+            inside = dataclasses.replace(a, cols={**a.cols, 0: a.cols.get(0, 0) + 1})
+            assert not equal_on_band(a, inside)
+            assert not entrywise_equal_on_band(a, inside)
+            last = max(a.cols)
+            outside = dataclasses.replace(
+                a, cols={j: i for j, i in a.cols.items() if j != last})
+            beyond = model.length(model.basis(n)[0][last]) > a.band
+            assert (equal_on_band(a, outside)
+                    == entrywise_equal_on_band(a, outside) == beyond)
+            banded += beyond
+    assert whole > 0 and banded > 0
+
+
+def test_equal_on_band_ignores_columns_outside_the_band(f2):
+    # down * up is the identity except on the words of length n, whose
+    # image under up leaves the basis; those columns lie outside the band
+    n = 5
+    up = rep_vword(make_vword(f2, WordTrace((("", "a"),))), n)
+    down = rep_vword(make_vword(f2, WordTrace((("a", ""),))), n)
+    product, one = mul_op(down, up), projection_op(full_ideal(f2), n)
+    assert product.band == n - 1 and product.cols != one.cols
+    assert equal_on_band(product, one) and entrywise_equal_on_band(product, one)
+    short = dataclasses.replace(product, cols={**product.cols, 1: 0})
+    assert not equal_on_band(short, one)
+    assert not entrywise_equal_on_band(short, one)
+
+
 def _terms(words, n):
     """``(c, v, op)`` terms of ``(c, v)`` pairs, each matrix built here by
     the module's (possibly patched) ``rep_vword``."""
@@ -410,6 +462,23 @@ def test_cond_expectation_mixed_combination(n1):
     full, _ = graded_sum(terms, 8)
     # every column agrees, not only those inside the oracle's band
     assert ce == {j: col[j] for j, col in full.items() if j in col}
+
+
+def test_cond_expectation_int_and_fraction_coefficients(all_models,
+                                                        family_of):
+    # int and Fraction coefficients, non-unit denominators among them, sum
+    # exactly to graded_sum's diagonal, on every column
+    coeffs = [1, Fraction(1, 2), Fraction(-1, 3), -2, Fraction(5, 6), 3]
+    for model in all_models:
+        n = 6 if model.family == "free_monoid" else 10
+        words = [v for v in family_of(model).members if word_reach(v) <= n]
+        terms = list(zip(itertools.cycle(coeffs), words[:12]))
+        ce = cond_expectation(_terms(terms, n))
+        full, _ = graded_sum(terms, n)
+        assert ce == {j: col[j] for j, col in full.items() if j in col}
+        assert ce and all(type(x) is Fraction for x in ce.values())
+        assert cond_expectation(_terms([(2, words[0])], n)) == {
+            j: 2 for j in diagonal_part(rep_vword(words[0], n)).cols}
 
 
 def test_cond_expectation_builds_each_term_once(n1, monkeypatch):
@@ -753,6 +822,35 @@ def test_compressed_matrix_matches_frame_oracle(f2):
             if frame_pointwise_applies(f2, frame.f_set, v.trace.pairs, r) == r:
                 want += c
         assert diagonal[k] == want
+
+
+def test_compressed_matrix_int_and_fraction_coefficients(all_models):
+    # the generator masks and their pairwise meets, with int and Fraction
+    # coefficients, against the frame oracle and graded_sum's diagonal
+    coeffs = [1, Fraction(1, 2), Fraction(-1, 3), -2, Fraction(5, 6)]
+    for model in all_models:
+        n = 6 if model.family == "free_monoid" else 16
+        P = full_ideal(model)
+        gens = [left_mul(s, P) for s in model.generators]
+        ideals_ = [P] + gens + [intersect(x, y)
+                                for x, y in itertools.combinations(gens, 2)]
+        terms = list(zip(itertools.cycle(coeffs),
+                         [idempotent_vword(x) for x in ideals_]))
+        full, band = graded_sum(terms, n)
+        frame = build_frame(model, model.generators, n)
+        diagonal, labels = compressed_matrix(terms, frame)
+        assert labels and all(type(d) is Fraction for d in diagonal)
+        assert any(d.denominator > 1 for d in diagonal)
+        assert labels == [j for j in frame.slice_indices()
+                          if model.length(frame.basis[j]) <= band]
+        for d, j in zip(diagonal, labels):
+            r = frame.basis[j]
+            assert d == sum(c for c, v in terms if not v.is_zero
+                            and frame_pointwise_applies(
+                                model, frame.f_set, v.trace.pairs, r) == r)
+            assert d == full.get(j, {}).get(j, 0)
+        lo, hi = sc_norm(terms, frame)
+        assert lo == hi == max(abs(d) for d in diagonal)
 
 
 def test_sc_norm_identity(all_models):

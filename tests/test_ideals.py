@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -522,6 +523,26 @@ def test_rank_oracle_falls_back_when_the_short_rows_read_deficient(
     assert len(short[0]) < len(full[0]) == len(
         set().union(*(lat.ideals[i].members_upto(lat.radius)
                       for i in lat.nonempty_indices())))
+
+
+def test_rank_oracle_lists_each_ideal_once_at_the_radius(monkeypatch):
+    # F2+ at depth 6: least members reach the radius 6, so the listing that
+    # found an ideal's least member there is read again as its short row
+    lat = _pipeline_lattice({"family": "free_monoid", "rank": 2}, 6)
+    listed = []
+    members_upto = ideals_mod.ConstructibleIdeal.members_upto
+
+    def listing(self, n):
+        listed.append((self.exact, n))
+        return members_upto(self, n)
+
+    monkeypatch.setattr(ideals_mod.ConstructibleIdeal, "members_upto", listing)
+    res = independence_rank_oracle(lat)
+    monkeypatch.undo()
+    assert _verdict(res) == ("full_rank", 127, 127, 6)
+    at_radius = Counter(tok for tok, n in listed if n == lat.radius)
+    assert at_radius == Counter(lat.ideals[i].exact
+                                for i in lat.nonempty_indices())
 
 
 def test_rank_radius_too_small_is_inconclusive(n1):

@@ -20,3 +20,5 @@ def test_readme_quick_tour():
     assert independence.status == "witness"
     assert (ore.status, ore.level) == ("ore_up_to", 4)
     assert norm == (Fraction(0, 1), Fraction(0, 1))
+    # printed exactly as the tour's comment states
+    assert repr(norm) == "(Fraction(0, 1), Fraction(0, 1))"
