@@ -402,7 +402,8 @@ def test_equal_on_band_matches_entrywise_oracle(all_models, family_of,
             if not a.cols:
                 continue
             # a change at column 0, the unit, lies inside every band
-            inside = dataclasses.replace(a, cols={**a.cols, 0: a.cols.get(0, 0) + 1})
+            inside = dataclasses.replace(
+                a, cols={**a.cols, 0: a.cols.get(0, 0) + 1})
             assert not equal_on_band(a, inside)
             assert not entrywise_equal_on_band(a, inside)
             last = max(a.cols)
@@ -423,7 +424,8 @@ def test_equal_on_band_ignores_columns_outside_the_band(f2):
     down = rep_vword(make_vword(f2, WordTrace((("a", ""),))), n)
     product, one = mul_op(down, up), projection_op(full_ideal(f2), n)
     assert product.band == n - 1 and product.cols != one.cols
-    assert equal_on_band(product, one) and entrywise_equal_on_band(product, one)
+    assert equal_on_band(product, one)
+    assert entrywise_equal_on_band(product, one)
     short = dataclasses.replace(product, cols={**product.cols, 1: 0})
     assert not equal_on_band(short, one)
     assert not entrywise_equal_on_band(short, one)
