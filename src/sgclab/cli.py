@@ -383,13 +383,16 @@ def run(config: RunConfig):
     ``CANNOT_CERTIFY`` is inconclusive, one that raises anything else is an
     error, carrying under ``where`` the innermost sgclab function of its
     traceback, and an analysis reading one that raised is skipped.  The
-    ``freeness_g`` elements are parsed first, so a malformed one raises
-    ModelError before any analysis.
+    ``freeness_g`` elements are parsed first, so a malformed one or the
+    identity raises ModelError before any analysis.
     """
     model = build_model(config.model_config)
     caps = _caps_for(model, config.caps)
     store = {"freeness_g": None if config.freeness_g is None
              else [model.parse(g) for g in config.freeness_g]}
+    if model.unit in (store["freeness_g"] or ()):
+        raise ModelError("'freeness_g' lists the identity, which fixes "
+                         "every character")
     results = {}
     timings = {}
     missing = {}   # analysis -> why its store entries are absent

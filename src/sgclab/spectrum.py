@@ -11,13 +11,14 @@ The group acts partially: a word v with grading g carries the character
 chi (with chi(dom v) = 1) to the character y -> chi(pullback of y along v),
 where the pullback of y is the domain ideal of v* E_y v: the image of y
 under v*, one walk of v's starred trace from y's token.  At finite
-fragment scale a pulled-back ideal may fall outside the fragment; its value
-is then forced upward (some supported fragment ideal sits inside it),
-forced downward (some unsupported fragment ideal contains it), or genuinely
-ambiguous.  Ambiguity is the honest fingerprint of the fragment edge: the
-character has several extensions with different images, so the instance is
-reported, never guessed.  Fragment characters carry the discrete topology,
-so closure computations add only images of defined instances.
+fragment scale a pullback token z is one mask pair, ``ups`` (the positions
+inside z) and ``downs`` (those containing it): chi is 1 at z when it holds
+one of ``ups``, 0 when it misses one of ``downs`` (position p is ``(1 << p,
+1 << p)``, the empty ideal ``(0, -1)``), and else genuinely ambiguous.  That
+is the honest fingerprint of the fragment edge: the character has several
+extensions with different images, so the instance is reported, never
+guessed.  Fragment characters carry the discrete topology, so closure
+computations add only images of defined instances.
 
 ``ThetaContext.table(g)`` holds theta_g as a tuple of ints, one per
 character: the image's position, or the sentinel OUTSIDE, AMBIGUOUS or
@@ -145,6 +146,7 @@ class ThetaContext:
         self._tables = {}
         self._no_carrier = (OUTSIDE,) * n
         self.details = {}     # (g, chi) -> (bits, settled)
+        self._pairs = {}      # pullback token -> (ups, downs)
         # theta_apply hands out one shared result per image position
         self._images = tuple(ThetaResult("image", image=p) for p in range(n))
 
@@ -163,69 +165,66 @@ class ThetaContext:
                 out.append((v, dom_pos))
         return tuple(out)
 
-    def _recipe(self, v, pos):
-        frag, model = self.fragment, self.model
-        z = walk(model, v.trace.star().pairs, frag.ideal_at(pos).exact)
-        if z == EMPTY:
-            return ("empty",)
-        zpos = frag.pos_of_token.get(z)
-        if zpos is not None:
-            return ("pos", zpos)
-        ups = 0
-        downs = 0
-        for w in range(frag.size()):
-            wtok = frag.ideal_at(w).exact
-            if model.exact_subset(wtok, z):
-                ups |= 1 << w
-            if model.exact_subset(z, wtok):
-                downs |= 1 << w
-        return ("bounds", ups, downs)
+    def _recipe(self, z):
+        """The ``(ups, downs)`` masks of pullback token z, built once per
+        context: the fragment positions inside z and those containing it."""
+        got = self._pairs.get(z)
+        if got is None:
+            frag, subset = self.fragment, self.model.exact_subset
+            pos = frag.pos_of_token.get(z)
+            if pos is not None:
+                got = (1 << pos, 1 << pos)
+            elif z == EMPTY:
+                got = (0, -1)
+            else:
+                toks = frag.pos_of_token.items()
+                got = (sum(1 << w for t, w in toks if subset(t, z)),
+                       sum(1 << w for t, w in toks if subset(z, t)))
+            self._pairs[z] = got
+        return got
 
     def table(self, g):
         """theta_g at every character, in position order, as ints.
 
         An entry is the image character's position, or a sentinel below
         zero: OUTSIDE when chi vanishes on every usable domain ideal,
-        AMBIGUOUS when the first usable word's pullback recipes leave some
-        fragment ideal unsettled, INVALID when the image bits are not a
-        filter.  Every table is computed from its grading's carriers, the
-        unit's too; a grading no word carries is OUTSIDE everywhere.  Each
-        AMBIGUOUS or INVALID entry keeps its image bits and the mask of the
-        positions they settle in ``details``, keyed ``(g, chi)``.
+        AMBIGUOUS when the ``(ups, downs)`` pairs of the first usable word's
+        pullback tokens leave some fragment ideal unsettled, INVALID when
+        the image bits are not a filter.  Every table is computed from its
+        grading's carriers, the unit's too; a grading no word carries is
+        OUTSIDE everywhere.  Each AMBIGUOUS or INVALID entry keeps its image
+        bits and the mask of the positions they settle in ``details``, keyed
+        ``(g, chi)``.
         """
         got = self._tables.get(g)
         if got is None:
             if g not in self.family.by_grading:
                 return self._no_carrier
             carriers = self.carriers(g)
-            recipes = {}   # carrier index -> its recipes, built on first read
-            got = tuple(self._apply(g, carriers, recipes, chi)
+            pullbacks = {}   # carrier index -> its pairs, built on first read
+            got = tuple(self._apply(g, carriers, pullbacks, chi)
                         for chi in range(self.fragment.size()))
             self._tables[g] = got
         return got
 
-    def _apply(self, g, carriers, recipes, chi):
+    def _apply(self, g, carriers, pullbacks, chi):
         frag = self.fragment
         chi_bits = frag.up_masks[chi]
         for k, (v, dom_pos) in enumerate(carriers):
             if not chi_bits >> dom_pos & 1:
                 continue
-            if k not in recipes:
-                recipes[k] = tuple(self._recipe(v, pos)
-                                   for pos in range(frag.size()))
-            # a pullback outside the fragment is 1 when chi holds an ideal
-            # inside it, 0 when chi misses one containing it, else open
+            if k not in pullbacks:
+                star = v.trace.star().pairs
+                pullbacks[k] = tuple(
+                    self._recipe(walk(self.model, star, frag.ideal_at(pos).exact))
+                    for pos in range(frag.size()))
+            # 1 when chi holds one of ups, open when it holds all of downs
             bits = unsettled = 0
-            for pos, recipe in enumerate(recipes[k]):
-                kind = recipe[0]
-                if kind == "pos":
-                    if chi_bits >> recipe[1] & 1:
-                        bits |= 1 << pos
-                elif kind == "bounds":
-                    if chi_bits & recipe[1]:
-                        bits |= 1 << pos
-                    elif not recipe[2] & ~chi_bits:
-                        unsettled |= 1 << pos
+            for pos, (ups, downs) in enumerate(pullbacks[k]):
+                if chi_bits & ups:
+                    bits |= 1 << pos
+                elif not downs & ~chi_bits:
+                    unsettled |= 1 << pos
             if not unsettled and frag.is_filter(bits):
                 return frag.pos_of_up[bits]
             self.details[g, chi] = (bits, ~unsettled & (1 << frag.size()) - 1)

@@ -13,8 +13,9 @@ composition law of the partial action is checked one ``theta_apply``
 instance at a time, and the word family is built by evaluating every trace
 instead of extending one trace per word.  ``uncached_walk`` carries a
 token through the model's kernels afresh at every step, without the
-model's step cache.  Expected values frozen into tests were produced by
-these functions.
+model's step cache, and ``restrict`` reads a character of a deeper
+fragment on a shallower one by matching ideal tokens.  Expected values
+frozen into tests were produced by these functions.
 """
 
 from fractions import Fraction
@@ -75,6 +76,16 @@ def principal_character(fragment, p):
                    model, fragment.ideal_at(pos).trace.pairs, radius))
     assert bits in fragment.pos_of_up, "membership pattern is not a filter"
     return fragment.pos_of_up[bits]
+
+
+def restrict(char, hi, lo):
+    """A character of the finer fragment ``hi`` read on the coarser ``lo``:
+    the mask of the ``lo`` positions whose ideals, matched by token, are
+    among those ``char`` holds in ``hi``."""
+    held = {hi.ideal_at(p).exact for p in range(hi.size())
+            if hi.up_masks[char] >> p & 1}
+    return sum(1 << p for p in range(lo.size())
+               if lo.ideal_at(p).exact in held)
 
 
 def brute_filters(ideal_members):

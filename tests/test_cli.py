@@ -235,6 +235,26 @@ def test_main_refuses_bad_freeness_grading(tmp_path, capsys):
     assert "'C'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model,unit", [
+    ({"family": "free_monoid", "rank": 2}, ""),
+    ({"family": "free_monoid", "rank": 2}, "aA"),
+    ({"family": "numerical", "generators": [2, 3]}, 0),
+    ({"family": "free_abelian", "rank": 2}, [0, 0]),
+], ids=["F2+ empty word", "F2+ aA", "<2,3>", "N^2"])
+def test_main_refuses_identity_freeness_grading(tmp_path, capsys, model,
+                                                unit):
+    # the identity fixes every character, so testing it is a config
+    # mistake: refused when the run starts, not reported as an internal
+    # error of the freeness probe
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps({"model": model, "freeness_g": [unit],
+                                "caps": {"trace_depth": 1}}))
+    assert main(["analyze", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert "identity" in captured.err
+
+
 def test_run_validates_once_per_input(monkeypatch):
     # elements are validated where they come in, not inside arithmetic;
     # a check inside mul/in_p would run ~300k times on this config
@@ -277,13 +297,11 @@ def test_run_reaches_the_traced_theta_and_filter_calls(monkeypatch):
                                            "invalid"}
 
 
-def _unit_recipes_read_as_full(monkeypatch):
+def _pullbacks_read_as_full(monkeypatch):
     recipe = spectrum.ThetaContext._recipe
 
-    def planted(self, v, pos):
-        if v.grading == self.model.unit:
-            return ("pos", self.fragment.pos_of_token[self.model.exact_full()])
-        return recipe(self, v, pos)
+    def planted(self, z):
+        return recipe(self, self.model.exact_full())
     monkeypatch.setattr(spectrum.ThetaContext, "_recipe", planted)
 
 
@@ -318,7 +336,7 @@ def _unit_words_range_over_everything(monkeypatch):
 
 
 @pytest.mark.parametrize("plant,analysis,law", [
-    (_unit_recipes_read_as_full, "spectrum", "identity_law"),
+    (_pullbacks_read_as_full, "spectrum", "identity_law"),
     (_star_keeps_the_grading, "invsgp", "vv*v=v"),
     (_compose_swaps_the_traces, "invsgp", "grading_multiplicative"),
     (_unit_words_range_over_everything, "invsgp",
@@ -363,7 +381,8 @@ GOLDEN_STABLE_BODIES = (
      "3300ff329e29d027050657b70e924ab2ea96dceda4cab3d9665cb1e72af6132f"),
     (_depth({"family": "numerical", "generators": [2, 3]}),
      "e6b88058fafa98be0e9bffc5f6b06a49f06354453e251b144a601d39c712e36d"),
-    # the config whose theta recipes pull back the most ideals
+    # a config whose theta pullbacks fall outside the fragment: 307 of them
+    # read 42 distinct tokens
     (_depth({"family": "numerical", "generators": [3, 5, 7]}),
      "2a4ce2518eea16d245c0b5b20217242cb505f24fcd9069643758e54d5146779e"),
     # the config where fock and sc take the most time
@@ -388,6 +407,11 @@ GOLDEN_STABLE_BODIES = (
     # the deepest numerical config: theta pulls back ideals at depth 3
     (_depth({"family": "numerical", "generators": [3, 5]}, 3),
      "eb30effbc2c05c5242018cf7d7b515e8b40ad8caba531afcde4c717cb3fa81df"),
+    # the heaviest pullback scan: 1,809 pullbacks outside the fragment, 198
+    # distinct tokens
+    (dict(_depth({"family": "numerical", "generators": [4, 7, 9]}),
+          analyses=["spectrum", "boundary", "freeness"]),
+     "48ae24ed6349e57033e0e5ee2931ae1e633329ce28ff195400fec43d4a001bd5"),
 )
 
 
@@ -395,7 +419,7 @@ GOLDEN_STABLE_BODIES = (
     "config,digest", GOLDEN_STABLE_BODIES,
     ids=["N^1", "F2+", "<2,3>", "<3,5,7>", "F3+", "N^2", "F2+ depth 6",
          "N^1 depth 3", "N^2 depth 3", "F2+ depth 3", "<2,3> depth 3",
-         "<3,5> depth 3"])
+         "<3,5> depth 3", "<4,7,9> spectrum"])
 def test_stable_body_matches_golden_hash(config, digest):
     doc = dict(config, seed=0)
     report, _ = run(RunConfig.from_dict(doc))

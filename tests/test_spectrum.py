@@ -1,11 +1,13 @@
+import collections
+
 import pytest
 
 from oracles import (brute_filters, brute_trace_members, principal_character,
-                     theta_law_counts)
+                     restrict, theta_law_counts, uncached_walk)
 from sgclab import cli
 from sgclab.ideals import WordTrace, enumerate_ideals, from_trace
 from sgclab.invsgp import enumerate_vwords
-from sgclab.models import ModelError, build_model
+from sgclab.models import EMPTY, ModelError, build_model
 from sgclab.spectrum import (Fragment, ThetaContext,
                              boundary, enumerate_characters, invariant_closure,
                              theta_apply, topological_freeness_probe)
@@ -24,6 +26,13 @@ def context_for(model, depth):
     rad = 6 if model.family == "free_monoid" else 30
     fam = enumerate_vwords(model, depth, gl, rad)
     return ThetaContext(frag, fam)
+
+
+def num357_context():
+    num357 = build_model({"family": "numerical", "generators": [3, 5, 7]})
+    lat = enumerate_ideals(num357, 2, 7, 50)
+    return ThetaContext(Fragment.from_lattice(lat),
+                        enumerate_vwords(num357, 2, 7, 50))
 
 
 def char_by_support(frag, chars, supports):
@@ -181,6 +190,32 @@ def test_theta_composition_law(all_models):
         assert checked > 0
 
 
+def pullback_pairs(ctx, v):
+    """The ``(ups, downs)`` pair of each fragment position's pullback along
+    v, its token walked without the step cache."""
+    star = v.trace.star().pairs
+    return [ctx._recipe(uncached_walk(ctx.model, star, y.exact))
+            for y in map(ctx.fragment.ideal_at, range(ctx.fragment.size()))]
+
+
+def read(up, pair):
+    """The one rule on a character's up mask: 1 when it holds a position of
+    ``ups``, 0 when it misses one of ``downs``, None (open) otherwise."""
+    ups, downs = pair
+    if up & ups:
+        return 1
+    return 0 if downs & ~up else None
+
+
+def scan_pair(frag, z):
+    """The full ``exact_subset`` scan of token z: the positions inside it
+    and the positions containing it."""
+    model = frag.lattice.model
+    toks = [frag.ideal_at(w).exact for w in range(frag.size())]
+    return (sum(1 << w for w, t in enumerate(toks) if model.exact_subset(t, z)),
+            sum(1 << w for w, t in enumerate(toks) if model.exact_subset(z, t)))
+
+
 def test_theta_carriers_agree(all_models):
     # every usable word with the same grading produces the same image
     for model in all_models:
@@ -188,40 +223,25 @@ def test_theta_carriers_agree(all_models):
         frag = ctx.fragment
         chars = enumerate_characters(frag)
         for g in ctx.gradings():
-            carriers = [(dom_pos, [ctx._recipe(v, pos)
-                                   for pos in range(frag.size())])
+            carriers = [(dom_pos, pullback_pairs(ctx, v))
                         for v, dom_pos in ctx.carriers(g)]
             if len(carriers) < 2:
                 continue
             for chi in chars:
-                images = []
-                for dom_pos, recipes in carriers:
+                up = frag.up_masks[chi]
+                images = set()
+                for dom_pos, pairs in carriers:
                     if not frag.value(chi, dom_pos):
                         continue
-                    bits = 0
-                    ok = True
-                    for pos, recipe in enumerate(recipes):
-                        if recipe[0] == "pos":
-                            if frag.value(chi, recipe[1]):
-                                bits |= 1 << pos
-                        elif recipe[0] == "bounds":
-                            _, ups, downs = recipe
-                            if frag.up_masks[chi] & ups:
-                                bits |= 1 << pos
-                            elif downs & ~frag.up_masks[chi]:
-                                pass
-                            else:
-                                ok = False
-                                break
-                    if ok:
-                        images.append(bits)
-                assert len(set(images)) <= 1, (model.name, g)
+                    values = tuple(read(up, pair) for pair in pairs)
+                    if None not in values:
+                        images.add(values)
+                assert len(images) <= 1, (model.name, g)
 
 
 def test_theta_settled_mask_is_what_the_recipes_settle(all_models):
-    # the rule restated: an empty pullback settles 0, a fragment one chi's
-    # value there; a pullback outside the fragment settles 1 when chi holds
-    # an ideal inside it, 0 when chi misses an ideal containing it, and
+    # the one rule restated: a pullback settles 1 when chi holds a position
+    # of its ups mask, 0 when chi misses a position of its downs mask, and
     # stays open otherwise.  The first carrier whose domain chi holds is
     # the one read.
     ambiguous = 0
@@ -238,20 +258,11 @@ def test_theta_settled_mask_is_what_the_recipes_settle(all_models):
                 v = next(v for v, dom_pos in ctx.carriers(g)
                          if frag.value(chi, dom_pos))
                 bits = settled = 0
-                for pos in range(frag.size()):
-                    recipe = ctx._recipe(v, pos)
-                    if recipe[0] == "empty":
-                        bit = 0
-                    elif recipe[0] == "pos":
-                        bit = frag.value(chi, recipe[1])
-                    elif up & recipe[1]:
-                        bit = 1
-                    elif recipe[2] & ~up:
-                        bit = 0
-                    else:
-                        continue
-                    settled |= 1 << pos
-                    bits |= bit << pos
+                for pos, pair in enumerate(pullback_pairs(ctx, v)):
+                    bit = read(up, pair)
+                    if bit is not None:
+                        settled |= 1 << pos
+                        bits |= bit << pos
                 assert (res.bits, res.settled) == (bits, settled), model.name
                 assert (res.status == "invalid") == (settled == full)
                 ambiguous += res.status == "ambiguous"
@@ -259,25 +270,23 @@ def test_theta_settled_mask_is_what_the_recipes_settle(all_models):
 
 
 def test_recipe_pullback_matches_trace_evaluation(all_models):
-    # the pullback of y along v is the domain of v* E_y v; _recipe takes it
-    # with one walk from y's token, this evaluates the whole trace of
+    # the pullback of y along v is the domain of v* E_y v; the table takes
+    # it with one walk from y's token, this evaluates the whole trace of
     # v* . y . y* . v from P and checks its members against the raw sets
     # (on <3,5,7> for the first carrier of each grading only: all 4,100
-    # of its recipes would take seconds)
-    num357 = build_model({"family": "numerical", "generators": [3, 5, 7]})
-    cases = [(model, context_for(model, 2)) for model in all_models]
-    lat = enumerate_ideals(num357, 2, 7, 50)
-    cases.append((num357, ThetaContext(Fragment.from_lattice(lat),
-                                       enumerate_vwords(num357, 2, 7, 50))))
-    for model, ctx in cases:
-        frag = ctx.fragment
+    # of its pullbacks would take seconds).  Its pair is (0, -1) when it is
+    # empty, (1 << p, 1 << p) at fragment position p, and the subset scan
+    # of the fragment otherwise.
+    cases = [context_for(model, 2) for model in all_models]
+    cases.append(num357_context())
+    for ctx in cases:
+        model, frag = ctx.model, ctx.fragment
         radius = {"free_monoid": 4, "free_abelian": 6}.get(model.family, 12)
         checked = 0
         for g in ctx.gradings():
             carriers = ctx.carriers(g)
-            for v, _ in carriers[:1] if model is num357 else carriers:
-                for pos in range(frag.size()):
-                    recipe = ctx._recipe(v, pos)
+            for v, _ in carriers[:1] if cases[-1] is ctx else carriers:
+                for pos, pair in enumerate(pullback_pairs(ctx, v)):
                     y = frag.ideal_at(pos)
                     pairs = (v.trace.star().pairs + y.trace.pairs
                              + y.trace.star().pairs + v.trace.pairs)
@@ -286,18 +295,69 @@ def test_recipe_pullback_matches_trace_evaluation(all_models):
                     assert set(z.members_upto(radius)) == brute_trace_members(
                         model, pairs, radius), (model.name, pairs)
                     if z.is_empty():
-                        assert recipe == ("empty",)
+                        assert pair == (0, -1)
                     elif z.exact in frag.pos_of_token:
-                        assert recipe == ("pos", frag.pos_of_token[z.exact])
+                        p = frag.pos_of_token[z.exact]
+                        assert pair == (1 << p, 1 << p)
                     else:
-                        ups = sum(1 << w for w in range(frag.size())
-                                  if model.exact_subset(frag.ideal_at(w).exact,
-                                                        z.exact))
-                        downs = sum(1 << w for w in range(frag.size())
-                                    if model.exact_subset(
-                                        z.exact, frag.ideal_at(w).exact))
-                        assert recipe == ("bounds", ups, downs)
+                        assert pair == scan_pair(frag, z.exact)
         assert checked, model.name
+
+
+def test_fragment_pairs_read_as_their_subset_scan(all_models):
+    # a pullback at fragment position p keeps the pair (1 << p, 1 << p), a
+    # filter holding an ideal inside it exactly when it holds p: on every
+    # character it reads as the full subset scan does.  The empty pullback
+    # lies inside the empty ideal, which no character holds, so it reads 0
+    # even where the scan, blind to that ideal, would leave it open.
+    open_empty = 0
+    for ctx in [context_for(m, 2) for m in all_models] + [num357_context()]:
+        frag = ctx.fragment
+        for p in range(frag.size()):
+            pair = ctx._recipe(frag.ideal_at(p).exact)
+            scan = scan_pair(frag, frag.ideal_at(p).exact)
+            assert pair == (1 << p, 1 << p)
+            for chi in enumerate_characters(frag):
+                up = frag.up_masks[chi]
+                assert read(up, pair) == read(up, scan) == frag.value(chi, p)
+        for chi in enumerate_characters(frag):
+            up = frag.up_masks[chi]
+            assert read(up, ctx._recipe(EMPTY)) == 0
+            open_empty += read(up, scan_pair(frag, EMPTY)) is None
+    assert open_empty
+
+
+def test_each_pullback_token_is_scanned_once_per_context(all_models,
+                                                         monkeypatch):
+    # building every table of a fresh context scans each pullback token
+    # outside the fragment against every fragment position once, however
+    # many (carrier, position) pairs pull back to it
+    reads = collections.Counter()
+    recipe = ThetaContext._recipe
+
+    def counted_recipe(self, z):
+        reads[z] += 1
+        return recipe(self, z)
+    monkeypatch.setattr(ThetaContext, "_recipe", counted_recipe)
+    for ctx in [context_for(m, 2) for m in all_models] + [num357_context()]:
+        model, frag = ctx.model, ctx.fragment
+        toks = frozenset(frag.pos_of_token)
+        scans = collections.Counter()
+        subset = type(model).exact_subset
+
+        def counted_subset(self, tok, other):
+            if tok in toks and other not in toks:
+                scans[other] += 1
+            return subset(self, tok, other)
+        reads.clear()
+        with monkeypatch.context() as m:
+            m.setattr(type(model), "exact_subset", counted_subset)
+            for g in ctx.gradings() + (model.unit,):
+                ctx.table(g)
+        outside = {z for z in reads if z not in toks and z != EMPTY}
+        assert outside and set(scans) == outside, model.name
+        assert set(scans.values()) == {frag.size()}, model.name
+        assert sum(reads[z] for z in outside) > len(outside), model.name
 
 
 def _law_counts(model, lattice, family):
@@ -409,6 +469,52 @@ def test_boundary_is_invariant(all_models):
                 r = theta_apply(ctx, g, chi)
                 if r.status == "image":
                     assert r.image in res.chars
+
+
+# ---------------------------------------------------------------------------
+# the resolution tower: each depth refines the one below
+
+def _level(model, depth):
+    """Context and boundary at ``depth`` with the run's default caps."""
+    caps = cli._caps_for(model, dict(cli.DEFAULT_CAPS, trace_depth=depth))
+    lat = enumerate_ideals(model, depth, caps["gen_len"], caps["radius"],
+                           caps["max_ideals"])
+    fam = enumerate_vwords(model, depth, caps["gen_len"], caps["radius"])
+    ctx = ThetaContext(Fragment.from_lattice(lat), fam)
+    return ctx, boundary(ctx)
+
+
+@pytest.mark.parametrize("config,depth,sizes", [
+    ({"family": "free_monoid", "rank": 2}, 2, (8, 4)),
+    ({"family": "free_monoid", "rank": 2}, 3, (16, 8)),
+    ({"family": "free_monoid", "rank": 3}, 2, (27, 9)),
+    ({"family": "free_abelian", "rank": 2}, 2, (1, 1)),
+    ({"family": "free_abelian", "rank": 1}, 3, (1, 1)),
+    ({"family": "numerical", "generators": [2, 3]}, 2, (1, 1)),
+    ({"family": "numerical", "generators": [3, 5, 7]}, 2, (1, 1)),
+], ids=["F2+ d=2", "F2+ d=3", "F3+ d=2", "N^2 d=2", "N^1 d=3", "<2,3> d=2",
+        "<3,5,7> d=2"])
+def test_resolution_tower(config, depth, sizes):
+    # the depth-(d+1) run keeps every depth-d ideal and word, its boundary
+    # restricts onto the depth-d boundary exactly, and no definite depth-d
+    # freeness verdict changes one level deeper
+    model = build_model(config)
+    lo, lo_bd = _level(model, depth)
+    hi, hi_bd = _level(model, depth + 1)
+    assert set(lo.fragment.pos_of_token) <= set(hi.fragment.pos_of_token)
+    assert ({v.dedup_key() for v in lo.family.members}
+            <= {v.dedup_key() for v in hi.family.members})
+    assert (len(hi_bd.chars), len(lo_bd.chars)) == sizes
+    restricted = {restrict(c, hi.fragment, lo.fragment) for c in hi_bd.chars}
+    assert all(lo.fragment.is_filter(bits) for bits in restricted)
+    assert restricted == {lo.fragment.up_masks[c] for c in lo_bd.chars}
+    g_list = lo.gradings()
+    lo_v = topological_freeness_probe(lo, lo_bd.chars, g_list)
+    hi_v = topological_freeness_probe(hi, hi_bd.chars, g_list)
+    definite = [g for g in g_list if lo_v[g].status != "inconclusive"]
+    assert definite
+    assert [hi_v[g].status for g in definite] == \
+        [lo_v[g].status for g in definite]
 
 
 # ---------------------------------------------------------------------------
