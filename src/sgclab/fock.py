@@ -18,18 +18,22 @@ A word maps its domain ideal onto its range ideal by x -> g*x, keeping
 positions (``Model.positions``), and a mask maps one onto itself.
 
 Each matrix is built once per check, and only where the check reads it.
-The projection identity multiplies one mask per lattice ideal pairwise.
-The diagonal expectation is checked word by word, on word matrices the
-caller built, as both of its routes are linear; its value is a diagonal,
-``{column: coefficient}``.
+The projection identity builds one mask per lattice ideal and intersects
+their key sets pairwise: a product of two masks is the mask on the
+intersection.  The diagonal expectation is checked word by word, on word
+matrices the caller built, as both of its routes are linear; its value is
+a diagonal, ``{column: coefficient}``.
 
 A word combination whose gradings are all trivial acts diagonally (a
 nonzero grading moves every basis point, because the ambient group
 cancels), so a frame-compressed norm is the exact maximum absolute
-diagonal value.  A norm probe reads only basis points inside its guard
-band, so its frames flag that band's basis alone, and it reads each term's
-domain as its cached positions in the band.  Coefficients are summed per
-column exactly, as integers over their common denominator.
+diagonal value over the frame's admissible points inside the guard band.
+That diagonal does not depend on the frame: a norm probe computes it once,
+reading each term's domain as its cached positions in the band, with
+coefficients summed per column exactly, as integers over their common
+denominator.  Each frame then reads the values largest first and tests
+admissibility only until its first admissible point, and the probe's
+frames share one memo of those tests.
 """
 
 from __future__ import annotations
@@ -150,22 +154,26 @@ def equal_on_band(a: TruncOp, b: TruncOp) -> bool:
 def check_projection_identity(lattice, n):
     """P_x P_y = P_{x n y} on every ordered pair of nonempty lattice ideals.
 
-    Each ideal's mask is built once from its members; the right side is the
-    mask of the ideal the token route put in ``intersect_table``.  Returns
-    ``(pairs checked, whether every pair agrees on the band)``.
+    Each ideal's mask is built once from its members, and its key set taken
+    once.  A mask is diagonal with band n and reach 0, so a product of two
+    masks is the mask on the intersection of their key sets, and it equals
+    a mask exactly when that intersection is the mask's key set.  The right
+    side is the mask of the ideal the token route put in
+    ``intersect_table``.  Returns ``(pairs checked, whether every pair
+    agrees)``.
     """
-    masks = [projection_op(x, n) for x in lattice.ideals]
+    keys = [frozenset(projection_op(x, n).cols) for x in lattice.ideals]
     table = lattice.intersect_table
     idxs = lattice.nonempty_indices()
-    ok = all(equal_on_band(mul_op(masks[i], masks[j]), masks[table[(i, j)]])
+    ok = all(keys[i] & keys[j] == keys[table[(i, j)]]
              for i in idxs for j in idxs)
     return len(idxs) ** 2, ok
 
 
 def _column_sums(weighted):
-    """``({column: sum}, zero)``: the exact sum of the coefficients at each
-    column of ``(coefficient, columns)`` pairs, added as integers over the
-    common denominator; each distinct sum is made a rational once."""
+    """``{column: sum}``: the exact sum of the coefficients at each column
+    of ``(coefficient, columns)`` pairs, added as integers over the common
+    denominator; each distinct sum is made a rational once."""
     weighted = [(Fraction(c), cols) for c, cols in weighted]
     den = math.lcm(*(c.denominator for c, _ in weighted))
     sums = {}
@@ -173,8 +181,8 @@ def _column_sums(weighted):
         k = c.numerator * (den // c.denominator)
         for j in cols:
             sums[j] = sums.get(j, 0) + k
-    value = {x: Fraction(x, den) for x in {0, *sums.values()}}
-    return {j: value[x] for j, x in sums.items()}, value[0]
+    value = {x: Fraction(x, den) for x in set(sums.values())}
+    return {j: value[x] for j, x in sums.items()}
 
 
 def cond_expectation(terms) -> dict:
@@ -200,7 +208,7 @@ def cond_expectation(terms) -> dict:
             raise GradingMismatch("grading filter and diagonal compression disagree")
         if unit_graded:
             kept.append((c, op.cols))
-    return {j: x for j, x in _column_sums(kept)[0].items() if x}
+    return {j: x for j, x in _column_sums(kept).items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -208,72 +216,91 @@ def cond_expectation(terms) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceFrame:
-    """Finite frame set F in the group, with per-basis admissibility flags.
+    """Finite frame set F in the group, its admissibility tested on demand.
 
     A basis point r is admissible when, for every g in F whose translate
-    g*P meets r*P, the point r already lies in g*P.  ``n`` is the
-    truncation; ``basis`` and the flags cover the points of length <= n, or
-    only those inside a probe's guard band when ``sc_limit_probe`` built the
-    frame.  Bases are sorted length first, so a band's basis is a prefix of
-    the truncation's and positions agree.
+    g*P meets r*P, the point r already lies in g*P.  ``basis`` lists the
+    points of length <= n.  ``tests`` holds, per element keyed by its repr
+    (True equals 1 but is no normal form), the element's inverse and the
+    result of every point tested for it so far; the frames of one probe
+    share it, so each (element, point) pair is tested at most once.
     """
 
     model: object
     n: int
     f_set: tuple
     basis: tuple
-    base_flags: tuple
+    tests: dict              # repr(g) -> (g^-1, {position: admissible})
 
-    def slice_indices(self):
-        """Basis positions of the frame space: the admissible points."""
-        return tuple(j for j, ok in enumerate(self.base_flags) if ok)
-
-
-def build_frame(model, f_elems, n) -> CovarianceFrame:
-    """Flags and slices for a finite frame set of group elements: a basis
-    point is admissible when it is admissible for each element."""
-    f_set = tuple(sorted({model.validate(g) for g in f_elems}, key=model.sort_key))
-    basis = model.basis(n)[0]
-    flags = [True] * len(basis)
-    for g in f_set:
-        g_inv = model.inv(g)
-        for j, r in enumerate(basis):
-            if flags[j]:
+    def admissible(self, j) -> bool:
+        """Whether basis point j is admissible for every element of F."""
+        model, r = self.model, self.basis[j]
+        for g in self.f_set:
+            g_inv, seen = self.tests[repr(g)]
+            ok = seen.get(j)
+            if ok is None:
                 u = model.mul(g_inv, r)
-                flags[j] = not model.meets_p(u) or model.in_p(u)
-    return CovarianceFrame(model, n, f_set, basis, tuple(flags))
+                ok = seen[j] = not model.meets_p(u) or model.in_p(u)
+            if not ok:
+                return False
+        return True
 
 
-def compressed_matrix(terms, frame: CovarianceFrame):
-    """Base-slice compression of a trivially-graded word combination.
+def build_frame(model, f_elems, n, tests=None) -> CovarianceFrame:
+    """The frame of a finite set of group elements at truncation n.  An
+    element is validated when it first enters ``tests``, the admissibility
+    memo, which a probe shares among its frames."""
+    tests = {} if tests is None else tests
+    for g in f_elems:
+        if repr(g) not in tests:
+            tests[repr(g)] = (model.inv(model.validate(g)), {})
+    f_set = tuple(sorted(set(f_elems), key=model.sort_key))
+    return CovarianceFrame(model, n, f_set, model.basis(n)[0], tests)
 
-    Returns (diagonal, labels): the matrix is diagonal, so only its
-    diagonal is built, one rational per admissible basis point surviving
-    the guard band.  A term's entries are its domain's members inside the
-    band, read as cached positions.
+
+def compressed_matrix(terms, model, n):
+    """Diagonal of the compression of a trivially graded word combination
+    at truncation n, which no frame changes.
+
+    Returns ``(values, band)``: ``values`` maps each column inside the
+    guard band ``band`` to its exact nonzero value, largest absolute value
+    first (ties by column); every other column inside the band is 0.  A
+    term's entries are its domain's members inside the band, read as
+    cached positions.  A negative band has no columns and is refused.
     """
-    model = frame.model
     if any(not v.is_zero and v.grading != model.unit for _, v in terms):
         raise ModelError("frame compression expects trivially graded terms")
-    band = frame.n - max((word_reach(v) for _, v in terms), default=0)
-    width = _band_width(model, band)
-    labels = [j for j in frame.slice_indices() if j < width]
-    if not labels:
+    band = n - max((word_reach(v) for _, v in terms), default=0)
+    if band < 0:
         raise BandExhausted("no admissible basis points inside the guard band")
-    sums, zero = _column_sums((c, model.positions(v.dom.exact, band))
-                              for c, v in terms if not v.is_zero)
-    return [sums.get(j, zero) for j in labels], labels
+    sums = _column_sums((c, model.positions(v.dom.exact, band))
+                        for c, v in terms if not v.is_zero)
+    ranked = sorted(sums.items(), key=lambda jx: (-abs(jx[1]), jx[0]))
+    return {j: x for j, x in ranked if x}, band
 
 
-def sc_norm(terms, frame: CovarianceFrame):
+def sc_norm(terms, frame: CovarianceFrame, diagonal=None):
     """Enclosure of the compressed operator norm.
 
     Trivially graded combinations act diagonally, so the norm is the exact
-    maximum absolute diagonal value, returned as a width-zero enclosure.
+    maximum absolute diagonal value over the frame's admissible columns
+    inside the guard band, returned as a width-zero enclosure.  The values
+    are read largest first, and the norm is the first one whose column is
+    admissible.  When none is, the norm is 0 if some other column of the
+    band is admissible, found by a search that stops at the first; with no
+    admissible column at all it raises.  ``diagonal`` is
+    ``compressed_matrix(terms, frame.model, frame.n)``, computed here
+    unless a probe passes the one it shares among its frames.
     """
-    diagonal, _ = compressed_matrix(terms, frame)
-    value = max(map(abs, set(diagonal)))
-    return value, value
+    if diagonal is None:
+        diagonal = compressed_matrix(terms, frame.model, frame.n)
+    values, band = diagonal
+    for j, x in values.items():
+        if frame.admissible(j):
+            return abs(x), abs(x)
+    if any(map(frame.admissible, range(_band_width(frame.model, band)))):
+        return Fraction(0), Fraction(0)
+    raise BandExhausted("no admissible basis points inside the guard band")
 
 
 @dataclass(frozen=True)
@@ -305,26 +332,16 @@ class ScProbeReport:
 
 
 def sc_limit_probe(terms, f_chain, model, n) -> ScProbeReport:
-    """Norms of ``terms`` along the frame chain at truncation n.  Only basis
-    points inside the guard band are ever read, so the frames flag the
-    band's basis only, each distinct element once per probe; ``build_frame``
-    validates it then."""
-    band = n - max((word_reach(v) for _, v in terms), default=0)
-    if band < 0:
-        raise BandExhausted("no admissible basis points inside the guard band")
-    basis = model.basis(band)[0]
-    element_flags = {}   # by repr: True equals 1 but is no normal form
-    enclosures, frames = [], []
+    """Norms of ``terms`` along the frame chain at truncation n.  The
+    diagonal is computed once, before any frame is built, and the frames
+    share one admissibility memo: ``build_frame`` validates each distinct
+    element once per probe, and each (element, point) pair is tested at
+    most once."""
+    diagonal = compressed_matrix(terms, model, n)
+    tests, frames, enclosures = {}, [], []
     for f_elems in f_chain:
-        for g in f_elems:
-            if repr(g) not in element_flags:
-                element_flags[repr(g)] = build_frame(model, [g], band).base_flags
-        f_set = tuple(sorted(set(f_elems), key=model.sort_key))
-        flags = map(all, zip([True] * len(basis),
-                             *(element_flags[repr(g)] for g in f_set)))
-        frame = CovarianceFrame(model, n, f_set, basis, tuple(flags))
-        enclosures.append(sc_norm(terms, frame))
-        frames.append(f_set)
+        frames.append(build_frame(model, f_elems, n, tests))
+        enclosures.append(sc_norm(terms, frames[-1], diagonal))
     non_increasing = all(enclosures[k + 1][1] <= enclosures[k][1] or
                          enclosures[k + 1][0] <= enclosures[k][1]
                          for k in range(len(enclosures) - 1))
@@ -335,8 +352,9 @@ def sc_limit_probe(terms, f_chain, model, n) -> ScProbeReport:
         verdict = "non-vanishing-evidence"
     else:
         verdict = "inconclusive"
-    return ScProbeReport(tuple(frames), tuple(enclosures),
-                         non_increasing, verdict, band)
+    return ScProbeReport(tuple(frame.f_set for frame in frames),
+                         tuple(enclosures), non_increasing, verdict,
+                         diagonal[1])
 
 
 def default_f_chain(model, gradings, depth):

@@ -14,12 +14,16 @@ instance at a time, and the word family is built by evaluating every trace
 instead of extending one trace per word.  ``uncached_walk`` carries a
 token through the model's kernels afresh at every step, without the
 model's step cache, and ``restrict`` reads a character of a deeper
-fragment on a shallower one by matching ideal tokens.  Expected values
-frozen into tests were produced by these functions.
+fragment on a shallower one by matching ideal tokens.  The norm probe is
+rerun eagerly, every point of its band flagged for every frame, and the
+projection identity by multiplying masks, where the package intersects
+their key sets.  Expected values frozen into tests were produced by these
+functions.
 """
 
 from fractions import Fraction
 
+from sgclab.fock import BandExhausted, equal_on_band, mul_op, projection_op
 from sgclab.ideals import WordTrace, from_trace
 from sgclab.invsgp import make_vword
 from sgclab.models import EMPTY, ModelError
@@ -175,6 +179,54 @@ def frame_pointwise_applies(model, f_set, pairs, r):
         if not frame_flag(model, [model.mul(shift, g) for g in f_set], cur):
             return None
     return cur if shift == model.unit else None
+
+
+def eager_sc_probe(terms, f_chain, model, n):
+    """``fock.sc_limit_probe`` the eager way.  Every point of the guard band
+    is flagged with ``frame_flag`` for every frame, the diagonal is read off
+    ``graded_sum``, and each norm is the largest absolute diagonal value
+    over the flagged points.  Returns ``(frames, enclosures,
+    non_increasing, verdict, band)``; raises ``BandExhausted`` when the
+    band is negative or a frame flags none of its points."""
+    band = n - max((sum(model.length(q) for _, q in v.trace.pairs)
+                    for _, v in terms if not v.is_zero), default=0)
+    if band < 0:
+        raise BandExhausted("negative guard band")
+    cols, _ = graded_sum(terms, n)
+    points = model.enumerate_p(band)
+    frames, norms = [], []
+    for f_elems in f_chain:
+        f_set = tuple(sorted(set(f_elems), key=model.sort_key))
+        flagged = [j for j, r in enumerate(points)
+                   if frame_flag(model, f_set, r)]
+        if not flagged:
+            raise BandExhausted(f"frame {f_set} flags no point of the band")
+        frames.append(f_set)
+        norms.append(max(abs(cols.get(j, {}).get(j, Fraction(0)))
+                         for j in flagged))
+    tol = Fraction(1, 10 ** 9)
+    if norms[-1] <= tol:
+        verdict = "vanishing-evidence"
+    elif len(norms) == 1 or norms[-1] >= norms[-2]:
+        verdict = "non-vanishing-evidence"
+    else:
+        verdict = "inconclusive"
+    non_increasing = all(b <= a for a, b in zip(norms, norms[1:]))
+    return (tuple(frames), tuple((x, x) for x in norms), non_increasing,
+            verdict, band)
+
+
+def product_projection_identity(lattice, n):
+    """``fock.check_projection_identity`` by the product route: each
+    nonempty ideal's mask multiplied by each one's with ``mul_op``, and the
+    product compared with the mask of the meet ``intersect_table`` names by
+    ``equal_on_band``.  Returns ``(pairs checked, whether all agree)``."""
+    masks = [projection_op(x, n) for x in lattice.ideals]
+    table = lattice.intersect_table
+    idxs = lattice.nonempty_indices()
+    ok = all(equal_on_band(mul_op(masks[i], masks[j]), masks[table[(i, j)]])
+             for i in idxs for j in idxs)
+    return len(idxs) ** 2, ok
 
 
 def basis_scan_columns(model, grading, dom, n):

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (basis_scan_columns, contains, divide,
-                     entrywise_equal_on_band, frame_flag,
-                     frame_pointwise_applies, gauss_rank, graded_sum, left_mul)
+                     eager_sc_probe, entrywise_equal_on_band, frame_flag,
+                     frame_pointwise_applies, gauss_rank, graded_sum, left_mul,
+                     product_projection_identity)
 from sgclab import ideals
 from sgclab.cli import RunConfig, run
 from sgclab.exactla import (bareiss_rank, operator_norm_enclosure,
                             sqrt_enclosure, sym_top_eig_enclosure)
-from sgclab.fock import (BandExhausted, GradingMismatch, CovarianceFrame, TruncOp,
+from sgclab.fock import (BandExhausted, GradingMismatch, TruncOp,
                          build_frame, check_projection_identity,
                          compressed_matrix, cond_expectation, default_f_chain,
                          diagonal_part, equal_on_band,
@@ -24,6 +25,7 @@ from sgclab.ideals import (WordTrace, enumerate_ideals, from_trace,
 from sgclab.invsgp import (compose, enumerate_vwords, idempotent_vword,
                            make_vword, star, zero_vword)
 from sgclab.models import ModelError, build_model
+from conftest import params_for
 
 TOL = Fraction(1, 10 ** 9)
 
@@ -361,6 +363,30 @@ def test_run_projection_identity_checks_the_intersection_table(monkeypatch):
     assert result["tier"] == "inconclusive"
 
 
+@pytest.mark.parametrize("depth", [2, 3])
+def test_projection_identity_matches_the_product_route(all_models, lattice_of,
+                                                       depth):
+    # key-set intersections and mask products read the same pairs and the
+    # same verdict; a planted wrong table entry, the full or the empty
+    # ideal for a meet whose mask differs, fails both routes
+    for model in all_models:
+        n = params_for(model)[3]
+        lat = lattice_of(model, depth=depth)
+        pairs = len(lat.nonempty_indices()) ** 2
+        assert (check_projection_identity(lat, n)
+                == product_projection_identity(lat, n) == (pairs, True))
+        masks = [projection_op(x, n).cols for x in lat.ideals]
+        for wrong in (0, lat.empty_index):
+            i, j = next((i, j) for i in lat.nonempty_indices()
+                        for j in lat.nonempty_indices()
+                        if masks[lat.intersect_table[(i, j)]] != masks[wrong])
+            planted = dataclasses.replace(
+                lat, intersect_table={**lat.intersect_table, (i, j): wrong})
+            assert (check_projection_identity(planted, n)
+                    == product_projection_identity(planted, n)
+                    == (pairs, False)), (model.name, wrong)
+
+
 def test_ops_store_no_zero_columns(f2):
     # emptied columns are dropped, never stored
     n = 5
@@ -631,11 +657,18 @@ def test_nonzero_grading_is_strictly_off_diagonal(all_models, family_of):
 # ---------------------------------------------------------------------------
 # frames
 
+def _flags(frame, width=None):
+    """Every flag of a frame, point by point: its first ``width`` basis
+    points, or all of them."""
+    return tuple(map(frame.admissible,
+                     range(len(frame.basis) if width is None else width)))
+
+
 def test_frame_unit_set_keeps_everything(all_models):
     for model in all_models:
         n = 5
         frame = build_frame(model, [model.unit], n)
-        assert frame.slice_indices() == tuple(range(len(frame.basis)))
+        assert _flags(frame) == (True,) * len(frame.basis)
 
 
 def test_build_frame_validates(f2, num23):
@@ -651,13 +684,13 @@ def test_build_frame_validates(f2, num23):
 
 def test_frame_chain_flags(n1):
     frame = build_frame(n1, [(0,), (1,)], 10)
-    flags = [frame.basis[j] for j in frame.slice_indices()]
+    flags = [r for r, ok in zip(frame.basis, _flags(frame)) if ok]
     assert flags == [(r,) for r in range(1, 11)]
 
 
 def test_frame_f2_single_letter(f2):
     frame = build_frame(f2, ["a"], 4)
-    flags = frame.base_flags
+    flags = _flags(frame)
     index = f2.basis(4)[1]
     assert flags[index["b"]]       # disjoint translate: no constraint
     assert not flags[index[""]]    # unit escapes a*P while meeting it
@@ -671,7 +704,7 @@ def test_frame_flags_match_oracle(all_models):
         f_set = [model.unit, gens[0], model.inv(gens[-1])]
         frame = build_frame(model, f_set, n)
         for j, r in enumerate(frame.basis):
-            assert frame.base_flags[j] == frame_flag(model, frame.f_set, r)
+            assert frame.admissible(j) == frame_flag(model, frame.f_set, r)
 
 
 def test_frame_translation_invariance(all_models):
@@ -680,22 +713,23 @@ def test_frame_translation_invariance(all_models):
         n = 5 if model.family == "free_monoid" else 8
         gens = list(model.generators)
         frame = build_frame(model, [model.unit, gens[0]], n)
+        flags = _flags(frame)
         index = model.basis(n)[1]
         for p in gens:
-            shifted = build_frame(model, [model.mul(p, g) for g in frame.f_set],
-                                  n).base_flags
+            shifted = _flags(build_frame(
+                model, [model.mul(p, g) for g in frame.f_set], n))
             for j, r in enumerate(frame.basis):
                 pr = model.mul(p, r)
                 i = index.get(pr)
                 if i is not None:
-                    assert frame.base_flags[j] == shifted[i]
+                    assert flags[j] == shifted[i]
         for s in gens:
             for j, r in enumerate(frame.basis):
                 div = divide(model, s, r)
                 if div is None:
                     continue
                 down = [model.mul(model.inv(s), g) for g in frame.f_set]
-                assert frame.base_flags[j] == frame_flag(model, down, div)
+                assert flags[j] == frame_flag(model, down, div)
 
 
 @pytest.mark.parametrize("rank", [2, 3])
@@ -709,9 +743,9 @@ def test_sc_limit_probe_tests_each_frame_element_once(rank, monkeypatch):
     frames, tested = [], []
     real_norm, real_meets = fock_mod.sc_norm, model.meets_p
 
-    def norm_recorded(terms, frame):
+    def norm_recorded(terms, frame, diagonal):
         frames.append(frame)
-        return real_norm(terms, frame)
+        return real_norm(terms, frame, diagonal)
 
     def meets_counted(g):
         tested.append(g)
@@ -722,11 +756,38 @@ def test_sc_limit_probe_tests_each_frame_element_once(rank, monkeypatch):
     terms = generator_covariance_terms(model)
     band = sc_limit_probe(terms, chain, model, n).band
     elements = {g for f_set in chain for g in f_set}
-    assert len(tested) <= len(elements) * len(model.basis(band)[0])
+    basis = model.basis(band)[0]
+    assert len(tested) <= len(elements) * len(basis)
     assert [frame.f_set for frame in frames] == list(chain)
     for frame in frames:
-        assert frame.base_flags == tuple(frame_flag(model, frame.f_set, r)
-                                         for r in frame.basis)
+        assert _flags(frame, len(basis)) == tuple(
+            frame_flag(model, frame.f_set, r) for r in basis)
+
+
+def test_sc_limit_probe_tests_each_pair_once(monkeypatch):
+    # each (element, point) pair is tested at most once per probe, and the
+    # default F3+ chain tests few of the 31 * 364 pairs of its band, the
+    # count an eager flagging of every band point would test
+    model = build_model({"family": "free_monoid", "rank": 3})
+    n = model.default_trunc
+    chain = default_f_chain(model, enumerate_vwords(model, 2, 1, 6).by_grading,
+                            4)
+    terms = generator_covariance_terms(model)
+    pairs = []
+    real = model.mul
+
+    def counted(g_inv, r):
+        pairs.append((g_inv, r))
+        return real(g_inv, r)
+
+    monkeypatch.setattr(model, "mul", counted)
+    probe = sc_limit_probe(terms, chain, model, n)
+    elements = {g for f_set in chain for g in f_set}
+    assert len(elements) * len(model.basis(probe.band)[0]) == 11284
+    assert 0 < len(pairs) == len(set(pairs)) <= 300
+    # a second probe keeps no memo of the first
+    sc_limit_probe(terms, chain, model, n)
+    assert pairs[len(pairs) // 2:] == pairs[:len(pairs) // 2]
 
 
 def test_sc_limit_probe_validates_each_frame_element_once(monkeypatch):
@@ -761,8 +822,8 @@ def test_sc_limit_probe_validates_each_frame_element_once(monkeypatch):
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_sc_limit_probe_frames_cover_the_band_basis(rank, monkeypatch):
-    # the frames flag exactly the points inside the guard band, and each
-    # norm equals the one over a frame of the whole truncation
+    # the frames test points inside the guard band only, flag each of them
+    # as the oracle does, and each norm equals the one over a fresh frame
     import sgclab.fock as fock_mod
     model = build_model({"family": "free_monoid", "rank": rank})
     n = model.default_trunc
@@ -770,24 +831,31 @@ def test_sc_limit_probe_frames_cover_the_band_basis(rank, monkeypatch):
     band = n - max(word_reach(v) for _, v in terms)
     chain = default_f_chain(model, enumerate_vwords(model, 2, 1, 6).by_grading,
                             4)
-    frames = []
-    real_norm = fock_mod.sc_norm
+    frames, points = [], []
+    real_norm, real_mul = fock_mod.sc_norm, model.mul
 
-    def norm_recorded(terms, frame):
+    def norm_recorded(terms, frame, diagonal):
         frames.append(frame)
-        return real_norm(terms, frame)
+        return real_norm(terms, frame, diagonal)
+
+    def mul_recorded(g_inv, r):
+        points.append(r)
+        return real_mul(g_inv, r)
 
     monkeypatch.setattr(fock_mod, "sc_norm", norm_recorded)
+    monkeypatch.setattr(model, "mul", mul_recorded)
     probe = sc_limit_probe(terms, chain, model, n)
+    monkeypatch.undo()
     assert 0 <= band < n and probe.band == band
+    assert points and all(model.length(r) <= band for r in points)
     basis = model.basis(band)[0]
     assert len(frames) == len(chain)
     for frame, enclosure in zip(frames, probe.enclosures):
-        assert frame.n == n and frame.basis == basis
-        assert len(frame.base_flags) == len(basis)
+        assert frame.n == n and frame.basis[:len(basis)] == basis
+        flags = _flags(frame, len(basis))
+        assert flags == tuple(frame_flag(model, frame.f_set, r) for r in basis)
         whole = build_frame(model, frame.f_set, n)
-        assert whole.base_flags[:len(basis)] == frame.base_flags
-        assert compressed_matrix(terms, whole) == compressed_matrix(terms, frame)
+        assert _flags(whole, len(basis)) == flags
         assert real_norm(terms, whole) == enclosure
 
 
@@ -808,6 +876,47 @@ def test_sc_limit_probe_reach_beyond_truncation(f2, monkeypatch):
         "no admissible basis points inside the guard band")
 
 
+SC_MODELS = {
+    **{f"F{r}+": {"family": "free_monoid", "rank": r} for r in (1, 2, 3)},
+    **{f"N^{r}": {"family": "free_abelian", "rank": r} for r in (1, 2, 3)},
+    **{f"<{','.join(map(str, g))}>": {"family": "numerical", "generators": g}
+       for g in ([2, 3], [3, 5, 7], [4, 7, 9])},
+}
+
+
+@pytest.mark.parametrize("model_doc,depth", [
+    pytest.param(doc, depth, id=f"{name}-D{depth}")
+    for name, doc in SC_MODELS.items() for depth in (1, 2, 3)])
+def test_sc_probe_matches_the_eager_oracle(model_doc, depth, monkeypatch):
+    # the lazy probe of a run reads the frames, enclosures, verdict and band
+    # of the eager oracle, and raises BandExhausted exactly where it does
+    import sgclab.fock as fock_mod
+    seen = {}
+    real = fock_mod.sc_limit_probe
+
+    def recorded(*args):
+        seen["args"] = args
+        seen["probe"] = real(*args)
+        return seen["probe"]
+
+    monkeypatch.setattr(fock_mod, "sc_limit_probe", recorded)
+    report, _ = run(RunConfig.from_dict(
+        {"model": model_doc, "caps": {"trace_depth": depth},
+         "analyses": ["sc"]}))
+    try:
+        want = eager_sc_probe(*seen["args"])
+    except BandExhausted:
+        assert "probe" not in seen
+        assert report["results"]["sc"] == {
+            "op": "sc", "tier": "inconclusive",
+            "error": "BandExhausted: no admissible basis points inside the "
+                     "guard band"}
+        return
+    probe = seen["probe"]
+    assert (probe.frames, probe.enclosures, probe.non_increasing,
+            probe.verdict, probe.band) == want
+
+
 def test_compressed_matrix_matches_frame_oracle(f2):
     n = 6
     frame = build_frame(f2, ["a", "b"], n)
@@ -816,14 +925,17 @@ def test_compressed_matrix_matches_frame_oracle(f2):
     terms = [(Fraction(1), idempotent_vword(P)),
              (Fraction(-1), idempotent_vword(aP)),
              (Fraction(-1), idempotent_vword(bP))]
-    diagonal, labels = compressed_matrix(terms, frame)
-    for k, j in enumerate(labels):
+    values, band = compressed_matrix(terms, f2, n)
+    labels = [j for j in range(len(f2.enumerate_p(band)))
+              if frame.admissible(j)]
+    assert labels
+    for j in labels:
         r = frame.basis[j]
         want = Fraction(0)
         for c, v in terms:
             if frame_pointwise_applies(f2, frame.f_set, v.trace.pairs, r) == r:
                 want += c
-        assert diagonal[k] == want
+        assert values.get(j, 0) == want
 
 
 def test_compressed_matrix_int_and_fraction_coefficients(all_models):
@@ -840,11 +952,20 @@ def test_compressed_matrix_int_and_fraction_coefficients(all_models):
                          [idempotent_vword(x) for x in ideals_]))
         full, band = graded_sum(terms, n)
         frame = build_frame(model, model.generators, n)
-        diagonal, labels = compressed_matrix(terms, frame)
-        assert labels and all(type(d) is Fraction for d in diagonal)
-        assert any(d.denominator > 1 for d in diagonal)
-        assert labels == [j for j in frame.slice_indices()
-                          if model.length(frame.basis[j]) <= band]
+        values, got_band = compressed_matrix(terms, model, n)
+        inside = [j for j, r in enumerate(frame.basis)
+                  if model.length(r) <= band]
+        assert got_band == band
+        # the nonzero diagonal inside the band, largest absolute value first
+        assert set(values) == {j for j in inside if full.get(j, {}).get(j)}
+        assert list(values) == sorted(values,
+                                      key=lambda j: (-abs(values[j]), j))
+        assert all(type(d) is Fraction for d in values.values())
+        labels = [j for j in inside if frame.admissible(j)]
+        assert labels == [j for j in inside
+                          if frame_flag(model, frame.f_set, frame.basis[j])]
+        diagonal = [values.get(j, Fraction(0)) for j in labels]
+        assert labels and any(d.denominator > 1 for d in diagonal)
         for d, j in zip(diagonal, labels):
             r = frame.basis[j]
             assert d == sum(c for c, v in terms if not v.is_zero
