@@ -31,9 +31,9 @@ diagonal value over the frame's admissible points inside the guard band.
 That diagonal does not depend on the frame: a norm probe computes it once,
 reading each term's domain as its cached positions in the band, with
 coefficients summed per column exactly, as integers over their common
-denominator.  Each frame then reads the values largest first and tests
-admissibility only until its first admissible point, and the probe's
-frames share one memo of those tests.
+denominator.  The probe's frames cover the band's basis alone; each
+reads the values largest first and tests admissibility only until its
+first admissible point, and they share one memo of those tests.
 """
 
 from __future__ import annotations
@@ -219,11 +219,15 @@ class CovarianceFrame:
     """Finite frame set F in the group, its admissibility tested on demand.
 
     A basis point r is admissible when, for every g in F whose translate
-    g*P meets r*P, the point r already lies in g*P.  ``basis`` lists the
-    points of length <= n.  ``tests`` holds, per element keyed by its repr
-    (True equals 1 but is no normal form), the element's inverse and the
-    result of every point tested for it so far; the frames of one probe
-    share it, so each (element, point) pair is tested at most once.
+    g*P meets r*P, the point r already lies in g*P.  ``n`` is the
+    truncation; ``basis`` lists the points of length <= n, or only those
+    inside a probe's guard band when ``sc_limit_probe`` built the frame.
+    Bases are sorted length first, so a band's basis is a prefix of the
+    truncation's and positions agree.  ``tests`` holds, per element keyed
+    by its repr (True equals 1 but is no normal form), the element's
+    inverse and the result of every point tested for it so far; the frames
+    of one probe share it, so each (element, point) pair is tested at most
+    once.
     """
 
     model: object
@@ -246,16 +250,20 @@ class CovarianceFrame:
         return True
 
 
-def build_frame(model, f_elems, n, tests=None) -> CovarianceFrame:
-    """The frame of a finite set of group elements at truncation n.  An
-    element is validated when it first enters ``tests``, the admissibility
-    memo, which a probe shares among its frames."""
+def build_frame(model, f_elems, n, tests=None, band=None) -> CovarianceFrame:
+    """The frame of a finite set of group elements at truncation n, over
+    the basis of length <= ``band`` (n unless a probe passes its guard
+    band).  An element is validated when it first enters ``tests``, the
+    admissibility memo, which a probe shares among its frames."""
     tests = {} if tests is None else tests
+    f_set = set()
     for g in f_elems:
         if repr(g) not in tests:
             tests[repr(g)] = (model.inv(model.validate(g)), {})
-    f_set = tuple(sorted(set(f_elems), key=model.sort_key))
-    return CovarianceFrame(model, n, f_set, model.basis(n)[0], tests)
+        f_set.add(g)
+    basis = model.basis(n if band is None else band)[0]
+    return CovarianceFrame(model, n, tuple(sorted(f_set, key=model.sort_key)),
+                           basis, tests)
 
 
 def compressed_matrix(terms, model, n):
@@ -333,14 +341,15 @@ class ScProbeReport:
 
 def sc_limit_probe(terms, f_chain, model, n) -> ScProbeReport:
     """Norms of ``terms`` along the frame chain at truncation n.  The
-    diagonal is computed once, before any frame is built, and the frames
-    share one admissibility memo: ``build_frame`` validates each distinct
-    element once per probe, and each (element, point) pair is tested at
-    most once."""
+    diagonal is computed once, before any frame is built.  Only points
+    inside its guard band are ever read, so the frames cover the band's
+    basis only, and they share one admissibility memo: ``build_frame``
+    validates each distinct element once per probe, and each (element,
+    point) pair is tested at most once."""
     diagonal = compressed_matrix(terms, model, n)
     tests, frames, enclosures = {}, [], []
     for f_elems in f_chain:
-        frames.append(build_frame(model, f_elems, n, tests))
+        frames.append(build_frame(model, f_elems, n, tests, diagonal[1]))
         enclosures.append(sc_norm(terms, frames[-1], diagonal))
     non_increasing = all(enclosures[k + 1][1] <= enclosures[k][1] or
                          enclosures[k + 1][0] <= enclosures[k][1]

@@ -682,6 +682,15 @@ def test_build_frame_validates(f2, num23):
         build_frame(f2, ["aA", ""], 3)
 
 
+def test_build_frame_reads_a_generator_once(f2):
+    # a one-pass iterable of elements yields the frame its list does
+    listed = build_frame(f2, ["a", "b"], 4)
+    once = build_frame(f2, iter(["a", "b"]), 4)
+    assert once.f_set == listed.f_set == ("a", "b")
+    assert _flags(once) == _flags(listed)
+    assert not all(_flags(once))
+
+
 def test_frame_chain_flags(n1):
     frame = build_frame(n1, [(0,), (1,)], 10)
     flags = [r for r, ok in zip(frame.basis, _flags(frame)) if ok]
@@ -822,8 +831,9 @@ def test_sc_limit_probe_validates_each_frame_element_once(monkeypatch):
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_sc_limit_probe_frames_cover_the_band_basis(rank, monkeypatch):
-    # the frames test points inside the guard band only, flag each of them
-    # as the oracle does, and each norm equals the one over a fresh frame
+    # the frames cover exactly the points inside the guard band, flag each
+    # of them as the oracle does, and each norm equals the one over a frame
+    # of the whole truncation, whose basis the probe never lists
     import sgclab.fock as fock_mod
     model = build_model({"family": "free_monoid", "rank": rank})
     n = model.default_trunc
@@ -831,8 +841,8 @@ def test_sc_limit_probe_frames_cover_the_band_basis(rank, monkeypatch):
     band = n - max(word_reach(v) for _, v in terms)
     chain = default_f_chain(model, enumerate_vwords(model, 2, 1, 6).by_grading,
                             4)
-    frames, points = [], []
-    real_norm, real_mul = fock_mod.sc_norm, model.mul
+    frames, points, listed = [], [], []
+    real_norm, real_mul, real_basis = fock_mod.sc_norm, model.mul, model.basis
 
     def norm_recorded(terms, frame, diagonal):
         frames.append(frame)
@@ -842,17 +852,24 @@ def test_sc_limit_probe_frames_cover_the_band_basis(rank, monkeypatch):
         points.append(r)
         return real_mul(g_inv, r)
 
+    def basis_recorded(m):
+        listed.append(m)
+        return real_basis(m)
+
     monkeypatch.setattr(fock_mod, "sc_norm", norm_recorded)
     monkeypatch.setattr(model, "mul", mul_recorded)
+    monkeypatch.setattr(model, "basis", basis_recorded)
     probe = sc_limit_probe(terms, chain, model, n)
     monkeypatch.undo()
     assert 0 <= band < n and probe.band == band
     assert points and all(model.length(r) <= band for r in points)
+    assert listed and set(listed) == {band}
     basis = model.basis(band)[0]
     assert len(frames) == len(chain)
     for frame, enclosure in zip(frames, probe.enclosures):
-        assert frame.n == n and frame.basis[:len(basis)] == basis
-        flags = _flags(frame, len(basis))
+        assert frame.n == n and frame.basis == basis
+        flags = _flags(frame)
+        assert len(flags) == len(basis)
         assert flags == tuple(frame_flag(model, frame.f_set, r) for r in basis)
         whole = build_frame(model, frame.f_set, n)
         assert _flags(whole, len(basis)) == flags
