@@ -316,12 +316,7 @@ def _an_fock(model, caps, rng, store):
         rhs = fock.rep_vword(invsgp.compose(v, w), n)
         if not fock.equal_on_band(lhs, rhs):
             mult_ok = False
-    exp_ok = True
-    for v in fam.members:
-        try:
-            fock.cond_expectation([(1, v, word_op(v))])
-        except fock.GradingMismatch:
-            exp_ok = False
+    exp_ok = fock.cond_expectation([(v, word_op(v)) for v in fam.members])
     tier = "exact" if (proj_ok and mult_ok and exp_ok) else "inconclusive"
     return {
         "op": "fock.rep_vword",
@@ -536,6 +531,10 @@ def _explain_lines(topic, r):
         lines.append(f"  boundary has {res['size']} character(s);"
                      f" routes agree: {res['routes_agree']}")
         lines.append(f"  supports: {res['supports']}")
+        if res["orbit_route_size"] is None:
+            lines.append("  route two gave no answer: no character lies in"
+                         " every singleton closure (unresolved instances:"
+                         f" {res['unresolved_instances']})")
     elif topic == "freeness":
         for v in r["verdicts"]:
             lines.append(f"  g={v['grading']}: {v['status']}"

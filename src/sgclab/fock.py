@@ -20,9 +20,12 @@ positions (``Model.positions``), and a mask maps one onto itself.
 Each matrix is built once per check, and only where the check reads it.
 The projection identity builds one mask per lattice ideal and intersects
 their key sets pairwise: a product of two masks is the mask on the
-intersection.  The diagonal expectation is checked word by word, on word
-matrices the caller built, as both of its routes are linear; its value is
-a diagonal, ``{column: coefficient}``.
+intersection.  The diagonal expectation has two computations, the
+grading filter (keep exactly the unit-graded words) and the compression
+of a matrix to its fixed columns.  Both are linear, so they agree on
+every combination when they agree on each word, and the check compares
+each word's grading with its matrix's fixed columns inside its guard
+band, on word matrices the caller built; nothing is summed.
 
 A word combination whose gradings are all trivial acts diagonally (a
 nonzero grading moves every basis point, because the ambient group
@@ -31,9 +34,9 @@ diagonal value over the frame's admissible points inside the guard band.
 That diagonal does not depend on the frame: a norm probe computes it once,
 reading each term's domain as its cached positions in the band, with
 coefficients summed per column exactly, as integers over their common
-denominator.  The probe's frames cover the band's basis alone; each
-reads the values largest first and tests admissibility only until its
-first admissible point, and they share one memo of those tests.
+denominator.  The probe then builds each frame on the band's basis; a
+frame reads the values largest first and tests admissibility only until
+its first admissible point, and the frames share one memo of those tests.
 """
 
 from __future__ import annotations
@@ -52,10 +55,6 @@ SC_TOL = Fraction(1, 10 ** 9)   # a probed norm at or below this vanishes
 
 class BandExhausted(RuntimeError):
     """No basis columns remain inside the trusted guard band."""
-
-
-class GradingMismatch(RuntimeError):
-    """The two diagonal-expectation computations disagreed on the band."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +84,6 @@ class TruncOp:
         lines = [f"# truncop {size} {size} {self.band} {self.reach}"]
         lines += [f"{i} {j} 1/1" for i, j, _ in self.triplets()]
         return "\n".join(lines) + "\n"
-
-
-def zero_op(model, n) -> TruncOp:
-    return TruncOp(model, n, {}, n, 0)
 
 
 def projection_op(ideal, n) -> TruncOp:
@@ -128,12 +123,6 @@ def mul_op(a: TruncOp, b: TruncOp) -> TruncOp:
                    min(b.band, a.band - b.reach), a.reach + b.reach)
 
 
-def diagonal_part(a: TruncOp) -> TruncOp:
-    """Compression to the diagonal: keep only the fixed points."""
-    cols = {j: j for j, i in a.cols.items() if i == j}
-    return TruncOp(a.model, a.n, cols, a.band, 0)
-
-
 def _band_width(model, band) -> int:
     """Number of basis columns inside a band: bases are sorted length
     first, so those columns are a prefix, empty when the band is below 0."""
@@ -170,45 +159,23 @@ def check_projection_identity(lattice, n):
     return len(idxs) ** 2, ok
 
 
-def _column_sums(weighted):
-    """``{column: sum}``: the exact sum of the coefficients at each column
-    of ``(coefficient, columns)`` pairs, added as integers over the common
-    denominator; each distinct sum is made a rational once."""
-    weighted = [(Fraction(c), cols) for c, cols in weighted]
-    den = math.lcm(*(c.denominator for c, _ in weighted))
-    sums = {}
-    for c, cols in weighted:
-        k = c.numerator * (den // c.denominator)
-        for j in cols:
-            sums[j] = sums.get(j, 0) + k
-    value = {x: Fraction(x, den) for x in set(sums.values())}
-    return {j: value[x] for j, x in sums.items()}
+def cond_expectation(words) -> bool:
+    """Whether the two computations of the diagonal expectation agree.
 
-
-def cond_expectation(terms) -> dict:
-    """Diagonal expectation of a word combination, computed two ways.
-
-    Each term is ``(c, v, op)`` with ``op`` the matrix of the word v, built
-    by the caller.  Route one keeps exactly the terms with trivial grading;
-    route two compresses a matrix to its diagonal.  Both are linear, so
-    each term's diagonal must equal its grading filter on the term's band;
-    disagreement signals a grading bug and raises.  Returns route one as a
-    diagonal ``{column: nonzero coefficient}``: the coefficients of the
-    trivially graded terms, summed over every stored column of their
-    matrices.
+    Each item is ``(v, op)`` with ``op`` the matrix of the word v, built by
+    the caller.  The grading filter keeps a word exactly when its grading
+    is the unit; the diagonal compression keeps a matrix's fixed columns.
+    Both are linear, so they agree on every combination of the words when,
+    for every word, its fixed columns inside its guard band are all of its
+    columns there (unit grading) or none of them (any other grading).
     """
-    if not terms:
-        raise ModelError("empty term list")
-    model = terms[0][1].model
-    kept = []
-    for c, v, op in terms:
-        unit_graded = not v.is_zero and v.grading == model.unit
-        if not equal_on_band(op if unit_graded else zero_op(model, op.n),
-                             diagonal_part(op)):
-            raise GradingMismatch("grading filter and diagonal compression disagree")
-        if unit_graded:
-            kept.append((c, op.cols))
-    return {j: x for j, x in _column_sums(kept).items() if x}
+    for v, op in words:
+        unit_graded = not v.is_zero and v.grading == v.model.unit
+        width = _band_width(op.model, op.band)
+        if any((i == j) != unit_graded
+               for j, i in op.cols.items() if j < width):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +186,16 @@ class CovarianceFrame:
     """Finite frame set F in the group, its admissibility tested on demand.
 
     A basis point r is admissible when, for every g in F whose translate
-    g*P meets r*P, the point r already lies in g*P.  ``n`` is the
-    truncation; ``basis`` lists the points of length <= n, or only those
-    inside a probe's guard band when ``sc_limit_probe`` built the frame.
-    Bases are sorted length first, so a band's basis is a prefix of the
-    truncation's and positions agree.  ``tests`` holds, per element keyed
-    by its repr (True equals 1 but is no normal form), the element's
-    inverse and the result of every point tested for it so far; the frames
-    of one probe share it, so each (element, point) pair is tested at most
-    once.
+    g*P meets r*P, the point r already lies in g*P.  ``basis`` lists the
+    points inside the guard band of the probe that built the frame; bases
+    are sorted length first, so it is a prefix of the truncation's basis
+    and positions agree.  ``tests`` holds, per element keyed by its repr
+    (True equals 1 but is no normal form), the element's inverse and the
+    result of every point tested for it so far; the frames of one probe
+    share it, so each (element, point) pair is tested at most once.
     """
 
     model: object
-    n: int
     f_set: tuple
     basis: tuple
     tests: dict              # repr(g) -> (g^-1, {position: admissible})
@@ -250,20 +214,18 @@ class CovarianceFrame:
         return True
 
 
-def build_frame(model, f_elems, n, tests=None, band=None) -> CovarianceFrame:
-    """The frame of a finite set of group elements at truncation n, over
-    the basis of length <= ``band`` (n unless a probe passes its guard
-    band).  An element is validated when it first enters ``tests``, the
-    admissibility memo, which a probe shares among its frames."""
-    tests = {} if tests is None else tests
+def build_frame(model, f_elems, band, tests) -> CovarianceFrame:
+    """The frame of a finite set of group elements over the basis of length
+    <= ``band``, a norm probe's guard band.  An element is validated when
+    it first enters ``tests``, the admissibility memo the probe shares
+    among its frames."""
     f_set = set()
     for g in f_elems:
         if repr(g) not in tests:
             tests[repr(g)] = (model.inv(model.validate(g)), {})
         f_set.add(g)
-    basis = model.basis(n if band is None else band)[0]
-    return CovarianceFrame(model, n, tuple(sorted(f_set, key=model.sort_key)),
-                           basis, tests)
+    return CovarianceFrame(model, tuple(sorted(f_set, key=model.sort_key)),
+                           model.basis(band)[0], tests)
 
 
 def compressed_matrix(terms, model, n):
@@ -274,34 +236,40 @@ def compressed_matrix(terms, model, n):
     guard band ``band`` to its exact nonzero value, largest absolute value
     first (ties by column); every other column inside the band is 0.  A
     term's entries are its domain's members inside the band, read as
-    cached positions.  A negative band has no columns and is refused.
+    cached positions, and its coefficient is added at each of them as an
+    integer over the terms' common denominator; each distinct sum is made
+    a rational once.  A negative band has no columns and is refused.
     """
     if any(not v.is_zero and v.grading != model.unit for _, v in terms):
         raise ModelError("frame compression expects trivially graded terms")
     band = n - max((word_reach(v) for _, v in terms), default=0)
     if band < 0:
         raise BandExhausted("no admissible basis points inside the guard band")
-    sums = _column_sums((c, model.positions(v.dom.exact, band))
-                        for c, v in terms if not v.is_zero)
+    weighted = [(Fraction(c), model.positions(v.dom.exact, band))
+                for c, v in terms if not v.is_zero]
+    den = math.lcm(*(c.denominator for c, _ in weighted))
+    sums = {}
+    for c, cols in weighted:
+        k = c.numerator * (den // c.denominator)
+        for j in cols:
+            sums[j] = sums.get(j, 0) + k
+    value = {x: Fraction(x, den) for x in set(sums.values())}
     ranked = sorted(sums.items(), key=lambda jx: (-abs(jx[1]), jx[0]))
-    return {j: x for j, x in ranked if x}, band
+    return {j: value[x] for j, x in ranked if x}, band
 
 
-def sc_norm(terms, frame: CovarianceFrame, diagonal=None):
-    """Enclosure of the compressed operator norm.
+def sc_norm(frame: CovarianceFrame, diagonal):
+    """Enclosure of the compressed operator norm of a trivially graded
+    word combination, ``diagonal`` being its ``compressed_matrix``.
 
-    Trivially graded combinations act diagonally, so the norm is the exact
-    maximum absolute diagonal value over the frame's admissible columns
-    inside the guard band, returned as a width-zero enclosure.  The values
-    are read largest first, and the norm is the first one whose column is
+    Such a combination acts diagonally, so the norm is the exact maximum
+    absolute diagonal value over the frame's admissible columns inside the
+    guard band, returned as a width-zero enclosure.  The values are read
+    largest first, and the norm is the first one whose column is
     admissible.  When none is, the norm is 0 if some other column of the
     band is admissible, found by a search that stops at the first; with no
-    admissible column at all it raises.  ``diagonal`` is
-    ``compressed_matrix(terms, frame.model, frame.n)``, computed here
-    unless a probe passes the one it shares among its frames.
+    admissible column at all it raises.
     """
-    if diagonal is None:
-        diagonal = compressed_matrix(terms, frame.model, frame.n)
     values, band = diagonal
     for j, x in values.items():
         if frame.admissible(j):
@@ -342,15 +310,15 @@ class ScProbeReport:
 def sc_limit_probe(terms, f_chain, model, n) -> ScProbeReport:
     """Norms of ``terms`` along the frame chain at truncation n.  The
     diagonal is computed once, before any frame is built.  Only points
-    inside its guard band are ever read, so the frames cover the band's
-    basis only, and they share one admissibility memo: ``build_frame``
-    validates each distinct element once per probe, and each (element,
-    point) pair is tested at most once."""
+    inside its guard band are ever read, so each frame is built on the
+    band's basis, and the frames share one admissibility memo:
+    ``build_frame`` validates each distinct element once per probe, and
+    each (element, point) pair is tested at most once."""
     diagonal = compressed_matrix(terms, model, n)
     tests, frames, enclosures = {}, [], []
     for f_elems in f_chain:
-        frames.append(build_frame(model, f_elems, n, tests, diagonal[1]))
-        enclosures.append(sc_norm(terms, frames[-1], diagonal))
+        frames.append(build_frame(model, f_elems, diagonal[1], tests))
+        enclosures.append(sc_norm(frames[-1], diagonal))
     non_increasing = all(enclosures[k + 1][1] <= enclosures[k][1] or
                          enclosures[k + 1][0] <= enclosures[k][1]
                          for k in range(len(enclosures) - 1))

@@ -39,6 +39,10 @@ EMPTY = ("empty",)
 
 _LETTERS = string.ascii_lowercase
 
+# Largest membership sieve a numerical model allocates; larger generator
+# sets are refused before any work.
+SIEVE_LIMIT = 10 ** 6
+
 
 class ModelError(ValueError):
     """Invalid element, mismatched model, or unsupported construction."""
@@ -484,20 +488,25 @@ class NumericalModel(Model):
 
     @staticmethod
     def _sieve(gens):
+        """Membership table up to Schur's bound, and the conductor.  The
+        Frobenius number is at most (g0 - 1)(gmax - 1) - 1, so the first
+        run of g0 members, after which every integer belongs, ends inside
+        the table."""
         g0 = min(gens)
         bound = max((g0 - 1) * (max(gens) - 1) + max(gens), g0 + 1)
-        for _ in range(8):
-            table = [False] * (bound + 1)
-            table[0] = True
-            for n in range(1, bound + 1):
-                table[n] = any(n >= g and table[n - g] for g in gens)
-            run = 0
-            for n in range(bound + 1):
-                run = run + 1 if table[n] else 0
-                if run >= g0:
-                    return table, n - g0 + 1
-            bound *= 2
-        raise ModelError("could not locate the conductor; generators too large")
+        if bound > SIEVE_LIMIT:
+            raise ModelError(f"numerical generators {list(gens)} need a "
+                             f"membership sieve of {bound} entries, above "
+                             f"the limit {SIEVE_LIMIT}")
+        table = [False] * (bound + 1)
+        table[0] = True
+        for n in range(1, bound + 1):
+            table[n] = any(n >= g and table[n - g] for g in gens)
+        run = 0
+        for n in range(bound + 1):
+            run = run + 1 if table[n] else 0
+            if run >= g0:
+                return table, n - g0 + 1
 
     @property
     def unit(self):

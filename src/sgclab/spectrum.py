@@ -298,9 +298,10 @@ def boundary(ctx: ThetaContext) -> BoundaryResult:
     """Minimal invariant character set, via two independent computations.
 
     Route one: the closure of the maximal filters.  Route two: the
-    intersection of the closures of all singletons, kept only when it is
-    itself non-empty and invariant.  The maximal-filter route is primary;
-    ``routes_agree`` records the cross-check.
+    intersection of the closures of all singletons, None when it is empty;
+    an intersection of sets closed under every defined image is closed
+    too, so it needs no second closure.  The maximal-filter route is
+    primary; ``routes_agree`` records the cross-check.
     """
     up = ctx.fragment.up_masks
     chars = enumerate_characters(ctx.fragment)
@@ -315,12 +316,8 @@ def boundary(ctx: ThetaContext) -> BoundaryResult:
         cl = invariant_closure(ctx, [c])
         events.extend(cl.events)
         inter &= cl.chars
-    orbit_route = None
-    if inter:
-        recheck = invariant_closure(ctx, sorted(inter, key=up.__getitem__))
-        if recheck.chars == frozenset(inter):
-            orbit_route = frozenset(inter)
-    agree = orbit_route is not None and orbit_route == route_a.chars
+    orbit_route = frozenset(inter) if inter else None
+    agree = orbit_route == route_a.chars
     return BoundaryResult(route_a.chars, maximal, orbit_route, agree,
                           tuple(events))
 

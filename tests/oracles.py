@@ -17,13 +17,16 @@ model's step cache, and ``restrict`` reads a character of a deeper
 fragment on a shallower one by matching ideal tokens.  The norm probe is
 rerun eagerly, every point of its band flagged for every frame, and the
 projection identity by multiplying masks, where the package intersects
-their key sets.  Expected values frozen into tests were produced by these
-functions.
+their key sets.  The diagonal expectation is summed term by term from word
+matrices and their diagonals copied out, where the package only compares
+each word's grading with its matrix's fixed columns.  Expected values
+frozen into tests were produced by these functions.
 """
 
 from fractions import Fraction
 
-from sgclab.fock import BandExhausted, equal_on_band, mul_op, projection_op
+from sgclab.fock import (BandExhausted, TruncOp, equal_on_band, mul_op,
+                         projection_op)
 from sgclab.ideals import WordTrace, from_trace
 from sgclab.invsgp import make_vword
 from sgclab.models import EMPTY, ModelError
@@ -272,6 +275,26 @@ def graded_sum(terms, n):
         if acc:
             cols[j] = acc
     return cols, n - reach
+
+
+def diagonal_part(op):
+    """Compression of a matrix to its diagonal: its fixed columns, with the
+    matrix's band and reach 0."""
+    fixed = {j: j for j, i in op.cols.items() if i == j}
+    return TruncOp(op.model, op.n, fixed, op.band, 0)
+
+
+def diagonal_expectation(terms):
+    """The diagonal expectation of a word combination by the grading
+    filter: the coefficients of the unit-graded terms ``(c, v, op)``, with
+    ``op`` the matrix of the word v, summed as Fractions over every column
+    of their matrices.  Returns ``{column: nonzero coefficient}``."""
+    sums = {}
+    for c, v, op in terms:
+        if not v.is_zero and v.grading == v.model.unit:
+            for j in op.cols:
+                sums[j] = sums.get(j, 0) + Fraction(c)
+    return {j: x for j, x in sums.items() if x}
 
 
 def entrywise_equal_on_band(a, b):

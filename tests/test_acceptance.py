@@ -11,12 +11,12 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import (exhaustive_vwords, graded_sum, left_mul,
-                     principal_character)
+from oracles import (diagonal_expectation, exhaustive_vwords, graded_sum,
+                     left_mul, principal_character)
 from sgclab.cli import ANALYSES, RunConfig, run, stable_body
-from sgclab.fock import (build_frame, check_projection_identity,
-                         cond_expectation, equal_on_band, mul_op,
-                         projection_op, rep_vword, sc_norm, word_reach)
+from sgclab.fock import (check_projection_identity, cond_expectation,
+                         equal_on_band, mul_op, projection_op, rep_vword,
+                         sc_limit_probe, word_reach)
 from sgclab.ideals import (enumerate_ideals, full_ideal,
                            independence_rank_oracle, independence_test,
                            intersect, ore_test, ideal_eq)
@@ -232,9 +232,9 @@ def test_criterion_8_conditional_expectation(all_models):
                      for _ in range(rng.randint(1, 3))]
             reach = max(word_reach(v) for _, v in terms)
             assert trunc - reach >= 0, "sample not band safe"
-            # raises on route mismatch
-            ce = cond_expectation([(c, v, rep_vword(v, trunc))
-                                   for c, v in terms])
+            ops = [(c, v, rep_vword(v, trunc)) for c, v in terms]
+            assert cond_expectation([(v, op) for _, v, op in ops])
+            ce = diagonal_expectation(ops)
             full, band = graded_sum(terms, trunc)
             diagonal = {j: col[j] for j, col in full.items() if j in col}
             basis = model.enumerate_p(trunc)
@@ -252,8 +252,7 @@ def test_criterion_9_strong_covariance_numerics(n1, f2):
                   (Fraction(-1), idempotent_vword(aP)),
                   (Fraction(-1), idempotent_vword(bP))]
     for f_set in (["a", "b"], ["a", "b", "aa"], ["a", "b", "ab", "ba"]):
-        frame = build_frame(f2, f_set, 7)
-        lo, hi = sc_norm(covariance, frame)
+        ((lo, hi),) = sc_limit_probe(covariance, [f_set], f2, 7).enclosures
         assert hi - lo <= WIDTH_TOL
         assert lo <= 0 <= hi
 
@@ -262,8 +261,8 @@ def test_criterion_9_strong_covariance_numerics(n1, f2):
               (Fraction(-1), idempotent_vword(left_mul((1,), Pn)))]
     previous = None
     for k in range(7):
-        frame = build_frame(n1, [(j,) for j in range(k + 1)], 30)
-        lo, hi = sc_norm(defect, frame)
+        ((lo, hi),) = sc_limit_probe(defect, [[(j,) for j in range(k + 1)]],
+                                     n1, 30).enclosures
         assert hi - lo <= WIDTH_TOL
         if previous is not None:
             assert hi <= previous
@@ -272,8 +271,7 @@ def test_criterion_9_strong_covariance_numerics(n1, f2):
 
     mask = [(Fraction(1), idempotent_vword(aP))]
     for f_set in (["a"], ["a", "b"], ["a", "b", "aa", "ab", "ba", "bb"]):
-        frame = build_frame(f2, f_set, 7)
-        lo, _ = sc_norm(mask, frame)
+        ((lo, _),) = sc_limit_probe(mask, [f_set], f2, 7).enclosures
         assert lo >= 1
     elapsed = time.monotonic() - started
     assert elapsed < 300.0, f"strong covariance numerics took {elapsed:.1f}s"

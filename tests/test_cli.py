@@ -724,6 +724,30 @@ def test_explain_shows_the_rank_oracle_detail():
     assert "detail" not in explain(report, "independence")
 
 
+def test_main_refuses_oversized_numerical_generators(capsys):
+    code = main(["analyze", "--family", "numerical",
+                 "--generators", "1001,1002"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "1002002" in captured.err
+
+
+def test_explain_says_why_boundary_route_two_gave_no_answer():
+    # on <4,7,9> at depth 1 no character lies in every singleton closure
+    report, _ = run(RunConfig.from_dict(
+        {"model": {"family": "numerical", "generators": [4, 7, 9]},
+         "analyses": ["boundary"], "caps": {"trace_depth": 1}}))
+    res = report["results"]["boundary"]["result"]
+    assert res["orbit_route_size"] is None and not res["routes_agree"]
+    last = explain(report, "boundary").splitlines()[-1]
+    assert "no character lies in every singleton closure" in last
+    assert f"unresolved instances: {res['unresolved_instances']}" in last
+    # a run whose route two answers prints no such line
+    report, _ = run(RunConfig.from_dict(small_config(analyses=["boundary"])))
+    assert report["results"]["boundary"]["result"]["orbit_route_size"]
+    assert "singleton closure" not in explain(report, "boundary")
+
+
 def test_report_json_is_sorted():
     report, _ = run(RunConfig.from_dict(small_config()))
     text = report_to_json(report)

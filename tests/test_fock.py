@@ -5,21 +5,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (basis_scan_columns, contains, divide,
-                     eager_sc_probe, entrywise_equal_on_band, frame_flag,
+from oracles import (basis_scan_columns, contains, diagonal_expectation,
+                     diagonal_part, divide, eager_sc_probe,
+                     entrywise_equal_on_band, frame_flag,
                      frame_pointwise_applies, gauss_rank, graded_sum, left_mul,
                      product_projection_identity)
 from sgclab import ideals
 from sgclab.cli import RunConfig, run
 from sgclab.exactla import (bareiss_rank, operator_norm_enclosure,
                             sqrt_enclosure, sym_top_eig_enclosure)
-from sgclab.fock import (BandExhausted, GradingMismatch, TruncOp,
-                         build_frame, check_projection_identity,
-                         compressed_matrix, cond_expectation, default_f_chain,
-                         diagonal_part, equal_on_band,
-                         generator_covariance_terms,
-                         mul_op, projection_op, rep_vword, sc_norm,
-                         sc_limit_probe, word_reach, zero_op)
+from sgclab.fock import (BandExhausted, TruncOp, build_frame,
+                         check_projection_identity, compressed_matrix,
+                         cond_expectation, default_f_chain, equal_on_band,
+                         generator_covariance_terms, mul_op, projection_op,
+                         rep_vword, sc_norm, sc_limit_probe, word_reach)
 from sgclab.ideals import (WordTrace, enumerate_ideals, from_trace,
                            full_ideal, intersect)
 from sgclab.invsgp import (compose, enumerate_vwords, idempotent_vword,
@@ -464,18 +463,22 @@ def _terms(words, n):
     return [(c, v, fock_mod.rep_vword(v, n)) for c, v in words]
 
 
+def _words(terms):
+    """The ``(v, op)`` items of terms, as ``cond_expectation`` reads them."""
+    return [(v, op) for _, v, op in terms]
+
+
 def test_cond_expectation_examples(n1):
     P = full_ideal(n1)
     i1 = left_mul((1,), P)
     v1 = make_vword(n1, WordTrace((((0,), (1,)),)))
-    ce = cond_expectation(_terms([(Fraction(1), v1)], 8))
-    assert ce == {}
     e1 = idempotent_vword(i1)
-    ce2 = cond_expectation(_terms([(Fraction(1), e1)], 8))
-    assert ce2 == {j: 1 for j in projection_op(i1, 8).cols}
     v12 = make_vword(n1, WordTrace((((1,), (2,)),)))
-    ce3 = cond_expectation(_terms([(Fraction(1), v12)], 8))
-    assert ce3 == {}
+    for v, want in ((v1, {}), (e1, {j: 1 for j in projection_op(i1, 8).cols}),
+                    (v12, {})):
+        terms = _terms([(Fraction(1), v)], 8)
+        assert cond_expectation(_words(terms)) is True
+        assert diagonal_expectation(terms) == want
 
 
 def test_cond_expectation_mixed_combination(n1):
@@ -484,7 +487,9 @@ def test_cond_expectation_mixed_combination(n1):
     terms = [(Fraction(3, 2), idempotent_vword(P)),
              (Fraction(-2), v1),
              (Fraction(1, 3), idempotent_vword(left_mul((2,), P)))]
-    ce = cond_expectation(_terms(terms, 8))
+    built = _terms(terms, 8)
+    assert cond_expectation(_words(built)) is True
+    ce = diagonal_expectation(built)
     assert ce[0] == Fraction(3, 2)
     assert ce[3] == Fraction(3, 2) + Fraction(1, 3)
     full, _ = graded_sum(terms, 8)
@@ -494,23 +499,25 @@ def test_cond_expectation_mixed_combination(n1):
 
 def test_cond_expectation_int_and_fraction_coefficients(all_models,
                                                         family_of):
-    # int and Fraction coefficients, non-unit denominators among them, sum
-    # exactly to graded_sum's diagonal, on every column
+    # the package's word matrices, with int and Fraction coefficients and
+    # non-unit denominators among them, sum exactly to graded_sum's
+    # diagonal, on every column
     coeffs = [1, Fraction(1, 2), Fraction(-1, 3), -2, Fraction(5, 6), 3]
     for model in all_models:
         n = 6 if model.family == "free_monoid" else 10
         words = [v for v in family_of(model).members if word_reach(v) <= n]
-        terms = list(zip(itertools.cycle(coeffs), words[:12]))
-        ce = cond_expectation(_terms(terms, n))
-        full, _ = graded_sum(terms, n)
+        terms = _terms(list(zip(itertools.cycle(coeffs), words[:12])), n)
+        assert cond_expectation(_words(terms)) is True
+        ce = diagonal_expectation(terms)
+        full, _ = graded_sum([(c, v) for c, v, _ in terms], n)
         assert ce == {j: col[j] for j, col in full.items() if j in col}
         assert ce and all(type(x) is Fraction for x in ce.values())
-        assert cond_expectation(_terms([(2, words[0])], n)) == {
+        assert diagonal_expectation(_terms([(2, words[0])], n)) == {
             j: 2 for j in diagonal_part(rep_vword(words[0], n)).cols}
 
 
 def test_cond_expectation_builds_each_term_once(n1, monkeypatch):
-    # the caller builds each term's matrix once; the check builds none
+    # the caller builds each word's matrix once; the check builds none
     import sgclab.fock as fock_mod
     calls = []
     real = fock_mod.rep_vword
@@ -522,54 +529,103 @@ def test_cond_expectation_builds_each_term_once(n1, monkeypatch):
     monkeypatch.setattr(fock_mod, "rep_vword", counted)
     P = full_ideal(n1)
     v1 = make_vword(n1, WordTrace((((0,), (1,)),)))
-    words = [(Fraction(3, 2), idempotent_vword(P)), (Fraction(-2), v1),
-             (Fraction(1, 3), idempotent_vword(left_mul((2,), P))),
-             (Fraction(1), zero_vword(n1))]
-    terms = _terms(words, 8)
-    assert [id(v) for v in calls] == [id(v) for _, v in words]
-    ce = cond_expectation(terms)
+    words = [idempotent_vword(P), v1, idempotent_vword(left_mul((2,), P)),
+             zero_vword(n1)]
+    items = _words(_terms([(1, v) for v in words], 8))
+    assert [id(v) for v in calls] == [id(v) for v in words]
+    assert cond_expectation(items) is True
     assert len(calls) == len(words)
-    assert ce[3] == Fraction(3, 2) + Fraction(1, 3)
-    with pytest.raises(ModelError):
-        cond_expectation([])
+    # no word, nothing to disagree on
+    assert cond_expectation([]) is True
 
 
-def _corrupt_trivially_graded(monkeypatch):
-    """Move each trivially graded word's column 0 off the diagonal, to row
-    1: column 0 is the unit, of length 0, so the entry lies inside every
+def _plant_column_0(monkeypatch, unit_graded):
+    """Move column 0 of every unit-graded word's matrix off the diagonal,
+    to row 1, or fix it, at row 0, in every other nonzero word's matrix:
+    column 0 is the unit, of length 0, so the entry lies inside every
     band."""
     import sgclab.fock as fock_mod
     real = fock_mod.rep_vword
 
-    def corrupted(v, n):
+    def planted(v, n):
         op = real(v, n)
-        if v.is_zero or v.grading != v.model.unit:
+        if v.is_zero or (v.grading == v.model.unit) != unit_graded:
             return op
-        return dataclasses.replace(op, cols={**op.cols, 0: 1})
+        return dataclasses.replace(op, cols={**op.cols, 0: int(unit_graded)})
 
-    monkeypatch.setattr(fock_mod, "rep_vword", corrupted)
+    monkeypatch.setattr(fock_mod, "rep_vword", planted)
 
 
 def test_cond_expectation_checks_each_term(n1, monkeypatch):
-    # v - v cancels, so only a check on each term sees v's stray entry
+    # v - v cancels in a sum, so only a check on each word sees v's stray
+    # entry
     v = idempotent_vword(full_ideal(n1))
-    cond_expectation(_terms([(1, v), (-1, v)], 8))
-    _corrupt_trivially_graded(monkeypatch)
-    with pytest.raises(GradingMismatch):
-        cond_expectation(_terms([(1, v), (-1, v)], 8))
+    terms = _terms([(1, v), (-1, v)], 8)
+    assert cond_expectation(_words(terms)) is True
+    _plant_column_0(monkeypatch, unit_graded=True)
+    terms = _terms([(1, v), (-1, v)], 8)
+    assert diagonal_expectation(terms) == {}
+    assert cond_expectation(_words(terms)) is False
+
+
+def _oracle_check(v, op):
+    """The expectation check of one word by the two matrices: the grading
+    filter's (the word's own matrix when it is unit graded, else the empty
+    map) against the diagonal copy of the word's matrix, on their shared
+    band."""
+    unit_graded = not v.is_zero and v.grading == v.model.unit
+    kept = op if unit_graded else TruncOp(op.model, op.n, {}, op.n, 0)
+    return equal_on_band(kept, diagonal_part(op))
+
+
+def test_cond_expectation_matches_the_oracle_comparison(all_models,
+                                                       family_of):
+    # every family word as built, and with each planted corruption that
+    # applies to it: a fixed column inside a graded word's band, a moved
+    # column of a unit-graded word, a fixed column outside a graded word's
+    # band; one corrupted word decides the check over the whole family
+    planted = {"inside": 0, "moved": 0, "outside": 0}
+    for model in all_models:
+        n = 6 if model.family == "free_monoid" else 10
+        size = len(model.basis(n)[0])
+        words = [(v, rep_vword(v, n)) for v in family_of(model).members
+                 if word_reach(v) <= n]
+        assert cond_expectation(words) is True
+        for v, op in words:
+            assert cond_expectation([(v, op)]) and _oracle_check(v, op)
+            if v.is_zero:
+                continue
+            if v.grading == model.unit:
+                cases = [("moved", {0: 1}, False)]
+            else:
+                cases = [("inside", {0: 0}, False)]
+                if len(model.enumerate_p(op.band)) < size:
+                    cases.append(("outside", {size - 1: size - 1}, True))
+            for name, cols, want in cases:
+                bad = dataclasses.replace(op, cols={**op.cols, **cols})
+                assert (cond_expectation([(v, bad)])
+                        == _oracle_check(v, bad) == want), (model.name, name)
+                assert cond_expectation(words + [(v, bad)]) == want
+                planted[name] += 1
+    assert all(planted.values()), planted
 
 
 def test_run_reports_grading_mismatch(monkeypatch):
-    _corrupt_trivially_graded(monkeypatch)
+    # a moved column in a unit-graded word, then a fixed column inside a
+    # graded word's band
     doc = {"model": {"family": "free_monoid", "rank": 2},
            "analyses": ["fock"], "caps": {"trace_depth": 2}}
-    report, code = run(RunConfig.from_dict(doc))
-    result = report["results"]["fock"]
-    assert result["expectation_two_routes_agree"] is False
-    assert result["tier"] == "inconclusive" and code == 2
+    for unit_graded in (True, False):
+        with monkeypatch.context() as patched:
+            _plant_column_0(patched, unit_graded)
+            report, code = run(RunConfig.from_dict(doc))
+        result = report["results"]["fock"]
+        assert result["expectation_two_routes_agree"] is False
+        assert result["tier"] == "inconclusive" and code == 2
 
 
 def test_run_checks_expectation_once_per_family_word(monkeypatch):
+    # one check over the family, each word once, in member order
     import sgclab.fock as fock_mod
     import sgclab.invsgp as invsgp_mod
     families, calls = [], []
@@ -580,9 +636,9 @@ def test_run_checks_expectation_once_per_family_word(monkeypatch):
         families.append(real_enumerate(*args))
         return families[-1]
 
-    def expectation_recorded(terms):
-        calls.append(terms)
-        return real_expectation(terms)
+    def expectation_recorded(words):
+        calls.append(list(words))
+        return real_expectation(calls[-1])
 
     monkeypatch.setattr(invsgp_mod, "enumerate_vwords", enumerate_recorded)
     monkeypatch.setattr(fock_mod, "cond_expectation", expectation_recorded)
@@ -592,11 +648,11 @@ def test_run_checks_expectation_once_per_family_word(monkeypatch):
     assert report["results"]["fock"]["expectation_two_routes_agree"] is True
     (fam,) = families
     assert len(fam.members) > 1
-    assert ([[(c, id(v)) for c, v, _ in terms] for terms in calls]
-            == [[(1, id(v))] for v in fam.members])
-    # each term carries its word's matrix at the run's truncation
+    (words,) = calls
+    assert [id(v) for v, _ in words] == [id(v) for v in fam.members]
+    # each word carries its matrix at the run's truncation
     n = report["results"]["fock"]["params"]["trunc"]
-    for ((_, v, op),) in calls:
+    for v, op in words:
         assert op.n == n and op.cols == rep_vword(v, n).cols
 
 
@@ -667,38 +723,38 @@ def _flags(frame, width=None):
 def test_frame_unit_set_keeps_everything(all_models):
     for model in all_models:
         n = 5
-        frame = build_frame(model, [model.unit], n)
+        frame = build_frame(model, [model.unit], n, {})
         assert _flags(frame) == (True,) * len(frame.basis)
 
 
 def test_build_frame_validates(f2, num23):
     with pytest.raises(ModelError):
-        build_frame(f2, ["aZ"], 4)
+        build_frame(f2, ["aZ"], 4, {})
     # True would be kept as a frame element beside 1
     with pytest.raises(ModelError):
-        build_frame(num23, [True], 5)
+        build_frame(num23, [True], 5, {})
     # an unreduced word would be a second frame element for e
     with pytest.raises(ModelError):
-        build_frame(f2, ["aA", ""], 3)
+        build_frame(f2, ["aA", ""], 3, {})
 
 
 def test_build_frame_reads_a_generator_once(f2):
     # a one-pass iterable of elements yields the frame its list does
-    listed = build_frame(f2, ["a", "b"], 4)
-    once = build_frame(f2, iter(["a", "b"]), 4)
+    listed = build_frame(f2, ["a", "b"], 4, {})
+    once = build_frame(f2, iter(["a", "b"]), 4, {})
     assert once.f_set == listed.f_set == ("a", "b")
     assert _flags(once) == _flags(listed)
     assert not all(_flags(once))
 
 
 def test_frame_chain_flags(n1):
-    frame = build_frame(n1, [(0,), (1,)], 10)
+    frame = build_frame(n1, [(0,), (1,)], 10, {})
     flags = [r for r, ok in zip(frame.basis, _flags(frame)) if ok]
     assert flags == [(r,) for r in range(1, 11)]
 
 
 def test_frame_f2_single_letter(f2):
-    frame = build_frame(f2, ["a"], 4)
+    frame = build_frame(f2, ["a"], 4, {})
     flags = _flags(frame)
     index = f2.basis(4)[1]
     assert flags[index["b"]]       # disjoint translate: no constraint
@@ -711,7 +767,7 @@ def test_frame_flags_match_oracle(all_models):
         n = 4 if model.family == "free_monoid" else 8
         gens = list(model.generators)
         f_set = [model.unit, gens[0], model.inv(gens[-1])]
-        frame = build_frame(model, f_set, n)
+        frame = build_frame(model, f_set, n, {})
         for j, r in enumerate(frame.basis):
             assert frame.admissible(j) == frame_flag(model, frame.f_set, r)
 
@@ -721,12 +777,12 @@ def test_frame_translation_invariance(all_models):
     for model in all_models:
         n = 5 if model.family == "free_monoid" else 8
         gens = list(model.generators)
-        frame = build_frame(model, [model.unit, gens[0]], n)
+        frame = build_frame(model, [model.unit, gens[0]], n, {})
         flags = _flags(frame)
         index = model.basis(n)[1]
         for p in gens:
             shifted = _flags(build_frame(
-                model, [model.mul(p, g) for g in frame.f_set], n))
+                model, [model.mul(p, g) for g in frame.f_set], n, {}))
             for j, r in enumerate(frame.basis):
                 pr = model.mul(p, r)
                 i = index.get(pr)
@@ -752,9 +808,9 @@ def test_sc_limit_probe_tests_each_frame_element_once(rank, monkeypatch):
     frames, tested = [], []
     real_norm, real_meets = fock_mod.sc_norm, model.meets_p
 
-    def norm_recorded(terms, frame, diagonal):
+    def norm_recorded(frame, diagonal):
         frames.append(frame)
-        return real_norm(terms, frame, diagonal)
+        return real_norm(frame, diagonal)
 
     def meets_counted(g):
         tested.append(g)
@@ -844,9 +900,9 @@ def test_sc_limit_probe_frames_cover_the_band_basis(rank, monkeypatch):
     frames, points, listed = [], [], []
     real_norm, real_mul, real_basis = fock_mod.sc_norm, model.mul, model.basis
 
-    def norm_recorded(terms, frame, diagonal):
+    def norm_recorded(frame, diagonal):
         frames.append(frame)
-        return real_norm(terms, frame, diagonal)
+        return real_norm(frame, diagonal)
 
     def mul_recorded(g_inv, r):
         points.append(r)
@@ -867,24 +923,25 @@ def test_sc_limit_probe_frames_cover_the_band_basis(rank, monkeypatch):
     basis = model.basis(band)[0]
     assert len(frames) == len(chain)
     for frame, enclosure in zip(frames, probe.enclosures):
-        assert frame.n == n and frame.basis == basis
+        assert frame.basis == basis
         flags = _flags(frame)
         assert len(flags) == len(basis)
         assert flags == tuple(frame_flag(model, frame.f_set, r) for r in basis)
-        whole = build_frame(model, frame.f_set, n)
+        whole = build_frame(model, frame.f_set, n, {})
         assert _flags(whole, len(basis)) == flags
-        assert real_norm(terms, whole) == enclosure
+        diagonal = compressed_matrix(terms, model, n)
+        assert real_norm(whole, diagonal) == enclosure
 
 
 def test_sc_limit_probe_reach_beyond_truncation(f2, monkeypatch):
-    # the probe refuses before it flags any frame, with the message the
-    # norm raises on an exhausted band
+    # the probe refuses before it builds any frame, with the message the
+    # diagonal raises on a negative band
     import sgclab.fock as fock_mod
     P = full_ideal(f2)
     deep = left_mul("a", left_mul("a", left_mul("a", left_mul("a", P))))
     terms = [(Fraction(1), idempotent_vword(deep))]   # reach 4 > trunc 3
     with pytest.raises(BandExhausted) as direct:
-        sc_norm(terms, build_frame(f2, ["a"], 3))
+        compressed_matrix(terms, f2, 3)
     monkeypatch.setattr(fock_mod, "build_frame",
                         lambda *args: pytest.fail("a frame was flagged"))
     with pytest.raises(BandExhausted) as probed:
@@ -936,7 +993,7 @@ def test_sc_probe_matches_the_eager_oracle(model_doc, depth, monkeypatch):
 
 def test_compressed_matrix_matches_frame_oracle(f2):
     n = 6
-    frame = build_frame(f2, ["a", "b"], n)
+    frame = build_frame(f2, ["a", "b"], n, {})
     P = full_ideal(f2)
     aP, bP = left_mul("a", P), left_mul("b", P)
     terms = [(Fraction(1), idempotent_vword(P)),
@@ -968,7 +1025,7 @@ def test_compressed_matrix_int_and_fraction_coefficients(all_models):
         terms = list(zip(itertools.cycle(coeffs),
                          [idempotent_vword(x) for x in ideals_]))
         full, band = graded_sum(terms, n)
-        frame = build_frame(model, model.generators, n)
+        frame = build_frame(model, model.generators, n, {})
         values, got_band = compressed_matrix(terms, model, n)
         inside = [j for j, r in enumerate(frame.basis)
                   if model.length(r) <= band]
@@ -989,17 +1046,18 @@ def test_compressed_matrix_int_and_fraction_coefficients(all_models):
                             and frame_pointwise_applies(
                                 model, frame.f_set, v.trace.pairs, r) == r)
             assert d == full.get(j, {}).get(j, 0)
-        lo, hi = sc_norm(terms, frame)
+        lo, hi = sc_norm(frame, (values, got_band))
         assert lo == hi == max(abs(d) for d in diagonal)
+        probe = sc_limit_probe(terms, [model.generators], model, n)
+        assert probe.enclosures == ((lo, hi),)
 
 
 def test_sc_norm_identity(all_models):
     for model in all_models:
-        n = 5
-        frame = build_frame(model, [model.unit], n)
         P = full_ideal(model)
-        lo, hi = sc_norm([(Fraction(1), idempotent_vword(P))], frame)
-        assert lo == hi == 1
+        probe = sc_limit_probe([(Fraction(1), idempotent_vword(P))],
+                               [[model.unit]], model, 5)
+        assert probe.enclosures == ((1, 1),)
 
 
 def test_sc_norm_free_monoid_covariance(f2):
@@ -1008,21 +1066,26 @@ def test_sc_norm_free_monoid_covariance(f2):
     terms = [(Fraction(1), idempotent_vword(P)),
              (Fraction(-1), idempotent_vword(aP)),
              (Fraction(-1), idempotent_vword(bP))]
-    frame = build_frame(f2, ["a", "b"], 7)
-    lo, hi = sc_norm(terms, frame)
-    assert lo == hi == 0
-    bigger = build_frame(f2, ["a", "b", "aa", "ab"], 7)
-    lo, hi = sc_norm(terms, bigger)
-    assert lo == hi == 0
+    for f_set in (["a", "b"], ["a", "b", "aa", "ab"]):
+        probe = sc_limit_probe(terms, [f_set], f2, 7)
+        assert probe.enclosures == ((0, 0),)
 
 
 def test_sc_norm_band_exhausted(f2):
+    # at trunc 4 the band of a^4 P's mask holds only the unit, which the
+    # frame {a} rejects: it meets a*P and escapes it
     P = full_ideal(f2)
     deep = left_mul("a", left_mul("a", left_mul("a", left_mul("a", P))))
-    word = idempotent_vword(deep)   # reach 4 > trunc 3
-    frame = build_frame(f2, ["a"], 3)
+    terms = [(Fraction(1), idempotent_vword(deep))]   # reach 4
+    diagonal = compressed_matrix(terms, f2, 4)
+    assert diagonal == ({}, 0)
     with pytest.raises(BandExhausted):
-        sc_norm([(Fraction(1), word)], frame)
+        sc_norm(build_frame(f2, ["a"], 0, {}), diagonal)
+    with pytest.raises(BandExhausted):
+        sc_limit_probe(terms, [["a"]], f2, 4)
+    # at trunc 3 the band is negative
+    with pytest.raises(BandExhausted):
+        sc_limit_probe(terms, [["a"]], f2, 3)
 
 
 def test_sc_limit_probe_chain(n1):
@@ -1058,20 +1121,17 @@ def test_sc_limit_probe_nonvanishing(f2, family_of):
 def test_generator_covariance_terms(n2, f2):
     terms = generator_covariance_terms(f2)
     assert len(terms) == 4
-    frame = build_frame(f2, ["a", "b"], 7)
-    lo, hi = sc_norm(terms, frame)
-    assert lo == hi == 0
+    assert sc_limit_probe(terms, [["a", "b"]], f2, 7).enclosures == ((0, 0),)
     # in the rank-2 lattice the product form is needed: the plain defect
     # of the two generator masks does not vanish
     P2 = full_ideal(n2)
     plain = [(Fraction(1), idempotent_vword(P2)),
              (Fraction(-1), idempotent_vword(left_mul((1, 0), P2))),
              (Fraction(-1), idempotent_vword(left_mul((0, 1), P2)))]
-    frame2 = build_frame(n2, [(0, 0), (1, 0), (0, 1), (1, 1)], 8)
-    lo, hi = sc_norm(plain, frame2)
-    assert lo == hi == 1
-    lo, hi = sc_norm(generator_covariance_terms(n2), frame2)
-    assert lo == hi == 0
+    frame2 = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert sc_limit_probe(plain, [frame2], n2, 8).enclosures == ((1, 1),)
+    assert sc_limit_probe(generator_covariance_terms(n2), [frame2], n2,
+                          8).enclosures == ((0, 0),)
 
 
 def test_triplet_dump_format(n1):

@@ -186,6 +186,23 @@ def test_numerical_conductor():
     assert NumericalModel([6, 10, 15]).conductor == 30  # Frobenius 29
 
 
+def test_oversized_numerical_generators_are_refused_before_the_sieve(
+        monkeypatch):
+    # Schur's bound for <1001,1002> is 1000 * 1001 + 1002 = 1,002,002
+    # entries, above the limit: refused before a table is allocated
+    assert models.SIEVE_LIMIT == 10 ** 6
+    with pytest.raises(ModelError, match="1002002"):
+        build_model({"family": "numerical", "generators": [1001, 1002]})
+    # a bound at the limit builds, a larger one is refused: <3,5> needs
+    # 2 * 4 + 5 = 13 entries, and its one pass finds the conductor;
+    # <3,6,7> needs 2 * 6 + 7 = 19
+    monkeypatch.setattr(models, "SIEVE_LIMIT", 13)
+    m = NumericalModel([3, 5])
+    assert m.conductor == 8 and len(m._table) == 14
+    with pytest.raises(ModelError, match="19 entries"):
+        NumericalModel([3, 6, 7])
+
+
 def test_meets_p(n2, f2, num23):
     assert n2.meets_p((-5, 3))
     assert num23.meets_p(-7)

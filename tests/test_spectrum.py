@@ -471,6 +471,25 @@ def test_boundary_is_invariant(all_models):
                     assert r.image in res.chars
 
 
+def test_orbit_route_is_the_intersection_of_singleton_closures(all_models):
+    # an intersection of closed sets is closed, so route two is the
+    # intersection itself, and None when it is empty (<4,7,9> at depth 1)
+    num479 = build_model({"family": "numerical", "generators": [4, 7, 9]})
+    contexts = [context_for(model, depth)
+                for model in all_models for depth in (1, 2)]
+    contexts.append(_level(num479, 1)[0])
+    empty = 0
+    for ctx in contexts:
+        closures = [invariant_closure(ctx, [c]).chars
+                    for c in enumerate_characters(ctx.fragment)]
+        inter = frozenset.intersection(*closures)
+        assert boundary(ctx).orbit_route == (inter or None)
+        if inter:
+            assert invariant_closure(ctx, inter).chars == inter
+        empty += not inter
+    assert empty == 1
+
+
 # ---------------------------------------------------------------------------
 # the resolution tower: each depth refines the one below
 
