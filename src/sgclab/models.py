@@ -30,6 +30,7 @@ pure function, so instances may be shared freely across threads.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import string
@@ -462,11 +463,11 @@ def _gcd_all(values):
 class NumericalModel(Model):
     """A numerical semigroup <g1,...,gm> inside Z (gcd of generators 1).
 
-    Membership below the conductor is decided by a sieve; every integer at
-    or above the conductor belongs.  Ideals are stored as a finite sporadic
-    part plus a full integer tail ("num", sporadic_tuple, tail_start).
-    ``_token`` makes every token canonical: the sporadic members lie
-    strictly below the tail, and tail - 1 is never a member.  The subset,
+    Membership is read off the Apery set of the smallest generator; every
+    integer at or above the conductor belongs.  Ideals are stored as a
+    finite sporadic part plus a full integer tail ("num", sporadic_tuple,
+    tail_start).  ``_token`` makes every token canonical: the sporadic
+    members lie strictly below the tail, and tail - 1 is never a member.  The subset,
     cover and intersection kernels rely on it and look only at the
     sporadic parts and the stretches between tails: a token whose tail
     starts below another's holds that other's missing point tail - 1.
@@ -483,30 +484,37 @@ class NumericalModel(Model):
             raise ModelError("numerical generators must have gcd 1 (so the group is Z)")
         self.gens = gens
         self.name = "<" + ",".join(str(g) for g in gens) + ">"
-        self._table, self.conductor = self._sieve(gens)
+        self._apery, self.conductor = self._apery_set(gens)
         self.default_gen_len = max(gens)
 
     @staticmethod
-    def _sieve(gens):
-        """Membership table up to Schur's bound, and the conductor.  The
-        Frobenius number is at most (g0 - 1)(gmax - 1) - 1, so the first
-        run of g0 members, after which every integer belongs, ends inside
-        the table."""
-        g0 = min(gens)
+    def _apery_set(gens):
+        """The Apery set of the smallest generator g0, and the conductor.
+
+        The set holds the least member of each residue class mod g0: the
+        shortest paths from 0 over the residues, an edge r -> r + g of
+        weight g per other generator g.  An integer is a member exactly
+        when it is at least its class's least member.  Sets whose Schur
+        bound exceeds SIEVE_LIMIT are refused, as when membership was
+        sieved up to that bound."""
+        g0 = gens[0]
         bound = max((g0 - 1) * (max(gens) - 1) + max(gens), g0 + 1)
         if bound > SIEVE_LIMIT:
             raise ModelError(f"numerical generators {list(gens)} need a "
                              f"membership sieve of {bound} entries, above "
                              f"the limit {SIEVE_LIMIT}")
-        table = [False] * (bound + 1)
-        table[0] = True
-        for n in range(1, bound + 1):
-            table[n] = any(n >= g and table[n - g] for g in gens)
-        run = 0
-        for n in range(bound + 1):
-            run = run + 1 if table[n] else 0
-            if run >= g0:
-                return table, n - g0 + 1
+        apery = [0] + [math.inf] * (g0 - 1)
+        heap = [(0, 0)]
+        while heap:
+            n, r = heapq.heappop(heap)
+            if n > apery[r]:
+                continue
+            for g in gens[1:]:
+                s = (r + g) % g0
+                if n + g < apery[s]:
+                    apery[s] = n + g
+                    heapq.heappush(heap, (n + g, s))
+        return tuple(apery), max(apery) - g0 + 1
 
     @property
     def unit(self):
@@ -528,11 +536,7 @@ class NumericalModel(Model):
         return -a
 
     def in_p(self, a):
-        if a < 0:
-            return False
-        if a >= self.conductor:
-            return True
-        return self._table[a]
+        return a >= self._apery[a % self.gens[0]]
 
     def length(self, a):
         return abs(a)

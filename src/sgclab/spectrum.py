@@ -26,12 +26,16 @@ INVALID (all below zero); the unit's table too is computed, not assumed.
 An ambiguous or invalid entry keeps its image bits and the mask of the
 positions they settle in a side map keyed ``(g, chi)``, for the freeness
 probe; ``theta_apply`` reads one instance back as a ``ThetaResult``.  The
-composition law is checked on the tables directly.
+composition law is checked on the tables directly, and only for products
+some word carries: any other product's table is OUTSIDE everywhere.
 
-The boundary is computed two independent ways (closure of the maximal
-filters, and the intersection of the closures of all singletons when that
-intersection is itself invariant and non-empty) and the routes are
-cross-checked; a discrepancy is reported, not hidden.
+The boundary is computed two independent ways and the routes are
+cross-checked; a discrepancy is reported, not hidden.  Route one closes the
+maximal filters one ``theta_apply`` at a time.  Route two reads the tables
+once into a successor graph, per character the bitmask of its images, and
+intersects the closures of all singletons, each a bitset breadth-first
+search over that graph; the route degenerates when the intersection is
+empty.
 
 The freeness probe restricts the dynamics to the computed boundary: an
 ambiguous image is resolved only when exactly one boundary character is
@@ -281,7 +285,7 @@ class BoundaryResult:
     maximal_seeds: tuple
     orbit_route: object       # frozenset or None when the route degenerates
     routes_agree: bool
-    events: tuple
+    unresolved_instances: int
 
     def to_json(self, fragment):
         return {
@@ -290,18 +294,23 @@ class BoundaryResult:
             "maximal_seed_count": len(self.maximal_seeds),
             "orbit_route_size": None if self.orbit_route is None else len(self.orbit_route),
             "routes_agree": self.routes_agree,
-            "unresolved_instances": len(self.events),
+            "unresolved_instances": self.unresolved_instances,
         }
 
 
 def boundary(ctx: ThetaContext) -> BoundaryResult:
     """Minimal invariant character set, via two independent computations.
 
-    Route one: the closure of the maximal filters.  Route two: the
-    intersection of the closures of all singletons, None when it is empty;
-    an intersection of sets closed under every defined image is closed
-    too, so it needs no second closure.  The maximal-filter route is
-    primary; ``routes_agree`` records the cross-check.
+    Route one: the closure of the maximal filters, by ``invariant_closure``.
+    Route two: the intersection of the closures of all singletons, None
+    when it is empty, on the successor graph (per character, the bitmask
+    of its images and the count of its ambiguous and invalid entries); an
+    intersection of sets closed under every defined image is closed too,
+    so it needs no second closure.  ``unresolved_instances`` is route one's
+    event count plus, per singleton, the counts of its closure's
+    characters: the events ``invariant_closure`` would report.  The
+    maximal-filter route is primary; ``routes_agree`` records the
+    cross-check.
     """
     up = ctx.fragment.up_masks
     chars = enumerate_characters(ctx.fragment)
@@ -309,17 +318,33 @@ def boundary(ctx: ThetaContext) -> BoundaryResult:
         c for c in chars
         if not any(up[o] != up[c] and (up[c] & up[o]) == up[c] for o in chars))
     route_a = invariant_closure(ctx, maximal)
-    events = list(route_a.events)
+    unresolved = len(route_a.events)
 
-    inter = set(chars)
+    succ, edge = [0] * len(chars), [0] * len(chars)
+    for g in ctx.gradings():
+        for chi, a in enumerate(ctx.table(g)):
+            if a >= 0:
+                succ[chi] |= 1 << a
+            elif a != OUTSIDE:
+                edge[chi] += 1
+    inter = (1 << len(chars)) - 1
     for c in chars:
-        cl = invariant_closure(ctx, [c])
-        events.extend(cl.events)
-        inter &= cl.chars
-    orbit_route = frozenset(inter) if inter else None
+        reach = frontier = 1 << c
+        while frontier:
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                p = low.bit_length() - 1
+                step |= succ[p]
+                unresolved += edge[p]
+                frontier ^= low
+            frontier = step & ~reach
+            reach |= frontier
+        inter &= reach
+    orbit_route = frozenset(c for c in chars if inter >> c & 1) or None
     agree = orbit_route == route_a.chars
     return BoundaryResult(route_a.chars, maximal, orbit_route, agree,
-                          tuple(events))
+                          unresolved)
 
 
 # ---------------------------------------------------------------------------

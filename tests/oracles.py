@@ -19,7 +19,11 @@ rerun eagerly, every point of its band flagged for every frame, and the
 projection identity by multiplying masks, where the package intersects
 their key sets.  The diagonal expectation is summed term by term from word
 matrices and their diagonals copied out, where the package only compares
-each word's grading with its matrix's fixed columns.  Expected values
+each word's grading with its matrix's fixed columns.  Numerical
+membership is sieved entry by entry up to Schur's bound, where the package
+reads the Apery set of the smallest generator, and the boundary's
+unresolved instances are the events of one ``invariant_closure`` per
+seed, where the package searches a successor graph.  Expected values
 frozen into tests were produced by these functions.
 """
 
@@ -30,7 +34,7 @@ from sgclab.fock import (BandExhausted, TruncOp, equal_on_band, mul_op,
 from sgclab.ideals import WordTrace, from_trace
 from sgclab.invsgp import make_vword
 from sgclab.models import EMPTY, ModelError
-from sgclab.spectrum import theta_apply
+from sgclab.spectrum import invariant_closure, theta_apply
 
 
 def brute_trace_members(model, pairs, radius):
@@ -307,6 +311,24 @@ def entrywise_equal_on_band(a, b):
                for j in a.cols.keys() | b.cols.keys() if j < width)
 
 
+def membership_sieve(gens):
+    """Numerical-semigroup membership by a sieve over every integer up to
+    Schur's bound (g0 - 1)(gmax - 1) + gmax, one ``any`` over the
+    generators per entry, and the conductor as the start of the first run
+    of g0 members: ``(table, conductor)``."""
+    g0 = min(gens)
+    bound = max((g0 - 1) * (max(gens) - 1) + max(gens), g0 + 1)
+    table = [False] * (bound + 1)
+    table[0] = True
+    for n in range(1, bound + 1):
+        table[n] = any(n >= g and table[n - g] for g in gens)
+    run = 0
+    for n in range(bound + 1):
+        run = run + 1 if table[n] else 0
+        if run >= g0:
+            return table, n - g0 + 1
+
+
 def scan_subset(model, tok, other):
     """Numerical-token inclusion by testing every member of ``tok`` below
     the larger tail."""
@@ -369,6 +391,20 @@ def theta_law_counts(ctx):
                 else:
                     ambiguous += 1
     return checked, failures, ambiguous
+
+
+def boundary_event_count(ctx):
+    """The boundary's ``unresolved_instances`` from ``invariant_closure``
+    alone: the events of the maximal filters' closure plus those of every
+    singleton's closure."""
+    frag = ctx.fragment
+    up = frag.up_masks
+    chars = range(frag.size())
+    maximal = [c for c in chars
+               if not any(up[o] != up[c] and up[c] & up[o] == up[c]
+                          for o in chars)]
+    return (len(invariant_closure(ctx, maximal).events)
+            + sum(len(invariant_closure(ctx, [c]).events) for c in chars))
 
 
 def exhaustive_vwords(model, max_trace_len, gen_len=None, cap=200):

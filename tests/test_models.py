@@ -1,11 +1,12 @@
 import functools
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (divide, left_mul, preimage, scan_intersect, scan_subset,
-                     scan_union_covers)
+from oracles import (divide, left_mul, membership_sieve, preimage,
+                     scan_intersect, scan_subset, scan_union_covers)
 from sgclab import models
 from sgclab.ideals import WordTrace, enumerate_ideals, full_ideal
 from sgclab.invsgp import enumerate_vwords
@@ -186,6 +187,32 @@ def test_numerical_conductor():
     assert NumericalModel([6, 10, 15]).conductor == 30  # Frobenius 29
 
 
+@pytest.mark.parametrize("gens", [
+    [1], [2, 3], [3, 5], [3, 5, 7], [4, 7, 9], [5, 7], [6, 10, 15],
+    [7, 11, 13, 17], [10, 11, 12, 13, 14, 15, 16, 17, 18, 19], [999, 1000],
+], ids=lambda gens: "<" + ",".join(map(str, gens)) + ">")
+def test_apery_membership_matches_the_sieve(gens):
+    # membership and conductor read off the Apery set agree with a sieve
+    # over every entry up to Schur's bound, and past it every integer
+    # belongs
+    table, conductor = membership_sieve(gens)
+    m = NumericalModel(gens)
+    assert m.conductor == conductor
+    assert [m.in_p(n) for n in range(len(table))] == table
+    assert not any(m.in_p(n) for n in range(-2 * max(gens), 0))
+    assert all(m.in_p(n) for n in range(len(table), len(table) + 3 * max(gens)))
+
+
+def test_large_numerical_model_builds_fast():
+    # <999,1000> has conductor 999 * 1000 - 999 - 1000 + 1 = 997,002; the
+    # Apery set finds it over 999 residues, not a 998,002-entry sieve
+    started = time.perf_counter()
+    m = NumericalModel([999, 1000])
+    assert time.perf_counter() - started < 0.1
+    assert m.conductor == 997002
+    assert m.in_p(997002) and not m.in_p(997001) and m.in_p(999 * 1000)
+
+
 def test_oversized_numerical_generators_are_refused_before_the_sieve(
         monkeypatch):
     # Schur's bound for <1001,1002> is 1000 * 1001 + 1002 = 1,002,002
@@ -194,11 +221,11 @@ def test_oversized_numerical_generators_are_refused_before_the_sieve(
     with pytest.raises(ModelError, match="1002002"):
         build_model({"family": "numerical", "generators": [1001, 1002]})
     # a bound at the limit builds, a larger one is refused: <3,5> needs
-    # 2 * 4 + 5 = 13 entries, and its one pass finds the conductor;
+    # 2 * 4 + 5 = 13 entries, and its Apery set finds the conductor;
     # <3,6,7> needs 2 * 6 + 7 = 19
     monkeypatch.setattr(models, "SIEVE_LIMIT", 13)
     m = NumericalModel([3, 5])
-    assert m.conductor == 8 and len(m._table) == 14
+    assert m.conductor == 8 and m._apery == (0, 10, 5)
     with pytest.raises(ModelError, match="19 entries"):
         NumericalModel([3, 6, 7])
 

@@ -2,8 +2,9 @@ import collections
 
 import pytest
 
-from oracles import (brute_filters, brute_trace_members, principal_character,
-                     restrict, theta_law_counts, uncached_walk)
+from oracles import (boundary_event_count, brute_filters, brute_trace_members,
+                     principal_character, restrict, theta_law_counts,
+                     uncached_walk)
 from sgclab import cli
 from sgclab.ideals import WordTrace, enumerate_ideals, from_trace
 from sgclab.invsgp import enumerate_vwords
@@ -372,16 +373,29 @@ def _law_counts(model, lattice, family):
 
 def test_table_law_counts_match_per_instance_oracle(all_models, lattice_of,
                                                     family_of):
+    # the fixture models, <3,5,7>, and at the run's default caps F3+ and
+    # <4,7,9>, all at depth 2; some products are carried by no word, so
+    # the branch that counts them without a loop meets the oracle too
     num357 = build_model({"family": "numerical", "generators": [3, 5, 7]})
     cases = [(m, lattice_of(m, depth=2), family_of(m, depth=2))
              for m in all_models]
     cases.append((num357, enumerate_ideals(num357, 2, 7, 50),
                   enumerate_vwords(num357, 2, 7, 50)))
+    for config in ({"family": "free_monoid", "rank": 3},
+                   {"family": "numerical", "generators": [4, 7, 9]}):
+        ctx, _ = _level(build_model(config), 2)
+        cases.append((ctx.model, ctx.fragment.lattice, ctx.family))
+    uncarried = 0
     for model, lat, fam in cases:
         counts, ctx = _law_counts(model, lat, fam)
         assert counts == theta_law_counts(ctx), model.name
         assert counts[0] > 0
-    assert counts == (8289, 0, 14979)
+        if model is num357:
+            assert counts == (8289, 0, 14979)
+        gradings = ctx.gradings()
+        uncarried += sum(model.mul(g1, g2) not in fam.by_grading
+                         for g1 in gradings for g2 in gradings)
+    assert uncarried
 
 
 def test_planted_table_entry_fails_both_law_checks(monkeypatch, num23,
@@ -487,6 +501,24 @@ def test_orbit_route_is_the_intersection_of_singleton_closures(all_models):
         if inter:
             assert invariant_closure(ctx, inter).chars == inter
         empty += not inter
+    assert empty == 1
+
+
+def test_unresolved_instances_match_the_closure_events(all_models):
+    # route two's successor-graph count equals the events of one
+    # invariant_closure per seed, with the intersection of the singleton
+    # closures empty (<4,7,9> at depth 1) or not
+    num479 = build_model({"family": "numerical", "generators": [4, 7, 9]})
+    contexts = [context_for(model, depth)
+                for model in all_models for depth in (1, 2)]
+    contexts += [num357_context(), _level(num479, 1)[0],
+                 _level(num479, 2)[0]]
+    empty = 0
+    for ctx in contexts:
+        res = boundary(ctx)
+        assert res.unresolved_instances == boundary_event_count(ctx), \
+            ctx.model.name
+        empty += res.orbit_route is None
     assert empty == 1
 
 
