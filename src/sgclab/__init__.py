@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .models import build_model, FreeAbelianModel, FreeMonoidModel, NumericalModel
 from .ideals import (WordTrace, ConstructibleIdeal, IdealLattice,
-                     from_trace, full_ideal, empty_ideal, intersect, ideal_eq,
+                     from_trace, full_ideal, empty_ideal, intersect,
                      enumerate_ideals, independence_test,
                      independence_rank_oracle, ore_test)
 from .invsgp import (VWord, make_vword, compose, star, vword_eq,

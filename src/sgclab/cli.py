@@ -266,9 +266,10 @@ def _an_boundary(model, caps, rng, store):
     store["boundary"] = res
     frag = store["fragment"]
     support = functools.cache(lambda chi: list(frag.support(chi)))
+    gradings = ctx.gradings()
     edges = []
     for chi in sorted(res.chars, key=frag.up_masks.__getitem__):
-        for g in ctx.gradings():
+        for g in gradings:
             out = spectrum.theta_apply(ctx, g, chi)
             if out.status == "image":
                 edges.append([support(chi), model.render(g),

@@ -101,8 +101,7 @@ def rep_vword(v, n) -> TruncOp:
     domain's members of length <= n paired in order with the range's, as
     the zip of the two sides' cached basis positions."""
     model = v.model
-    cols = dict(zip(model.positions(v.dom.exact, n),
-                    model.positions(v.ran.exact, n)))
+    cols = dict(zip(model.positions(v.dom, n), model.positions(v.ran, n)))
     reach = word_reach(v)
     if reach > n:
         raise BandExhausted(f"word reach {reach} exceeds truncation {n}")
@@ -245,7 +244,7 @@ def compressed_matrix(terms, model, n):
     band = n - max((word_reach(v) for _, v in terms), default=0)
     if band < 0:
         raise BandExhausted("no admissible basis points inside the guard band")
-    weighted = [(Fraction(c), model.positions(v.dom.exact, band))
+    weighted = [(Fraction(c), model.positions(v.dom, band))
                 for c, v in terms if not v.is_zero]
     den = math.lcm(*(c.denominator for c, _ in weighted))
     sums = {}
@@ -337,8 +336,7 @@ def sc_limit_probe(terms, f_chain, model, n) -> ScProbeReport:
 def default_f_chain(model, gradings, depth):
     """Balls of increasing radius in the group, intersected with the
     realized gradings (plus the unit); a cofinal, reproducible choice."""
-    pool = sorted(set(gradings) | {model.unit},
-                  key=lambda g: (model.length(g), g))
+    pool = sorted(set(gradings) | {model.unit}, key=model.sort_key)
     return [tuple(g for g in pool if model.length(g) <= rho)
             for rho in range(depth + 1)]
 

@@ -71,7 +71,9 @@ class WordTrace:
 class ConstructibleIdeal:
     """A right ideal: its canonical exact token ``exact``, with the trace
     that built it as provenance (``trace is None`` marks the canonical
-    empty ideal)."""
+    empty ideal).  The token alone decides the ideal, and a word carries
+    only its sides' tokens: an ideal object is built for the lattice's
+    nodes and where a report renders a word's sides."""
 
     __slots__ = ("model", "trace", "exact")
 
@@ -153,12 +155,6 @@ def from_trace(model, trace) -> ConstructibleIdeal:
                               walk(model, trace.pairs, model.exact_full()))
 
 
-def _extend(x: ConstructibleIdeal, pair) -> ConstructibleIdeal:
-    """The ideal of the trace ``pair + trace(x)``: one step on x's token."""
-    return ConstructibleIdeal(x.model, WordTrace((pair,) + x.trace.pairs),
-                              walk(x.model, (pair,), x.exact))
-
-
 def intersect(x: ConstructibleIdeal, y: ConstructibleIdeal) -> ConstructibleIdeal:
     """x n y, the canonical empty ideal when disjoint; the provenance trace
     is trace(y) + trace(y)* + trace(x)."""
@@ -169,13 +165,6 @@ def intersect(x: ConstructibleIdeal, y: ConstructibleIdeal) -> ConstructibleIdea
         return empty_ideal(x.model)
     pairs = y.trace.pairs + y.trace.star().pairs + x.trace.pairs
     return ConstructibleIdeal(x.model, WordTrace(pairs), tok)
-
-
-def ideal_eq(x: ConstructibleIdeal, y: ConstructibleIdeal) -> bool:
-    """Equality of ideals: exact tokens are canonical."""
-    if x.model is not y.model:
-        raise ModelError("ideal_eq expects ideals over the same model")
-    return x.exact == y.exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +231,9 @@ def enumerate_ideals(model, max_trace_len, gen_len, radius,
     """Breadth-first enumeration of ideals reachable by traces of at most
     ``max_trace_len`` pairs over submonoid elements of length <= gen_len,
     deduplicated and closed under intersection, with containment read off
-    the intersection table."""
+    the intersection table.  The search walks each pair one step on a
+    frontier ideal's token and builds the trace and ideal only for a token
+    it has not seen."""
     cand = model.enumerate_p(gen_len)
     pairs = [(p, q) for p in cand for q in cand]
 
@@ -268,10 +259,11 @@ def enumerate_ideals(model, max_trace_len, gen_len, radius,
         for idx in frontier:
             base = ideals[idx]
             for pq in pairs:
-                before = len(ideals)
-                got = add(_extend(base, pq), depth)
-                if got == before:
-                    fresh.append(got)
+                tok = walk(model, (pq,), base.exact)
+                if tok not in keys:
+                    trace = WordTrace((pq,) + base.trace.pairs)
+                    fresh.append(add(ConstructibleIdeal(model, trace, tok),
+                                     depth))
         frontier = fresh
         if not frontier:
             break
@@ -322,10 +314,10 @@ def independence_test(lattice: IdealLattice) -> IndependenceResult:
     """Search for an ideal equal to a finite union of strictly smaller
     lattice members, decided exactly on the tokens."""
     model = lattice.model
-    for i in lattice.nonempty_indices():
+    nonempty = lattice.nonempty_indices()
+    for i in nonempty:
         x = lattice.ideals[i]
-        proper = [j for j in lattice.nonempty_indices()
-                  if j != i and lattice.up[j] >> i & 1]
+        proper = [j for j in nonempty if j != i and lattice.up[j] >> i & 1]
         if not proper:
             continue
         toks = [lattice.ideals[j].exact for j in proper]

@@ -5,13 +5,15 @@ applying, right to left, multiplication by q_i and division by p_i; the
 composite is the partial bijection x -> g * x where g is the grading
 p1^-1 q1 ... pn^-1 qn, defined on the domain ideal and landing in the range
 ideal.  The range ideal is the ideal the trace denotes; the domain ideal is
-the ideal of the starred trace.  A word keeps its grading and its domain
-and range ideals; ``fock.rep_vword`` builds its matrix by zipping the
-cached basis positions of the domain's members with those of the range's
-(``Model.positions``), and tests no point for membership.  Nonzero words are
-determined by the pair (grading, domain ideal): on a common nonempty
-domain the actions x -> g1*x and x -> g2*x agree only for g1 == g2,
-because the ambient group cancels.
+the ideal of the starred trace.  A word keeps its grading and the exact
+tokens of its domain and range ideals; it wraps a side in a
+``ConstructibleIdeal`` only where ``render`` writes it into a report.
+``fock.rep_vword`` builds its matrix by zipping the cached basis positions
+of the domain's members with those of the range's (``Model.positions``),
+and tests no point for membership.  Nonzero words are determined by the
+pair (grading, domain token): on a common nonempty domain the actions
+x -> g1*x and x -> g2*x agree only for g1 == g2, because the ambient group
+cancels.
 
 Composites are computed on ideal tokens, not on traces: the domain of v*w
 is w's pullback of dom v and its range is v's image of ran w, each one
@@ -38,8 +40,8 @@ class VWord:
     model: object
     trace: object           # WordTrace, or None for the canonical zero
     grading: object          # group element; None on the zero word
-    dom: ConstructibleIdeal
-    ran: ConstructibleIdeal
+    dom: object              # domain token: walk of the starred trace
+    ran: object              # range token: walk of the trace
 
     @property
     def is_zero(self):
@@ -47,26 +49,29 @@ class VWord:
 
     def is_idempotent(self):
         return self.is_zero or (self.grading == self.model.unit
-                                and ideals_mod.ideal_eq(self.dom, self.ran))
+                                and self.dom == self.ran)
 
     def dedup_key(self):
         if self.is_zero:
             return ("zero",)
-        return (self.grading, self.dom.exact)
+        return (self.grading, self.dom)
 
     def render(self, radius):
+        """Report form; a side renders as the ideal of its trace (the
+        starred trace for the domain), the canonical empty ideal on zero."""
+        model, trace = self.model, self.trace
+        dom_trace = None if trace is None else trace.star()
         return {
             "zero": self.is_zero,
-            "trace": None if self.trace is None else self.trace.render(self.model),
-            "grading": None if self.is_zero else self.model.render(self.grading),
-            "dom": self.dom.render(radius),
-            "ran": self.ran.render(radius),
+            "trace": None if trace is None else trace.render(model),
+            "grading": None if self.is_zero else model.render(self.grading),
+            "dom": ConstructibleIdeal(model, dom_trace, self.dom).render(radius),
+            "ran": ConstructibleIdeal(model, trace, self.ran).render(radius),
         }
 
 
 def zero_vword(model) -> VWord:
-    empty = ideals_mod.empty_ideal(model)
-    return VWord(model, None, None, empty, empty)
+    return VWord(model, None, None, EMPTY, EMPTY)
 
 
 def _word(model, trace, grading, dom, ran) -> VWord:
@@ -74,9 +79,7 @@ def _word(model, trace, grading, dom, ran) -> VWord:
     word when they are empty."""
     if dom == EMPTY or ran == EMPTY:
         return zero_vword(model)
-    return VWord(model, trace, grading,
-                 ConstructibleIdeal(model, trace.star(), dom),
-                 ConstructibleIdeal(model, trace, ran))
+    return VWord(model, trace, grading, dom, ran)
 
 
 def make_vword(model, trace) -> VWord:
@@ -100,8 +103,8 @@ def compose(v: VWord, w: VWord) -> VWord:
         return zero_vword(model)
     return _word(model, WordTrace(v.trace.pairs + w.trace.pairs),
                  model.mul(v.grading, w.grading),
-                 walk(model, w.trace.star().pairs, v.dom.exact),
-                 walk(model, v.trace.pairs, w.ran.exact))
+                 walk(model, w.trace.star().pairs, v.dom),
+                 walk(model, v.trace.pairs, w.ran))
 
 
 def star(v: VWord) -> VWord:
@@ -113,7 +116,7 @@ def star(v: VWord) -> VWord:
 
 def vword_eq(v: VWord, w: VWord) -> bool:
     """Equality of the realized partial bijections: ``dedup_key`` encodes
-    zero and, for nonzero words, (grading, domain ideal)."""
+    zero and, for nonzero words, (grading, domain token)."""
     if v.model is not w.model:
         raise ModelError("vword_eq expects words over the same model")
     return v.dedup_key() == w.dedup_key()

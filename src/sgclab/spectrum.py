@@ -92,8 +92,10 @@ class Fragment:
         k = lat.intersect_table[(self.positions[i], self.positions[j])]
         return self.pos_of_token.get(lat.ideals[k].exact, -1)
 
-    def position_of_ideal(self, ideal):
-        return self.pos_of_token.get(ideal.exact)
+    def position_of_ideal(self, tok):
+        """Position of the ideal of token ``tok``, None if it is not a
+        fragment ideal."""
+        return self.pos_of_token.get(tok)
 
     def sub_frontier_positions(self):
         frontier = max(self.depths) if self.depths else 0

@@ -23,10 +23,14 @@ each word's grading with its matrix's fixed columns.  Numerical
 membership is sieved entry by entry up to Schur's bound, where the package
 reads the Apery set of the smallest generator, and the boundary's
 unresolved instances are the events of one ``invariant_closure`` per
-seed, where the package searches a successor graph.  Expected values
-frozen into tests were produced by these functions.
+seed, where the package searches a successor graph.  The three models of
+N (numerical <1>, free_abelian and free_monoid of rank 1) share no token
+code, so ``normalized_n_body`` reads their reports in one rendering, for a
+test that they agree.  Expected values frozen into tests were produced by
+these functions.
 """
 
+import json
 from fractions import Fraction
 
 from sgclab.fock import (BandExhausted, TruncOp, equal_on_band, mul_op,
@@ -237,15 +241,16 @@ def product_projection_identity(lattice, n):
 
 
 def basis_scan_columns(model, grading, dom, n):
-    """Columns of the partial shift s -> grading*s on dom, by scanning the
-    whole length-<= n basis: column j holds {index[g*s]: 1} iff
-    contains(dom, s) and g*s lies inside the truncation, else {}."""
+    """Columns of the partial shift s -> grading*s on the ideal of the
+    domain token ``dom``, by scanning the whole length-<= n basis: column j
+    holds {index[g*s]: 1} iff contains(model, dom, s) and g*s lies inside
+    the truncation, else {}."""
     basis = model.enumerate_p(n)
     index = {s: k for k, s in enumerate(basis)}
     cols = []
     for s in basis:
         col = {}
-        if contains(dom, s):
+        if contains(model, dom, s):
             t = model.mul(grading, s)
             if t in index:
                 col[index[t]] = 1
@@ -482,14 +487,77 @@ def divide(model, p, y):
 # Token readings: the package lists an ideal's members and never tests one
 # point for membership, so these tests do it here.
 
-def contains(x, a):
-    """Whether the ideal x holds the element a, read off its exact token.
+def contains(model, tok, a):
+    """Whether the ideal of the exact token ``tok`` holds the element a.
     A free-monoid token names the common prefix of its members; the other
     families decide membership with the kernel their token calculus uses,
     ``exact_contains``."""
-    model, tok = x.model, x.exact
     if tok == EMPTY:
         return False
     if model.family == "free_monoid":
         return model.in_p(a) and a.startswith(tok[1])
     return model.exact_contains(tok, a)
+
+
+def ideal_eq(x, y):
+    """Equality of ideals: exact tokens are canonical."""
+    if x.model is not y.model:
+        raise ModelError("ideal_eq expects ideals over the same model")
+    return x.exact == y.exact
+
+
+# ---------------------------------------------------------------------------
+# One monoid, three kernels: N inside Z is numerical <1>, free_abelian rank 1
+# and free_monoid rank 1, each with its own tokens and exact_* kernels.
+
+# where a report holds elements: key -> how deep in lists they sit
+_ELEMENT_DEPTHS = {"grading": 0, "gradings": 1, "members_prefix": 1,
+                   "pair": 1, "trace": 2, "frames": 2}
+
+
+def _n_element(x):
+    """An element of Z as an int, from any of its three renderings: n,
+    [n], or a^n, with A^n read as -n and the unit "" as 0."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, list) and len(x) == 1:
+        return _n_element(x[0])
+    if isinstance(x, str) and x == "a" * len(x):
+        return len(x)
+    if isinstance(x, str) and x == "A" * len(x):
+        return -len(x)
+    raise ValueError(f"not a rendered element of Z: {x!r}")
+
+
+def normalized_n_body(body):
+    """The stable body (JSON text) of a run on a model of N, with every
+    element mapped by ``_n_element``, every token string (``exact``) and
+    model config (``model``) blanked; caps and counts (``params``) are
+    kept as they are.  Returns JSON text."""
+    def elements(x, depth):
+        if x is None:
+            return None
+        if depth == 0:
+            return _n_element(x)
+        return [elements(y, depth - 1) for y in x]
+
+    def walk(o):
+        if isinstance(o, list):
+            return [walk(v) for v in o]
+        if not isinstance(o, dict):
+            return o
+        out = {}
+        for k, v in o.items():
+            if k in ("exact", "model"):
+                out[k] = ""
+            elif k == "params":
+                out[k] = v
+            elif k in _ELEMENT_DEPTHS:
+                out[k] = elements(v, _ELEMENT_DEPTHS[k])
+            elif k == "orbit_edges":
+                out[k] = [[src, _n_element(g), dst] for src, g, dst in v]
+            else:
+                out[k] = walk(v)
+        return out
+
+    return json.dumps(walk(json.loads(body)), sort_keys=True, indent=1)

@@ -17,9 +17,9 @@ from sgclab.cli import ANALYSES, RunConfig, run, stable_body
 from sgclab.fock import (check_projection_identity, cond_expectation,
                          equal_on_band, mul_op, projection_op, rep_vword,
                          sc_limit_probe, word_reach)
-from sgclab.ideals import (enumerate_ideals, full_ideal,
+from sgclab.ideals import (enumerate_ideals, from_trace, full_ideal,
                            independence_rank_oracle, independence_test,
-                           intersect, ore_test, ideal_eq)
+                           intersect, ore_test)
 from sgclab.invsgp import (compose, enumerate_vwords, idempotent_vword,
                            make_vword, star, vword_eq)
 from sgclab.spectrum import (Fragment, ThetaContext, boundary,
@@ -135,7 +135,8 @@ def test_criterion_4_inverse_semigroup_laws(all_models):
                 assert vw.grading == model.mul(v.grading, w.grading)
         for v in fam.members:
             if v.grading == unit:
-                assert vword_eq(v, idempotent_vword(v.dom)) is True
+                dom = from_trace(model, v.trace.star())
+                assert vword_eq(v, idempotent_vword(dom)) is True
         for idx, dup in exhaustive_vwords(model, 2, fam.params["gen_len"])[3]:
             v = fam.members[idx]
             w = make_vword(model, dup)

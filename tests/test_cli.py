@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import normalized_n_body
 from sgclab import cli, invsgp, spectrum
 from sgclab.cli import (ANALYSES, ConfigError, RunConfig, explain, main,
                         report_to_json, run, stable_body)
@@ -428,6 +429,27 @@ def test_stable_body_matches_golden_hash(config, digest):
     # writes
     assert report_to_json(report) == \
         json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+# N inside Z through three kernels that share no token code
+N_MODELS = ({"family": "numerical", "generators": [1]},
+            {"family": "free_abelian", "rank": 1},
+            {"family": "free_monoid", "rank": 1})
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_three_kernels_of_n_give_one_report(depth):
+    # every analysis, with the caps each model reads pinned alike; the
+    # reports agree once elements are ints and tokens are blanked
+    got = []
+    for model in N_MODELS:
+        doc = {"model": model, "seed": 0,
+               "caps": {"trace_depth": depth, "radius": 8, "trunc": 8,
+                        "gen_len": 2}}
+        report, code = run(RunConfig.from_dict(doc))
+        got.append((code, normalized_n_body(stable_body(report))))
+    assert got[1] == got[0]
+    assert got[2] == got[0]
 
 
 @pytest.mark.parametrize(

@@ -152,8 +152,9 @@ def test_member_driven_columns_match_basis_scan(all_models, family_of):
         truncs = (4, 6) if model.family == "free_monoid" else (6, 10)
         for n in truncs:
             for v in family_of(model).members:
-                for ideal in (v.dom, v.ran):
-                    want = basis_scan_columns(model, model.unit, ideal, n)
+                for ideal in (from_trace(model, v.trace.star()),
+                              from_trace(model, v.trace)):
+                    want = basis_scan_columns(model, model.unit, ideal.exact, n)
                     assert projection_op(ideal, n).cols == _nonzero(want)
                 if word_reach(v) > n:
                     with pytest.raises(BandExhausted):
@@ -164,7 +165,7 @@ def test_member_driven_columns_match_basis_scan(all_models, family_of):
                 # domain members whose image lies beyond length n
                 leaves_basis += sum(
                     1 for j, s in enumerate(model.enumerate_p(n))
-                    if contains(v.dom, s) and not want[j])
+                    if contains(model, v.dom, s) and not want[j])
     assert leaves_basis > 0
 
 
@@ -220,7 +221,7 @@ def test_rep_vword_multiplies_no_element(all_models, family_of, monkeypatch):
                 fresh = build_model(model.config())
                 v = make_vword(fresh, w.trace)
                 del calls[:]
-                for tok in dict.fromkeys((v.dom.exact, v.ran.exact)):
+                for tok in dict.fromkeys((v.dom, v.ran)):
                     fresh.exact_members_upto(tok, n)
                 listed = calls[:]
                 del calls[:]
@@ -259,7 +260,7 @@ def test_rep_vstarv_is_domain_mask(n1):
     v = make_vword(n1, WordTrace((((2,), (3,)),)))
     vv = compose(star(v), v)
     op = rep_vword(vv, 8)
-    want = projection_op(vv.dom, 8)
+    want = projection_op(from_trace(n1, vv.trace.star()), 8)
     assert equal_on_band(op, want)
     ideal = from_trace(n1, WordTrace((((3,), (2,)),)))
     assert equal_on_band(op, projection_op(ideal, 8))
@@ -302,7 +303,8 @@ def test_idempotent_rep_is_diagonal_mask(all_models, family_of):
                 continue
             op = rep_vword(v, n)
             assert all(i == j for j, i in op.cols.items())
-            assert equal_on_band(op, projection_op(v.dom, n))
+            dom = from_trace(model, v.trace.star())
+            assert equal_on_band(op, projection_op(dom, n))
 
 
 def test_band_algebra():

@@ -4,14 +4,14 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (brute_trace_members, gauss_rank, left_mul, preimage,
-                     uncached_walk)
+from oracles import (brute_trace_members, gauss_rank, ideal_eq, left_mul,
+                     preimage, uncached_walk)
 from sgclab import ideals as ideals_mod
 from sgclab.exactla import bareiss_rank
-from sgclab.ideals import (CapExceeded, WordTrace, empty_ideal,
-                           enumerate_ideals, from_trace, full_ideal, ideal_eq,
-                           independence_rank_oracle, independence_test,
-                           intersect, ore_test, walk)
+from sgclab.ideals import (CapExceeded, ConstructibleIdeal, WordTrace,
+                           empty_ideal, enumerate_ideals, from_trace,
+                           full_ideal, independence_rank_oracle,
+                           independence_test, intersect, ore_test, walk)
 from sgclab.models import EMPTY, build_model
 
 
@@ -219,11 +219,18 @@ def test_ideal_eq_undecided_contract(num23):
     assert ideal_eq(x, P) is True
 
 
+def _word_domains(model, family):
+    """The domains of the family's words as their report renders them: the
+    domain token with the starred trace."""
+    return [ConstructibleIdeal(model, v.trace.star(), v.dom)
+            for v in family.members]
+
+
 def test_members_upto_in_sort_key_order(all_models, lattice_of, family_of):
     # render's members prefix relies on this order
     for model in all_models:
         ideals = (list(lattice_of(model).ideals)
-                  + [v.dom for v in family_of(model).members])
+                  + _word_domains(model, family_of(model)))
         for radius in (0, 3, model.default_radius):
             for ideal in ideals:
                 keys = [model.sort_key(a) for a in ideal.members_upto(radius)]
@@ -240,7 +247,7 @@ def test_members_prefix_is_the_head_of_the_full_listing(all_models, lattice_of,
                                                          family_of):
     for model in all_models:
         lat = lattice_of(model)
-        ideals = list(lat.ideals) + [v.dom for v in family_of(model).members]
+        ideals = list(lat.ideals) + _word_domains(model, family_of(model))
         for radius in (0, 3, lat.radius):
             for limit in (0, 1, 20, 10 ** 6):
                 for ideal in ideals:
@@ -327,6 +334,35 @@ def test_closure_meets_each_pair_once(all_models, monkeypatch):
         assert len(calls) == n * (n + 1) // 2, model.name
         assert sorted((index[id(x)], index[id(y)]) for x, y in calls) == [
             (i, j) for i in range(n) for j in range(i, n)], model.name
+
+
+def test_search_wraps_only_new_tokens(monkeypatch):
+    # the breadth-first search walks each extension on its base's token and
+    # wraps it in a ConstructibleIdeal only when the token is new: one
+    # construction per node the seeds and the search add, none for an
+    # extension that lands on a known token
+    model = build_model({"family": "free_monoid", "rank": 2})
+    built, met = [], []
+    real_init, real_intersect = ConstructibleIdeal.__init__, ideals_mod.intersect
+
+    def spy_init(self, *args):
+        if not met or met[-1] is not None:
+            built.append(self)
+        real_init(self, *args)
+
+    def spy_intersect(x, y):
+        met.append(None)
+        z = real_intersect(x, y)
+        met[-1] = z
+        return z
+
+    monkeypatch.setattr(ConstructibleIdeal, "__init__", spy_init)
+    monkeypatch.setattr(ideals_mod, "intersect", spy_intersect)
+    lat = enumerate_ideals(model, 6, 1, 6)
+    meets = {id(z) for z in met}
+    searched = [x for x in lat.ideals if id(x) not in meets]
+    assert [id(x) for x in built] == [id(x) for x in searched]
+    assert len(built) == 128
 
 
 def test_enumeration_cap(n1):

@@ -2,15 +2,15 @@ import itertools
 
 import pytest
 
-from oracles import (contains, exhaustive_vwords, left_mul,
-                     pointwise_word_apply)
+from oracles import (contains, exhaustive_vwords, ideal_eq, left_mul,
+                     pointwise_word_apply, uncached_walk)
 from sgclab import invsgp
 from sgclab.fock import rep_vword, word_reach
 from sgclab.ideals import (CapExceeded, WordTrace, from_trace, full_ideal,
-                           ideal_eq, intersect)
+                           intersect)
 from sgclab.invsgp import (compose, enumerate_vwords, idempotent_vword,
                            make_vword, semilattice, star, vword_eq, zero_vword)
-from sgclab.models import ModelError, build_model
+from sgclab.models import EMPTY, ModelError, build_model
 
 
 def test_make_vword_shift(all_models):
@@ -18,8 +18,8 @@ def test_make_vword_shift(all_models):
         p = model.generators[0]
         v = make_vword(model, WordTrace(((model.unit, p),)))
         assert v.grading == p
-        assert ideal_eq(v.dom, full_ideal(model)) is True
-        assert ideal_eq(v.ran, left_mul(p, full_ideal(model))) is True
+        assert v.dom == full_ideal(model).exact
+        assert v.ran == left_mul(p, full_ideal(model)).exact
 
 
 def test_make_vword_isometry_relation(all_models):
@@ -28,8 +28,8 @@ def test_make_vword_isometry_relation(all_models):
         p = model.generators[-1]
         v = make_vword(model, WordTrace(((p, p),)))
         assert v.grading == model.unit
-        assert ideal_eq(v.dom, full_ideal(model)) is True
-        assert ideal_eq(v.ran, full_ideal(model)) is True
+        assert v.dom == full_ideal(model).exact
+        assert v.ran == full_ideal(model).exact
 
 
 def test_make_vword_validates_raw_pairs(f2):
@@ -69,11 +69,27 @@ def test_star_swaps_dom_ran(f2):
     va = make_vword(f2, WordTrace((("", "a"),)))
     sa = star(va)
     assert sa.grading == "A"
-    assert ideal_eq(sa.dom, va.ran) is True
-    assert ideal_eq(sa.ran, va.dom) is True
+    assert sa.dom == va.ran
+    assert sa.ran == va.dom
     assert vword_eq(star(sa), va) is True
-    e = idempotent_vword(va.ran)
+    e = idempotent_vword(from_trace(f2, va.trace))
     assert vword_eq(star(e), e) is True
+
+
+def test_word_sides_are_walk_tokens(all_models, family_of):
+    # a word's sides are exact tokens, not ideal objects: the domain is the
+    # walk of the starred trace from P, the range the walk of the trace
+    for model in all_models:
+        fam = family_of(model)
+        full = model.exact_full()
+        for v in fam.members:
+            assert v.dom == uncached_walk(model, v.trace.star().pairs, full)
+            assert v.ran == uncached_walk(model, v.trace.pairs, full)
+            s = star(v)
+            assert (s.dom, s.ran) == (v.ran, v.dom)
+        for z in (zero_vword(model), fam.zero):
+            if z is not None:
+                assert (z.dom, z.ran) == (EMPTY, EMPTY)
 
 
 def test_star_reverses_pairs(n1):
@@ -132,7 +148,7 @@ def test_dom_is_pointwise_domain(all_models, family_of):
         for v in fam.members:
             for x in sample:
                 applies = pointwise_word_apply(model, v.trace.pairs, x) is not None
-                assert contains(v.dom, x) == applies
+                assert contains(model, v.dom, x) == applies
 
 
 def test_inverse_semigroup_laws(all_models, family_of):
@@ -159,11 +175,10 @@ def test_compose_matches_concatenated_trace(all_models, family_of):
                 if want.is_zero:
                     continue
                 assert got.grading == want.grading
-                assert got.dom.exact == want.dom.exact
-                assert got.ran.exact == want.ran.exact
+                assert got.dom == want.dom
+                assert got.ran == want.ran
                 assert got.trace == want.trace
-                assert got.dom.trace == want.dom.trace
-                assert got.ran.trace == want.ran.trace
+                assert got.render(3) == want.render(3)
 
 
 def test_idempotent_word_matches_doubled_trace(all_models, lattice_of):
@@ -179,8 +194,8 @@ def test_idempotent_word_matches_doubled_trace(all_models, lattice_of):
             want = make_vword(model, WordTrace(x.trace.pairs
                                                + x.trace.star().pairs))
             assert not got.is_zero and not want.is_zero
-            assert (got.grading, got.dom.exact, got.ran.exact, got.trace) == \
-                (want.grading, want.dom.exact, want.ran.exact, want.trace)
+            assert (got.grading, got.dom, got.ran, got.trace) == \
+                (want.grading, want.dom, want.ran, want.trace)
 
 
 def test_grading_multiplicative(all_models, family_of):
@@ -199,8 +214,8 @@ def test_range_ideal_is_vvstar(all_models, family_of):
         for v in fam.members[:15]:
             vv = compose(v, star(v))
             assert vv.grading == model.unit
-            assert ideal_eq(vv.dom, v.ran) is True
-            assert ideal_eq(vv.ran, v.ran) is True
+            assert vv.dom == v.ran
+            assert vv.ran == v.ran
 
 
 def test_trivially_graded_collapse(all_models, family_of):
@@ -209,8 +224,9 @@ def test_trivially_graded_collapse(all_models, family_of):
         fam = family_of(model)
         for v in fam.members:
             if v.grading == model.unit:
-                assert ideal_eq(v.dom, v.ran) is True
-                assert vword_eq(v, idempotent_vword(v.dom)) is True
+                assert v.dom == v.ran
+                dom = from_trace(model, v.trace.star())
+                assert vword_eq(v, idempotent_vword(dom)) is True
 
 
 def test_equality_detected_pairs_satisfy_projection_criterion(all_models, family_of):
@@ -254,7 +270,7 @@ def test_enumerate_depth0_is_identity(all_models):
         assert len(fam.members) == 1
         v = fam.members[0]
         assert v.grading == model.unit
-        assert ideal_eq(v.dom, full_ideal(model)) is True
+        assert v.dom == full_ideal(model).exact
 
 
 def test_enumerate_f2_depth1(f2, family_of):
@@ -277,13 +293,13 @@ def test_classification_by_grading_and_domain(n1, family_of):
     fam = family_of(n1)
     seen = set()
     for v in fam.members:
-        key = (v.grading, v.dom.exact)
+        key = (v.grading, v.dom)
         assert key not in seen
         seen.add(key)
 
 
 def _family_view(members, zero, by_grading):
-    return ([(v.trace.pairs, v.grading, v.dom.exact) for v in members],
+    return ([(v.trace.pairs, v.grading, v.dom) for v in members],
             zero is not None,
             [(g, tuple(ix)) for g, ix in by_grading.items()])
 
