@@ -93,8 +93,9 @@ class RunConfig:
         for key, val in caps.items():
             if key not in DEFAULT_CAPS:
                 raise ConfigError(f"unknown cap {key!r}")
-            if val is not None and (isinstance(val, bool)
-                                    or not isinstance(val, int) or val < 0):
+            # null stands for the model default, so only where there is one
+            if (val is not None or DEFAULT_CAPS[key] is not None) and (
+                    isinstance(val, bool) or not isinstance(val, int) or val < 0):
                 raise ConfigError(f"cap {key!r} must be a non-negative int")
         # each analysis follows those it reads: one backward pass closes
         closure = set(analyses)

@@ -30,6 +30,7 @@ pure function, so instances may be shared freely across threads.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -590,24 +591,21 @@ class NumericalModel(Model):
         if EMPTY in (tok, other):
             return EMPTY
         _, fin, tail = tok
-        top = max(tail, other[2])
+        held, low = set(other[1]), other[2]
+        top = max(tail, low)
         return self._token((m for m in (*fin, *range(tail, top))
-                            if self.exact_contains(other, m)), top)
-
-    def exact_contains(self, tok, a):
-        if tok == EMPTY or a < 0:
-            return False
-        _, fin, tail = tok
-        return a >= tail or a in fin
+                            if m >= low or m in held), top)
 
     def exact_subset(self, tok, other):
         if tok == EMPTY:
             return True
         if other == EMPTY:
             return False
+        _, fin, tail = tok
+        _, held, low = other
         # other's tail - 1 is not in other, so tok's tail may not start lower
-        return tok[2] >= other[2] and all(
-            self.exact_contains(other, m) for m in tok[1])
+        return tail >= low and set(held).issuperset(
+            fin[:bisect.bisect_left(fin, low)])
 
     def exact_union_covers(self, tok, others):
         if tok == EMPTY:
@@ -618,8 +616,8 @@ class NumericalModel(Model):
         _, fin, tail = tok
         # every point from the lowest other tail on is covered
         low = min(o[2] for o in others)
-        return all(any(self.exact_contains(o, m) for o in others)
-                   for m in (*fin, *range(tail, low)))
+        held = set().union(*(o[1] for o in others))
+        return all(m >= low or m in held for m in (*fin, *range(tail, low)))
 
     def exact_members_upto(self, tok, radius):
         if tok == EMPTY:

@@ -21,13 +21,16 @@ guessed.  Fragment characters carry the discrete topology, so closure
 computations add only images of defined instances.
 
 ``ThetaContext.table(g)`` holds theta_g as a tuple of ints, one per
-character: the image's position, or the sentinel OUTSIDE, AMBIGUOUS or
-INVALID (all below zero); the unit's table too is computed, not assumed.
-An ambiguous or invalid entry keeps its image bits and the mask of the
-positions they settle in a side map keyed ``(g, chi)``, for the freeness
-probe; ``theta_apply`` reads one instance back as a ``ThetaResult``.  The
-composition law is checked on the tables directly, and only for products
-some word carries: any other product's table is OUTSIDE everywhere.
+character: the image's position, or the sentinel OUTSIDE or AMBIGUOUS
+(both below zero); the unit's table too is computed, not assumed.  An
+ambiguous entry keeps its image bits and the mask of the positions they
+settle in a side map keyed ``(g, chi)``, for the freeness probe;
+``theta_apply`` reads one instance back as a ``ThetaResult``.  A word is a
+partial bijection, so bits settled everywhere are the filter of the least
+fragment ideal holding v(c); bits that are no filter raise ``ModelError``.
+The composition law is checked on the tables directly, and only for
+products some word carries: any other product's table is OUTSIDE
+everywhere.
 
 The boundary is computed two independent ways and the routes are
 cross-checked; a discrepancy is reported, not hidden.  Route one closes the
@@ -126,15 +129,14 @@ def enumerate_characters(fragment: Fragment):
 
 @dataclass(frozen=True)
 class ThetaResult:
-    status: str               # "image" | "outside" | "ambiguous" | "invalid"
+    status: str               # "image" | "outside" | "ambiguous"
     image: object = None      # character position when status == "image"
-    bits: int = 0             # image bits when ambiguous or invalid
+    bits: int = 0             # image bits when ambiguous
     settled: int = 0          # mask of the positions those bits settle
 
 
 # Table entries below zero: the non-image statuses.
-OUTSIDE, AMBIGUOUS, INVALID = -1, -2, -3
-_STATUS = {OUTSIDE: "outside", AMBIGUOUS: "ambiguous", INVALID: "invalid"}
+OUTSIDE, AMBIGUOUS = -1, -2
 _OUTSIDE = ThetaResult("outside")
 
 
@@ -195,12 +197,11 @@ class ThetaContext:
         An entry is the image character's position, or a sentinel below
         zero: OUTSIDE when chi vanishes on every usable domain ideal,
         AMBIGUOUS when the ``(ups, downs)`` pairs of the first usable word's
-        pullback tokens leave some fragment ideal unsettled, INVALID when
-        the image bits are not a filter.  Every table is computed from its
-        grading's carriers, the unit's too; a grading no word carries is
-        OUTSIDE everywhere.  Each AMBIGUOUS or INVALID entry keeps its image
-        bits and the mask of the positions they settle in ``details``, keyed
-        ``(g, chi)``.
+        pullback tokens leave some fragment ideal unsettled.  Every table is
+        computed from its grading's carriers, the unit's too; a grading no
+        word carries is OUTSIDE everywhere.  Each AMBIGUOUS entry keeps its
+        image bits and the mask of the positions they settle in
+        ``details``, keyed ``(g, chi)``.
         """
         got = self._tables.get(g)
         if got is None:
@@ -231,10 +232,13 @@ class ThetaContext:
                     bits |= 1 << pos
                 elif not downs & ~chi_bits:
                     unsettled |= 1 << pos
-            if not unsettled and frag.is_filter(bits):
-                return frag.pos_of_up[bits]
+            if not unsettled:
+                if frag.is_filter(bits):
+                    return frag.pos_of_up[bits]
+                raise ModelError(f"theta at grading {self.model.render(g)!r},"
+                                 f" character {chi}: bits are no filter")
             self.details[g, chi] = (bits, ~unsettled & (1 << frag.size()) - 1)
-            return AMBIGUOUS if unsettled else INVALID
+            return AMBIGUOUS
         return OUTSIDE
 
 
@@ -247,22 +251,21 @@ def theta_apply(ctx: ThetaContext, g, chi: int) -> ThetaResult:
         return ctx._images[entry]
     if entry == OUTSIDE:
         return _OUTSIDE
-    bits, settled = ctx.details[g, chi]
-    return ThetaResult(_STATUS[entry], bits=bits, settled=settled)
+    return ThetaResult("ambiguous", None, *ctx.details[g, chi])
 
 
 @dataclass(frozen=True)
 class ClosureResult:
     chars: frozenset
-    events: tuple             # (grading, char, status) for non-image instances
+    events: tuple             # (grading, char) of each ambiguous instance
 
 
 def invariant_closure(ctx: ThetaContext, seed) -> ClosureResult:
     """Smallest superset of the seed closed under all defined images.
 
-    Ambiguous and invalid instances add nothing but are reported in
-    ``events``; at finite fragment scale pointwise limits are members, so
-    the closure is purely dynamical.
+    Ambiguous instances add nothing but are reported in ``events``; at
+    finite fragment scale pointwise limits are members, so the closure is
+    purely dynamical.
     """
     gradings = ctx.gradings()
     chars = set(seed)
@@ -276,8 +279,8 @@ def invariant_closure(ctx: ThetaContext, seed) -> ClosureResult:
                 if res.image not in chars:
                     chars.add(res.image)
                     queue.append(res.image)
-            elif res.status in ("ambiguous", "invalid"):
-                events.append((g, chi, res.status))
+            elif res.status == "ambiguous":
+                events.append((g, chi))
     return ClosureResult(frozenset(chars), tuple(events))
 
 
@@ -306,13 +309,12 @@ def boundary(ctx: ThetaContext) -> BoundaryResult:
     Route one: the closure of the maximal filters, by ``invariant_closure``.
     Route two: the intersection of the closures of all singletons, None
     when it is empty, on the successor graph (per character, the bitmask
-    of its images and the count of its ambiguous and invalid entries); an
-    intersection of sets closed under every defined image is closed too,
-    so it needs no second closure.  ``unresolved_instances`` is route one's
-    event count plus, per singleton, the counts of its closure's
-    characters: the events ``invariant_closure`` would report.  The
-    maximal-filter route is primary; ``routes_agree`` records the
-    cross-check.
+    of its images and the count of its ambiguous entries); an intersection
+    of sets closed under every defined image is closed too, so it needs no
+    second closure.  ``unresolved_instances`` is route one's event count
+    plus, per singleton, the counts of its closure's characters: the
+    events ``invariant_closure`` would report.  The maximal-filter route is
+    primary; ``routes_agree`` records the cross-check.
     """
     up = ctx.fragment.up_masks
     chars = enumerate_characters(ctx.fragment)
@@ -327,7 +329,7 @@ def boundary(ctx: ThetaContext) -> BoundaryResult:
         for chi, a in enumerate(ctx.table(g)):
             if a >= 0:
                 succ[chi] |= 1 << a
-            elif a != OUTSIDE:
+            elif a == AMBIGUOUS:
                 edge[chi] += 1
     inter = (1 << len(chars)) - 1
     for c in chars:
@@ -377,8 +379,7 @@ class FreenessVerdict:
 def _boundary_status(fragment, boundary_chars, chi, res):
     """Classify chi, whose grading-g result is res, under the dynamics
     restricted to the boundary: 'fixed' / 'moved' when certain for every
-    boundary-consistent completion, else 'unresolved' (always for an
-    invalid result: it settles every bit, and its bits are no filter)."""
+    boundary-consistent completion, else 'unresolved'."""
     if res.status == "image":
         if res.image not in boundary_chars:
             return "moved"   # image escaped; invariance cross-checks flag it

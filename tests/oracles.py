@@ -17,9 +17,12 @@ model's step cache, and ``restrict`` reads a character of a deeper
 fragment on a shallower one by matching ideal tokens.  The norm probe is
 rerun eagerly, every point of its band flagged for every frame, and the
 projection identity by multiplying masks, where the package intersects
-their key sets.  The diagonal expectation is summed term by term from word
-matrices and their diagonals copied out, where the package only compares
-each word's grading with its matrix's fixed columns.  Numerical
+their key sets.  ``forward_image`` decides an entry of theta forward,
+walking the word's trace from the character's least ideal, where the
+package pulls every fragment ideal back along the starred trace.  The
+diagonal expectation is summed term by term from word matrices and their
+diagonals copied out, where the package only compares each word's grading
+with its matrix's fixed columns.  Numerical
 membership is sieved entry by entry up to Schur's bound, where the package
 reads the Apery set of the smallest generator, and the boundary's
 unresolved instances are the events of one ``invariant_closure`` per
@@ -35,7 +38,7 @@ from fractions import Fraction
 
 from sgclab.fock import (BandExhausted, TruncOp, equal_on_band, mul_op,
                          projection_op)
-from sgclab.ideals import WordTrace, from_trace
+from sgclab.ideals import WordTrace, from_trace, walk
 from sgclab.invsgp import make_vword
 from sgclab.models import EMPTY, ModelError
 from sgclab.spectrum import invariant_closure, theta_apply
@@ -91,6 +94,26 @@ def principal_character(fragment, p):
                    model, fragment.ideal_at(pos).trace.pairs, radius))
     assert bits in fragment.pos_of_up, "membership pattern is not a filter"
     return fragment.pos_of_up[bits]
+
+
+def forward_image(ctx, g, chi):
+    """theta_g(chi) by the forward route: the up mask of the fragment
+    positions containing v(c), where c is chi's least ideal and v the first
+    word of grading g whose domain chi holds; None when no such word.
+
+    A word is a partial bijection, so for c inside dom v the pullback of y
+    holds c exactly when v(c) lies in y.  The image is walked along v's
+    trace from c's token, and its positions found by a plain
+    ``exact_subset`` scan, with no pullback and no recipe."""
+    frag, model = ctx.fragment, ctx.model
+    toks = [frag.ideal_at(p).exact for p in range(frag.size())]
+    for idx in ctx.family.by_grading.get(g, ()):
+        v = ctx.family.members[idx]
+        if v.dom in toks and frag.up_masks[chi] >> toks.index(v.dom) & 1:
+            image = walk(model, v.trace.pairs, toks[chi])
+            return sum(1 << p for p, t in enumerate(toks)
+                       if model.exact_subset(image, t))
+    return None
 
 
 def restrict(char, hi, lo):
@@ -342,8 +365,8 @@ def scan_subset(model, tok, other):
     if other == EMPTY:
         return False
     bound = max(tok[2], other[2])
-    return all(model.exact_contains(other, m)
-               for m in range(bound) if model.exact_contains(tok, m))
+    return all(contains(model, other, m)
+               for m in range(bound) if contains(model, tok, m))
 
 
 def scan_union_covers(model, tok, others):
@@ -355,8 +378,8 @@ def scan_union_covers(model, tok, others):
     if not others:
         return False
     bound = max([tok[2]] + [o[2] for o in others])
-    return all(any(model.exact_contains(o, m) for o in others)
-               for m in range(bound) if model.exact_contains(tok, m))
+    return all(any(contains(model, o, m) for o in others)
+               for m in range(bound) if contains(model, tok, m))
 
 
 def scan_intersect(model, tok, other):
@@ -366,7 +389,7 @@ def scan_intersect(model, tok, other):
         return EMPTY
     tail = max(tok[2], other[2])
     fin = [m for m in range(tail)
-           if model.exact_contains(tok, m) and model.exact_contains(other, m)]
+           if contains(model, tok, m) and contains(model, other, m)]
     return model._token(fin, tail)
 
 
@@ -489,13 +512,15 @@ def divide(model, p, y):
 
 def contains(model, tok, a):
     """Whether the ideal of the exact token ``tok`` holds the element a.
-    A free-monoid token names the common prefix of its members; the other
-    families decide membership with the kernel their token calculus uses,
-    ``exact_contains``."""
+    A free-monoid token names the common prefix of its members, and a
+    numerical one lists its members below its tail; a free-abelian token's
+    corner is tested with the kernel its cover uses, ``exact_contains``."""
     if tok == EMPTY:
         return False
     if model.family == "free_monoid":
         return model.in_p(a) and a.startswith(tok[1])
+    if model.family == "numerical":
+        return a >= 0 and (a >= tok[2] or a in tok[1])
     return model.exact_contains(tok, a)
 
 

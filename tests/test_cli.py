@@ -64,6 +64,12 @@ def test_config_rejects_unknown():
         RunConfig.from_dict({"model": {}, "caps": {"trace_depth": True}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"model": {}, "caps": {"samples": False}})
+    # null means the model default, and only three caps have one
+    for cap in ("trace_depth", "f_chain", "ore_len", "samples", "max_ideals"):
+        with pytest.raises(ConfigError, match=cap):
+            RunConfig.from_dict({"model": {}, "caps": {cap: None}})
+    for cap in ("gen_len", "radius", "trunc"):
+        assert RunConfig.from_dict({"model": {}, "caps": {cap: None}})
     for doc in ([1], "model", None,
                 {"model": {}, "caps": [1, 2]},
                 {"model": {}, "seed": "abc"},
@@ -294,8 +300,7 @@ def test_run_reaches_the_traced_theta_and_filter_calls(monkeypatch):
            "caps": {"trace_depth": 2}, "seed": 0}
     run(RunConfig.from_dict(doc))
     assert results and filters
-    assert {r.status for r in results} <= {"image", "outside", "ambiguous",
-                                           "invalid"}
+    assert {r.status for r in results} <= {"image", "outside", "ambiguous"}
 
 
 def _pullbacks_read_as_full(monkeypatch):
@@ -304,6 +309,16 @@ def _pullbacks_read_as_full(monkeypatch):
     def planted(self, z):
         return recipe(self, self.model.exact_full())
     monkeypatch.setattr(spectrum.ThetaContext, "_recipe", planted)
+
+
+def _unit_table_read_from_another_grading(monkeypatch):
+    carriers = spectrum.ThetaContext.carriers
+
+    def planted(self, g):
+        if g == self.model.unit:
+            g = self.gradings()[0]
+        return carriers(self, g)
+    monkeypatch.setattr(spectrum.ThetaContext, "carriers", planted)
 
 
 def _star_keeps_the_grading(monkeypatch):
@@ -326,6 +341,18 @@ def _compose_swaps_the_traces(monkeypatch):
     monkeypatch.setattr(invsgp, "compose", planted)
 
 
+def _compose_swaps_the_gradings(monkeypatch):
+    compose = invsgp.compose
+
+    def planted(v, w):
+        vw = compose(v, w)
+        if vw.is_zero:
+            return vw
+        return dataclasses.replace(
+            vw, grading=vw.model.mul(w.grading, v.grading))
+    monkeypatch.setattr(invsgp, "compose", planted)
+
+
 def _unit_words_range_over_everything(monkeypatch):
     word = invsgp._word
 
@@ -337,9 +364,9 @@ def _unit_words_range_over_everything(monkeypatch):
 
 
 @pytest.mark.parametrize("plant,analysis,law", [
-    (_pullbacks_read_as_full, "spectrum", "identity_law"),
+    (_unit_table_read_from_another_grading, "spectrum", "identity_law"),
     (_star_keeps_the_grading, "invsgp", "vv*v=v"),
-    (_compose_swaps_the_traces, "invsgp", "grading_multiplicative"),
+    (_compose_swaps_the_gradings, "invsgp", "grading_multiplicative"),
     (_unit_words_range_over_everything, "invsgp",
      "trivially_graded_collapse"),
 ], ids=["identity", "involution", "grading", "collapse"])
@@ -358,6 +385,34 @@ def test_every_reported_law_can_fail(monkeypatch, plant, analysis, law):
     result = report["results"][analysis]
     assert result.get("laws", result)[law] is False
     assert result["tier"] == "inconclusive" and code == 2
+
+
+def _no_bits_are_a_filter(monkeypatch):
+    monkeypatch.setattr(spectrum.Fragment, "is_filter", lambda self, bits: False)
+
+
+@pytest.mark.parametrize("plant", [
+    _no_bits_are_a_filter, _pullbacks_read_as_full, _compose_swaps_the_traces,
+], ids=["is_filter", "pullbacks", "traces"])
+def test_settled_bits_that_are_no_filter_are_an_internal_error(monkeypatch,
+                                                               plant):
+    # a word is a partial bijection, so exact kernels settle every image
+    # to a filter.  Bits settled everywhere that are no filter (here every
+    # filter test fails, every pullback reads as P, or a composite's trace
+    # is swapped) are a defect of the package: spectrum reports an error,
+    # and the boundary and the freeness probe never read them as
+    # fragment-edge evidence
+    doc = {"model": {"family": "free_monoid", "rank": 2},
+           "analyses": ["freeness"], "caps": {"trace_depth": 2}, "seed": 0}
+    plant(monkeypatch)
+    report, code = run(RunConfig.from_dict(doc))
+    results = report["results"]
+    assert code == 1
+    assert results["spectrum"]["tier"] == "error"
+    assert results["spectrum"]["where"] == "spectrum._apply"
+    assert results["spectrum"]["error"].startswith("ModelError: theta at")
+    assert results["boundary"]["skipped"] == "reads spectrum, which raised"
+    assert results["freeness"]["skipped"] == "reads boundary, which was skipped"
 
 
 def test_reports_are_deterministic():

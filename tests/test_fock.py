@@ -175,7 +175,7 @@ def _nonzero(cols):
 
 def _count_membership_tests(models, monkeypatch):
     """Record every point a family's membership kernel tests; the free
-    monoid has none in the package."""
+    monoid and numerical families have none in the package."""
     calls = []
     for cls in {type(model) for model in models}:
         if hasattr(cls, "exact_contains"):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (divide, left_mul, membership_sieve, preimage,
                      scan_intersect, scan_subset, scan_union_covers)
 from sgclab import models
+from sgclab.cli import RunConfig, run
 from sgclab.ideals import WordTrace, enumerate_ideals, full_ideal
 from sgclab.invsgp import enumerate_vwords
 from sgclab.models import (EMPTY, FreeAbelianModel, FreeMonoidModel, ModelError,
@@ -211,6 +212,18 @@ def test_large_numerical_model_builds_fast():
     assert time.perf_counter() - started < 0.1
     assert m.conductor == 997002
     assert m.in_p(997002) and not m.in_p(997001) and m.in_p(999 * 1000)
+
+
+def test_large_conductor_ideals_run_fast():
+    # <99,100> has conductor 9,702, so its tokens hold thousands of
+    # sporadic members; the kernels read the other token's members into
+    # one set per call instead of scanning a tuple once per point
+    doc = {"model": {"family": "numerical", "generators": [99, 100]},
+           "caps": {"trace_depth": 1}, "analyses": ["ideals"]}
+    started = time.perf_counter()
+    report, code = run(RunConfig.from_dict(doc))
+    assert time.perf_counter() - started < 1.0
+    assert code == 0 and report["results"]["ideals"]["tier"] == "exact"
 
 
 def test_oversized_numerical_generators_are_refused_before_the_sieve(

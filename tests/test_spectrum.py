@@ -3,8 +3,8 @@ import collections
 import pytest
 
 from oracles import (boundary_event_count, brute_filters, brute_trace_members,
-                     principal_character, restrict, theta_law_counts,
-                     uncached_walk)
+                     forward_image, principal_character, restrict,
+                     theta_law_counts, uncached_walk)
 from sgclab import cli
 from sgclab.ideals import WordTrace, enumerate_ideals, from_trace
 from sgclab.invsgp import enumerate_vwords
@@ -253,7 +253,7 @@ def test_theta_settled_mask_is_what_the_recipes_settle(all_models):
         for g in ctx.gradings():
             for chi in enumerate_characters(frag):
                 res = theta_apply(ctx, g, chi)
-                if res.status not in ("ambiguous", "invalid"):
+                if res.status != "ambiguous":
                     continue
                 up = frag.up_masks[chi]
                 v = next(v for v, dom_pos in ctx.carriers(g)
@@ -265,9 +265,41 @@ def test_theta_settled_mask_is_what_the_recipes_settle(all_models):
                         settled |= 1 << pos
                         bits |= bit << pos
                 assert (res.bits, res.settled) == (bits, settled), model.name
-                assert (res.status == "invalid") == (settled == full)
-                ambiguous += res.status == "ambiguous"
+                # nothing is settled everywhere without being an image
+                assert settled != full, model.name
+                ambiguous += 1
     assert ambiguous
+
+
+def test_theta_entries_match_the_forward_hull(all_models):
+    # route two for theta: an image entry is the hull of v(c), the forward
+    # walk of the first carrier's trace from chi's least ideal c; an
+    # ambiguous entry agrees with it wherever it is settled; an outside
+    # entry has no carrier whose domain chi holds
+    contexts = [context_for(model, depth)
+                for model in all_models for depth in (1, 2)]
+    contexts += [_default_context(build_model(config), depth)
+                 for config, depth in (
+                     ({"family": "numerical", "generators": [4, 7, 9]}, 2),
+                     ({"family": "free_monoid", "rank": 3}, 3))]
+    counts = collections.Counter()
+    for ctx in contexts:
+        up = ctx.fragment.up_masks
+        for g in (ctx.model.unit, *ctx.gradings()):
+            for chi in enumerate_characters(ctx.fragment):
+                res = theta_apply(ctx, g, chi)
+                fwd = forward_image(ctx, g, chi)
+                if res.status == "outside":
+                    assert fwd is None, (ctx.model.name, g, chi)
+                elif res.status == "image":
+                    assert fwd == up[res.image], (ctx.model.name, g, chi)
+                else:
+                    assert res.status == "ambiguous"
+                    assert not (fwd ^ res.bits) & res.settled, \
+                        (ctx.model.name, g, chi)
+                counts[ctx.model.name, res.status] += 1
+    assert counts["<4,7,9>", "ambiguous"] == 391
+    assert all(counts[m.name, "image"] for m in all_models)
 
 
 def test_recipe_pullback_matches_trace_evaluation(all_models):
@@ -525,13 +557,18 @@ def test_unresolved_instances_match_the_closure_events(all_models):
 # ---------------------------------------------------------------------------
 # the resolution tower: each depth refines the one below
 
-def _level(model, depth):
-    """Context and boundary at ``depth`` with the run's default caps."""
+def _default_context(model, depth):
+    """The theta context at ``depth`` with the run's default caps."""
     caps = cli._caps_for(model, dict(cli.DEFAULT_CAPS, trace_depth=depth))
     lat = enumerate_ideals(model, depth, caps["gen_len"], caps["radius"],
                            caps["max_ideals"])
     fam = enumerate_vwords(model, depth, caps["gen_len"], caps["radius"])
-    ctx = ThetaContext(Fragment.from_lattice(lat), fam)
+    return ThetaContext(Fragment.from_lattice(lat), fam)
+
+
+def _level(model, depth):
+    """Context and boundary at ``depth`` with the run's default caps."""
+    ctx = _default_context(model, depth)
     return ctx, boundary(ctx)
 
 
