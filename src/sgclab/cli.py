@@ -204,8 +204,10 @@ def _an_invsgp(model, caps, rng, store):
     # starred trace's walk)
     collapse_ok = all(v.is_idempotent() for v in fam.members
                       if v.grading == unit)
-    table = sorted([i, j, k] for (i, j), k
-                   in invsgp.semilattice(store["lattice"]).items())
+    # the closure fills every (i, j), so this is the triples' sorted order
+    t = invsgp.semilattice(store["lattice"])
+    n = len(store["lattice"].ideals)
+    table = [[i, j, t[i, j]] for i in range(n) for j in range(n)]
     tier = "exact" if (involution_ok and grading_ok and collapse_ok) else "inconclusive"
     return {
         "op": "invsgp.enumerate_vwords",
@@ -446,7 +448,9 @@ def _json(o, nl="\n"):
     indentation, each container joined by one C-level ``str.join``.  Takes
     only what reports hold (dicts with str keys, lists, tuples, str, int,
     bool, None, finite floats) and raises TypeError or ValueError on
-    anything else rather than drift from ``json.dumps``."""
+    anything else rather than drift from ``json.dumps``.  A container
+    writes its str and int leaves inline, without a call per leaf; the
+    test is ``type(v) is``, so a bool is never written as an int."""
     t = type(o)
     if t is str:
         return _esc(o)
@@ -454,10 +458,13 @@ def _json(o, nl="\n"):
         return int.__repr__(o)
     inner = nl + "  "
     if t is list or t is tuple:
-        items = [_json(v, inner) for v in o]
+        items = [_esc(v) if (tv := type(v)) is str else
+                 int.__repr__(v) if tv is int else _json(v, inner) for v in o]
         return "[" + inner + ("," + inner).join(items) + nl + "]" if o else "[]"
     if t is dict:  # _esc refuses a key that is not a str
-        items = [_esc(k) + ": " + _json(v, inner) for k, v in sorted(o.items())]
+        items = [_esc(k) + ": " + (_esc(v) if (tv := type(v)) is str else
+                 int.__repr__(v) if tv is int else _json(v, inner))
+                 for k, v in sorted(o.items())]
         return "{" + inner + ("," + inner).join(items) + nl + "}" if o else "{}"
     if t is bool:
         return "true" if o else "false"

@@ -54,8 +54,13 @@ class WordTrace:
         return WordTrace(pairs)
 
     def star(self):
-        """Reverse the word and swap each (p, q); the trace of the adjoint."""
-        return WordTrace(tuple((q, p) for p, q in reversed(self.pairs)))
+        """Reverse the word and swap each (p, q); the trace of the adjoint,
+        built once per trace and kept."""
+        got = self.__dict__.get("_star")
+        if got is None:
+            got = WordTrace(tuple((q, p) for p, q in reversed(self.pairs)))
+            object.__setattr__(self, "_star", got)
+        return got
 
     def grading(self, model):
         """p1^-1 q1 ... pn^-1 qn as a group element."""
@@ -111,14 +116,23 @@ class ConstructibleIdeal:
                 return r, mem
             r = 2 * r + 1
 
-    def render(self, radius):
-        """Report form, listing the first 20 members up to ``radius``."""
-        mem = [self.model.render(a) for a in self.members_prefix(radius, 20)]
+    def render(self, radius, trace=None):
+        """Report form, listing the first 20 members up to ``radius``.  The
+        members and token are rendered once per ``(token, radius)``, in the
+        model's prefix cache; ``trace`` passes the provenance rendered."""
+        model = self.model
+        got = model._prefix_cache.get((self.exact, radius))
+        if got is None:
+            got = model._prefix_cache[self.exact, radius] = (
+                [model.render(a) for a in self.members_prefix(radius, 20)],
+                repr(self.exact))
+        if trace is None and self.trace is not None:
+            trace = self.trace.render(model)
         return {
-            "trace": None if self.trace is None else self.trace.render(self.model),
+            "trace": trace,
             "radius": radius,
-            "members_prefix": mem,
-            "exact": repr(self.exact),
+            "members_prefix": got[0],
+            "exact": got[1],
             "empty": self.is_empty(),
         }
 
@@ -231,9 +245,11 @@ def enumerate_ideals(model, max_trace_len, gen_len, radius,
     """Breadth-first enumeration of ideals reachable by traces of at most
     ``max_trace_len`` pairs over submonoid elements of length <= gen_len,
     deduplicated and closed under intersection, with containment read off
-    the intersection table.  The search walks each pair one step on a
-    frontier ideal's token and builds the trace and ideal only for a token
-    it has not seen."""
+    the intersection table.  Tokens come first: the search walks each pair
+    one step on a frontier ideal's token, and the closure meets two nodes'
+    tokens with ``exact_intersect``; either builds the trace and ideal only
+    for a token it has not seen (a meet's trace is the doubling trick's,
+    as in ``intersect``)."""
     cand = model.enumerate_p(gen_len)
     pairs = [(p, q) for p in cand for q in cand]
 
@@ -241,17 +257,13 @@ def enumerate_ideals(model, max_trace_len, gen_len, radius,
     depths = [0, 0]
     keys = {ideals[0].exact: 0, ideals[1].exact: 1}
 
-    def add(ideal, depth):
-        key = ideal.exact
-        got = keys.get(key)
-        if got is not None:
-            return got
+    def add(tok, trace, depth):
         if len(ideals) >= cap:
             raise CapExceeded(f"ideal cap {cap} exceeded")
-        keys[key] = len(ideals)
-        ideals.append(ideal)
+        keys[tok] = len(ideals)
+        ideals.append(ConstructibleIdeal(model, trace, tok))
         depths.append(depth)
-        return keys[key]
+        return keys[tok]
 
     frontier = [0]
     for depth in range(1, max_trace_len + 1):
@@ -262,8 +274,7 @@ def enumerate_ideals(model, max_trace_len, gen_len, radius,
                 tok = walk(model, (pq,), base.exact)
                 if tok not in keys:
                     trace = WordTrace((pq,) + base.trace.pairs)
-                    fresh.append(add(ConstructibleIdeal(model, trace, tok),
-                                     depth))
+                    fresh.append(add(tok, trace, depth))
         frontier = fresh
         if not frontier:
             break
@@ -274,11 +285,16 @@ def enumerate_ideals(model, max_trace_len, gen_len, radius,
     while done < len(ideals):
         m = len(ideals)
         for i in range(m):
+            x = ideals[i]
             for j in range(max(i, done), m):
-                k = add(intersect(ideals[i], ideals[j]),
-                        max(depths[i], depths[j]))
-                table[(i, j)] = k
-                table[(j, i)] = k
+                y = ideals[j]
+                tok = model.exact_intersect(x.exact, y.exact)
+                k = keys.get(tok)
+                if k is None:
+                    trace = WordTrace(y.trace.pairs + y.trace.star().pairs
+                                      + x.trace.pairs)
+                    k = add(tok, trace, max(depths[i], depths[j]))
+                table[(i, j)] = table[(j, i)] = k
         done = m
 
     n = len(ideals)

@@ -58,15 +58,18 @@ class VWord:
 
     def render(self, radius):
         """Report form; a side renders as the ideal of its trace (the
-        starred trace for the domain), the canonical empty ideal on zero."""
+        starred trace for the domain), the canonical empty ideal on zero.
+        The trace is rendered once, for the word and its range side."""
         model, trace = self.model, self.trace
         dom_trace = None if trace is None else trace.star()
+        shown = None if trace is None else trace.render(model)
         return {
             "zero": self.is_zero,
-            "trace": None if trace is None else trace.render(model),
+            "trace": shown,
             "grading": None if self.is_zero else model.render(self.grading),
             "dom": ConstructibleIdeal(model, dom_trace, self.dom).render(radius),
-            "ran": ConstructibleIdeal(model, trace, self.ran).render(radius),
+            "ran": ConstructibleIdeal(model, trace, self.ran).render(radius,
+                                                                     shown),
         }
 
 

@@ -56,15 +56,16 @@ class Model:
     ``mul``/``inv`` operate on arbitrary group elements in normal form;
     ``in_p``, ``length`` and ``enumerate_p`` see the submonoid.
 
-    An instance keeps four caches, each filled on first use:
+    An instance keeps five caches, each filled on first use:
     ``_enum_cache`` (``enumerate_p`` by length), ``_basis_cache``
     (``basis`` by length), ``_step_cache`` (one ``ideals.walk`` step,
-    ``((p, q), token) -> token``) and ``_positions_cache`` (``positions``
-    by ``(token, n)``).  Their keys are normal forms, canonical exact
-    tokens and ints, which are immutable and equal exactly when the
-    elements or ideals they denote are equal, and the model itself never
-    changes; so an entry can never go stale, and each cache lives and dies
-    with the instance.
+    ``((p, q), token) -> token``), ``_positions_cache`` (``positions``
+    by ``(token, n)``) and ``_prefix_cache`` (the rendered members prefix
+    and token of ``ConstructibleIdeal.render``, by ``(token, radius)``).
+    Their keys are normal forms, canonical exact tokens and ints, which
+    are immutable and equal exactly when the elements or ideals they
+    denote are equal, and the model itself never changes; so an entry can
+    never go stale, and each cache lives and dies with the instance.
     """
 
     family = "abstract"
@@ -77,6 +78,7 @@ class Model:
         self._basis_cache = {}
         self._step_cache = {}
         self._positions_cache = {}
+        self._prefix_cache = {}
 
     # -- group arithmetic ------------------------------------------------
     def mul(self, a, b):

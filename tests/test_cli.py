@@ -195,7 +195,9 @@ def test_internal_error_names_its_innermost_package_function(monkeypatch):
     monkeypatch.setattr(NumericalModel, "exact_intersect", planted)
     report, code = run(RunConfig.from_dict(doc))
     assert code == 1
-    assert report["results"]["ideals"]["where"] == "ideals.intersect"
+    # the lattice closure meets tokens itself, so the innermost sgclab
+    # frame below the planted kernel is enumerate_ideals
+    assert report["results"]["ideals"]["where"] == "ideals.enumerate_ideals"
 
 
 def _refused(doc):
@@ -853,10 +855,36 @@ _VALUES = st.recursive(
 @example({"": [], "a": {}, "b": [[], {}, [[]], {"c": {}}], "\"k\"": ()})
 @example([True, 1, False, 0, -1, 2 ** 70, -(2 ** 70), -0.0, 1e300, 5e-324])
 @example({"\u00e9\x01": {"\\": "\"\x1f\u2603"}})
+# bools beside ints, as list items and as dict values, and scalars three
+# lists deep: a leaf test by isinstance(v, int) would write True as 1
+@example([True, 1, False, 0])
+@example({"a": True, "b": 1})
+@example([[[1, "x", True, None, 0.5, -3, False, ""]]])
 @settings(max_examples=300, deadline=None)
 def test_report_encoder_matches_json_dumps(value):
     assert report_to_json(value) == \
         json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_semilattice_table_is_the_sorted_intersect_table(all_models,
+                                                         monkeypatch):
+    # the table is written in (i, j) order without a sort: it must be the
+    # sorted triples of the lattice's intersection table
+    lattices = []
+    real = cli.enumerate_ideals
+
+    def kept(*args):
+        lattices.append(real(*args))
+        return lattices[-1]
+
+    monkeypatch.setattr(cli, "enumerate_ideals", kept)
+    for model in all_models:
+        report, _ = run(RunConfig.from_dict(
+            {"model": model.config(), "analyses": ["invsgp"],
+             "caps": {"trace_depth": 2}}))
+        table = lattices[-1].intersect_table
+        assert report["results"]["invsgp"]["semilattice_table"] == sorted(
+            [i, j, k] for (i, j), k in table.items()), model.name
 
 
 @pytest.mark.parametrize("value,error", [

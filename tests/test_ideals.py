@@ -316,52 +316,72 @@ def test_enumerate_matches_exhaustive_trace_oracle(n1, f2, num23):
 
 
 def test_closure_meets_each_pair_once(all_models, monkeypatch):
-    # the intersection closure calls intersect(x_i, x_j) once for each
-    # i <= j of the closed lattice: n(n + 1)/2 calls
-    real = ideals_mod.intersect
+    # the intersection closure meets the tokens of x_i and x_j once for
+    # each i <= j of the closed lattice: n(n + 1)/2 exact_intersect calls
     for model in all_models:
         calls = []
+        real = model.exact_intersect
 
-        def counted(x, y):
-            calls.append((x, y))
-            return real(x, y)
+        def counted(tok, other, real=real):
+            calls.append((tok, other))
+            return real(tok, other)
 
-        monkeypatch.setattr(ideals_mod, "intersect", counted)
+        monkeypatch.setattr(model, "exact_intersect", counted)
         gen_len = 3 if model.family == "numerical" else 1
         lat = enumerate_ideals(model, 2, gen_len, 30)
-        index = {id(x): i for i, x in enumerate(lat.ideals)}
+        index = {x.exact: i for i, x in enumerate(lat.ideals)}
         n = len(lat.ideals)
         assert len(calls) == n * (n + 1) // 2, model.name
-        assert sorted((index[id(x)], index[id(y)]) for x, y in calls) == [
+        assert sorted((index[a], index[b]) for a, b in calls) == [
             (i, j) for i in range(n) for j in range(i, n)], model.name
+
+
+def test_closure_wraps_only_new_tokens(monkeypatch):
+    # the closure looks each meet's token up before it builds anything: a
+    # ConstructibleIdeal is built during the closure (from its first
+    # exact_intersect on) only for a node the closure adds, once each
+    real_init = ConstructibleIdeal.__init__
+    for config, depth, added in (
+            ({"family": "free_monoid", "rank": 2}, 6, 0),
+            ({"family": "numerical", "generators": [4, 7, 9]}, 2, 119)):
+        model = build_model(config)
+        built, closing = [], []
+        real = model.exact_intersect
+
+        def spy_intersect(tok, other, real=real):
+            closing.append(True)
+            return real(tok, other)
+
+        def spy_init(self, *args):
+            if closing:
+                built.append(self)
+            real_init(self, *args)
+
+        monkeypatch.setattr(model, "exact_intersect", spy_intersect)
+        monkeypatch.setattr(ConstructibleIdeal, "__init__", spy_init)
+        lat = enumerate_ideals(model, depth, model.default_gen_len,
+                               model.default_radius)
+        n = len(lat.ideals)
+        assert len(built) == added, config
+        assert [id(x) for x in built] == [id(x) for x in lat.ideals[n - added:]]
 
 
 def test_search_wraps_only_new_tokens(monkeypatch):
     # the breadth-first search walks each extension on its base's token and
     # wraps it in a ConstructibleIdeal only when the token is new: one
-    # construction per node the seeds and the search add, none for an
-    # extension that lands on a known token
+    # construction per node (the closure adds none on F2+ at depth 6),
+    # none for an extension that lands on a known token
     model = build_model({"family": "free_monoid", "rank": 2})
-    built, met = [], []
-    real_init, real_intersect = ConstructibleIdeal.__init__, ideals_mod.intersect
+    built = []
+    real_init = ConstructibleIdeal.__init__
 
     def spy_init(self, *args):
-        if not met or met[-1] is not None:
-            built.append(self)
+        built.append(self)
         real_init(self, *args)
 
-    def spy_intersect(x, y):
-        met.append(None)
-        z = real_intersect(x, y)
-        met[-1] = z
-        return z
-
     monkeypatch.setattr(ConstructibleIdeal, "__init__", spy_init)
-    monkeypatch.setattr(ideals_mod, "intersect", spy_intersect)
     lat = enumerate_ideals(model, 6, 1, 6)
-    meets = {id(z) for z in met}
-    searched = [x for x in lat.ideals if id(x) not in meets]
-    assert [id(x) for x in built] == [id(x) for x in searched]
+    assert [id(x) for x in built] == [id(x) for x in lat.ideals]
     assert len(built) == 128
 
 

@@ -6,7 +6,8 @@ from oracles import (contains, exhaustive_vwords, ideal_eq, left_mul,
                      pointwise_word_apply, uncached_walk)
 from sgclab import invsgp
 from sgclab.fock import rep_vword, word_reach
-from sgclab.ideals import (CapExceeded, WordTrace, from_trace, full_ideal,
+from sgclab.ideals import (CapExceeded, ConstructibleIdeal, WordTrace,
+                           enumerate_ideals, from_trace, full_ideal,
                            intersect)
 from sgclab.invsgp import (compose, enumerate_vwords, idempotent_vword,
                            make_vword, semilattice, star, vword_eq, zero_vword)
@@ -358,3 +359,61 @@ def test_enumeration_caps(f2):
         == len(fam.members)
     with pytest.raises(CapExceeded):
         enumerate_vwords(f2, 3, 1, 6, cap=len(fam.members) - 1)
+
+
+# ---------------------------------------------------------------------------
+# rendered sides, served from the model's prefix cache
+
+def _fresh_render(config, trace, tok, radius):
+    """The side as a model instance with empty caches renders it."""
+    return ConstructibleIdeal(build_model(config), trace, tok).render(radius)
+
+
+@pytest.mark.parametrize("config,depth", [
+    ({"family": "numerical", "generators": [3, 5, 7]}, 2),
+    ({"family": "free_monoid", "rank": 2}, 3)])
+def test_rendered_sides_match_a_fresh_render(config, depth):
+    # the lattice nodes are rendered first, so the export's sides read the
+    # listings the nodes left in the prefix cache wherever tokens meet
+    model = build_model(config)
+    gen_len, radius = model.default_gen_len, model.default_radius
+    lat = enumerate_ideals(model, depth, gen_len, radius)
+    fam = enumerate_vwords(model, depth, gen_len, radius)
+    nodes = lat.to_json()["nodes"]
+    export = fam.to_json()["members"]
+    for x, node in zip(lat.ideals, nodes):
+        node = {k: v for k, v in node.items() if k not in ("id", "depth")}
+        assert node == _fresh_render(config, x.trace, x.exact, radius)
+    for v, doc in zip(fam.members, export):
+        assert doc["dom"] == _fresh_render(config, v.trace.star(), v.dom,
+                                           radius)
+        assert doc["ran"] == _fresh_render(config, v.trace, v.ran, radius)
+
+
+def test_prefix_cache_keys_on_the_radius():
+    config = {"family": "free_monoid", "rank": 2}
+    full = full_ideal(build_model(config))
+    short, longer = full.render(1), full.render(3)
+    assert short["members_prefix"] == ["", "a", "b"]
+    assert len(longer["members_prefix"]) == 15
+    assert short == _fresh_render(config, full.trace, full.exact, 1)
+    assert longer == _fresh_render(config, full.trace, full.exact, 3)
+
+
+def test_export_lists_each_side_token_once(monkeypatch):
+    # F2+ at depth 6: 1,538 listings for about 130 side tokens if each
+    # side listed its members again
+    model = build_model({"family": "free_monoid", "rank": 2})
+    fam = enumerate_vwords(model, 6, 1, 6)
+    listed = []
+    real = model.exact_members_upto
+
+    def counted(tok, n):
+        listed.append(tok)
+        return real(tok, n)
+
+    monkeypatch.setattr(model, "exact_members_upto", counted)
+    fam.to_json()
+    sides = {tok for v in fam.members for tok in (v.dom, v.ran)}
+    assert len(listed) == len(set(listed)) <= len(sides)
+    assert set(listed) <= sides
