@@ -18,15 +18,22 @@ one of ``ups``, 0 when it misses one of ``downs`` (position p is ``(1 << p,
 is the honest fingerprint of the fragment edge: the character has several
 extensions with different images, so the instance is reported, never
 guessed.  Fragment characters carry the discrete topology, so closure
-computations add only images of defined instances.
+computations add only images of defined instances.  The fragment is closed
+under intersection, so ``downs`` is the up-set of m(z), the least fragment
+ideal holding z, and ``ups`` a down-set below m(z): both come from a descent
+along the covers, not from a scan of the fragment.
 
 ``ThetaContext.table(g)`` holds theta_g as a tuple of ints, one per
 character: the image's position, or the sentinel OUTSIDE or AMBIGUOUS
 (both below zero); the unit's table too is computed, not assumed.  An
 ambiguous entry keeps its image bits and the mask of the positions they
 settle in a side map keyed ``(g, chi)``, for the freeness probe;
-``theta_apply`` reads one instance back as a ``ThetaResult``.  A word is a
-partial bijection, so bits settled everywhere are the filter of the least
+``theta_apply`` reads one instance back as a ``ThetaResult``.  A table is
+built by columns: read over the characters, a pullback's pair is a mask D
+of those on which it reads 1 and a mask E of those on which it is open,
+and the characters a word serves get their image bits and open bits as
+the rows of its D and E columns, one transpose each.  A word is a partial
+bijection, so bits settled everywhere are the filter of the least
 fragment ideal holding v(c); bits that are no filter raise ``ModelError``.
 The composition law is checked on the tables directly, and only for
 products some word carries: any other product's table is OUTSIDE
@@ -64,23 +71,33 @@ class Fragment:
     lattice: object
     positions: tuple          # lattice indices, bit position -> lattice index
     up_masks: tuple           # per position: bitmask of superset positions
+    down_masks: tuple         # per position: bitmask of subset positions
+    covers: tuple             # per position: the positions it covers
     depths: tuple             # per position: discovery depth
     pos_of_token: dict        # ideal token -> position
     pos_of_up: dict           # up mask -> position: the filters
 
     @staticmethod
     def from_lattice(lattice) -> "Fragment":
-        """The lattice's up masks with the empty ideal's bit dropped."""
+        """The lattice's up masks and covering pairs with the empty ideal
+        dropped, and the down masks, the up masks' transpose."""
         positions = lattice.nonempty_indices()
         e = lattice.empty_index
         low = (1 << e) - 1
         up_masks = tuple((m & low) | (m >> (e + 1) << e)
                          for m in map(lattice.up.__getitem__, positions))
+        covers = [[] for _ in positions]
+        for i, j in lattice.hasse:   # index i > e is position i - 1
+            if i != e:
+                covers[j - (j > e)].append(i - (i > e))
         depths = tuple(lattice.depths[li] for li in positions)
         pos_of_token = {lattice.ideals[li].exact: b
                         for b, li in enumerate(positions)}
         pos_of_up = {mask: b for b, mask in enumerate(up_masks)}
-        return Fragment(lattice, positions, up_masks, depths, pos_of_token,
+        everyone = (1 << len(positions)) - 1
+        return Fragment(lattice, positions, up_masks,
+                        tuple(_rows(up_masks, everyone).values()),
+                        tuple(map(tuple, covers)), depths, pos_of_token,
                         pos_of_up)
 
     def size(self):
@@ -155,6 +172,8 @@ class ThetaContext:
         self._no_carrier = (OUTSIDE,) * n
         self.details = {}     # (g, chi) -> (bits, settled)
         self._pairs = {}      # pullback token -> (ups, downs)
+        self._cols = {}       # pullback token -> (D, E) column masks
+        self._tokens = tuple(fragment.ideal_at(p).exact for p in range(n))
         # theta_apply hands out one shared result per image position
         self._images = tuple(ThetaResult("image", image=p) for p in range(n))
 
@@ -175,20 +194,61 @@ class ThetaContext:
 
     def _recipe(self, z):
         """The ``(ups, downs)`` masks of pullback token z, built once per
-        context: the fragment positions inside z and those containing it."""
+        context: the fragment positions inside z and those containing it.
+        ``downs`` is the up-set of m(z), reached from P by entering a
+        covered position that holds z while there is one.  ``ups`` is found
+        below m(z), from the top: a position inside z brings its down-set,
+        one that is not has its covers tried, and none is tried twice."""
         got = self._pairs.get(z)
         if got is None:
-            frag, subset = self.fragment, self.model.exact_subset
+            frag = self.fragment
             pos = frag.pos_of_token.get(z)
             if pos is not None:
                 got = (1 << pos, 1 << pos)
             elif z == EMPTY:
                 got = (0, -1)
             else:
-                toks = frag.pos_of_token.items()
-                got = (sum(1 << w for t, w in toks if subset(t, z)),
-                       sum(1 << w for t, w in toks if subset(z, t)))
+                subset, toks, covers = (self.model.exact_subset, self._tokens,
+                                        frag.covers)
+                top = 0
+                while True:
+                    for c in covers[top]:
+                        if subset(z, toks[c]):
+                            top = c
+                            break
+                    else:
+                        break
+                ups, seen, todo = 0, 1 << top, list(covers[top])
+                while todo:
+                    w = todo.pop()
+                    if not seen >> w & 1:
+                        seen |= 1 << w
+                        if subset(toks[w], z):
+                            ups |= frag.down_masks[w]
+                            seen |= frag.down_masks[w]
+                        else:
+                            todo.extend(covers[w])
+                got = (ups, frag.up_masks[top])
             self._pairs[z] = got
+        return got
+
+    def _columns(self, z):
+        """Pullback token z's pair read over the characters, as the masks
+        ``(D, E)`` of those on which z reads 1 and those on which it is
+        open: position p reads 1 below p, the empty ideal 0 everywhere, and
+        any other z reads 1 on ``ups`` and is open on the rest of m(z)'s
+        down-set."""
+        got = self._cols.get(z)
+        if got is None:
+            ups, downs = self._recipe(z)
+            down = self.fragment.down_masks
+            if ups & downs:
+                got = (down[ups.bit_length() - 1], 0)
+            elif downs < 0:
+                got = (0, 0)
+            else:
+                got = (ups, down[self.fragment.pos_of_up[downs]] & ~ups)
+            self._cols[z] = got
         return got
 
     def table(self, g):
@@ -202,44 +262,60 @@ class ThetaContext:
         word carries is OUTSIDE everywhere.  Each AMBIGUOUS entry keeps its
         image bits and the mask of the positions they settle in
         ``details``, keyed ``(g, chi)``.
+
+        A carrier serves the characters below its domain position that no
+        earlier carrier serves, all in one pass: the ``_columns`` of each
+        fragment position's pullback, transposed, give the served
+        characters' image bits and open bits.
         """
         got = self._tables.get(g)
         if got is None:
             if g not in self.family.by_grading:
                 return self._no_carrier
-            carriers = self.carriers(g)
-            pullbacks = {}   # carrier index -> its pairs, built on first read
-            got = tuple(self._apply(g, carriers, pullbacks, chi)
-                        for chi in range(self.fragment.size()))
-            self._tables[g] = got
+            frag, model, cols = self.fragment, self.model, self._cols
+            full = (1 << frag.size()) - 1
+            entries = [OUTSIDE] * frag.size()
+            done = 0
+            for v, dom_pos in self.carriers(g):
+                served = frag.down_masks[dom_pos] & ~done
+                if not served:
+                    continue
+                done |= served
+                star = v.trace.star().pairs
+                pairs = [cols.get(z) or self._columns(z)
+                         for z in [walk(model, star, t) for t in self._tokens]]
+                ones, opens = (_rows(col, served) for col in zip(*pairs))
+                for chi, bits in ones.items():
+                    if opens[chi]:
+                        self.details[g, chi] = (bits, ~opens[chi] & full)
+                        entries[chi] = AMBIGUOUS
+                    elif frag.is_filter(bits):
+                        entries[chi] = frag.pos_of_up[bits]
+                    else:
+                        raise ModelError(
+                            f"theta at grading {model.render(g)!r},"
+                            f" character {chi}: bits are no filter")
+            got = self._tables[g] = tuple(entries)
         return got
 
-    def _apply(self, g, carriers, pullbacks, chi):
-        frag = self.fragment
-        chi_bits = frag.up_masks[chi]
-        for k, (v, dom_pos) in enumerate(carriers):
-            if not chi_bits >> dom_pos & 1:
-                continue
-            if k not in pullbacks:
-                star = v.trace.star().pairs
-                pullbacks[k] = tuple(
-                    self._recipe(walk(self.model, star, frag.ideal_at(pos).exact))
-                    for pos in range(frag.size()))
-            # 1 when chi holds one of ups, open when it holds all of downs
-            bits = unsettled = 0
-            for pos, (ups, downs) in enumerate(pullbacks[k]):
-                if chi_bits & ups:
-                    bits |= 1 << pos
-                elif not downs & ~chi_bits:
-                    unsettled |= 1 << pos
-            if not unsettled:
-                if frag.is_filter(bits):
-                    return frag.pos_of_up[bits]
-                raise ModelError(f"theta at grading {self.model.render(g)!r},"
-                                 f" character {chi}: bits are no filter")
-            self.details[g, chi] = (bits, ~unsettled & (1 << frag.size()) - 1)
-            return AMBIGUOUS
-        return OUTSIDE
+
+def _rows(cols, served):
+    """Rows of the bit matrix whose column y is ``cols[y]``, one per set bit
+    c of ``served``, as a dict in ascending c: bit y of row c is bit c of
+    ``cols[y]``.  One string holds the columns' binary digits over the span
+    of ``served``, last column first, so row c is a strided slice of it."""
+    top = served.bit_length() - 1
+    low = (served & -served).bit_length() - 1
+    width = top + 1 - low
+    fmt, span = f"0{width}b", (1 << width) - 1
+    digits = "".join([format(col >> low & span, fmt) for col in reversed(cols)])
+    out = {}
+    while served:
+        bit = served & -served
+        c = bit.bit_length() - 1
+        out[c] = int(digits[top - c::width], 2)
+        served ^= bit
+    return out
 
 
 def theta_apply(ctx: ThetaContext, g, chi: int) -> ThetaResult:
@@ -316,11 +392,9 @@ def boundary(ctx: ThetaContext) -> BoundaryResult:
     events ``invariant_closure`` would report.  The maximal-filter route is
     primary; ``routes_agree`` records the cross-check.
     """
-    up = ctx.fragment.up_masks
+    down = ctx.fragment.down_masks
     chars = enumerate_characters(ctx.fragment)
-    maximal = tuple(
-        c for c in chars
-        if not any(up[o] != up[c] and (up[c] & up[o]) == up[c] for o in chars))
+    maximal = tuple(c for c in chars if down[c] == 1 << c)
     route_a = invariant_closure(ctx, maximal)
     unresolved = len(route_a.events)
 

@@ -19,11 +19,13 @@ rerun eagerly, every point of its band flagged for every frame, and the
 projection identity by multiplying masks, where the package intersects
 their key sets.  ``forward_image`` decides an entry of theta forward,
 walking the word's trace from the character's least ideal, where the
-package pulls every fragment ideal back along the starred trace.  The
-diagonal expectation is summed term by term from word matrices and their
-diagonals copied out, where the package only compares each word's grading
-with its matrix's fixed columns.  Numerical
-membership is sieved entry by entry up to Schur's bound, where the package
+package pulls every fragment ideal back along the starred trace, and
+``rule_table`` reads theta one character at a time, testing each
+pullback's pair on the character, where the package transposes a
+carrier's pullback columns into the rows of every character it serves.
+The diagonal expectation is summed term by term from word matrices and
+their diagonals copied out, where the package only compares each word's
+grading with its matrix's fixed columns.  Numerical membership is sieved entry by entry up to Schur's bound, where the package
 reads the Apery set of the smallest generator, and the boundary's
 unresolved instances are the events of one ``invariant_closure`` per
 seed, where the package searches a successor graph.  The three models of
@@ -41,7 +43,8 @@ from sgclab.fock import (BandExhausted, TruncOp, equal_on_band, mul_op,
 from sgclab.ideals import WordTrace, from_trace, walk
 from sgclab.invsgp import make_vword
 from sgclab.models import EMPTY, ModelError
-from sgclab.spectrum import invariant_closure, theta_apply
+from sgclab.spectrum import (AMBIGUOUS, OUTSIDE, invariant_closure,
+                             theta_apply)
 
 
 def brute_trace_members(model, pairs, radius):
@@ -114,6 +117,60 @@ def forward_image(ctx, g, chi):
             return sum(1 << p for p, t in enumerate(toks)
                        if model.exact_subset(image, t))
     return None
+
+
+def rule_table(ctx, g):
+    """theta_g one character at a time: ``(table, details)`` as
+    ``ThetaContext.table(g)`` and its ``details`` entries should hold them.
+
+    For each character chi the first carrier whose domain chi holds is
+    read, and each fragment position's pullback pair ``(ups, downs)`` is
+    tested on chi's up mask: 1 when chi holds one of ups, open when it
+    holds all of downs, 0 otherwise.  Settled bits that are no filter raise
+    ModelError."""
+    frag, model = ctx.fragment, ctx.model
+    n = frag.size()
+    carriers = ctx.carriers(g)
+    pullbacks = {}   # carrier index -> its pairs, built on first read
+    table, details = [], {}
+    for chi in range(n):
+        chi_bits = frag.up_masks[chi]
+        entry = OUTSIDE
+        for k, (v, dom_pos) in enumerate(carriers):
+            if not chi_bits >> dom_pos & 1:
+                continue
+            if k not in pullbacks:
+                star = v.trace.star().pairs
+                pullbacks[k] = [ctx._recipe(walk(model, star,
+                                                 frag.ideal_at(pos).exact))
+                                for pos in range(n)]
+            bits = unsettled = 0
+            for pos, (ups, downs) in enumerate(pullbacks[k]):
+                if chi_bits & ups:
+                    bits |= 1 << pos
+                elif not downs & ~chi_bits:
+                    unsettled |= 1 << pos
+            if unsettled:
+                details[g, chi] = (bits, ~unsettled & (1 << n) - 1)
+                entry = AMBIGUOUS
+            elif bits in frag.pos_of_up:
+                entry = frag.pos_of_up[bits]
+            else:
+                raise ModelError(f"theta at grading {model.render(g)!r},"
+                                 f" character {chi}: bits are no filter")
+            break
+        table.append(entry)
+    return tuple(table), details
+
+
+def maximal_filters(frag):
+    """The characters whose up mask no other character's strictly holds:
+    the principal filters of the minimal fragment ideals."""
+    up = frag.up_masks
+    chars = range(frag.size())
+    return tuple(c for c in chars
+                 if not any(up[o] != up[c] and up[c] & up[o] == up[c]
+                            for o in chars))
 
 
 def restrict(char, hi, lo):
@@ -425,13 +482,8 @@ def boundary_event_count(ctx):
     """The boundary's ``unresolved_instances`` from ``invariant_closure``
     alone: the events of the maximal filters' closure plus those of every
     singleton's closure."""
-    frag = ctx.fragment
-    up = frag.up_masks
-    chars = range(frag.size())
-    maximal = [c for c in chars
-               if not any(up[o] != up[c] and up[c] & up[o] == up[c]
-                          for o in chars)]
-    return (len(invariant_closure(ctx, maximal).events)
+    chars = range(ctx.fragment.size())
+    return (len(invariant_closure(ctx, maximal_filters(ctx.fragment)).events)
             + sum(len(invariant_closure(ctx, [c]).events) for c in chars))
 
 

@@ -411,7 +411,7 @@ def test_settled_bits_that_are_no_filter_are_an_internal_error(monkeypatch,
     results = report["results"]
     assert code == 1
     assert results["spectrum"]["tier"] == "error"
-    assert results["spectrum"]["where"] == "spectrum._apply"
+    assert results["spectrum"]["where"] == "spectrum.table"
     assert results["spectrum"]["error"].startswith("ModelError: theta at")
     assert results["boundary"]["skipped"] == "reads spectrum, which raised"
     assert results["freeness"]["skipped"] == "reads boundary, which was skipped"

@@ -3,9 +3,9 @@ import collections
 import pytest
 
 from oracles import (boundary_event_count, brute_filters, brute_trace_members,
-                     forward_image, principal_character, restrict,
-                     theta_law_counts, uncached_walk)
-from sgclab import cli
+                     forward_image, maximal_filters, principal_character,
+                     restrict, rule_table, theta_law_counts, uncached_walk)
+from sgclab import cli, spectrum
 from sgclab.ideals import WordTrace, enumerate_ideals, from_trace
 from sgclab.invsgp import enumerate_vwords
 from sgclab.models import EMPTY, ModelError, build_model
@@ -302,6 +302,33 @@ def test_theta_entries_match_the_forward_hull(all_models):
     assert all(counts[m.name, "image"] for m in all_models)
 
 
+def test_table_rows_match_the_per_character_rule(all_models):
+    # every entry and every details item of a carrier's transposed columns
+    # equals the rule read one character at a time: the first carrier
+    # whose domain the character holds, each pullback pair tested on its
+    # up mask.  On <4,5> some pullbacks outside the fragment hold a
+    # fragment ideal above a character the carrier serves
+    num = [({"family": "numerical", "generators": gens}, 2)
+           for gens in ([3, 5, 7], [4, 7, 9], [4, 5])]
+    contexts = [context_for(model, depth)
+                for model in all_models for depth in (1, 2)]
+    contexts += [_default_context(build_model(config), depth)
+                 for config, depth in (
+                     *num, ({"family": "free_monoid", "rank": 3}, 3))]
+    counts = collections.Counter()
+    for ctx in contexts:
+        details = {}
+        for g in (ctx.model.unit, *ctx.gradings()):
+            table, got = rule_table(ctx, g)
+            assert ctx.table(g) == table, (ctx.model.name, g)
+            details.update(got)
+            counts[ctx.model.name, "carriers"] += len(ctx.carriers(g)) > 1
+        assert ctx.details == details, ctx.model.name
+        counts[ctx.model.name, "ambiguous"] += len(details)
+    assert counts["<4,7,9>", "ambiguous"] == 391
+    assert counts["<3,5,7>", "ambiguous"] and counts["<4,7,9>", "carriers"]
+
+
 def test_recipe_pullback_matches_trace_evaluation(all_models):
     # the pullback of y along v is the domain of v* E_y v; the table takes
     # it with one walk from y's token, this evaluates the whole trace of
@@ -362,35 +389,37 @@ def test_fragment_pairs_read_as_their_subset_scan(all_models):
 
 def test_each_pullback_token_is_scanned_once_per_context(all_models,
                                                          monkeypatch):
-    # building every table of a fresh context scans each pullback token
-    # outside the fragment against every fragment position once, however
-    # many (carrier, position) pairs pull back to it
-    reads = collections.Counter()
-    recipe = ThetaContext._recipe
-
-    def counted_recipe(self, z):
-        reads[z] += 1
-        return recipe(self, z)
-    monkeypatch.setattr(ThetaContext, "_recipe", counted_recipe)
+    # building every table of a fresh context asks of a pullback token
+    # outside the fragment and a fragment position each of "is the position
+    # inside it" and "does the position contain it" at most once, however
+    # many (carrier, position) pairs pull back to it: each token's pair is
+    # built once, by a descent and a down-set scan that never ask twice
+    walk = spectrum.walk
     for ctx in [context_for(m, 2) for m in all_models] + [num357_context()]:
         model, frag = ctx.model, ctx.fragment
         toks = frozenset(frag.pos_of_token)
-        scans = collections.Counter()
+        asks, pullbacks = collections.Counter(), collections.Counter()
         subset = type(model).exact_subset
 
         def counted_subset(self, tok, other):
-            if tok in toks and other not in toks:
-                scans[other] += 1
+            if (tok in toks) != (other in toks):
+                asks[tok, other] += 1
             return subset(self, tok, other)
-        reads.clear()
+
+        def counted_walk(model, pairs, tok):
+            z = walk(model, pairs, tok)
+            pullbacks[z] += 1
+            return z
         with monkeypatch.context() as m:
             m.setattr(type(model), "exact_subset", counted_subset)
+            m.setattr(spectrum, "walk", counted_walk)
             for g in ctx.gradings() + (model.unit,):
                 ctx.table(g)
-        outside = {z for z in reads if z not in toks and z != EMPTY}
-        assert outside and set(scans) == outside, model.name
-        assert set(scans.values()) == {frag.size()}, model.name
-        assert sum(reads[z] for z in outside) > len(outside), model.name
+        outside = {z for z in pullbacks if z not in toks and z != EMPTY}
+        asked = {t for pair in asks for t in pair if t not in toks}
+        assert outside and asked == outside, model.name
+        assert set(asks.values()) == {1}, model.name
+        assert sum(pullbacks[z] for z in outside) > len(outside), model.name
 
 
 def _law_counts(model, lattice, family):
@@ -515,6 +544,17 @@ def test_boundary_is_invariant(all_models):
                 r = theta_apply(ctx, g, chi)
                 if r.status == "image":
                     assert r.image in res.chars
+
+
+def test_maximal_seeds_are_the_characters_with_no_ideal_below(all_models):
+    # a character is maximal exactly when no fragment ideal lies strictly
+    # below its least ideal: its down mask is its own bit
+    num479 = build_model({"family": "numerical", "generators": [4, 7, 9]})
+    contexts = [context_for(model, depth)
+                for model in all_models for depth in (1, 2)]
+    contexts.append(_default_context(num479, 2))
+    for ctx in contexts:
+        assert boundary(ctx).maximal_seeds == maximal_filters(ctx.fragment)
 
 
 def test_orbit_route_is_the_intersection_of_singleton_closures(all_models):
