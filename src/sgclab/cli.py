@@ -228,8 +228,7 @@ def _an_spectrum(model, caps, rng, store):
     store["fragment"] = frag
     store["theta"] = ctx
     chars = spectrum.enumerate_characters(frag)
-    identity_ok = all(
-        spectrum.theta_apply(ctx, model.unit, chi).image == chi for chi in chars)
+    identity_ok = ctx.table(model.unit) == chars
     # theta_g1(theta_g2(chi)) == theta_g1g2(chi) wherever both sides are
     # images, table against table.  A product no word carries has the
     # all-outside table, so all of g2's images are skipped there unread.
@@ -269,14 +268,10 @@ def _an_boundary(model, caps, rng, store):
     store["boundary"] = res
     frag = store["fragment"]
     support = functools.cache(lambda chi: list(frag.support(chi)))
-    gradings = ctx.gradings()
-    edges = []
-    for chi in sorted(res.chars, key=frag.up_masks.__getitem__):
-        for g in gradings:
-            out = spectrum.theta_apply(ctx, g, chi)
-            if out.status == "image":
-                edges.append([support(chi), model.render(g),
-                              support(out.image)])
+    tables = [(model.render(g), ctx.table(g)) for g in ctx.gradings()]
+    edges = [[support(chi), name, support(table[chi])]
+             for chi in sorted(res.chars, key=frag.up_masks.__getitem__)
+             for name, table in tables if table[chi] >= 0]
     tier = "band-limited" if res.routes_agree else "inconclusive"
     return {
         "op": "spectrum.boundary",
@@ -722,7 +717,8 @@ def main(argv=None) -> int:
         else:
             print(text, end="")
         return code
-    except (ConfigError, ModelError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, ModelError, OSError, json.JSONDecodeError,
+            fock.BandExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -137,8 +137,8 @@ def idempotent_vword(x: ConstructibleIdeal) -> VWord:
 def semilattice(lattice) -> dict:
     """Multiplication table {(i, j): k} of the diagonal words over a closed
     lattice: ``idempotent_vword`` of ideal i times that of ideal j is the
-    word of ideal k, so the table is the lattice intersection table."""
-    return dict(lattice.intersect_table)
+    word of ideal k, so this is the lattice's own intersection table."""
+    return lattice.intersect_table
 
 
 @dataclass(frozen=True, eq=False)

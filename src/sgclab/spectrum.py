@@ -11,33 +11,30 @@ The group acts partially: a word v with grading g carries the character
 chi (with chi(dom v) = 1) to the character y -> chi(pullback of y along v),
 where the pullback of y is the domain ideal of v* E_y v: the image of y
 under v*, one walk of v's starred trace from y's token.  At finite
-fragment scale a pullback token z is one mask pair, ``ups`` (the positions
-inside z) and ``downs`` (those containing it): chi is 1 at z when it holds
-one of ``ups``, 0 when it misses one of ``downs`` (position p is ``(1 << p,
-1 << p)``, the empty ideal ``(0, -1)``), and else genuinely ambiguous.  That
-is the honest fingerprint of the fragment edge: the character has several
-extensions with different images, so the instance is reported, never
-guessed.  Fragment characters carry the discrete topology, so closure
-computations add only images of defined instances.  The fragment is closed
-under intersection, so ``downs`` is the up-set of m(z), the least fragment
-ideal holding z, and ``ups`` a down-set below m(z): both come from a descent
-along the covers, not from a scan of the fragment.
+fragment scale a pullback token z is read over the characters as one pair
+of column masks, D of those on which z reads 1 and E of those on which it
+is open: position p reads 1 below p and 0 elsewhere, the empty ideal 0
+everywhere, and any other z reads 1 on the characters whose least ideal
+lies inside z and is open on the rest of the down-set of m(z), the least
+fragment ideal holding z.  An open entry is the honest fingerprint of the
+fragment edge: the character has several extensions with different
+images, so the instance is reported, never guessed.  Fragment characters
+carry the discrete topology, so closure computations add only images of
+defined instances.  m(z) and the ideals inside z come from a descent along
+the covers, not from a scan of the fragment.
 
 ``ThetaContext.table(g)`` holds theta_g as a tuple of ints, one per
 character: the image's position, or the sentinel OUTSIDE or AMBIGUOUS
 (both below zero); the unit's table too is computed, not assumed.  An
 ambiguous entry keeps its image bits and the mask of the positions they
-settle in a side map keyed ``(g, chi)``, for the freeness probe;
-``theta_apply`` reads one instance back as a ``ThetaResult``.  A table is
-built by columns: read over the characters, a pullback's pair is a mask D
-of those on which it reads 1 and a mask E of those on which it is open,
-and the characters a word serves get their image bits and open bits as
-the rows of its D and E columns, one transpose each.  A word is a partial
-bijection, so bits settled everywhere are the filter of the least
-fragment ideal holding v(c); bits that are no filter raise ``ModelError``.
-The composition law is checked on the tables directly, and only for
-products some word carries: any other product's table is OUTSIDE
-everywhere.
+settle in ``details``, keyed ``(g, chi)``; ``theta_apply`` reads one
+instance back as a ``ThetaResult``.  The characters a word serves get
+their image bits and open bits as the rows of its pullbacks' D and E
+columns, one transpose each.  A word is a partial bijection, so bits
+settled everywhere are the filter of the least fragment ideal holding
+v(c); bits that are no filter raise ``ModelError``.  The composition law
+is checked on the tables directly, and only for products some word
+carries: any other product's table is OUTSIDE everywhere.
 
 The boundary is computed two independent ways and the routes are
 cross-checked; a discrepancy is reported, not hidden.  Route one closes the
@@ -47,13 +44,13 @@ intersects the closures of all singletons, each a bitset breadth-first
 search over that graph; the route degenerates when the intersection is
 empty.
 
-The freeness probe restricts the dynamics to the computed boundary: an
-ambiguous image is resolved only when exactly one boundary character is
-consistent with the settled bits.  Its verdict uses basic open sets
-from sub-frontier ideals only (ideals discovered strictly below the
-enumeration frontier), because a frontier cylinder says nothing about the
-dynamics beneath the resolution of the fragment; this is evidence at the
-tested depth, never a proof.
+The freeness probe reads the tables and ``details`` on the computed
+boundary, as bitmasks over the characters: an ambiguous image is resolved
+only when exactly one boundary character agrees with the settled bits.
+Its verdict uses basic open sets from sub-frontier ideals only (ideals
+discovered strictly below the enumeration frontier), because a frontier
+cylinder says nothing about the dynamics beneath the resolution of the
+fragment; this is evidence at the tested depth, never a proof.
 """
 
 from __future__ import annotations
@@ -117,17 +114,9 @@ class Fragment:
         fragment ideal."""
         return self.pos_of_token.get(tok)
 
-    def sub_frontier_positions(self):
-        frontier = max(self.depths) if self.depths else 0
-        return tuple(p for p, d in enumerate(self.depths) if d < frontier)
-
     def is_filter(self, bits) -> bool:
         """Filters on a finite meet-closed fragment are principal."""
         return bits in self.pos_of_up
-
-    def value(self, chi, pos) -> int:
-        """The character chi evaluated at the ideal in position pos."""
-        return (self.up_masks[chi] >> pos) & 1
 
     def support(self, chi):
         """Positions of the ideals on which chi is 1: its up mask's bits."""
@@ -171,7 +160,6 @@ class ThetaContext:
         self._tables = {}
         self._no_carrier = (OUTSIDE,) * n
         self.details = {}     # (g, chi) -> (bits, settled)
-        self._pairs = {}      # pullback token -> (ups, downs)
         self._cols = {}       # pullback token -> (D, E) column masks
         self._tokens = tuple(fragment.ideal_at(p).exact for p in range(n))
         # theta_apply hands out one shared result per image position
@@ -192,21 +180,25 @@ class ThetaContext:
                 out.append((v, dom_pos))
         return tuple(out)
 
-    def _recipe(self, z):
-        """The ``(ups, downs)`` masks of pullback token z, built once per
-        context: the fragment positions inside z and those containing it.
-        ``downs`` is the up-set of m(z), reached from P by entering a
-        covered position that holds z while there is one.  ``ups`` is found
+    def _columns(self, z):
+        """Pullback token z read over the characters, built once per
+        context: the masks ``(D, E)`` of those on which z reads 1 and those
+        on which it is open.  Position p reads 1 below p, the empty ideal 0
+        everywhere.  Any other z reads 1 on the positions inside it and is
+        open on the rest of the down-set of m(z), the least fragment ideal
+        holding z.  m(z) is reached from P by entering a covered position
+        that holds z while there is one.  The positions inside z are found
         below m(z), from the top: a position inside z brings its down-set,
         one that is not has its covers tried, and none is tried twice."""
-        got = self._pairs.get(z)
+        got = self._cols.get(z)
         if got is None:
             frag = self.fragment
+            down = frag.down_masks
             pos = frag.pos_of_token.get(z)
             if pos is not None:
-                got = (1 << pos, 1 << pos)
+                got = (down[pos], 0)
             elif z == EMPTY:
-                got = (0, -1)
+                got = (0, 0)
             else:
                 subset, toks, covers = (self.model.exact_subset, self._tokens,
                                         frag.covers)
@@ -224,30 +216,11 @@ class ThetaContext:
                     if not seen >> w & 1:
                         seen |= 1 << w
                         if subset(toks[w], z):
-                            ups |= frag.down_masks[w]
-                            seen |= frag.down_masks[w]
+                            ups |= down[w]
+                            seen |= down[w]
                         else:
                             todo.extend(covers[w])
-                got = (ups, frag.up_masks[top])
-            self._pairs[z] = got
-        return got
-
-    def _columns(self, z):
-        """Pullback token z's pair read over the characters, as the masks
-        ``(D, E)`` of those on which z reads 1 and those on which it is
-        open: position p reads 1 below p, the empty ideal 0 everywhere, and
-        any other z reads 1 on ``ups`` and is open on the rest of m(z)'s
-        down-set."""
-        got = self._cols.get(z)
-        if got is None:
-            ups, downs = self._recipe(z)
-            down = self.fragment.down_masks
-            if ups & downs:
-                got = (down[ups.bit_length() - 1], 0)
-            elif downs < 0:
-                got = (0, 0)
-            else:
-                got = (ups, down[self.fragment.pos_of_up[downs]] & ~ups)
+                got = (ups, down[top] & ~ups)
             self._cols[z] = got
         return got
 
@@ -256,12 +229,12 @@ class ThetaContext:
 
         An entry is the image character's position, or a sentinel below
         zero: OUTSIDE when chi vanishes on every usable domain ideal,
-        AMBIGUOUS when the ``(ups, downs)`` pairs of the first usable word's
-        pullback tokens leave some fragment ideal unsettled.  Every table is
-        computed from its grading's carriers, the unit's too; a grading no
-        word carries is OUTSIDE everywhere.  Each AMBIGUOUS entry keeps its
-        image bits and the mask of the positions they settle in
-        ``details``, keyed ``(g, chi)``.
+        AMBIGUOUS when the first usable word's pullback tokens leave some
+        fragment ideal unsettled.  Every table is computed from its
+        grading's carriers, the unit's too; a grading no word carries is
+        OUTSIDE everywhere.  Each AMBIGUOUS entry keeps its image bits and
+        the mask of the positions they settle in ``details``, keyed
+        ``(g, chi)``.
 
         A carrier serves the characters below its domain position that no
         earlier carrier serves, all in one pass: the ``_columns`` of each
@@ -450,29 +423,15 @@ class FreenessVerdict:
         }
 
 
-def _boundary_status(fragment, boundary_chars, chi, res):
-    """Classify chi, whose grading-g result is res, under the dynamics
-    restricted to the boundary: 'fixed' / 'moved' when certain for every
-    boundary-consistent completion, else 'unresolved'."""
-    if res.status == "image":
-        if res.image not in boundary_chars:
-            return "moved"   # image escaped; invariance cross-checks flag it
-        return "fixed" if res.image == chi else "moved"
-    completions = [b for b in boundary_chars
-                   if not (fragment.up_masks[b] ^ res.bits) & res.settled]
-    if not completions:
-        return "unresolved"
-    if all(b == chi for b in completions):
-        return "fixed"
-    if chi not in completions:
-        return "moved"
-    return "unresolved"
-
-
 def topological_freeness_probe(ctx: ThetaContext, boundary_chars, g_list) -> dict:
     """Per grading: the fixed characters of the boundary dynamics and a
     density-style verdict.
 
+    A boundary character is fixed when it is its image's only completion,
+    moved when it is not among them, and unresolved otherwise, also when
+    there is none: an image is its own completion, an ambiguous entry's
+    are the boundary characters whose up mask agrees with its bits where
+    they are settled.
     not-free: some basic open set from a sub-frontier ideal meets the
     domain and consists entirely of certainly-fixed characters.  free: no
     such open set, and either the domain is empty or a certainly moved
@@ -480,27 +439,37 @@ def topological_freeness_probe(ctx: ThetaContext, boundary_chars, g_list) -> dic
     """
     unit = ctx.model.unit
     frag = ctx.fragment
-    boundary_chars = frozenset(boundary_chars)
-    ordered = sorted(boundary_chars, key=frag.up_masks.__getitem__)
-    sub_frontier = frag.sub_frontier_positions()
+    up, down = frag.up_masks, frag.down_masks
+    ordered = sorted(set(boundary_chars), key=up.__getitem__)
+    frontier = max(frag.depths, default=0)
+    sub_frontier = [p for p, d in enumerate(frag.depths) if d < frontier]
     out = {}
     for g in g_list:
         if g == unit:
             raise ModelError("freeness probe expects non-identity gradings")
-        domain = []
+        table = ctx.table(g)
+        domain = 0
         fixed, moved, unresolved = [], [], []
         for chi in ordered:
-            res = theta_apply(ctx, g, chi)
-            if res.status == "outside":
+            a = table[chi]
+            if a == OUTSIDE:
                 continue
-            domain.append(chi)
-            kind = _boundary_status(frag, boundary_chars, chi, res)
-            {"fixed": fixed, "moved": moved, "unresolved": unresolved}[kind].append(chi)
+            domain |= 1 << chi
+            if a == AMBIGUOUS:
+                bits, settled = ctx.details[g, chi]
+                agree = sum(1 << b for b in ordered
+                            if not (up[b] ^ bits) & settled)
+                kind = (fixed if agree == 1 << chi else
+                        unresolved if not agree or agree >> chi & 1 else moved)
+            else:
+                kind = fixed if a == chi else moved
+            kind.append(chi)
+        fixed_bits = sum(1 << chi for chi in fixed)
         witness = None
-        for pos in sub_frontier:
-            cylinder = [chi for chi in domain if frag.value(chi, pos)]
-            if cylinder and all(chi in fixed for chi in cylinder):
-                witness = pos
+        for p in sub_frontier:
+            cylinder = domain & down[p]
+            if cylinder and not cylinder & ~fixed_bits:
+                witness = p
                 break
         if witness is not None:
             status, note = "not-free", "sub-frontier open set of fixed characters"

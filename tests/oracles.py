@@ -21,8 +21,11 @@ their key sets.  ``forward_image`` decides an entry of theta forward,
 walking the word's trace from the character's least ideal, where the
 package pulls every fragment ideal back along the starred trace, and
 ``rule_table`` reads theta one character at a time, testing each
-pullback's pair on the character, where the package transposes a
-carrier's pullback columns into the rows of every character it serves.
+pullback's ``scan_pair`` on the character, where the package descends the
+covers to each pullback's column masks and transposes a carrier's columns
+into the rows of every character it serves.  ``freeness_reference`` runs
+the freeness probe one ``theta_apply`` and one character evaluation at a
+time, where the package reads tables and ANDs bitmasks.
 The diagonal expectation is summed term by term from word matrices and
 their diagonals copied out, where the package only compares each word's
 grading with its matrix's fixed columns.  Numerical membership is sieved entry by entry up to Schur's bound, where the package
@@ -43,8 +46,8 @@ from sgclab.fock import (BandExhausted, TruncOp, equal_on_band, mul_op,
 from sgclab.ideals import WordTrace, from_trace, walk
 from sgclab.invsgp import make_vword
 from sgclab.models import EMPTY, ModelError
-from sgclab.spectrum import (AMBIGUOUS, OUTSIDE, invariant_closure,
-                             theta_apply)
+from sgclab.spectrum import (AMBIGUOUS, OUTSIDE, FreenessVerdict,
+                             invariant_closure, theta_apply)
 
 
 def brute_trace_members(model, pairs, radius):
@@ -119,19 +122,30 @@ def forward_image(ctx, g, chi):
     return None
 
 
+def scan_pair(frag, z):
+    """Token z as the mask pair ``(ups, downs)`` by plain ``exact_subset``
+    scans: the fragment positions inside z and those containing it."""
+    model = frag.lattice.model
+    toks = [frag.ideal_at(w).exact for w in range(frag.size())]
+    subset = model.exact_subset
+    return (sum(1 << w for w, t in enumerate(toks) if subset(t, z)),
+            sum(1 << w for w, t in enumerate(toks) if subset(z, t)))
+
+
 def rule_table(ctx, g):
     """theta_g one character at a time: ``(table, details)`` as
     ``ThetaContext.table(g)`` and its ``details`` entries should hold them.
 
     For each character chi the first carrier whose domain chi holds is
-    read, and each fragment position's pullback pair ``(ups, downs)`` is
-    tested on chi's up mask: 1 when chi holds one of ups, open when it
-    holds all of downs, 0 otherwise.  Settled bits that are no filter raise
-    ModelError."""
+    read, and each fragment position's pullback ``scan_pair``
+    ``(ups, downs)`` is tested on chi's up mask: 1 when chi holds one of
+    ups, open when it holds all of downs, 0 otherwise.  The empty pullback,
+    inside the empty ideal that no character holds, is ``(0, -1)``: 0 on
+    every character.  Settled bits that are no filter raise ModelError."""
     frag, model = ctx.fragment, ctx.model
     n = frag.size()
     carriers = ctx.carriers(g)
-    pullbacks = {}   # carrier index -> its pairs, built on first read
+    pullbacks, scans = {}, {}   # carrier index -> its pairs; token -> pair
     table, details = [], {}
     for chi in range(n):
         chi_bits = frag.up_masks[chi]
@@ -141,9 +155,13 @@ def rule_table(ctx, g):
                 continue
             if k not in pullbacks:
                 star = v.trace.star().pairs
-                pullbacks[k] = [ctx._recipe(walk(model, star,
-                                                 frag.ideal_at(pos).exact))
-                                for pos in range(n)]
+                pullbacks[k] = []
+                for pos in range(n):
+                    z = walk(model, star, frag.ideal_at(pos).exact)
+                    if z not in scans:
+                        scans[z] = ((0, -1) if z == EMPTY
+                                    else scan_pair(frag, z))
+                    pullbacks[k].append(scans[z])
             bits = unsettled = 0
             for pos, (ups, downs) in enumerate(pullbacks[k]):
                 if chi_bits & ups:
@@ -161,6 +179,67 @@ def rule_table(ctx, g):
             break
         table.append(entry)
     return tuple(table), details
+
+
+def freeness_reference(ctx, chars, g_list):
+    """``topological_freeness_probe`` one character at a time, as
+    ``{g: FreenessVerdict}``.  Each character of ``chars``, in up-mask
+    order, is classified from its ``theta_apply`` result: an image is
+    moved when it escapes ``chars``, else fixed when it is chi and moved
+    otherwise; an ambiguous result's completions are the characters of
+    ``chars`` that agree with its bits where they are settled, and it is
+    fixed when chi is the only one, moved when chi is not among them, and
+    unresolved otherwise (none among them too).  Each sub-frontier
+    position's cylinder is listed by evaluating every domain character at
+    it."""
+    frag = ctx.fragment
+    up = frag.up_masks
+    chars = frozenset(chars)
+    ordered = sorted(chars, key=up.__getitem__)
+    frontier = max(frag.depths) if frag.depths else 0
+    sub_frontier = [p for p, d in enumerate(frag.depths) if d < frontier]
+    out = {}
+    for g in g_list:
+        domain, fixed, moved, unresolved = [], [], [], []
+        for chi in ordered:
+            res = theta_apply(ctx, g, chi)
+            if res.status == "outside":
+                continue
+            domain.append(chi)
+            if res.status == "image":
+                if res.image not in chars:
+                    kind = moved   # the image escaped the set
+                else:
+                    kind = fixed if res.image == chi else moved
+            else:
+                completions = [b for b in chars
+                               if not (up[b] ^ res.bits) & res.settled]
+                if not completions:
+                    kind = unresolved
+                elif all(b == chi for b in completions):
+                    kind = fixed
+                elif chi not in completions:
+                    kind = moved
+                else:
+                    kind = unresolved
+            kind.append(chi)
+        witness = None
+        for pos in sub_frontier:
+            cylinder = [chi for chi in domain if up[chi] >> pos & 1]
+            if cylinder and all(chi in fixed for chi in cylinder):
+                witness = pos
+                break
+        if witness is not None:
+            status, note = "not-free", "sub-frontier open set of fixed characters"
+        elif not domain:
+            status, note = "free", "empty domain"
+        elif moved:
+            status, note = "free", "no fixed open set; movement witnessed"
+        else:
+            status, note = "inconclusive", "fragment cannot certify movement"
+        out[g] = FreenessVerdict(g, status, tuple(fixed), tuple(moved),
+                                 tuple(unresolved), witness, note)
+    return out
 
 
 def maximal_filters(frag):

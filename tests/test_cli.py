@@ -306,11 +306,11 @@ def test_run_reaches_the_traced_theta_and_filter_calls(monkeypatch):
 
 
 def _pullbacks_read_as_full(monkeypatch):
-    recipe = spectrum.ThetaContext._recipe
+    columns = spectrum.ThetaContext._columns
 
     def planted(self, z):
-        return recipe(self, self.model.exact_full())
-    monkeypatch.setattr(spectrum.ThetaContext, "_recipe", planted)
+        return columns(self, self.model.exact_full())
+    monkeypatch.setattr(spectrum.ThetaContext, "_columns", planted)
 
 
 def _unit_table_read_from_another_grading(monkeypatch):
@@ -616,6 +616,19 @@ def test_main_matrix_dump(tmp_path):
         assert "1 0 1/1" in text
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in dump.iterdir()} == digests
+
+
+def test_main_refuses_a_matrix_dump_beyond_the_truncation(tmp_path, capsys):
+    # the generator 3 reaches past a truncation of 2: exit 1 with an error
+    # line, no traceback and no report
+    out = tmp_path / "r.json"
+    code = main(["analyze", "--family", "numerical", "--generators", "3,5",
+                 "--depth", "1", "--trunc", "2", "--analyses", "ore",
+                 "--out", str(out), "--matrix-dump", str(tmp_path / "mats")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: word reach 3 exceeds truncation 2\n"
+    assert not out.exists()
 
 
 def test_main_cache_dir(tmp_path, monkeypatch):

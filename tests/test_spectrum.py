@@ -3,8 +3,9 @@ import collections
 import pytest
 
 from oracles import (boundary_event_count, brute_filters, brute_trace_members,
-                     forward_image, maximal_filters, principal_character,
-                     restrict, rule_table, theta_law_counts, uncached_walk)
+                     forward_image, freeness_reference, maximal_filters,
+                     principal_character, restrict, rule_table, scan_pair,
+                     theta_law_counts, uncached_walk)
 from sgclab import cli, spectrum
 from sgclab.ideals import WordTrace, enumerate_ideals, from_trace
 from sgclab.invsgp import enumerate_vwords
@@ -34,6 +35,11 @@ def num357_context():
     lat = enumerate_ideals(num357, 2, 7, 50)
     return ThetaContext(Fragment.from_lattice(lat),
                         enumerate_vwords(num357, 2, 7, 50))
+
+
+def value(frag, chi, pos):
+    """The character chi evaluated at the ideal in position pos."""
+    return frag.up_masks[chi] >> pos & 1
 
 
 def char_by_support(frag, chars, supports):
@@ -66,7 +72,7 @@ def test_f2_depth1_characters(f2):
     assert len(chars) == 3
     # aP and bP are disjoint so no filter holds both
     for c in chars:
-        assert not (frag.value(c, 1) and frag.value(c, 2))
+        assert not (value(frag, c, 1) and value(frag, c, 2))
 
 
 def test_characters_match_subset_scan_oracle(all_models):
@@ -91,19 +97,19 @@ def test_characters_satisfy_filter_axioms(all_models):
         frag = fragment_for(model, 2)
         for c in enumerate_characters(frag):
             assert frag.is_filter(frag.up_masks[c])
-            assert frag.value(c, frag.pos_of_token[model.exact_full()]) == 1
+            assert value(frag, c, frag.pos_of_token[model.exact_full()]) == 1
 
 
 def test_principal_characters(n1, f2):
     frag = fragment_for(n1, 3)   # P, 1+N, 2+N, 3+N
     chi2 = principal_character(frag, (2,))
-    assert [frag.value(chi2, p) for p in range(4)] == [1, 1, 1, 0]
+    assert [value(frag, chi2, p) for p in range(4)] == [1, 1, 1, 0]
     chi0 = principal_character(frag, (0,))
-    assert [frag.value(chi0, p) for p in range(4)] == [1, 0, 0, 0]
+    assert [value(frag, chi0, p) for p in range(4)] == [1, 0, 0, 0]
 
     fragf = fragment_for(f2, 1)
     chia = principal_character(fragf, "a")
-    assert [fragf.value(chia, p) for p in range(3)] == [1, 1, 0]
+    assert [value(fragf, chia, p) for p in range(3)] == [1, 1, 0]
 
 
 def test_principal_characters_are_enumerated(all_models):
@@ -193,10 +199,13 @@ def test_theta_composition_law(all_models):
 
 def pullback_pairs(ctx, v):
     """The ``(ups, downs)`` pair of each fragment position's pullback along
-    v, its token walked without the step cache."""
-    star = v.trace.star().pairs
-    return [ctx._recipe(uncached_walk(ctx.model, star, y.exact))
-            for y in map(ctx.fragment.ideal_at, range(ctx.fragment.size()))]
+    v, its token walked without the step cache and its pair scanned; the
+    empty pullback, inside the empty ideal that no character holds, is
+    ``(0, -1)``: 0 on every character."""
+    star, frag = v.trace.star().pairs, ctx.fragment
+    tokens = [uncached_walk(ctx.model, star, frag.ideal_at(p).exact)
+              for p in range(frag.size())]
+    return [(0, -1) if z == EMPTY else scan_pair(frag, z) for z in tokens]
 
 
 def read(up, pair):
@@ -208,13 +217,12 @@ def read(up, pair):
     return 0 if downs & ~up else None
 
 
-def scan_pair(frag, z):
-    """The full ``exact_subset`` scan of token z: the positions inside it
-    and the positions containing it."""
-    model = frag.lattice.model
-    toks = [frag.ideal_at(w).exact for w in range(frag.size())]
-    return (sum(1 << w for w, t in enumerate(toks) if model.exact_subset(t, z)),
-            sum(1 << w for w, t in enumerate(toks) if model.exact_subset(z, t)))
+def columns(frag, pair):
+    """A pair read on every character, as the masks ``(D, E)`` of the
+    characters on which it reads 1 and those on which it is open."""
+    reads = [read(up, pair) for up in frag.up_masks]
+    return (sum(1 << c for c, r in enumerate(reads) if r == 1),
+            sum(1 << c for c, r in enumerate(reads) if r is None))
 
 
 def test_theta_carriers_agree(all_models):
@@ -232,7 +240,7 @@ def test_theta_carriers_agree(all_models):
                 up = frag.up_masks[chi]
                 images = set()
                 for dom_pos, pairs in carriers:
-                    if not frag.value(chi, dom_pos):
+                    if not value(frag, chi, dom_pos):
                         continue
                     values = tuple(read(up, pair) for pair in pairs)
                     if None not in values:
@@ -257,7 +265,7 @@ def test_theta_settled_mask_is_what_the_recipes_settle(all_models):
                     continue
                 up = frag.up_masks[chi]
                 v = next(v for v, dom_pos in ctx.carriers(g)
-                         if frag.value(chi, dom_pos))
+                         if value(frag, chi, dom_pos))
                 bits = settled = 0
                 for pos, pair in enumerate(pullback_pairs(ctx, v)):
                     bit = read(up, pair)
@@ -334,9 +342,9 @@ def test_recipe_pullback_matches_trace_evaluation(all_models):
     # it with one walk from y's token, this evaluates the whole trace of
     # v* . y . y* . v from P and checks its members against the raw sets
     # (on <3,5,7> for the first carrier of each grading only: all 4,100
-    # of its pullbacks would take seconds).  Its pair is (0, -1) when it is
-    # empty, (1 << p, 1 << p) at fragment position p, and the subset scan
-    # of the fragment otherwise.
+    # of its pullbacks would take seconds).  Its columns are (0, 0) when it
+    # is empty, (the characters below p, 0) at fragment position p, and
+    # the subset scan of the fragment read on every character otherwise.
     cases = [context_for(model, 2) for model in all_models]
     cases.append(num357_context())
     for ctx in cases:
@@ -346,8 +354,10 @@ def test_recipe_pullback_matches_trace_evaluation(all_models):
         for g in ctx.gradings():
             carriers = ctx.carriers(g)
             for v, _ in carriers[:1] if cases[-1] is ctx else carriers:
-                for pos, pair in enumerate(pullback_pairs(ctx, v)):
+                star = v.trace.star().pairs
+                for pos in range(frag.size()):
                     y = frag.ideal_at(pos)
+                    cols = ctx._columns(uncached_walk(model, star, y.exact))
                     pairs = (v.trace.star().pairs + y.trace.pairs
                              + y.trace.star().pairs + v.trace.pairs)
                     z = from_trace(model, WordTrace(pairs))
@@ -355,34 +365,37 @@ def test_recipe_pullback_matches_trace_evaluation(all_models):
                     assert set(z.members_upto(radius)) == brute_trace_members(
                         model, pairs, radius), (model.name, pairs)
                     if z.is_empty():
-                        assert pair == (0, -1)
+                        assert cols == (0, 0)
                     elif z.exact in frag.pos_of_token:
                         p = frag.pos_of_token[z.exact]
-                        assert pair == (1 << p, 1 << p)
+                        below = sum(1 << c for c in range(frag.size())
+                                    if value(frag, c, p))
+                        assert cols == (below, 0)
                     else:
-                        assert pair == scan_pair(frag, z.exact)
+                        assert cols == columns(frag, scan_pair(frag, z.exact))
         assert checked, model.name
 
 
 def test_fragment_pairs_read_as_their_subset_scan(all_models):
-    # a pullback at fragment position p keeps the pair (1 << p, 1 << p), a
-    # filter holding an ideal inside it exactly when it holds p: on every
-    # character it reads as the full subset scan does.  The empty pullback
-    # lies inside the empty ideal, which no character holds, so it reads 0
-    # even where the scan, blind to that ideal, would leave it open.
+    # a pullback at fragment position p reads 1 on a character exactly
+    # when the character holds p, and is nowhere open: on every character
+    # it reads as the full subset scan does.  The empty pullback lies
+    # inside the empty ideal, which no character holds, so it reads 0 even
+    # where the scan, blind to that ideal, would leave it open.
     open_empty = 0
     for ctx in [context_for(m, 2) for m in all_models] + [num357_context()]:
         frag = ctx.fragment
         for p in range(frag.size()):
-            pair = ctx._recipe(frag.ideal_at(p).exact)
+            cols = ctx._columns(frag.ideal_at(p).exact)
             scan = scan_pair(frag, frag.ideal_at(p).exact)
-            assert pair == (1 << p, 1 << p)
+            assert cols == columns(frag, scan) == (frag.down_masks[p], 0)
             for chi in enumerate_characters(frag):
                 up = frag.up_masks[chi]
-                assert read(up, pair) == read(up, scan) == frag.value(chi, p)
+                assert (cols[0] >> chi & 1 == read(up, scan)
+                        == value(frag, chi, p))
+        assert ctx._columns(EMPTY) == (0, 0)
         for chi in enumerate_characters(frag):
             up = frag.up_masks[chi]
-            assert read(up, ctx._recipe(EMPTY)) == 0
             open_empty += read(up, scan_pair(frag, EMPTY)) is None
     assert open_empty
 
@@ -690,3 +703,46 @@ def test_freeness_f2_deep_inverse_is_inconclusive(f2):
     bd = boundary(ctx)
     verdicts = topological_freeness_probe(ctx, bd.chars, ["AA"])
     assert verdicts["AA"].status == "inconclusive"
+
+
+def test_freeness_probe_matches_the_per_character_reference(all_models):
+    # the probe reads tables and ANDs masks; the reference classifies one
+    # theta_apply at a time and lists each cylinder character by
+    # character.  Every verdict field must agree on the boundary, on all
+    # characters and on each maximal seed alone, for every grading and one
+    # that no word carries.  The sets that are not invariant reach two
+    # branches a boundary never does: an image outside the set and an
+    # ambiguous entry with no completion in it
+    contexts = [context_for(model, depth)
+                for model in all_models for depth in (1, 2)]
+    contexts += [_default_context(build_model(config), depth)
+                 for config, depth in (
+                     ({"family": "free_monoid", "rank": 3}, 3),
+                     ({"family": "numerical", "generators": [4, 7, 9]}, 2))]
+    counts = collections.Counter()
+    for ctx in contexts:
+        model, up = ctx.model, ctx.fragment.up_masks
+        gradings = ctx.gradings()
+        uncarried = next(model.mul(g1, g2) for g1 in gradings
+                         for g2 in gradings
+                         if model.mul(g1, g2) not in ctx.family.by_grading)
+        g_list = [*gradings, uncarried]
+        bd = boundary(ctx)
+        sets = [bd.chars, enumerate_characters(ctx.fragment),
+                *[(seed,) for seed in bd.maximal_seeds]]
+        for chars in sets:
+            got = topological_freeness_probe(ctx, chars, g_list)
+            assert got == freeness_reference(ctx, chars, g_list), model.name
+            counts["sets"] += 1
+            counts["empty domain"] += got[uncarried].note == "empty domain"
+            for g in gradings:
+                for chi in chars:
+                    a = ctx.table(g)[chi]
+                    if a >= 0:
+                        counts["escaped"] += a not in chars
+                    elif a == spectrum.AMBIGUOUS:
+                        bits, settled = ctx.details[g, chi]
+                        counts["no completion"] += not any(
+                            not (up[b] ^ bits) & settled for b in chars)
+    assert counts["empty domain"] == counts["sets"]
+    assert counts["escaped"] and counts["no completion"]
