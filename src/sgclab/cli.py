@@ -231,13 +231,17 @@ def _an_spectrum(model, caps, rng, store):
     identity_ok = ctx.table(model.unit) == chars
     # theta_g1(theta_g2(chi)) == theta_g1g2(chi) wherever both sides are
     # images, table against table.  A product no word carries has the
-    # all-outside table, so all of g2's images are skipped there unread.
+    # all-outside table, so all of g2's images are skipped there unread,
+    # and a g2 with no image forms no product at all.
     checked = ambiguous = failures = 0
     gradings = ctx.gradings()
     for g2 in gradings:
         t2 = ctx.table(g2)
         images = [(chi, a) for chi, a in enumerate(t2) if a >= 0]
         edge = t2.count(spectrum.AMBIGUOUS)
+        if not images:
+            ambiguous += edge * len(gradings)
+            continue
         for g1 in gradings:
             g12 = model.mul(g1, g2)
             ambiguous += edge
@@ -677,13 +681,18 @@ def _write_cache(path: str, text: str):
         raise
 
 
-def _dump_matrices(config: RunConfig, directory: str):
+def _shift_ops(config: RunConfig):
+    """Each generator's truncated shift; raises BandExhausted when one
+    reaches past the truncation."""
     model = build_model(config.model_config)
-    caps = _caps_for(model, config.caps)
+    trunc = _caps_for(model, config.caps)["trunc"]
+    return [fock.rep_vword(invsgp.make_vword(
+        model, WordTrace(((model.unit, s),))), trunc) for s in model.generators]
+
+
+def _dump_matrices(ops, directory: str):
     os.makedirs(directory, exist_ok=True)
-    for k, s in enumerate(model.generators):
-        word = invsgp.make_vword(model, WordTrace(((model.unit, s),)))
-        op = fock.rep_vword(word, caps["trunc"])
+    for k, op in enumerate(ops):
         path = os.path.join(directory, f"shift_{k}.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(op.to_triplet_text())
@@ -699,6 +708,8 @@ def main(argv=None) -> int:
             return 0
         doc = _doc_from_args(args)
         config = RunConfig.from_dict(doc)
+        # a dump that cannot be built fails before any report is cached
+        shifts = _shift_ops(config) if args.matrix_dump else None
         cache_path = (_cache_path(args.cache_dir, config)
                       if args.cache_dir else None)
         hit = _read_cache(cache_path) if cache_path else None
@@ -709,8 +720,8 @@ def main(argv=None) -> int:
                 _write_cache(cache_path, text)
         else:
             text, code = hit
-        if args.matrix_dump:
-            _dump_matrices(config, args.matrix_dump)
+        if shifts is not None:
+            _dump_matrices(shifts, args.matrix_dump)
         if config.out:
             with open(config.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

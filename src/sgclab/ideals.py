@@ -63,10 +63,14 @@ class WordTrace:
         return got
 
     def grading(self, model):
-        """p1^-1 q1 ... pn^-1 qn as a group element."""
-        g = model.unit
-        for p, q in self.pairs:
-            g = model.mul(model.mul(g, model.inv(p)), q)
+        """p1^-1 q1 ... pn^-1 qn as a group element: a left fold of the
+        pair factors p^-1 q, each kept in the model's factor cache."""
+        g, factors = model.unit, model._factor_cache
+        for pair in self.pairs:
+            f = factors.get(pair)
+            if f is None:
+                f = factors[pair] = model.mul(model.inv(pair[0]), pair[1])
+            g = model.mul(g, f)
         return g
 
     def render(self, model):

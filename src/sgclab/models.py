@@ -34,6 +34,7 @@ import bisect
 import heapq
 import itertools
 import math
+import operator
 import string
 
 # Shared exact token for the empty right ideal, across all families.
@@ -56,12 +57,14 @@ class Model:
     ``mul``/``inv`` operate on arbitrary group elements in normal form;
     ``in_p``, ``length`` and ``enumerate_p`` see the submonoid.
 
-    An instance keeps five caches, each filled on first use:
+    An instance keeps six caches, each filled on first use:
     ``_enum_cache`` (``enumerate_p`` by length), ``_basis_cache``
     (``basis`` by length), ``_step_cache`` (one ``ideals.walk`` step,
-    ``((p, q), token) -> token``), ``_positions_cache`` (``positions``
-    by ``(token, n)``) and ``_prefix_cache`` (the rendered members prefix
-    and token of ``ConstructibleIdeal.render``, by ``(token, radius)``).
+    ``((p, q), token) -> token``), ``_factor_cache`` (the factor p^-1 q
+    of ``WordTrace.grading``, by ``(p, q)``), ``_positions_cache``
+    (``positions`` by ``(token, n)``) and ``_prefix_cache`` (the rendered
+    members prefix and token of ``ConstructibleIdeal.render``, by
+    ``(token, radius)``).
     Their keys are normal forms, canonical exact tokens and ints, which
     are immutable and equal exactly when the elements or ideals they
     denote are equal, and the model itself never changes; so an entry can
@@ -77,6 +80,7 @@ class Model:
         self._enum_cache = {}
         self._basis_cache = {}
         self._step_cache = {}
+        self._factor_cache = {}
         self._positions_cache = {}
         self._prefix_cache = {}
 
@@ -230,16 +234,16 @@ class FreeAbelianModel(Model):
         return a
 
     def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inv(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     def in_p(self, a):
-        return all(x >= 0 for x in a)
+        return min(a) >= 0
 
     def length(self, a):
-        return sum(abs(x) for x in a)
+        return sum(map(abs, a))
 
     def _generate_p(self, max_len):
         """Stars and bars: the vectors of sum t are the rank - 1 cuts
@@ -276,24 +280,26 @@ class FreeAbelianModel(Model):
     def exact_preimage(self, p, tok):
         if tok == EMPTY:
             return EMPTY
-        return ("corner", tuple(max(c - x, 0) for c, x in zip(tok[1], p)))
+        return ("corner", tuple(map(max, map(operator.sub, tok[1], p),
+                                        itertools.repeat(0))))
 
     def exact_intersect(self, tok, other):
         if EMPTY in (tok, other):
             return EMPTY
-        return ("corner", tuple(max(c, d) for c, d in zip(tok[1], other[1])))
+        return ("corner", tuple(map(max, tok[1], other[1])))
 
     def exact_contains(self, tok, a):
         if tok == EMPTY:
             return False
-        return self.in_p(a) and all(x >= c for x, c in zip(a, tok[1]))
+        # a corner lies in N^k, so a is in P once it dominates the corner
+        return all(map(operator.ge, a, tok[1]))
 
     def exact_subset(self, tok, other):
         if tok == EMPTY:
             return True
         if other == EMPTY:
             return False
-        return all(c >= d for c, d in zip(tok[1], other[1]))
+        return all(map(operator.ge, tok[1], other[1]))
 
     def exact_union_covers(self, tok, others):
         if tok == EMPTY:
@@ -360,7 +366,9 @@ class FreeMonoidModel(Model):
 
     def mul(self, a, b):
         # both factors are reduced, so only the seam can cancel
-        k, m = 0, min(len(a), len(b))
+        if not a or not b or a[-1] != b[0].swapcase():
+            return a + b
+        k, m = 1, min(len(a), len(b))
         while k < m and a[-1 - k] == b[k].swapcase():
             k += 1
         return a[:len(a) - k] + b[k:]

@@ -26,6 +26,8 @@ covers to each pullback's column masks and transposes a carrier's columns
 into the rows of every character it serves.  ``freeness_reference`` runs
 the freeness probe one ``theta_apply`` and one character evaluation at a
 time, where the package reads tables and ANDs bitmasks.
+``plain_grading`` folds a trace's grading from p^-1 and q afresh at every
+pair, where the package reads cached pair factors p^-1 q.
 The diagonal expectation is summed term by term from word matrices and
 their diagonals copied out, where the package only compares each word's
 grading with its matrix's fixed columns.  Numerical membership is sieved entry by entry up to Schur's bound, where the package
@@ -557,6 +559,15 @@ def theta_law_counts(ctx):
     return checked, failures, ambiguous
 
 
+def plain_grading(model, trace):
+    """p1^-1 q1 ... pn^-1 qn folded from the unit one inverse and two
+    products per pair, with no factor cache."""
+    g = model.unit
+    for p, q in trace.pairs:
+        g = model.mul(model.mul(g, model.inv(p)), q)
+    return g
+
+
 def boundary_event_count(ctx):
     """The boundary's ``unresolved_instances`` from ``invariant_closure``
     alone: the events of the maximal filters' closure plus those of every
@@ -644,15 +655,15 @@ def divide(model, p, y):
 def contains(model, tok, a):
     """Whether the ideal of the exact token ``tok`` holds the element a.
     A free-monoid token names the common prefix of its members, and a
-    numerical one lists its members below its tail; a free-abelian token's
-    corner is tested with the kernel its cover uses, ``exact_contains``."""
+    numerical one lists its members below its tail, and a free-abelian
+    one's members are the points of N^k at or above its corner."""
     if tok == EMPTY:
         return False
     if model.family == "free_monoid":
         return model.in_p(a) and a.startswith(tok[1])
     if model.family == "numerical":
         return a >= 0 and (a >= tok[2] or a in tok[1])
-    return model.exact_contains(tok, a)
+    return all(x >= max(c, 0) for x, c in zip(a, tok[1]))
 
 
 def ideal_eq(x, y):

@@ -620,15 +620,16 @@ def test_main_matrix_dump(tmp_path):
 
 def test_main_refuses_a_matrix_dump_beyond_the_truncation(tmp_path, capsys):
     # the generator 3 reaches past a truncation of 2: exit 1 with an error
-    # line, no traceback and no report
-    out = tmp_path / "r.json"
+    # line, no traceback, no report, no cached report and no dump file
+    out, cache, mats = tmp_path / "r.json", tmp_path / "cache", tmp_path / "mats"
     code = main(["analyze", "--family", "numerical", "--generators", "3,5",
                  "--depth", "1", "--trunc", "2", "--analyses", "ore",
-                 "--out", str(out), "--matrix-dump", str(tmp_path / "mats")])
+                 "--out", str(out), "--cache-dir", str(cache),
+                 "--matrix-dump", str(mats)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "error: word reach 3 exceeds truncation 2\n"
-    assert not out.exists()
+    assert not out.exists() and not cache.exists() and not mats.exists()
 
 
 def test_main_cache_dir(tmp_path, monkeypatch):

@@ -4,8 +4,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (brute_trace_members, gauss_rank, ideal_eq, left_mul,
-                     preimage, uncached_walk)
+from oracles import (brute_trace_members, exhaustive_vwords, gauss_rank,
+                     ideal_eq, left_mul, plain_grading, preimage,
+                     uncached_walk)
 from sgclab import ideals as ideals_mod
 from sgclab.exactla import bareiss_rank
 from sgclab.ideals import (CapExceeded, ConstructibleIdeal, WordTrace,
@@ -65,6 +66,49 @@ def test_trace_grading(n2, f2):
     s = WordTrace((("a", "b"),))
     assert s.grading(f2) == "Ab"
     assert s.star().grading(f2) == "Ba"
+
+
+def _exhaustive_traces(model):
+    members, _, _, duplicates = exhaustive_vwords(model, 2)
+    return [v.trace for v in members] + [t for _, t in duplicates]
+
+
+def test_grading_fold_matches_the_plain_loop(all_models):
+    # every trace the exhaustive walk evaluates, on all three families
+    for model in all_models:
+        traces = _exhaustive_traces(model)
+        assert any(len(t.pairs) == 2 for t in traces)
+        for t in traces:
+            assert t.grading(model) == plain_grading(model, t), (model.name, t)
+
+
+def test_grading_inverts_each_pair_once_per_model_instance(all_models,
+                                                           monkeypatch):
+    # a fresh instance starts with an empty factor cache and inverts each
+    # distinct pair's p once, however often its traces are graded; a second
+    # instance shares nothing with the first
+    for model in all_models:
+        traces = _exhaustive_traces(model)
+        pairs = {pair for t in traces for pair in t.pairs}
+        per_p = Counter(p for p, _ in pairs)
+        cls = type(model)
+        for _ in range(2):
+            fresh = build_model(model.config())
+            assert fresh._factor_cache == {}
+            inverted = Counter()
+
+            def spy(self, a, real=cls.inv, fresh=fresh, inverted=inverted):
+                if self is fresh:
+                    inverted[a] += 1
+                return real(self, a)
+            with monkeypatch.context() as m:
+                m.setattr(cls, "inv", spy)
+                for _ in range(2):
+                    got = [t.grading(fresh) for t in traces]
+            assert got == [plain_grading(fresh, t) for t in traces]
+            assert all(n <= per_p[p] for p, n in inverted.items()), model.name
+            assert sum(inverted.values()) == len(pairs), model.name
+            assert set(fresh._factor_cache) == pairs, model.name
 
 
 def test_from_trace_matches_bruteforce_oracle(all_models):

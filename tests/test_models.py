@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (divide, left_mul, membership_sieve, preimage,
+from oracles import (contains, divide, left_mul, membership_sieve, preimage,
                      scan_intersect, scan_subset, scan_union_covers)
 from sgclab import models
 from sgclab.cli import RunConfig, run
@@ -400,6 +400,39 @@ def test_raw_elements_are_validated_at_the_boundary(n2, f2, num23):
         f2.parse("abc")
     # valid raw input still goes through
     assert WordTrace.make(f2, [("a", "ab")]).pairs == (("a", "ab"),)
+
+
+# ---------------------------------------------------------------------------
+# free-abelian token kernels against member scans over a box
+
+@pytest.mark.parametrize("rank", [2, 3], ids=["N^2", "N^3"])
+def test_free_abelian_kernels_match_member_scans(rank):
+    # the box reaches one past every corner, so it holds each token's
+    # corner and its members there decide the token
+    model = FreeAbelianModel(rank)
+    lat = enumerate_ideals(model, 2, 1, model.default_radius)
+    toks = sorted({ideal.exact for ideal in lat.ideals}
+                  | {EMPTY, model.exact_full()})
+    top = 1 + max(c for tok in toks if tok != EMPTY for c in tok[1])
+    box = list(itertools.product(range(-1, top + 1), repeat=rank))
+    cone = [x for x in box if min(x) >= 0]
+
+    def members(tok):
+        return {x for x in cone if contains(model, tok, x)}
+
+    assert len(toks) > 5
+    for tok in toks:
+        held = members(tok)
+        for x in box:
+            assert model.exact_contains(tok, x) == contains(model, tok, x)
+        for p in model.enumerate_p(3):
+            want = {x for x in cone
+                    if contains(model, tok, tuple(a + b for a, b in zip(p, x)))}
+            assert members(model.exact_preimage(p, tok)) == want, (p, tok)
+        for other in toks:
+            assert model.exact_subset(tok, other) == (held <= members(other))
+            assert members(model.exact_intersect(tok, other)) == \
+                held & members(other), (tok, other)
 
 
 # ---------------------------------------------------------------------------

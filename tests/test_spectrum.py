@@ -448,18 +448,20 @@ def _law_counts(model, lattice, family):
 def test_table_law_counts_match_per_instance_oracle(all_models, lattice_of,
                                                     family_of):
     # the fixture models, <3,5,7>, and at the run's default caps F3+ and
-    # <4,7,9>, all at depth 2; some products are carried by no word, so
-    # the branch that counts them without a loop meets the oracle too
+    # <4,7,9> at depth 2 and F2+ at depth 3; some products are carried by
+    # no word, and on F2+ at depth 3 some gradings have no image at all,
+    # so the branches that count both without a loop meet the oracle too
     num357 = build_model({"family": "numerical", "generators": [3, 5, 7]})
     cases = [(m, lattice_of(m, depth=2), family_of(m, depth=2))
              for m in all_models]
     cases.append((num357, enumerate_ideals(num357, 2, 7, 50),
                   enumerate_vwords(num357, 2, 7, 50)))
-    for config in ({"family": "free_monoid", "rank": 3},
-                   {"family": "numerical", "generators": [4, 7, 9]}):
-        ctx, _ = _level(build_model(config), 2)
+    for config, depth in (({"family": "free_monoid", "rank": 3}, 2),
+                          ({"family": "numerical", "generators": [4, 7, 9]}, 2),
+                          ({"family": "free_monoid", "rank": 2}, 3)):
+        ctx = _default_context(build_model(config), depth)
         cases.append((ctx.model, ctx.fragment.lattice, ctx.family))
-    uncarried = 0
+    uncarried = imageless = 0
     for model, lat, fam in cases:
         counts, ctx = _law_counts(model, lat, fam)
         assert counts == theta_law_counts(ctx), model.name
@@ -469,7 +471,8 @@ def test_table_law_counts_match_per_instance_oracle(all_models, lattice_of,
         gradings = ctx.gradings()
         uncarried += sum(model.mul(g1, g2) not in fam.by_grading
                          for g1 in gradings for g2 in gradings)
-    assert uncarried
+        imageless += sum(max(ctx.table(g)) < 0 for g in gradings)
+    assert uncarried and imageless
 
 
 def test_planted_table_entry_fails_both_law_checks(monkeypatch, num23,
