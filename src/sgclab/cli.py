@@ -442,50 +442,89 @@ def run(config: RunConfig):
     return report, _exit_code(results)
 
 
-def _json(o, nl="\n"):
-    """``json.dumps(o, sort_keys=True, indent=2)`` for o nested at ``nl``'s
-    indentation, each container joined by one C-level ``str.join``.  Takes
-    only what reports hold (dicts with str keys, lists, tuples, str, int,
-    bool, None, finite floats) and raises TypeError or ValueError on
-    anything else rather than drift from ``json.dumps``.  A container
-    writes its str and int leaves inline, without a call per leaf; the
-    test is ``type(v) is``, so a bool is never written as an int."""
-    t = type(o)
-    if t is str:
-        return _esc(o)
-    if t is int:
-        return int.__repr__(o)
-    inner = nl + "  "
-    if t is list or t is tuple:
-        items = [_esc(v) if (tv := type(v)) is str else
-                 int.__repr__(v) if tv is int else _json(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(items) + nl + "]" if o else "[]"
-    if t is dict:  # _esc refuses a key that is not a str
-        items = [_esc(k) + ": " + (_esc(v) if (tv := type(v)) is str else
-                 int.__repr__(v) if tv is int else _json(v, inner))
-                 for k, v in sorted(o.items())]
-        return "{" + inner + ("," + inner).join(items) + nl + "}" if o else "{}"
-    if t is bool:
-        return "true" if o else "false"
-    if o is None:
-        return "null"
-    if t is float and math.isfinite(o):
-        return float.__repr__(o)
-    error = ValueError if t is float else TypeError
-    raise error(f"no JSON form for the {t.__name__} {o!r:.60}")
-
-
-def report_to_json(report: dict) -> str:
+def report_to_json(report) -> str:
     """The report as ``json.dumps(report, sort_keys=True, indent=2) + "\\n"``
     writes it, byte for byte.  That call is not made because CPython 3.11
-    drops to its pure-Python encoder whenever ``indent`` is set."""
-    return _json(report) + "\n"
+    drops to its pure-Python encoder whenever ``indent`` is set.
+
+    One recursive writer fills a single list of chunks.  A container
+    appends its opening, separator and closing strings, made once per
+    nesting depth in this call, and its str and int leaves' texts; it
+    builds no string or list of its own, so each byte is copied once, not
+    once per nesting level.  When a container starts with 8192 or more
+    chunks pending, they are joined into a block, which bounds the list
+    and the small strings it holds; the blocks are joined once at the end.
+    Takes only what reports hold (dicts with str keys, lists, tuples, str,
+    int, bool, None, finite floats) and raises TypeError or ValueError on
+    anything else rather than drift from ``json.dumps``.  Leaves are told
+    apart by ``type(v) is``, so a bool is never written as an int."""
+    blocks, chunks, levels = [], [], []
+    append = chunks.append
+
+    def write(o, depth):
+        t = type(o)
+        if t is dict or t is list or t is tuple:
+            if not o:
+                return append("{}" if t is dict else "[]")
+            if len(chunks) >= 8192:
+                blocks.append("".join(chunks))
+                chunks.clear()
+            if depth == len(levels):
+                inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+                levels.append(("{" + inner, "[" + inner, "," + inner,
+                               outer + "}", outer + "]"))
+            open_dict, open_list, sep, close_dict, close_list = levels[depth]
+            depth += 1
+            if t is dict:  # _esc refuses a key that is not a str
+                append(open_dict)
+                for k, v in sorted(o.items()):
+                    append(_esc(k))
+                    append(": ")
+                    if (tv := type(v)) is str:
+                        append(_esc(v))
+                    elif tv is int:
+                        append(int.__repr__(v))
+                    else:
+                        write(v, depth)
+                    append(sep)
+                chunks[-1] = close_dict  # the last separator
+            else:
+                append(open_list)
+                for v in o:
+                    if (tv := type(v)) is str:
+                        append(_esc(v))
+                    elif tv is int:
+                        append(int.__repr__(v))
+                    else:
+                        write(v, depth)
+                    append(sep)
+                chunks[-1] = close_list
+        elif t is str:
+            append(_esc(o))
+        elif t is int:
+            append(int.__repr__(o))
+        elif t is bool:
+            append("true" if o else "false")
+        elif o is None:
+            append("null")
+        elif t is float and math.isfinite(o):
+            append(float.__repr__(o))
+        else:
+            error = ValueError if t is float else TypeError
+            raise error(f"no JSON form for the {t.__name__} {o!r:.60}")
+
+    write(report, 0)
+    append("\n")
+    blocks.append("".join(chunks))
+    chunks.clear()  # freed before the final join, which holds the peak
+    return "".join(blocks)
 
 
 def stable_body(report: dict) -> str:
     """The report minus segregated timing data, canonically serialized as
-    ``json.dumps(body, sort_keys=True, indent=2) + "\\n"``, by ``_json``."""
-    return _json({k: v for k, v in report.items() if k != "timings"}) + "\n"
+    ``json.dumps(body, sort_keys=True, indent=2) + "\\n"``, by
+    ``report_to_json``'s writer."""
+    return report_to_json({k: v for k, v in report.items() if k != "timings"})
 
 
 def explain(report: dict, topic: str) -> str:
@@ -623,6 +662,8 @@ def _doc_from_args(args) -> dict:
                 raise ConfigError(f"--generators must be comma-separated ints,"
                                   f" got {args.generators!r}") from None
         doc["model"] = model
+    elif args.rank is not None or args.generators is not None:
+        raise ConfigError("--rank and --generators need --family")
     if args.analyses:
         doc["analyses"] = args.analyses.split(",")
     caps = dict(_object(doc.get("caps", {}), "'caps'"))

@@ -104,7 +104,10 @@ class Model:
         raise NotImplementedError
 
     def length(self, a) -> int:
-        """Proper length on G restricting to the submonoid length on P."""
+        """Proper length on G restricting to the submonoid length on P.
+        It must be subadditive on G, |gx| <= |g| + |x|: every family's is,
+        ``test_length_subadditive`` checks it, and a bound on how far a
+        word moves a point by its grading's length rests on it."""
         raise NotImplementedError
 
     def enumerate_p(self, max_len: int):
@@ -655,11 +658,12 @@ def _ints(value, what):
     return [_int(v, what) for v in value]
 
 
+# Each family reads one field besides "family", checked by its parser.
 _FAMILIES = {
-    "free_abelian": lambda cfg: FreeAbelianModel(_int(cfg["rank"], "rank")),
-    "free_monoid": lambda cfg: FreeMonoidModel(_int(cfg["rank"], "rank")),
-    "numerical": lambda cfg: NumericalModel(
-        _ints(cfg["generators"], "generators")),
+    "free_abelian": ("rank", lambda v: FreeAbelianModel(_int(v, "rank"))),
+    "free_monoid": ("rank", lambda v: FreeMonoidModel(_int(v, "rank"))),
+    "numerical": ("generators",
+                  lambda v: NumericalModel(_ints(v, "generators"))),
 }
 
 
@@ -667,14 +671,20 @@ def build_model(config: dict) -> Model:
     """Construct a model from a config document, e.g.
     ``{"family": "free_abelian", "rank": 2}``; the one check of its
     fields: ``rank`` is an int, ``generators`` a list of ints (bools are
-    refused as ints)."""
+    refused as ints), and no other field is given, since an unread field
+    would still land in the report's config and the cache key."""
     if not isinstance(config, dict) or "family" not in config:
         raise ModelError("model config must be a dict with a 'family' key")
     family = config["family"]
     if family not in _FAMILIES:
         raise ModelError(f"unknown model family {family!r}; "
                          f"known: {sorted(_FAMILIES)}")
-    try:
-        return _FAMILIES[family](config)
-    except KeyError as exc:
-        raise ModelError(f"model config for {family!r} missing field {exc}") from exc
+    field, make = _FAMILIES[family]
+    for key in config:
+        if key not in ("family", field):
+            raise ModelError(f"model config for {family!r} has field "
+                             f"{key!r}, which it does not read; its fields "
+                             f"are 'family' and {field!r}")
+    if field not in config:
+        raise ModelError(f"model config for {family!r} missing field {field!r}")
+    return make(config[field])

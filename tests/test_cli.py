@@ -737,6 +737,20 @@ def test_main_cache_entry_that_is_no_report_is_a_miss(tmp_path, monkeypatch,
     assert entry.read_text() == printed
 
 
+@pytest.mark.parametrize("flags", [
+    ["--rank", "5"], ["--generators", "3,5"], ["--rank", "3", "--generators", ""]])
+def test_main_refuses_model_flags_without_family(tmp_path, capsys, flags):
+    # the config holds F2+; a --rank without --family was once dropped, so
+    # the run reported rank 2 and exited 0
+    cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps({"model": {"family": "free_monoid", "rank": 2},
+                               "analyses": ["ore"]}))
+    code = main(["analyze", "--config", str(cfg), "--out", str(out)] + flags)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err == "error: --rank and --generators need --family\n"
+
+
 def test_main_error_exit(tmp_path, capsys):
     assert main(["analyze", "--config", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"
@@ -918,3 +932,41 @@ def test_report_encoder_refuses_what_reports_never_hold(value, error):
         report_to_json(value)
     with pytest.raises(error):
         stable_body({"results": value})
+
+
+def _dumped(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+# Values far past the writer's ~8K-chunk blocks.  The writer flushes as a
+# container starts, so a flat list of ints is one long block; the nested
+# patterns repeat with a period prime to the block size, so their empty
+# containers, bools and deep tuples land just after a flush somewhere.
+_BLOCK_CASES = {
+    "20000 ints": list(range(-10_000, 10_000)),
+    "5000 small dicts": [{"i": i, "s": str(i), "z": [], "n": None}
+                         for i in range(5000)],
+    "empties and bools": [[[], {}, True, False, None, [i], {"k": False}][i % 7]
+                          for i in range(30_000)],
+    "tuples four deep": [i if i % 101 else ((((i, "x"), ()), True), {})
+                         for i in range(30_000)],
+    "in a dict": {f"k{i:05}": [i, True, {"e": {}}] for i in range(8000)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CASES))
+def test_report_encoder_matches_json_dumps_across_blocks(name):
+    value = _BLOCK_CASES[name]
+    assert report_to_json(value) == _dumped(value)
+    assert stable_body({"results": value}) == _dumped({"results": value})
+
+
+@pytest.mark.parametrize("bad,error", [
+    (float("nan"), ValueError), ({1: "a"}, TypeError), ({2, 3}, TypeError)])
+@pytest.mark.parametrize("at", [9_000, 19_999])
+def test_report_encoder_refuses_after_the_first_block(bad, error, at):
+    # the refusal holds past a flush, where the first blocks are written
+    value = [[i] for i in range(20_000)]
+    value[at] = [bad]
+    with pytest.raises(error):
+        report_to_json(value)

@@ -43,6 +43,22 @@ def test_build_model_rejects_bad_configs():
     assert build_model({"family": "numerical", "generators": (2, 3)}).name == "<2,3>"
 
 
+@pytest.mark.parametrize("config,field", [
+    ({"family": "numerical", "generators": [3, 5], "rank": 2}, "rank"),
+    ({"family": "free_abelian", "rank": 2, "generators": [1]}, "generators"),
+    ({"family": "free_monoid", "rank": 2, "generators": [1, 2]},
+     "generators"),
+    ({"family": "free_monoid", "rank": 2, "letters": "ab"}, "letters"),
+])
+def test_build_model_refuses_a_field_its_family_never_reads(config, field):
+    # an unread field would still reach the report's config and the cache
+    # key, giving one monoid two cache entries
+    with pytest.raises(ModelError, match=f"has field '{field}'"):
+        build_model(config)
+    del config[field]
+    assert build_model(config).config() == config
+
+
 def test_mul_examples(n2, f2, num23):
     assert n2.mul((1, 0), (0, 2)) == (1, 2)
     assert f2.mul("a", "A") == ""
