@@ -442,7 +442,7 @@ def run(config: RunConfig):
     return report, _exit_code(results)
 
 
-def report_to_json(report) -> str:
+def report_to_json(report: dict) -> str:
     """The report as ``json.dumps(report, sort_keys=True, indent=2) + "\\n"``
     writes it, byte for byte.  That call is not made because CPython 3.11
     drops to its pure-Python encoder whenever ``indent`` is set.
@@ -487,7 +487,7 @@ def report_to_json(report) -> str:
                     else:
                         write(v, depth)
                     append(sep)
-                chunks[-1] = close_dict  # the last separator
+                chunks[-1] = close_dict  # in place of the last separator
             else:
                 append(open_list)
                 for v in o:
