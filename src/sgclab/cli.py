@@ -204,10 +204,10 @@ def _an_invsgp(model, caps, rng, store):
     # starred trace's walk)
     collapse_ok = all(v.is_idempotent() for v in fam.members
                       if v.grading == unit)
-    # the closure fills every (i, j), so this is the triples' sorted order
-    t = invsgp.semilattice(store["lattice"])
-    n = len(store["lattice"].ideals)
-    table = [[i, j, t[i, j]] for i in range(n) for j in range(n)]
+    # the closure fills every row, so this is the triples' sorted order
+    table = [[i, j, k]
+             for i, row in enumerate(invsgp.semilattice(store["lattice"]))
+             for j, k in enumerate(row)]
     tier = "exact" if (involution_ok and grading_ok and collapse_ok) else "inconclusive"
     return {
         "op": "invsgp.enumerate_vwords",

@@ -146,14 +146,13 @@ def check_projection_identity(lattice, n):
     once.  A mask is diagonal with band n and reach 0, so a product of two
     masks is the mask on the intersection of their key sets, and it equals
     a mask exactly when that intersection is the mask's key set.  The right
-    side is the mask of the ideal the token route put in
-    ``intersect_table``.  Returns ``(pairs checked, whether every pair
-    agrees)``.
+    side is the mask of the ideal the token route put in the lattice's
+    ``meet`` rows.  Returns ``(pairs checked, whether every pair agrees)``.
     """
     keys = [frozenset(projection_op(x, n).cols) for x in lattice.ideals]
-    table = lattice.intersect_table
+    meet = lattice.meet
     idxs = lattice.nonempty_indices()
-    ok = all(keys[i] & keys[j] == keys[table[(i, j)]]
+    ok = all(keys[i] & keys[j] == keys[meet[i][j]]
              for i in idxs for j in idxs)
     return len(idxs) ** 2, ok
 

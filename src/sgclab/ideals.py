@@ -55,10 +55,12 @@ class WordTrace:
 
     def star(self):
         """Reverse the word and swap each (p, q); the trace of the adjoint,
-        built once per trace and kept."""
+        built once per trace and kept, and linked back, so that
+        ``t.star().star() is t``."""
         got = self.__dict__.get("_star")
         if got is None:
             got = WordTrace(tuple((q, p) for p, q in reversed(self.pairs)))
+            object.__setattr__(got, "_star", self)
             object.__setattr__(self, "_star", got)
         return got
 
@@ -192,10 +194,11 @@ class IdealLattice:
     ``ideals[0]`` is the full ideal; the canonical empty ideal is always
     present.  ``depths[i]`` is the trace length at which ideal i first
     appeared (intersection-closure additions inherit the max of their
-    operands).  ``intersect_table[(i, j)]`` is the index of ideal i n ideal
-    j, and the order is read off it: i is contained in j iff their meet is
-    i.  ``up[i]`` holds that order as a bitmask, bit j set iff ideal i is
-    contained in ideal j.
+    operands).  ``meet[i][j]`` is the index of ideal i n ideal j, one row
+    per ideal, and the order is read off it: i is contained in j iff their
+    meet is i.  ``up[i]`` holds that order as a bitmask, bit j set iff
+    ideal i is contained in ideal j, and ``down[j]`` its transpose, bit i
+    set iff ideal i is contained in ideal j.
     """
 
     model: object
@@ -204,8 +207,9 @@ class IdealLattice:
     radius: int
     empty_index: int
     up: tuple
+    down: tuple
     hasse: tuple
-    intersect_table: dict
+    meet: tuple
     params: dict = field(default_factory=dict)
 
     def nonempty_indices(self):
@@ -229,18 +233,24 @@ class IdealLattice:
         }
 
 
+def _bits(mask):
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _hasse(up):
     """Covering pairs (i, j), ascending: the covers of i are the ideals
     strictly above i minus those strictly above one of them."""
-    n = len(up)
     strict = [m & ~(1 << i) for i, m in enumerate(up)]
     edges = []
-    for i in range(n):
-        covers = strict[i]
-        for k in range(n):
-            if strict[i] >> k & 1:
-                covers &= ~strict[k]
-        edges.extend((i, j) for j in range(n) if covers >> j & 1)
+    for i, above in enumerate(strict):
+        covers = above
+        for k in _bits(above):
+            covers &= ~strict[k]
+        edges.extend((i, j) for j in _bits(covers))
     return tuple(edges)
 
 
@@ -248,12 +258,13 @@ def enumerate_ideals(model, max_trace_len, gen_len, radius,
                      cap=10000) -> IdealLattice:
     """Breadth-first enumeration of ideals reachable by traces of at most
     ``max_trace_len`` pairs over submonoid elements of length <= gen_len,
-    deduplicated and closed under intersection, with containment read off
-    the intersection table.  Tokens come first: the search walks each pair
-    one step on a frontier ideal's token, and the closure meets two nodes'
-    tokens with ``exact_intersect``; either builds the trace and ideal only
-    for a token it has not seen (a meet's trace is the doubling trick's,
-    as in ``intersect``)."""
+    deduplicated and closed under intersection.  Tokens come first: the
+    search walks each pair one step on a frontier ideal's token, and the
+    closure meets two nodes' tokens with ``exact_intersect``; either builds
+    the trace and ideal only for a token it has not seen (a meet's trace is
+    the doubling trick's, as in ``intersect``).  The closure's one pass
+    fills both meet rows of a pair and sets containment as it goes: a meet
+    equal to one operand puts it below the other."""
     cand = model.enumerate_p(gen_len)
     pairs = [(p, q) for p in cand for q in cand]
 
@@ -284,12 +295,17 @@ def enumerate_ideals(model, max_trace_len, gen_len, radius,
             break
 
     # close in rounds; each meets the pairs holding a new ideal, once each
-    table = {}
+    meet, up, down = [], [], []
     done = 0
     while done < len(ideals):
         m = len(ideals)
+        for row in meet:
+            row.extend([None] * (m - done))
+        meet.extend([None] * m for _ in range(m - done))
+        up.extend([0] * (m - done))
+        down.extend([0] * (m - done))
         for i in range(m):
-            x = ideals[i]
+            x, row = ideals[i], meet[i]
             for j in range(max(i, done), m):
                 y = ideals[j]
                 tok = model.exact_intersect(x.exact, y.exact)
@@ -298,21 +314,25 @@ def enumerate_ideals(model, max_trace_len, gen_len, radius,
                     trace = WordTrace(y.trace.pairs + y.trace.star().pairs
                                       + x.trace.pairs)
                     k = add(tok, trace, max(depths[i], depths[j]))
-                table[(i, j)] = table[(j, i)] = k
+                row[j] = meet[j][i] = k
+                if k == i:
+                    up[i] |= 1 << j
+                    down[j] |= 1 << i
+                if k == j:
+                    up[j] |= 1 << i
+                    down[i] |= 1 << j
         done = m
 
-    n = len(ideals)
-    up = tuple(sum(1 << j for j in range(n) if table[(i, j)] == i)
-               for i in range(n))
     return IdealLattice(
         model=model,
         ideals=tuple(ideals),
         depths=tuple(depths),
         radius=radius,
         empty_index=1,
-        up=up,
+        up=tuple(up),
+        down=tuple(down),
         hasse=_hasse(up),
-        intersect_table=table,
+        meet=tuple(map(tuple, meet)),
         params={"max_trace_len": max_trace_len, "gen_len": gen_len,
                 "radius": radius, "cap": cap, "closed": True},
     )
@@ -334,10 +354,10 @@ def independence_test(lattice: IdealLattice) -> IndependenceResult:
     """Search for an ideal equal to a finite union of strictly smaller
     lattice members, decided exactly on the tokens."""
     model = lattice.model
-    nonempty = lattice.nonempty_indices()
-    for i in nonempty:
+    clear = 1 << lattice.empty_index
+    for i in lattice.nonempty_indices():
         x = lattice.ideals[i]
-        proper = [j for j in nonempty if j != i and lattice.up[j] >> i & 1]
+        proper = list(_bits(lattice.down[i] & ~(clear | 1 << i)))
         if not proper:
             continue
         toks = [lattice.ideals[j].exact for j in proper]

@@ -19,7 +19,7 @@ Composites are computed on ideal tokens, not on traces: the domain of v*w
 is w's pullback of dom v and its range is v's image of ran w, each one
 ``walk`` from a token at hand, whose steps the model caches.  The
 concatenated trace is kept only as provenance, for reports and guard
-bands.
+bands, and the enumeration builds it only for a word it keeps.
 
 The zero word absorbs composition and carries no grading or trace; every
 nonzero word has a non-empty domain.  Like an ideal, a word carries no
@@ -96,18 +96,33 @@ def make_vword(model, trace) -> VWord:
                  walk(model, trace.pairs, full))
 
 
+def _tokens(v, w):
+    """``(grading, dom, ran)`` of v after w: domain w^-1(dom v), range
+    v(ran w), grading g_v g_w; None for the zero word, which absorbs."""
+    if v.is_zero or w.is_zero:
+        return None
+    model = v.model
+    dom = walk(model, w.trace.star().pairs, v.dom)
+    ran = walk(model, v.trace.pairs, w.ran)
+    if dom == EMPTY or ran == EMPTY:
+        return None
+    return model.mul(v.grading, w.grading), dom, ran
+
+
+def _composite_trace(v, w):
+    """The provenance trace of v after w: v's pairs, then w's."""
+    return WordTrace(v.trace.pairs + w.trace.pairs)
+
+
 def compose(v: VWord, w: VWord) -> VWord:
-    """v after w: domain w^-1(dom v), range v(ran w), grading g_v g_w; the
-    zero word absorbs."""
+    """v after w, its tokens from ``_tokens`` and its trace from
+    ``_composite_trace``; the zero word absorbs."""
     if v.model is not w.model:
         raise ModelError("compose expects words over the same model")
-    model = v.model
-    if v.is_zero or w.is_zero:
-        return zero_vword(model)
-    return _word(model, WordTrace(v.trace.pairs + w.trace.pairs),
-                 model.mul(v.grading, w.grading),
-                 walk(model, w.trace.star().pairs, v.dom),
-                 walk(model, v.trace.pairs, w.ran))
+    got = _tokens(v, w)
+    if got is None:
+        return zero_vword(v.model)
+    return _word(v.model, _composite_trace(v, w), *got)
 
 
 def star(v: VWord) -> VWord:
@@ -134,11 +149,11 @@ def idempotent_vword(x: ConstructibleIdeal) -> VWord:
     return _word(x.model, trace, x.model.unit, x.exact, x.exact)
 
 
-def semilattice(lattice) -> dict:
-    """Multiplication table {(i, j): k} of the diagonal words over a closed
-    lattice: ``idempotent_vword`` of ideal i times that of ideal j is the
-    word of ideal k, so this is the lattice's own intersection table."""
-    return lattice.intersect_table
+def semilattice(lattice) -> tuple:
+    """Multiplication table of the diagonal words over a closed lattice,
+    as rows: ``idempotent_vword`` of ideal i times that of ideal j is the
+    word of ideal ``[i][j]``, so this is the lattice's own meet rows."""
+    return lattice.meet
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,45 +196,48 @@ def enumerate_vwords(model, max_trace_len, gen_len, radius,
     representative is the first trace that reached it.  Composition
     respects equality of words and the zero word absorbs, so the words one
     pair past any trace are those one pair past its word's representative:
-    only representatives are extended, each by ``compose`` with the word
-    of one pair, at O(words x pairs) compositions instead of O(pairs^depth)
-    trace evaluations; ``dedup_key`` identifies a word exactly.
+    only representatives are extended, each on tokens with the word of one
+    pair (``_tokens``), at O(words x pairs) compositions instead of
+    O(pairs^depth) trace evaluations.  ``(grading, dom)``, the
+    ``dedup_key``, identifies a word exactly and is looked up first; the
+    composite trace and word are built only for a new key.
     ``duplicates`` is then counted from the table of representative steps:
     every nonzero trace but each member's first is a duplicate.
     """
     cand = model.enumerate_p(gen_len)
     pairs = [(p, q) for p in cand for q in cand]
 
-    members = []
+    unit = make_vword(model, WordTrace(()))
+    members, keys = [unit], {unit.dedup_key(): 0}
+    by_grading = {unit.grading: [0]}
     zero = None
-    keys = {}
-    by_grading = {}
 
-    def visit(v):
-        """Member index of the word, None for zero; records a new word."""
+    def visit(v, one):
+        """Member index of v after ``one``, None for zero; records a new
+        word."""
         nonlocal zero
-        if v.is_zero:
-            if zero is None:
-                zero = v
-            return None
-        key = v.dedup_key()
-        got = keys.get(key)
+        got = _tokens(v, one)
         if got is None:
+            if zero is None:
+                zero = zero_vword(model)
+            return None
+        key = got[:2]
+        k = keys.get(key)
+        if k is None:
             if len(members) >= cap:
                 raise ideals_mod.CapExceeded(f"vword cap {cap} exceeded")
-            got = keys[key] = len(members)
-            by_grading.setdefault(v.grading, []).append(got)
-            members.append(v)
-        return got
+            k = keys[key] = len(members)
+            by_grading.setdefault(key[0], []).append(k)
+            members.append(_word(model, _composite_trace(v, one), *got))
+        return k
 
-    visit(make_vword(model, WordTrace(())))
     ones = [make_vword(model, WordTrace((pq,))) for pq in pairs]
     # step[i][j]: member index of member i's representative extended by
     # pairs[j]; rows exist for the members found below the last depth
     step = []
     for _ in range(max_trace_len):
         for v in members[len(step):]:
-            step.append([visit(compose(v, one)) for one in ones])
+            step.append([visit(v, one) for one in ones])
 
     # nonzero traces of the current length per member; zero stays zero
     ways = {0: 1}

@@ -76,13 +76,16 @@ class Fragment:
 
     @staticmethod
     def from_lattice(lattice) -> "Fragment":
-        """The lattice's up masks and covering pairs with the empty ideal
-        dropped, and the down masks, the up masks' transpose."""
+        """The lattice's up and down masks and covering pairs with the
+        empty ideal dropped."""
         positions = lattice.nonempty_indices()
         e = lattice.empty_index
         low = (1 << e) - 1
-        up_masks = tuple((m & low) | (m >> (e + 1) << e)
-                         for m in map(lattice.up.__getitem__, positions))
+
+        def squeezed(masks):
+            return tuple((m & low) | (m >> (e + 1) << e)
+                         for m in map(masks.__getitem__, positions))
+        up_masks = squeezed(lattice.up)
         covers = [[] for _ in positions]
         for i, j in lattice.hasse:   # index i > e is position i - 1
             if i != e:
@@ -91,9 +94,7 @@ class Fragment:
         pos_of_token = {lattice.ideals[li].exact: b
                         for b, li in enumerate(positions)}
         pos_of_up = {mask: b for b, mask in enumerate(up_masks)}
-        everyone = (1 << len(positions)) - 1
-        return Fragment(lattice, positions, up_masks,
-                        tuple(_rows(up_masks, everyone).values()),
+        return Fragment(lattice, positions, up_masks, squeezed(lattice.down),
                         tuple(map(tuple, covers)), depths, pos_of_token,
                         pos_of_up)
 
@@ -106,7 +107,7 @@ class Fragment:
     def meet_pos(self, i, j):
         """Position of the meet of positions i and j, -1 if it is empty."""
         lat = self.lattice
-        k = lat.intersect_table[(self.positions[i], self.positions[j])]
+        k = lat.meet[self.positions[i]][self.positions[j]]
         return self.pos_of_token.get(lat.ideals[k].exact, -1)
 
     def position_of_ideal(self, tok):

@@ -28,6 +28,11 @@ the freeness probe one ``theta_apply`` and one character evaluation at a
 time, where the package reads tables and ANDs bitmasks.
 ``plain_grading`` folds a trace's grading from p^-1 and q afresh at every
 pair, where the package reads cached pair factors p^-1 q.
+The lattice's order data is read the O(n^2) way: meet rows from every
+pair's token intersection, ``up`` scanned off them, ``down`` as the
+transpose of ``up``, covers by testing every pair, and the independence
+search's strictly smaller members by scanning every up mask, where the
+package sets containment in the closure's one pass and walks set bits.
 The diagonal expectation is summed term by term from word matrices and
 their diagonals copied out, where the package only compares each word's
 grading with its matrix's fixed columns.  Numerical membership is sieved entry by entry up to Schur's bound, where the package
@@ -45,7 +50,7 @@ from fractions import Fraction
 
 from sgclab.fock import (BandExhausted, TruncOp, equal_on_band, mul_op,
                          projection_op)
-from sgclab.ideals import WordTrace, from_trace, walk
+from sgclab.ideals import IndependenceResult, WordTrace, from_trace, walk
 from sgclab.invsgp import make_vword
 from sgclab.models import EMPTY, ModelError
 from sgclab.spectrum import (AMBIGUOUS, OUTSIDE, FreenessVerdict,
@@ -391,12 +396,13 @@ def eager_sc_probe(terms, f_chain, model, n):
 def product_projection_identity(lattice, n):
     """``fock.check_projection_identity`` by the product route: each
     nonempty ideal's mask multiplied by each one's with ``mul_op``, and the
-    product compared with the mask of the meet ``intersect_table`` names by
-    ``equal_on_band``.  Returns ``(pairs checked, whether all agree)``."""
+    product compared with the mask of the meet the lattice's ``meet`` rows
+    name by ``equal_on_band``.  Returns ``(pairs checked, whether all
+    agree)``."""
     masks = [projection_op(x, n) for x in lattice.ideals]
-    table = lattice.intersect_table
+    meet = lattice.meet
     idxs = lattice.nonempty_indices()
-    ok = all(equal_on_band(mul_op(masks[i], masks[j]), masks[table[(i, j)]])
+    ok = all(equal_on_band(mul_op(masks[i], masks[j]), masks[meet[i][j]])
              for i in idxs for j in idxs)
     return len(idxs) ** 2, ok
 
@@ -728,3 +734,67 @@ def normalized_n_body(body):
         return out
 
     return json.dumps(walk(json.loads(body)), sort_keys=True, indent=1)
+
+
+def reference_meet(lattice):
+    """Meet rows, entry [i][j] the index of the token of ideal i n ideal j
+    from the model's intersection, computed for every ordered pair."""
+    model, ideals = lattice.model, lattice.ideals
+    index = {x.exact: k for k, x in enumerate(ideals)}
+    return tuple(tuple(index[model.exact_intersect(x.exact, y.exact)]
+                       for y in ideals) for x in ideals)
+
+
+def reference_up(meet):
+    """Per ideal i, the bitmask of the j whose meet with i is i."""
+    n = len(meet)
+    return tuple(sum(1 << j for j in range(n) if meet[i][j] == i)
+                 for i in range(n))
+
+
+def transpose_masks(masks):
+    """The bit matrix transposed: bit i of mask j iff bit j of mask i."""
+    n = len(masks)
+    return tuple(sum(1 << i for i in range(n) if masks[i] >> j & 1)
+                 for j in range(n))
+
+
+def reference_hasse(up):
+    """Covering pairs (i, j), ascending, testing every (i, k) and (i, j)
+    bit: the ideals strictly above i minus those strictly above one of
+    them."""
+    n = len(up)
+    strict = [m & ~(1 << i) for i, m in enumerate(up)]
+    edges = []
+    for i in range(n):
+        covers = strict[i]
+        for k in range(n):
+            if strict[i] >> k & 1:
+                covers &= ~strict[k]
+        edges.extend((i, j) for j in range(n) if covers >> j & 1)
+    return tuple(edges)
+
+
+def reference_independence(lattice):
+    """``ideals.independence_test`` with each ideal's strictly smaller
+    members found by scanning every nonempty ideal's up mask."""
+    model = lattice.model
+    nonempty = lattice.nonempty_indices()
+    for i in nonempty:
+        x = lattice.ideals[i]
+        proper = [j for j in nonempty if j != i and lattice.up[j] >> i & 1]
+        if not proper:
+            continue
+        toks = [lattice.ideals[j].exact for j in proper]
+        if model.exact_union_covers(x.exact, toks):
+            kept = list(proper)
+            for j in list(kept):
+                rest = [lattice.ideals[k].exact for k in kept if k != j]
+                if rest and model.exact_union_covers(x.exact, rest):
+                    kept.remove(j)
+            return IndependenceResult(
+                "witness", witness=i, parts=tuple(kept),
+                detail="ideal equals the union of strictly smaller members")
+    return IndependenceResult(
+        "independent",
+        detail="no ideal is a finite union of strictly smaller members")

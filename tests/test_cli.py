@@ -332,15 +332,9 @@ def _star_keeps_the_grading(monkeypatch):
 
 
 def _compose_swaps_the_traces(monkeypatch):
-    compose = invsgp.compose
-
     def planted(v, w):
-        vw = compose(v, w)
-        if vw.is_zero:
-            return vw
-        return dataclasses.replace(
-            vw, trace=WordTrace(w.trace.pairs + v.trace.pairs))
-    monkeypatch.setattr(invsgp, "compose", planted)
+        return WordTrace(w.trace.pairs + v.trace.pairs)
+    monkeypatch.setattr(invsgp, "_composite_trace", planted)
 
 
 def _compose_swaps_the_gradings(monkeypatch):
@@ -897,7 +891,7 @@ def test_report_encoder_matches_json_dumps(value):
 def test_semilattice_table_is_the_sorted_intersect_table(all_models,
                                                          monkeypatch):
     # the table is written in (i, j) order without a sort: it must be the
-    # sorted triples of the lattice's intersection table
+    # sorted triples of the lattice's meet rows
     lattices = []
     real = cli.enumerate_ideals
 
@@ -910,9 +904,10 @@ def test_semilattice_table_is_the_sorted_intersect_table(all_models,
         report, _ = run(RunConfig.from_dict(
             {"model": model.config(), "analyses": ["invsgp"],
              "caps": {"trace_depth": 2}}))
-        table = lattices[-1].intersect_table
+        table = lattices[-1].meet
         assert report["results"]["invsgp"]["semilattice_table"] == sorted(
-            [i, j, k] for (i, j), k in table.items()), model.name
+            [i, j, k] for i, row in enumerate(table)
+            for j, k in enumerate(row)), model.name
 
 
 @pytest.mark.parametrize("value,error", [

@@ -339,6 +339,13 @@ def test_projection_identity_examples(n1, f2):
     assert prod.cols == {}
 
 
+def _planted_meet(lat, i, j, k):
+    """The lattice with entry ``[i][j]`` of its meet rows set to k."""
+    meet = list(lat.meet)
+    meet[i] = meet[i][:j] + (k,) + meet[i][j + 1:]
+    return dataclasses.replace(lat, meet=tuple(meet))
+
+
 def test_run_projection_identity_checks_the_intersection_table(monkeypatch):
     # the right side is the mask the table names: one wrong entry, here the
     # full ideal for a proper meet, fails the check and only it
@@ -349,9 +356,8 @@ def test_run_projection_identity_checks_the_intersection_table(monkeypatch):
         lat = real(*args)
         i, j = next((i, j) for i in lat.nonempty_indices()
                     for j in lat.nonempty_indices()
-                    if lat.intersect_table[(i, j)] != 0)
-        table = {**lat.intersect_table, (i, j): 0}
-        return dataclasses.replace(lat, intersect_table=table)
+                    if lat.meet[i][j] != 0)
+        return _planted_meet(lat, i, j, 0)
 
     doc = {"model": {"family": "free_monoid", "rank": 2},
            "analyses": ["fock"], "caps": {"trace_depth": 2}}
@@ -380,9 +386,8 @@ def test_projection_identity_matches_the_product_route(all_models, lattice_of,
         for wrong in (0, lat.empty_index):
             i, j = next((i, j) for i in lat.nonempty_indices()
                         for j in lat.nonempty_indices()
-                        if masks[lat.intersect_table[(i, j)]] != masks[wrong])
-            planted = dataclasses.replace(
-                lat, intersect_table={**lat.intersect_table, (i, j): wrong})
+                        if masks[lat.meet[i][j]] != masks[wrong])
+            planted = _planted_meet(lat, i, j, wrong)
             assert (check_projection_identity(planted, n)
                     == product_projection_identity(planted, n)
                     == (pairs, False)), (model.name, wrong)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (brute_trace_members, exhaustive_vwords, gauss_rank,
                      ideal_eq, left_mul, plain_grading, preimage,
-                     uncached_walk)
+                     reference_hasse, reference_independence, reference_meet,
+                     reference_up, transpose_masks, uncached_walk)
 from sgclab import ideals as ideals_mod
 from sgclab.exactla import bareiss_rank
 from sgclab.ideals import (CapExceeded, ConstructibleIdeal, WordTrace,
@@ -459,6 +460,43 @@ def test_up_masks_match_token_containment(all_models, lattice_of):
         sub = _containment(lat)
         for i, mask in enumerate(lat.up):
             assert [bool(mask >> j & 1) for j in range(len(lat.ideals))] == sub[i]
+
+
+_ORDER_CONFIGS = [
+    ({"family": "numerical", "generators": [4, 7, 9]}, 3),
+    ({"family": "free_monoid", "rank": 2}, 6),
+    ({"family": "free_monoid", "rank": 3}, 3),
+]
+
+
+def test_lattice_order_data_matches_the_n2_references(all_models, lattice_of):
+    # the closure's one pass sets the meet rows, up and down; covers walk
+    # set bits and the independence search reads down: each equals the
+    # O(n^2) reference, and the meet rows are tuples
+    lattices = [lattice_of(m, depth=d) for m in all_models for d in (1, 2)]
+    for config, depth in _ORDER_CONFIGS:
+        model = build_model(config)
+        lattices.append(enumerate_ideals(model, depth, model.default_gen_len,
+                                         model.default_radius))
+    for lat in lattices:
+        meet = reference_meet(lat)
+        up = reference_up(meet)
+        assert lat.meet == meet
+        assert all(type(row) is tuple for row in lat.meet)
+        assert lat.up == up
+        assert lat.down == transpose_masks(up)
+        assert lat.hasse == reference_hasse(up)
+        assert independence_test(lat) == reference_independence(lat)
+    assert any(independence_test(lat).status == "witness"
+               for lat in lattices)
+
+
+def test_star_of_a_star_is_the_trace():
+    # a star links back to the trace it was built from
+    t = WordTrace((("a", "ab"), ("", "b")))
+    u = t.star()
+    assert u.pairs == (("b", ""), ("ab", "a"))
+    assert u.star() is t and t.star() is u
 
 
 def test_enumeration_reads_containment_off_the_table(monkeypatch):

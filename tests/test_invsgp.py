@@ -162,6 +162,17 @@ def test_inverse_semigroup_laws(all_models, family_of):
             assert vword_eq(star(compose(v, w)), compose(star(w), star(v))) is True
 
 
+def test_star_of_a_star_is_the_word(all_models, family_of):
+    # a star links its trace back, so starring twice returns the trace
+    # itself and the same word
+    for model in all_models:
+        for v in family_of(model).members:
+            vv = star(star(v))
+            assert vv.trace is v.trace
+            assert vv.dedup_key() == v.dedup_key()
+            assert (vv.grading, vv.dom, vv.ran) == (v.grading, v.dom, v.ran)
+
+
 def test_compose_matches_concatenated_trace(all_models, family_of):
     # compose walks from the factors' tokens; make_vword evaluates the
     # concatenated trace from P: they agree in every field
@@ -250,17 +261,18 @@ def test_semilattice_table(num23, f2, lattice_of):
     for model in (num23, f2):
         lat = lattice_of(model, depth=1)
         idems = [idempotent_vword(x) for x in lat.ideals]
-        for (i, j), k in semilattice(lat).items():
-            got = compose(idems[i], idems[j])
-            assert vword_eq(got, idems[k]) is True
+        for i, row in enumerate(semilattice(lat)):
+            for j, k in enumerate(row):
+                got = compose(idems[i], idems[j])
+                assert vword_eq(got, idems[k]) is True
 
 
 def test_semilattice_f2_zero_row(f2, lattice_of):
     lat = lattice_of(f2, depth=1)
     aP = [i for i, x in enumerate(lat.ideals) if x.exact == ("word", "a")][0]
     bP = [i for i, x in enumerate(lat.ideals) if x.exact == ("word", "b")][0]
-    assert lat.intersect_table[(aP, bP)] == lat.empty_index
-    assert semilattice(lat)[(aP, bP)] == lat.empty_index
+    assert lat.meet[aP][bP] == lat.empty_index
+    assert semilattice(lat)[aP][bP] == lat.empty_index
     assert compose(idempotent_vword(lat.ideals[aP]),
                    idempotent_vword(lat.ideals[bP])).is_zero
 
@@ -332,24 +344,32 @@ def test_enumeration_matches_exhaustive_walk(name, depth, gen_len):
 
 def test_enumeration_extends_one_trace_per_word(f2, monkeypatch):
     # one trace evaluation for the identity and one per pair; every longer
-    # word is a representative composed with the word of one pair
-    made, composed = [], []
-    real_make, real_compose = invsgp.make_vword, invsgp.compose
+    # word is a representative composed on tokens with the word of one
+    # pair, and only a new word builds its composite trace
+    made, composed, built = [], [], []
+    real_make = invsgp.make_vword
+    real_tokens, real_trace = invsgp._tokens, invsgp._composite_trace
 
     def make_counted(*args, **kwargs):
         made.append(args)
         return real_make(*args, **kwargs)
 
-    def compose_counted(v, w):
+    def tokens_counted(v, w):
         composed.append((v, w))
-        return real_compose(v, w)
+        return real_tokens(v, w)
+
+    def trace_counted(v, w):
+        built.append((v, w))
+        return real_trace(v, w)
 
     monkeypatch.setattr(invsgp, "make_vword", make_counted)
-    monkeypatch.setattr(invsgp, "compose", compose_counted)
+    monkeypatch.setattr(invsgp, "_tokens", tokens_counted)
+    monkeypatch.setattr(invsgp, "_composite_trace", trace_counted)
     fam = enumerate_vwords(f2, 5, 1, 6)
     pairs = len(f2.enumerate_p(fam.params["gen_len"])) ** 2
     assert len(made) == 1 + pairs
     assert 0 < len(composed) <= len(fam.members) * pairs
+    assert len(built) == len(fam.members) - 1
 
 
 def test_enumeration_caps(f2):

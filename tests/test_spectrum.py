@@ -5,7 +5,7 @@ import pytest
 from oracles import (boundary_event_count, brute_filters, brute_trace_members,
                      forward_image, freeness_reference, maximal_filters,
                      principal_character, restrict, rule_table, scan_pair,
-                     theta_law_counts, uncached_walk)
+                     theta_law_counts, transpose_masks, uncached_walk)
 from sgclab import cli, spectrum
 from sgclab.ideals import WordTrace, enumerate_ideals, from_trace
 from sgclab.invsgp import enumerate_vwords
@@ -47,6 +47,16 @@ def char_by_support(frag, chars, supports):
         if set(frag.support(c)) == set(supports):
             return c
     raise AssertionError(f"no character with support {supports}")
+
+
+def test_fragment_down_masks_are_the_up_masks_transpose(all_models):
+    # the down masks are the lattice's, the empty ideal's bit squeezed out:
+    # the transpose of the up masks
+    num479 = build_model({"family": "numerical", "generators": [4, 7, 9]})
+    frags = [fragment_for(m, d) for m in all_models for d in (1, 2)]
+    frags.append(fragment_for(num479, 2))
+    for frag in frags:
+        assert frag.down_masks == transpose_masks(frag.up_masks)
 
 
 # ---------------------------------------------------------------------------
