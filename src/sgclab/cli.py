@@ -1,5 +1,6 @@
 """Batch driver: ingest a model config, run selected analyses, emit
-human-readable and JSON reports.
+human-readable and JSON reports.  Every report form is written here; the
+analysis layers return plain data.
 
 Reports are deterministic for a fixed config and seed: all sampling uses a
 seeded generator, every container is serialized in canonical order, and
@@ -16,6 +17,7 @@ exit code of its tiers, and runs no analysis.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -30,8 +32,9 @@ from json.encoder import encode_basestring_ascii as _esc
 
 from . import __version__
 from . import fock, invsgp, spectrum
-from .ideals import (CapExceeded, WordTrace, enumerate_ideals,
-                     independence_rank_oracle, independence_test, ore_test)
+from .ideals import (CapExceeded, ConstructibleIdeal, WordTrace,
+                     enumerate_ideals, independence_rank_oracle,
+                     independence_test, ore_test)
 from .models import ModelError, build_model
 
 SCHEMA_VERSION = 1
@@ -72,6 +75,10 @@ class RunConfig:
         """Check a config document once; malformed fields raise ConfigError."""
         if "model" not in _object(doc, "the config document"):
             raise ConfigError("config needs a 'model' section")
+        known = ["model", "analyses", "caps", "seed", "freeness_g", "out"]
+        for key in doc:
+            if key not in known:
+                raise ConfigError(f"unknown config key {key!r}; known: {known}")
         analyses = doc.get("analyses", list(ANALYSES))
         if not (isinstance(analyses, list)
                 and all(isinstance(a, str) for a in analyses)):
@@ -133,11 +140,74 @@ def _caps_for(model, caps):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Report forms.  The analysis layers return plain data and these write it.
+# ``prefixes`` is the run's memo of an ideal's rendered members prefix and
+# token, keyed ``(token, radius)``: the lattice's nodes fill it before the
+# word export reads it.
+
+def _trace_json(model, trace):
+    return [[model.render(p), model.render(q)] for p, q in trace.pairs]
+
+
+def _ideal_json(x, radius, prefixes, trace=None):
+    """An ideal listing its first 20 members up to ``radius``; ``trace``
+    passes its provenance already rendered."""
+    model = x.model
+    got = prefixes.get((x.exact, radius))
+    if got is None:
+        got = prefixes[x.exact, radius] = (
+            [model.render(a) for a in x.members_prefix(radius, 20)],
+            repr(x.exact))
+    if trace is None and x.trace is not None:
+        trace = _trace_json(model, x.trace)
+    return {"trace": trace, "radius": radius, "members_prefix": got[0],
+            "exact": got[1], "empty": x.is_empty()}
+
+
+def _lattice_json(lat, prefixes):
+    nodes = [{**_ideal_json(x, lat.radius, prefixes), "id": i, "depth": d}
+             for i, (x, d) in enumerate(zip(lat.ideals, lat.depths))]
+    return {"model": lat.model.config(), "tier": "exact", "radius": lat.radius,
+            "params": lat.params, "nodes": nodes,
+            "containment_hasse": [list(e) for e in lat.hasse],
+            "empty_index": lat.empty_index}
+
+
+def _word_json(v, radius, prefixes):
+    """A word; a side renders as the ideal of its trace (the starred trace
+    for the domain), the canonical empty ideal on zero.  The trace is
+    rendered once, for the word and its range side."""
+    model, trace = v.model, v.trace
+    dom_trace = None if trace is None else trace.star()
+    shown = None if trace is None else _trace_json(model, trace)
+    return {
+        "zero": v.is_zero,
+        "trace": shown,
+        "grading": None if v.is_zero else model.render(v.grading),
+        "dom": _ideal_json(ConstructibleIdeal(model, dom_trace, v.dom),
+                           radius, prefixes),
+        "ran": _ideal_json(ConstructibleIdeal(model, trace, v.ran),
+                           radius, prefixes, shown),
+    }
+
+
+def _family_json(fam, prefixes):
+    radius = fam.params["radius"]
+    return {"members": [_word_json(v, radius, prefixes) for v in fam.members],
+            "zero_seen": fam.zero is not None,
+            "gradings": [fam.model.render(g) for g in fam.gradings()],
+            "equality_pairs_logged": fam.duplicates, "params": fam.params}
+
+
+# ---------------------------------------------------------------------------
+# Analyses
+
 def _an_ideals(model, caps, rng, store):
     lat = enumerate_ideals(model, caps["trace_depth"], caps["gen_len"],
                            caps["radius"], caps["max_ideals"])
     store["lattice"] = lat
-    store["lattice_json"] = lat.to_json()
+    store["lattice_json"] = _lattice_json(lat, store["prefixes"])
     return {
         "op": "ideals.enumerate_ideals",
         "params": {"trace_depth": caps["trace_depth"], "gen_len": caps["gen_len"],
@@ -165,8 +235,9 @@ def _an_independence(model, caps, rng, store):
     return {
         "op": "ideals.independence_test",
         "params": {"fragment_size": len(lat.ideals), "radius": lat.radius},
-        "combinatorial": comb.to_json(),
-        "rank_oracle": rank.to_json(),
+        "combinatorial": {"status": comb.status, "witness": comb.witness,
+                          "parts": list(comb.parts), "detail": comb.detail},
+        "rank_oracle": dataclasses.asdict(rank),
         "oracles_agree": agree,
     }, tier
 
@@ -176,7 +247,9 @@ def _an_ore(model, caps, rng, store):
     return {
         "op": "ideals.ore_test",
         "params": {"max_len": caps["ore_len"]},
-        "result": res.to_json(model),
+        "result": {"status": res.status, "level": res.level,
+                   "pair": None if res.pair is None
+                   else [model.render(a) for a in res.pair]},
     }, "exact"
 
 
@@ -218,7 +291,7 @@ def _an_invsgp(model, caps, rng, store):
         "laws": {"vv*v=v": involution_ok, "grading_multiplicative": grading_ok,
                  "trivially_graded_collapse": collapse_ok},
         "semilattice_table": table,
-        "export": fam.to_json(),
+        "export": _family_json(fam, store["prefixes"]),
     }, tier
 
 
@@ -230,31 +303,28 @@ def _an_spectrum(model, caps, rng, store):
     chars = spectrum.enumerate_characters(frag)
     identity_ok = ctx.table(model.unit) == chars
     # theta_g1(theta_g2(chi)) == theta_g1g2(chi) wherever both sides are
-    # images, table against table.  A product no word carries has the
-    # all-outside table, so all of g2's images are skipped there unread,
+    # images, table against table.  Each entry of g2's table that is not
+    # OUTSIDE stands for |G| triples, each checked or skipped at the
+    # fragment edge, so only the checked ones are counted.  A product no
+    # word carries has the all-outside table and is passed over unread,
     # and a g2 with no image forms no product at all.
-    checked = ambiguous = failures = 0
+    checked = failures = defined = 0
     gradings = ctx.gradings()
     for g2 in gradings:
         t2 = ctx.table(g2)
+        defined += len(t2) - t2.count(spectrum.OUTSIDE)
         images = [(chi, a) for chi, a in enumerate(t2) if a >= 0]
-        edge = t2.count(spectrum.AMBIGUOUS)
         if not images:
-            ambiguous += edge * len(gradings)
             continue
         for g1 in gradings:
             g12 = model.mul(g1, g2)
-            ambiguous += edge
             if g12 not in ctx.family.by_grading:
-                ambiguous += len(images)
                 continue
             t1, t12 = ctx.table(g1), ctx.table(g12)
             for chi, a in images:
                 if t1[a] >= 0 and t12[chi] >= 0:
                     checked += 1
                     failures += t1[a] != t12[chi]
-                else:
-                    ambiguous += 1
     tier = "exact" if identity_ok and failures == 0 else "inconclusive"
     return {
         "op": "spectrum.enumerate_characters",
@@ -262,7 +332,8 @@ def _an_spectrum(model, caps, rng, store):
         "characters": len(chars),
         "identity_law": identity_ok,
         "composition_law": {"checked": checked, "failures": failures,
-                            "skipped_at_fragment_edge": ambiguous},
+                            "skipped_at_fragment_edge":
+                                defined * len(gradings) - checked},
     }, tier
 
 
@@ -280,7 +351,15 @@ def _an_boundary(model, caps, rng, store):
     return {
         "op": "spectrum.boundary",
         "params": {"fragment_size": frag.size()},
-        "result": res.to_json(frag),
+        "result": {
+            "size": len(res.chars),
+            "supports": sorted(support(chi) for chi in res.chars),
+            "maximal_seed_count": len(res.maximal_seeds),
+            "orbit_route_size": (None if res.orbit_route is None
+                                 else len(res.orbit_route)),
+            "routes_agree": res.routes_agree,
+            "unresolved_instances": res.unresolved_instances,
+        },
         "orbit_edges": edges,
     }, tier
 
@@ -292,7 +371,11 @@ def _an_freeness(model, caps, rng, store):
     if g_list is None:
         g_list = list(ctx.gradings())
     verdicts = spectrum.topological_freeness_probe(ctx, bd.chars, g_list)
-    rendered = [verdicts[g].to_json(model) for g in g_list]
+    rendered = [{"grading": model.render(v.grading), "status": v.status,
+                 "fixed": len(v.fixed), "moved": len(v.moved),
+                 "unresolved": len(v.unresolved),
+                 "witness_open": v.witness_open, "note": v.note}
+                for v in map(verdicts.__getitem__, g_list)]
     any_inconclusive = any(v.status == "inconclusive" for v in verdicts.values())
     return {
         "op": "spectrum.topological_freeness_probe",
@@ -347,7 +430,15 @@ def _an_sc(model, caps, rng, store):
         "op": "fock.sc_limit_probe",
         "params": {"trunc": n, "chain_length": len(chain)},
         "element": "inclusion-exclusion defect of the generator masks",
-        "probe": probe.to_json(model),
+        "probe": {
+            "frames": [[model.render(g) for g in f] for f in probe.frames],
+            "enclosures": [[f"{lo.numerator}/{lo.denominator}",
+                            f"{hi.numerator}/{hi.denominator}"]
+                           for lo, hi in probe.enclosures],
+            "non_increasing": probe.non_increasing,
+            "verdict": probe.verdict,
+            "band": probe.band,
+        },
     }, tier
 
 
@@ -393,7 +484,8 @@ def run(config: RunConfig):
     model = build_model(config.model_config)
     caps = _caps_for(model, config.caps)
     store = {"freeness_g": None if config.freeness_g is None
-             else [model.parse(g) for g in config.freeness_g]}
+             else [model.parse(g) for g in config.freeness_g],
+             "prefixes": {}}
     if model.unit in (store["freeness_g"] or ()):
         raise ModelError("'freeness_g' lists the identity, which fixes "
                          "every character")

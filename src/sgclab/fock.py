@@ -293,17 +293,6 @@ class ScProbeReport:
     verdict: str
     band: int
 
-    def to_json(self, model):
-        return {
-            "frames": [[model.render(g) for g in f] for f in self.frames],
-            "enclosures": [[f"{lo.numerator}/{lo.denominator}",
-                            f"{hi.numerator}/{hi.denominator}"]
-                           for lo, hi in self.enclosures],
-            "non_increasing": self.non_increasing,
-            "verdict": self.verdict,
-            "band": self.band,
-        }
-
 
 def sc_limit_probe(terms, f_chain, model, n) -> ScProbeReport:
     """Norms of ``terms`` along the frame chain at truncation n.  The

@@ -14,10 +14,11 @@ a trace is the walk from the full ideal's token, and one more pair, an
 intersection or a composite word is computed from tokens already at hand.
 Each step is keyed on its pair and token in the model's step cache, so a
 run computes each distinct step once.
-The trace an ideal keeps is provenance only: reports render it and guard
-bands read it, but it is never evaluated again.  An ideal carries no
-radius either: a truncation is chosen where members are listed, by the
-report that renders a members prefix and by the rank oracle's rows.
+The trace an ideal keeps is provenance only: the report renders it and
+guard bands read it, but it is never evaluated again.  An ideal carries
+no radius either: a truncation is chosen where members are listed, by
+the report's members prefix and by the rank oracle's rows.  This module
+returns plain data; the report's forms are all in ``cli``.
 
 Enumeration is breadth-first on trace length and deterministic; the lattice
 accumulator is the only mutable state during a build and is confined to a
@@ -75,16 +76,13 @@ class WordTrace:
             g = model.mul(g, f)
         return g
 
-    def render(self, model):
-        return [[model.render(p), model.render(q)] for p, q in self.pairs]
-
 
 class ConstructibleIdeal:
     """A right ideal: its canonical exact token ``exact``, with the trace
     that built it as provenance (``trace is None`` marks the canonical
     empty ideal).  The token alone decides the ideal, and a word carries
     only its sides' tokens: an ideal object is built for the lattice's
-    nodes and where a report renders a word's sides."""
+    nodes and where ``cli`` renders a word's sides."""
 
     __slots__ = ("model", "trace", "exact")
 
@@ -121,26 +119,6 @@ class ConstructibleIdeal:
             if len(mem) >= limit or r >= radius:
                 return r, mem
             r = 2 * r + 1
-
-    def render(self, radius, trace=None):
-        """Report form, listing the first 20 members up to ``radius``.  The
-        members and token are rendered once per ``(token, radius)``, in the
-        model's prefix cache; ``trace`` passes the provenance rendered."""
-        model = self.model
-        got = model._prefix_cache.get((self.exact, radius))
-        if got is None:
-            got = model._prefix_cache[self.exact, radius] = (
-                [model.render(a) for a in self.members_prefix(radius, 20)],
-                repr(self.exact))
-        if trace is None and self.trace is not None:
-            trace = self.trace.render(model)
-        return {
-            "trace": trace,
-            "radius": radius,
-            "members_prefix": got[0],
-            "exact": got[1],
-            "empty": self.is_empty(),
-        }
 
 
 def walk(model, pairs, tok):
@@ -214,23 +192,6 @@ class IdealLattice:
 
     def nonempty_indices(self):
         return tuple(i for i, x in enumerate(self.ideals) if i != self.empty_index)
-
-    def to_json(self):
-        nodes = []
-        for i, x in enumerate(self.ideals):
-            node = x.render(self.radius)
-            node["id"] = i
-            node["depth"] = self.depths[i]
-            nodes.append(node)
-        return {
-            "model": self.model.config(),
-            "tier": "exact",
-            "radius": self.radius,
-            "params": self.params,
-            "nodes": nodes,
-            "containment_hasse": [list(e) for e in self.hasse],
-            "empty_index": self.empty_index,
-        }
 
 
 def _bits(mask):
@@ -345,10 +306,6 @@ class IndependenceResult:
     parts: tuple = ()       # indices of the covering ideals
     detail: str = ""
 
-    def to_json(self):
-        return {"status": self.status, "witness": self.witness,
-                "parts": list(self.parts), "detail": self.detail}
-
 
 def independence_test(lattice: IdealLattice) -> IndependenceResult:
     """Search for an ideal equal to a finite union of strictly smaller
@@ -382,11 +339,6 @@ class RankResult:
     nonempty: int = 0
     radius: int = 0
     detail: str = ""
-
-    def to_json(self):
-        return {"status": self.status, "rank": self.rank,
-                "nonempty": self.nonempty, "radius": self.radius,
-                "detail": self.detail}
 
 
 def _membership_rank(model, rows_members):
@@ -447,12 +399,6 @@ class OreResult:
     status: str            # "ore_up_to" | "counterexample"
     level: int = 0
     pair: object = None
-
-    def to_json(self, model):
-        pair = None
-        if self.pair is not None:
-            pair = [model.render(self.pair[0]), model.render(self.pair[1])]
-        return {"status": self.status, "level": self.level, "pair": pair}
 
 
 def ore_test(model, max_len) -> OreResult:

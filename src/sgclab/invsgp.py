@@ -6,8 +6,8 @@ composite is the partial bijection x -> g * x where g is the grading
 p1^-1 q1 ... pn^-1 qn, defined on the domain ideal and landing in the range
 ideal.  The range ideal is the ideal the trace denotes; the domain ideal is
 the ideal of the starred trace.  A word keeps its grading and the exact
-tokens of its domain and range ideals; it wraps a side in a
-``ConstructibleIdeal`` only where ``render`` writes it into a report.
+tokens of its domain and range ideals; a side is wrapped in a
+``ConstructibleIdeal`` only where ``cli`` writes it into the report.
 ``fock.rep_vword`` builds its matrix by zipping the cached basis positions
 of the domain's members with those of the range's (``Model.positions``),
 and tests no point for membership.  Nonzero words are determined by the
@@ -23,7 +23,8 @@ bands, and the enumeration builds it only for a word it keeps.
 
 The zero word absorbs composition and carries no grading or trace; every
 nonzero word has a non-empty domain.  Like an ideal, a word carries no
-radius: ``render`` takes the one its report lists members up to.
+radius: the report chooses the one it lists members up to.  This module
+returns plain data; the report's forms are all in ``cli``.
 """
 
 from __future__ import annotations
@@ -56,22 +57,6 @@ class VWord:
             return ("zero",)
         return (self.grading, self.dom)
 
-    def render(self, radius):
-        """Report form; a side renders as the ideal of its trace (the
-        starred trace for the domain), the canonical empty ideal on zero.
-        The trace is rendered once, for the word and its range side."""
-        model, trace = self.model, self.trace
-        dom_trace = None if trace is None else trace.star()
-        shown = None if trace is None else trace.render(model)
-        return {
-            "zero": self.is_zero,
-            "trace": shown,
-            "grading": None if self.is_zero else model.render(self.grading),
-            "dom": ConstructibleIdeal(model, dom_trace, self.dom).render(radius),
-            "ran": ConstructibleIdeal(model, trace, self.ran).render(radius,
-                                                                     shown),
-        }
-
 
 def zero_vword(model) -> VWord:
     return VWord(model, None, None, EMPTY, EMPTY)
@@ -98,13 +83,16 @@ def make_vword(model, trace) -> VWord:
 
 def _tokens(v, w):
     """``(grading, dom, ran)`` of v after w: domain w^-1(dom v), range
-    v(ran w), grading g_v g_w; None for the zero word, which absorbs."""
+    v(ran w), grading g_v g_w; None for the zero word, which absorbs.  The
+    domain is walked first, and the range only when it is not empty."""
     if v.is_zero or w.is_zero:
         return None
     model = v.model
     dom = walk(model, w.trace.star().pairs, v.dom)
+    if dom == EMPTY:
+        return None
     ran = walk(model, v.trace.pairs, w.ran)
-    if dom == EMPTY or ran == EMPTY:
+    if ran == EMPTY:
         return None
     return model.mul(v.grading, w.grading), dom, ran
 
@@ -176,15 +164,6 @@ class VWordFamily:
 
     def gradings(self):
         return tuple(self.by_grading.keys())
-
-    def to_json(self):
-        return {
-            "members": [v.render(self.params["radius"]) for v in self.members],
-            "zero_seen": self.zero is not None,
-            "gradings": [self.model.render(g) for g in self.gradings()],
-            "equality_pairs_logged": self.duplicates,
-            "params": self.params,
-        }
 
 
 def enumerate_vwords(model, max_trace_len, gen_len, radius,

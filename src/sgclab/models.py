@@ -57,14 +57,12 @@ class Model:
     ``mul``/``inv`` operate on arbitrary group elements in normal form;
     ``in_p``, ``length`` and ``enumerate_p`` see the submonoid.
 
-    An instance keeps six caches, each filled on first use:
+    An instance keeps five caches, each filled on first use:
     ``_enum_cache`` (``enumerate_p`` by length), ``_basis_cache``
     (``basis`` by length), ``_step_cache`` (one ``ideals.walk`` step,
     ``((p, q), token) -> token``), ``_factor_cache`` (the factor p^-1 q
-    of ``WordTrace.grading``, by ``(p, q)``), ``_positions_cache``
-    (``positions`` by ``(token, n)``) and ``_prefix_cache`` (the rendered
-    members prefix and token of ``ConstructibleIdeal.render``, by
-    ``(token, radius)``).
+    of ``WordTrace.grading``, by ``(p, q)``) and ``_positions_cache``
+    (``positions`` by ``(token, n)``).
     Their keys are normal forms, canonical exact tokens and ints, which
     are immutable and equal exactly when the elements or ideals they
     denote are equal, and the model itself never changes; so an entry can
@@ -82,7 +80,6 @@ class Model:
         self._step_cache = {}
         self._factor_cache = {}
         self._positions_cache = {}
-        self._prefix_cache = {}
 
     # -- group arithmetic ------------------------------------------------
     def mul(self, a, b):

@@ -342,16 +342,6 @@ class BoundaryResult:
     routes_agree: bool
     unresolved_instances: int
 
-    def to_json(self, fragment):
-        return {
-            "size": len(self.chars),
-            "supports": sorted(list(fragment.support(c)) for c in self.chars),
-            "maximal_seed_count": len(self.maximal_seeds),
-            "orbit_route_size": None if self.orbit_route is None else len(self.orbit_route),
-            "routes_agree": self.routes_agree,
-            "unresolved_instances": self.unresolved_instances,
-        }
-
 
 def boundary(ctx: ThetaContext) -> BoundaryResult:
     """Minimal invariant character set, via two independent computations.
@@ -411,17 +401,6 @@ class FreenessVerdict:
     unresolved: tuple         # neither certain
     witness_open: object = None   # sub-frontier position witnessing not-free
     note: str = ""
-
-    def to_json(self, model):
-        return {
-            "grading": model.render(self.grading),
-            "status": self.status,
-            "fixed": len(self.fixed),
-            "moved": len(self.moved),
-            "unresolved": len(self.unresolved),
-            "witness_open": self.witness_open,
-            "note": self.note,
-        }
 
 
 def topological_freeness_probe(ctx: ThetaContext, boundary_chars, g_list) -> dict:

@@ -83,6 +83,23 @@ def test_config_rejects_unknown():
             RunConfig.from_dict(doc)
 
 
+def test_config_refuses_unknown_top_level_keys(tmp_path, capsys):
+    # misspelt "analyses" and "caps" were once dropped, so this ran all
+    # nine analyses at depth 2
+    doc = {"model": {"family": "free_monoid", "rank": 2},
+           "analysis": ["ore"], "cap": {"trace_depth": 9}}
+    with pytest.raises(ConfigError, match="'analysis'") as err:
+        RunConfig.from_dict(doc)
+    for key in ("model", "analyses", "caps", "seed", "freeness_g", "out"):
+        assert repr(key) in str(err.value)
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown config key 'analysis'")
+    assert captured.out == ""
+
+
 def test_run_produces_tiers_and_ops():
     report, code = run(RunConfig.from_dict(small_config()))
     assert code == 0

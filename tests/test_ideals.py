@@ -9,6 +9,7 @@ from oracles import (brute_trace_members, exhaustive_vwords, gauss_rank,
                      reference_hasse, reference_independence, reference_meet,
                      reference_up, transpose_masks, uncached_walk)
 from sgclab import ideals as ideals_mod
+from sgclab.cli import _ideal_json, _lattice_json
 from sgclab.exactla import bareiss_rank
 from sgclab.ideals import (CapExceeded, ConstructibleIdeal, WordTrace,
                            empty_ideal, enumerate_ideals, from_trace,
@@ -272,7 +273,7 @@ def _word_domains(model, family):
 
 
 def test_members_upto_in_sort_key_order(all_models, lattice_of, family_of):
-    # render's members prefix relies on this order
+    # the report's members prefix relies on this order
     for model in all_models:
         ideals = (list(lattice_of(model).ideals)
                   + _word_domains(model, family_of(model)))
@@ -284,7 +285,7 @@ def test_members_upto_in_sort_key_order(all_models, lattice_of, family_of):
         r = lattice_of(model).radius
         for ideal in ideals:
             prefix = sorted(set(ideal.members_upto(r)), key=model.sort_key)[:20]
-            assert (ideal.render(r)["members_prefix"]
+            assert (_ideal_json(ideal, r, {})["members_prefix"]
                     == [model.render(a) for a in prefix])
 
 
@@ -315,7 +316,7 @@ def test_render_lists_members_only_as_far_as_needed(monkeypatch):
         return real(tok, radius)
 
     monkeypatch.setattr(model, "exact_members_upto", recorded)
-    nodes = lat.to_json()["nodes"]
+    nodes = _lattice_json(lat, {})["nodes"]
     assert [node["members_prefix"] for node in nodes] == want
     assert asked and max(asked) < 30
 
@@ -516,7 +517,7 @@ def test_enumeration_reads_containment_off_the_table(monkeypatch):
 
 
 def test_lattice_export_shape(n2, lattice_of):
-    doc = lattice_of(n2, depth=2).to_json()
+    doc = _lattice_json(lattice_of(n2, depth=2), {})
     assert doc["tier"] == "exact"
     assert doc["nodes"][0]["trace"] == []
     assert {"id", "depth", "radius", "members_prefix", "exact", "empty",

@@ -5,6 +5,7 @@ import pytest
 from oracles import (contains, exhaustive_vwords, ideal_eq, left_mul,
                      pointwise_word_apply, uncached_walk)
 from sgclab import invsgp
+from sgclab.cli import _family_json, _ideal_json, _lattice_json, _word_json
 from sgclab.fock import rep_vword, word_reach
 from sgclab.ideals import (CapExceeded, ConstructibleIdeal, WordTrace,
                            enumerate_ideals, from_trace, full_ideal,
@@ -190,7 +191,7 @@ def test_compose_matches_concatenated_trace(all_models, family_of):
                 assert got.dom == want.dom
                 assert got.ran == want.ran
                 assert got.trace == want.trace
-                assert got.render(3) == want.render(3)
+                assert _word_json(got, 3, {}) == _word_json(want, 3, {})
 
 
 def test_idempotent_word_matches_doubled_trace(all_models, lattice_of):
@@ -372,6 +373,32 @@ def test_enumeration_extends_one_trace_per_word(f2, monkeypatch):
     assert len(built) == len(fam.members) - 1
 
 
+def test_an_empty_domain_ends_the_extension(f2, monkeypatch):
+    # an extension whose domain walk is empty is the zero word, and its
+    # range is not walked
+    fam = enumerate_vwords(f2, 2, 1, 6)
+    cand = f2.enumerate_p(1)
+    ones = [v for p in cand for q in cand
+            for v in [make_vword(f2, WordTrace(((p, q),)))] if not v.is_zero]
+    walks = []
+    real = invsgp.walk
+
+    def counted(model, pairs, tok):
+        walks.append(real(model, pairs, tok))
+        return walks[-1]
+
+    monkeypatch.setattr(invsgp, "walk", counted)
+    empty = 0
+    for v in fam.members:
+        for one in ones:
+            walks.clear()
+            got = invsgp._tokens(v, one)
+            if walks[0] == EMPTY:
+                empty += 1
+                assert got is None and len(walks) == 1
+    assert empty > 0
+
+
 def test_enumeration_caps(f2):
     fam = enumerate_vwords(f2, 3, 1, 6)
     assert fam.duplicates == len(exhaustive_vwords(f2, 3)[3]) == 200
@@ -382,11 +409,13 @@ def test_enumeration_caps(f2):
 
 
 # ---------------------------------------------------------------------------
-# rendered sides, served from the model's prefix cache
+# rendered sides, served from the run's prefix memo
 
 def _fresh_render(config, trace, tok, radius):
-    """The side as a model instance with empty caches renders it."""
-    return ConstructibleIdeal(build_model(config), trace, tok).render(radius)
+    """The side as a model instance with empty caches and an empty prefix
+    memo renders it."""
+    return _ideal_json(ConstructibleIdeal(build_model(config), trace, tok),
+                       radius, {})
 
 
 @pytest.mark.parametrize("config,depth", [
@@ -394,13 +423,14 @@ def _fresh_render(config, trace, tok, radius):
     ({"family": "free_monoid", "rank": 2}, 3)])
 def test_rendered_sides_match_a_fresh_render(config, depth):
     # the lattice nodes are rendered first, so the export's sides read the
-    # listings the nodes left in the prefix cache wherever tokens meet
+    # listings the nodes left in the prefix memo wherever tokens meet
     model = build_model(config)
     gen_len, radius = model.default_gen_len, model.default_radius
     lat = enumerate_ideals(model, depth, gen_len, radius)
     fam = enumerate_vwords(model, depth, gen_len, radius)
-    nodes = lat.to_json()["nodes"]
-    export = fam.to_json()["members"]
+    prefixes = {}
+    nodes = _lattice_json(lat, prefixes)["nodes"]
+    export = _family_json(fam, prefixes)["members"]
     for x, node in zip(lat.ideals, nodes):
         node = {k: v for k, v in node.items() if k not in ("id", "depth")}
         assert node == _fresh_render(config, x.trace, x.exact, radius)
@@ -413,7 +443,9 @@ def test_rendered_sides_match_a_fresh_render(config, depth):
 def test_prefix_cache_keys_on_the_radius():
     config = {"family": "free_monoid", "rank": 2}
     full = full_ideal(build_model(config))
-    short, longer = full.render(1), full.render(3)
+    prefixes = {}
+    short, longer = _ideal_json(full, 1, prefixes), _ideal_json(full, 3, prefixes)
+    assert set(prefixes) == {(full.exact, 1), (full.exact, 3)}
     assert short["members_prefix"] == ["", "a", "b"]
     assert len(longer["members_prefix"]) == 15
     assert short == _fresh_render(config, full.trace, full.exact, 1)
@@ -433,7 +465,7 @@ def test_export_lists_each_side_token_once(monkeypatch):
         return real(tok, n)
 
     monkeypatch.setattr(model, "exact_members_upto", counted)
-    fam.to_json()
+    _family_json(fam, {})
     sides = {tok for v in fam.members for tok in (v.dom, v.ran)}
     assert len(listed) == len(set(listed)) <= len(sides)
     assert set(listed) <= sides
