@@ -110,6 +110,10 @@ class RunConfig:
             if name in closure:
                 closure.update(PIPELINE[name][1])
         ordered = tuple(a for a in ANALYSES if a in closure)
+        # unread elements would still land in the report and the cache key
+        if freeness_g is not None and "freeness" not in ordered:
+            raise ConfigError("'freeness_g' is given but the freeness "
+                              "analysis does not run")
         return RunConfig(
             model_config=doc["model"],
             analyses=ordered,

@@ -14,9 +14,12 @@ Three families ship built in:
 * ``numerical``: a numerical semigroup <g1,...,gm> inside Z, gcd 1.
 
 Every model carries an exact-ideal hook: a canonical finite token for
-every right ideal the calculus can build, with exact membership, preimage,
-intersection, subset and union-cover tests.  The token is the ideal's only
-representation, so ideal enumeration is exact at any radius.
+every right ideal the calculus can build, with exact translation,
+preimage, intersection, subset and union-cover kernels and a listing of
+the members up to a radius.  The token is the ideal's only
+representation, so ideal enumeration is exact at any radius.  N^k and
+F_n^+ are right-LCM: ``RightLCMModel`` derives their whole hook from the
+lcm of two elements.
 
 Config documents are validated once, in ``build_model``.  Elements are
 validated once, where raw values come in: ``parse``, ``WordTrace.make``
@@ -56,6 +59,11 @@ class Model:
 
     ``mul``/``inv`` operate on arbitrary group elements in normal form;
     ``in_p``, ``length`` and ``enumerate_p`` see the submonoid.
+
+    The ``exact_*`` methods are the exact-ideal hook.  It has no
+    membership test: the package lists an ideal's members and never tests
+    a single point.  A right-LCM family subclasses ``RightLCMModel`` and
+    gives only ``_lcm``; any other family writes the hook in full.
 
     An instance keeps five caches, each filled on first use:
     ``_enum_cache`` (``enumerate_p`` by length), ``_basis_cache``
@@ -197,14 +205,62 @@ class Model:
         raise NotImplementedError
 
 
-class FreeAbelianModel(Model):
+class RightLCMModel(Model):
+    """A right-LCM monoid: every constructible right ideal is empty or
+    principal, gP, and gP ∩ hP is lcm(g, h)P or empty (Nica 1992, Li
+    2012).  The token ``(_tag, g)`` stands for gP.  A family gives its
+    ``_tag`` and ``_lcm(g, h)``, the generator of gP ∩ hP for g, h in P
+    or None when that is empty, and the whole exact-ideal hook follows."""
+
+    def exact_full(self):
+        return (self._tag, self.unit)
+
+    def exact_left_mul(self, p, tok):
+        if tok == EMPTY:
+            return EMPTY
+        return (self._tag, self.mul(p, tok[1]))
+
+    def exact_preimage(self, p, tok):
+        # p^-1 (gP) ∩ P = p^-1 (pP ∩ gP)
+        if tok == EMPTY:
+            return EMPTY
+        m = self._lcm(p, tok[1])
+        return EMPTY if m is None else (self._tag, self.mul(self.inv(p), m))
+
+    def exact_intersect(self, tok, other):
+        if EMPTY in (tok, other):
+            return EMPTY
+        m = self._lcm(tok[1], other[1])
+        return EMPTY if m is None else (self._tag, m)
+
+    def exact_subset(self, tok, other):
+        if tok == EMPTY:
+            return True
+        return other != EMPTY and self._lcm(tok[1], other[1]) == tok[1]
+
+    def exact_union_covers(self, tok, others):
+        # gP lies in a union of ideals exactly when g does, so in one of them
+        return tok == EMPTY or any(self.exact_subset(tok, o) for o in others)
+
+    def exact_members_upto(self, tok, radius):
+        if tok == EMPTY:
+            return []
+        g = tok[1]
+        room = radius - self.length(g)
+        if room < 0:
+            return []
+        return [self.mul(g, x) for x in self.enumerate_p(room)]
+
+
+class FreeAbelianModel(RightLCMModel):
     """N^k inside Z^k; elements are int tuples, length is the l1 norm.
 
-    Every non-empty ideal the calculus reaches is a translated positive
-    cone and is stored by its corner vector.
+    A non-empty ideal is a translated positive cone, stored by its corner
+    vector; two corners' lcm is their coordinatewise max.
     """
 
     family = "free_abelian"
+    _tag = "corner"
 
     def __init__(self, rank: int):
         super().__init__()
@@ -268,56 +324,11 @@ class FreeAbelianModel(Model):
     def config(self):
         return {"family": "free_abelian", "rank": self.rank}
 
-    # exact hook: non-empty ideals are corner + N^k
-    def exact_full(self):
-        return ("corner", self.unit)
-
-    def exact_left_mul(self, p, tok):
-        if tok == EMPTY:
-            return EMPTY
-        return ("corner", self.mul(p, tok[1]))
-
-    def exact_preimage(self, p, tok):
-        if tok == EMPTY:
-            return EMPTY
-        return ("corner", tuple(map(max, map(operator.sub, tok[1], p),
-                                        itertools.repeat(0))))
-
-    def exact_intersect(self, tok, other):
-        if EMPTY in (tok, other):
-            return EMPTY
-        return ("corner", tuple(map(max, tok[1], other[1])))
-
-    def exact_contains(self, tok, a):
-        if tok == EMPTY:
-            return False
-        # a corner lies in N^k, so a is in P once it dominates the corner
-        return all(map(operator.ge, a, tok[1]))
-
-    def exact_subset(self, tok, other):
-        if tok == EMPTY:
-            return True
-        if other == EMPTY:
-            return False
-        return all(map(operator.ge, tok[1], other[1]))
-
-    def exact_union_covers(self, tok, others):
-        if tok == EMPTY:
-            return True
-        # the corner generates: covered iff the corner itself is covered
-        return any(self.exact_contains(o, tok[1]) for o in others if o != EMPTY)
-
-    def exact_members_upto(self, tok, radius):
-        if tok == EMPTY:
-            return []
-        corner = tok[1]
-        room = radius - self.length(corner)
-        if room < 0:
-            return []
-        return [self.mul(corner, v) for v in self.enumerate_p(room)]
+    def _lcm(self, g, h):
+        return tuple(map(max, g, h))
 
 
-class FreeMonoidModel(Model):
+class FreeMonoidModel(RightLCMModel):
     """Positive words inside a free group; reduced words as strings.
 
     Lower case letters are generators, upper case letters their formal
@@ -325,6 +336,7 @@ class FreeMonoidModel(Model):
     """
 
     family = "free_monoid"
+    _tag = "word"
     default_radius = 6
     default_trunc = 7
 
@@ -412,49 +424,14 @@ class FreeMonoidModel(Model):
     def config(self):
         return {"family": "free_monoid", "rank": self.rank}
 
-    # exact hook: non-empty ideals are ("word", w)
-    def exact_full(self):
-        return ("word", "")
-
-    def exact_left_mul(self, p, tok):
-        if tok == EMPTY:
-            return EMPTY
-        return ("word", p + tok[1])
-
-    def exact_preimage(self, p, tok):
-        if tok == EMPTY:
-            return EMPTY
-        w = tok[1]
-        if w.startswith(p):
-            return ("word", w[len(p):])
-        if p.startswith(w):
-            return ("word", "")
-        return EMPTY
-
-    def exact_intersect(self, tok, other):
-        if EMPTY in (tok, other):
-            return EMPTY
-        w, v = tok[1], other[1]
-        if w.startswith(v):
-            return ("word", w)
-        if v.startswith(w):
-            return ("word", v)
-        return EMPTY
-
-    def exact_subset(self, tok, other):
-        if tok == EMPTY:
-            return True
-        if other == EMPTY:
-            return False
-        return tok[1].startswith(other[1])
-
-    def exact_union_covers(self, tok, others):
-        if tok == EMPTY:
-            return True
-        w = tok[1]
-        return any(w.startswith(o[1]) for o in others if o != EMPTY)
+    def _lcm(self, g, h):
+        # gP meets hP only when one word is a prefix of the other
+        if g.startswith(h):
+            return g
+        return h if h.startswith(g) else None
 
     def exact_members_upto(self, tok, radius):
+        # concatenation: positive words never cancel, so no mul is needed
         if tok == EMPTY:
             return []
         w = tok[1]

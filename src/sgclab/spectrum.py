@@ -414,10 +414,13 @@ def topological_freeness_probe(ctx: ThetaContext, boundary_chars, g_list) -> dic
     they are settled.
     not-free: some basic open set from a sub-frontier ideal meets the
     domain and consists entirely of certainly-fixed characters.  free: no
-    such open set, and either the domain is empty or a certainly moved
-    character witnesses movement.  Everything else is inconclusive.
+    such open set, and either the domain is empty for good or a certainly
+    moved character witnesses movement.  An empty domain is empty for good
+    unless no word carries g and gP meets P: then a deeper word may carry
+    it, and the verdict is inconclusive.  Everything else is inconclusive.
     """
     unit = ctx.model.unit
+    carried = ctx.family.by_grading
     frag = ctx.fragment
     up, down = frag.up_masks, frag.down_masks
     ordered = sorted(set(boundary_chars), key=up.__getitem__)
@@ -453,6 +456,8 @@ def topological_freeness_probe(ctx: ThetaContext, boundary_chars, g_list) -> dic
                 break
         if witness is not None:
             status, note = "not-free", "sub-frontier open set of fixed characters"
+        elif not domain and g not in carried and ctx.model.meets_p(g):
+            status, note = "inconclusive", "no word carries it at the tested depth"
         elif not domain:
             status, note = "free", "empty domain"
         elif moved:

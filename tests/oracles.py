@@ -198,7 +198,8 @@ def freeness_reference(ctx, chars, g_list):
     fixed when chi is the only one, moved when chi is not among them, and
     unresolved otherwise (none among them too).  Each sub-frontier
     position's cylinder is listed by evaluating every domain character at
-    it."""
+    it.  An empty domain is free unless gP meets P and no family member
+    has grading g: a deeper word may carry g, so it is inconclusive."""
     frag = ctx.fragment
     up = frag.up_masks
     chars = frozenset(chars)
@@ -238,6 +239,9 @@ def freeness_reference(ctx, chars, g_list):
                 break
         if witness is not None:
             status, note = "not-free", "sub-frontier open set of fixed characters"
+        elif not domain and ctx.model.meets_p(g) and not any(
+                v.grading == g for v in ctx.family.members):
+            status, note = "inconclusive", "no word carries it at the tested depth"
         elif not domain:
             status, note = "free", "empty domain"
         elif moved:

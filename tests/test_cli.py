@@ -100,6 +100,24 @@ def test_config_refuses_unknown_top_level_keys(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_config_refuses_freeness_g_without_freeness(tmp_path, capsys):
+    # the elements were parsed, then ignored, yet still landed in the
+    # report's config and the cache key
+    doc = {"model": {"family": "free_monoid", "rank": 2},
+           "analyses": ["ore"], "freeness_g": ["ab"]}
+    with pytest.raises(ConfigError, match="'freeness_g'"):
+        RunConfig.from_dict(doc)
+    path = tmp_path / "unread.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: 'freeness_g'")
+    assert captured.out == ""
+    # with freeness in the run, or with no elements, the document is taken
+    assert RunConfig.from_dict(dict(doc, analyses=["freeness"])).freeness_g
+    assert RunConfig.from_dict(dict(doc, analyses=["ore"], freeness_g=None))
+
+
 def test_run_produces_tiers_and_ops():
     report, code = run(RunConfig.from_dict(small_config()))
     assert code == 0
@@ -137,6 +155,24 @@ def test_exit_code_two_when_inconclusive():
     report, code = run(RunConfig.from_dict(doc))
     assert code == 2
     assert report["results"]["freeness"]["tier"] == "inconclusive"
+
+
+def test_freeness_of_an_uncarried_grading_meeting_p_is_inconclusive():
+    # N^2 is Ore and its one boundary point is fixed by every g, so (1, 1)
+    # is not free; at depth 1 no word carries (1, 1) or (5, 5), and their
+    # empty domains once read free, with exit 0
+    statuses = {}
+    for depth in (1, 2):
+        doc = {"model": {"family": "free_abelian", "rank": 2},
+               "analyses": ["freeness"], "caps": {"trace_depth": depth},
+               "freeness_g": [[1, 0], [1, 1], [5, 5]]}
+        report, code = run(RunConfig.from_dict(doc))
+        verdicts = report["results"]["freeness"]["verdicts"]
+        statuses[depth] = [v["status"] for v in verdicts]
+        assert code == 2
+        assert verdicts[2]["note"] == "no word carries it at the tested depth"
+    assert statuses == {1: ["not-free", "inconclusive", "inconclusive"],
+                        2: ["not-free", "not-free", "inconclusive"]}
 
 
 def test_analyses_reading_one_that_raised_are_skipped(tmp_path, capsys):

@@ -419,36 +419,46 @@ def test_raw_elements_are_validated_at_the_boundary(n2, f2, num23):
 
 
 # ---------------------------------------------------------------------------
-# free-abelian token kernels against member scans over a box
+# right-LCM token kernels against member scans over a box
 
-@pytest.mark.parametrize("rank", [2, 3], ids=["N^2", "N^3"])
-def test_free_abelian_kernels_match_member_scans(rank):
-    # the box reaches one past every corner, so it holds each token's
-    # corner and its members there decide the token
-    model = FreeAbelianModel(rank)
+@pytest.mark.parametrize("config", [
+    {"family": "free_abelian", "rank": 2}, {"family": "free_abelian", "rank": 3},
+    {"family": "free_monoid", "rank": 2}, {"family": "free_monoid", "rank": 3},
+], ids=["N^2", "N^3", "F2+", "F3+"])
+def test_free_abelian_kernels_match_member_scans(config):
+    # the box reaches one past every token's generator, a corner or a
+    # word, so it holds each generator and its members there decide the
+    # token
+    model = build_model(config)
     lat = enumerate_ideals(model, 2, 1, model.default_radius)
     toks = sorted({ideal.exact for ideal in lat.ideals}
                   | {EMPTY, model.exact_full()})
-    top = 1 + max(c for tok in toks if tok != EMPTY for c in tok[1])
-    box = list(itertools.product(range(-1, top + 1), repeat=rank))
-    cone = [x for x in box if min(x) >= 0]
+    gens = [tok[1] for tok in toks if tok != EMPTY]
+    if model.family == "free_abelian":
+        top = 1 + max(c for g in gens for c in g)
+        cone = list(itertools.product(range(top + 1), repeat=model.rank))
+    else:
+        cone = model.enumerate_p(1 + max(map(len, gens)))
 
+    @functools.cache
     def members(tok):
-        return {x for x in cone if contains(model, tok, x)}
+        return frozenset(x for x in cone if contains(model, tok, x))
 
     assert len(toks) > 5
     for tok in toks:
         held = members(tok)
-        for x in box:
-            assert model.exact_contains(tok, x) == contains(model, tok, x)
         for p in model.enumerate_p(3):
-            want = {x for x in cone
-                    if contains(model, tok, tuple(a + b for a, b in zip(p, x)))}
+            want = {x for x in cone if contains(model, tok, model.mul(p, x))}
             assert members(model.exact_preimage(p, tok)) == want, (p, tok)
         for other in toks:
             assert model.exact_subset(tok, other) == (held <= members(other))
             assert members(model.exact_intersect(tok, other)) == \
                 held & members(other), (tok, other)
+        for k in range(3):
+            for others in itertools.combinations(toks, k):
+                assert model.exact_union_covers(tok, others) == (
+                    held <= frozenset().union(*map(members, others))), (
+                    tok, others)
 
 
 # ---------------------------------------------------------------------------

@@ -722,8 +722,10 @@ def test_freeness_probe_matches_the_per_character_reference(all_models):
     # the probe reads tables and ANDs masks; the reference classifies one
     # theta_apply at a time and lists each cylinder character by
     # character.  Every verdict field must agree on the boundary, on all
-    # characters and on each maximal seed alone, for every grading and one
-    # that no word carries.  The sets that are not invariant reach two
+    # characters and on each maximal seed alone, for every grading and for
+    # those no word carries: one whose gP meets P, which a deeper word may
+    # carry, and on the free monoids one whose gP misses P, whose domain is
+    # empty at every depth.  The sets that are not invariant reach two
     # branches a boundary never does: an image outside the set and an
     # ambiguous entry with no completion in it
     contexts = [context_for(model, depth)
@@ -736,10 +738,11 @@ def test_freeness_probe_matches_the_per_character_reference(all_models):
     for ctx in contexts:
         model, up = ctx.model, ctx.fragment.up_masks
         gradings = ctx.gradings()
-        uncarried = next(model.mul(g1, g2) for g1 in gradings
-                         for g2 in gradings
-                         if model.mul(g1, g2) not in ctx.family.by_grading)
-        g_list = [*gradings, uncarried]
+        uncarried = {}   # meets_p(g) -> the first such uncarried product
+        for g in (model.mul(g1, g2) for g1 in gradings for g2 in gradings):
+            if g not in ctx.family.by_grading:
+                uncarried.setdefault(model.meets_p(g), g)
+        g_list = [*gradings, *uncarried.values()]
         bd = boundary(ctx)
         sets = [bd.chars, enumerate_characters(ctx.fragment),
                 *[(seed,) for seed in bd.maximal_seeds]]
@@ -747,7 +750,9 @@ def test_freeness_probe_matches_the_per_character_reference(all_models):
             got = topological_freeness_probe(ctx, chars, g_list)
             assert got == freeness_reference(ctx, chars, g_list), model.name
             counts["sets"] += 1
-            counts["empty domain"] += got[uncarried].note == "empty domain"
+            counts["free monoid sets"] += model.family == "free_monoid"
+            for g in uncarried.values():
+                counts[got[g].status, got[g].note] += 1
             for g in gradings:
                 for chi in chars:
                     a = ctx.table(g)[chi]
@@ -757,5 +762,79 @@ def test_freeness_probe_matches_the_per_character_reference(all_models):
                         bits, settled = ctx.details[g, chi]
                         counts["no completion"] += not any(
                             not (up[b] ^ bits) & settled for b in chars)
-    assert counts["empty domain"] == counts["sets"]
+    assert counts["inconclusive", "no word carries it at the tested depth"] \
+        == counts["sets"]
+    assert counts["free", "empty domain"] == counts["free monoid sets"] > 0
     assert counts["escaped"] and counts["no completion"]
+
+
+# ---------------------------------------------------------------------------
+# automorphisms: a map of G that keeps P fixes every run's data as a whole
+
+def _automorphic_data(ctx):
+    """What a run reads, keyed by elements and tokens so that a map of G
+    can act on it: each lattice token's depth, the words per grading, the
+    boundary supports as token sets, each grading's freeness verdict and
+    the composition-law triples checked and failed per pair of
+    gradings."""
+    model, frag = ctx.model, ctx.fragment
+    tok = [frag.ideal_at(p).exact for p in range(frag.size())]
+    gradings = ctx.gradings()
+    bd = boundary(ctx)
+    verdicts = topological_freeness_probe(ctx, bd.chars, gradings)
+    law = collections.Counter()
+    for g2 in gradings:
+        t2 = ctx.table(g2)
+        for g1 in gradings:
+            g12 = model.mul(g1, g2)
+            if g12 in ctx.family.by_grading:
+                t1, t12 = ctx.table(g1), ctx.table(g12)
+                for chi, a in enumerate(t2):
+                    if a >= 0 and t1[a] >= 0 and t12[chi] >= 0:
+                        law[g1, g2, "checked"] += 1
+                        law[g1, g2, "failed"] += t1[a] != t12[chi]
+    return {
+        "ideals": dict(zip(tok, frag.depths)),
+        "words": {g: len(ix) for g, ix in ctx.family.by_grading.items()},
+        "supports": {frozenset(tok[p] for p in frag.support(chi))
+                     for chi in bd.chars},
+        "freeness": {g: (v.status, v.note, len(v.fixed), len(v.moved),
+                         len(v.unresolved)) for g, v in verdicts.items()},
+        "law": law,
+    }
+
+
+def _mapped(data, sigma):
+    def tok(t):
+        return t if t == EMPTY else (t[0], sigma(t[1]))
+
+    return {
+        "ideals": {tok(t): d for t, d in data["ideals"].items()},
+        "words": {sigma(g): n for g, n in data["words"].items()},
+        "supports": {frozenset(map(tok, s)) for s in data["supports"]},
+        "freeness": {sigma(g): v for g, v in data["freeness"].items()},
+        "law": collections.Counter({(sigma(g1), sigma(g2), kind): n
+                                    for (g1, g2, kind), n
+                                    in data["law"].items()}),
+    }
+
+
+def _letters(src, dst):
+    table = str.maketrans(src + src.upper(), dst + dst.upper())
+    return lambda w: w.translate(table)
+
+
+@pytest.mark.parametrize("config,depth,sigma", [
+    ({"family": "free_abelian", "rank": 2}, 2, lambda v: (v[1], v[0])),
+    ({"family": "free_monoid", "rank": 2}, 3, _letters("ab", "ba")),
+    ({"family": "free_monoid", "rank": 3}, 2, _letters("abc", "bca")),
+], ids=["N^2 swap", "F2+ a<->b", "F3+ a->b->c"])
+def test_runs_are_closed_under_automorphisms(config, depth, sigma):
+    # the map permutes the lattice's tokens keeping their depths, the
+    # gradings keeping their word counts, the boundary supports, the
+    # freeness verdicts and the law triples per pair of gradings; so the
+    # counts of ideals, words, gradings and law triples do not change
+    data = _automorphic_data(_default_context(build_model(config), depth))
+    assert _mapped(data, sigma) == data
+    moved = [g for g in data["words"] if sigma(g) != g]
+    assert moved and data["law"] and len(data["supports"]) >= 1
