@@ -90,8 +90,11 @@ class RunConfig:
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError(f"'seed' must be an int, got {seed!r}")
         freeness_g = doc.get("freeness_g")
-        if freeness_g is not None and not isinstance(freeness_g, list):
-            raise ConfigError(f"'freeness_g' must be null or a list, got {freeness_g!r}")
+        # an empty list would test nothing, yet read as a freeness result
+        if freeness_g is not None and not (isinstance(freeness_g, list)
+                                           and freeness_g):
+            raise ConfigError("'freeness_g' must be null or a nonempty list, "
+                              f"got {freeness_g!r}")
         out = doc.get("out")
         if out is not None and not isinstance(out, str):
             raise ConfigError(f"'out' must be null or a path, got {out!r}")
@@ -162,7 +165,7 @@ def _ideal_json(x, radius, prefixes, trace=None):
     if got is None:
         got = prefixes[x.exact, radius] = (
             [model.render(a) for a in x.members_prefix(radius, 20)],
-            repr(x.exact))
+            model.render_token(x.exact))
     if trace is None and x.trace is not None:
         trace = _trace_json(model, x.trace)
     return {"trace": trace, "radius": radius, "members_prefix": got[0],
@@ -482,17 +485,22 @@ def run(config: RunConfig):
     ``CANNOT_CERTIFY`` is inconclusive, one that raises anything else is an
     error, carrying under ``where`` the innermost sgclab function of its
     traceback, and an analysis reading one that raised is skipped.  The
-    ``freeness_g`` elements are parsed first, so a malformed one or the
-    identity raises ModelError before any analysis.
+    ``freeness_g`` elements are parsed first, so a malformed one, the
+    identity or one grading listed twice raises ModelError before any
+    analysis.
     """
     model = build_model(config.model_config)
     caps = _caps_for(model, config.caps)
     store = {"freeness_g": None if config.freeness_g is None
              else [model.parse(g) for g in config.freeness_g],
              "prefixes": {}}
-    if model.unit in (store["freeness_g"] or ()):
+    gradings = store["freeness_g"] or ()
+    if model.unit in gradings:
         raise ModelError("'freeness_g' lists the identity, which fixes "
                          "every character")
+    twice = [g for k, g in enumerate(gradings) if g in gradings[:k]]
+    if twice:
+        raise ModelError(f"'freeness_g' lists {model.render(twice[0])!r} twice")
     results = {}
     timings = {}
     missing = {}   # analysis -> why its store entries are absent
@@ -776,11 +784,23 @@ def _doc_from_args(args) -> dict:
     return doc
 
 
+def _source_digest() -> str:
+    """sha256 over the bytes of the package's ``*.py`` files, in name
+    order; read only by a run with a cache, once."""
+    digest, package = hashlib.sha256(), os.path.dirname(__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
+
+
 def _cache_path(directory: str, config: RunConfig) -> str:
-    """Cache entry of a config; the key covers the code and schema versions,
-    so a report from other code is never served."""
+    """Cache entry of a config; the key covers the source bytes, the
+    version and the schema version, so other code's reports are never
+    served, even under an unchanged version string."""
     doc = {"config": config.canonical(), "schema_version": SCHEMA_VERSION,
-           "version": __version__}
+           "version": __version__, "source": _source_digest()}
     key = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     return os.path.join(directory, f"{key}.json")
 

@@ -19,7 +19,8 @@ preimage, intersection, subset and union-cover kernels and a listing of
 the members up to a radius.  The token is the ideal's only
 representation, so ideal enumeration is exact at any radius.  N^k and
 F_n^+ are right-LCM: ``RightLCMModel`` derives their whole hook from the
-lcm of two elements.
+lcm of two elements.  A numerical ideal's token is its Apery tuple, and
+its hook works class by class.
 
 Config documents are validated once, in ``build_model``.  Elements are
 validated once, where raw values come in: ``parse``, ``WordTrace.make``
@@ -33,7 +34,6 @@ pure function, so instances may be shared freely across threads.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -45,8 +45,8 @@ EMPTY = ("empty",)
 
 _LETTERS = string.ascii_lowercase
 
-# Largest membership sieve a numerical model allocates; larger generator
-# sets are refused before any work.
+# Largest Schur bound a numerical model's generators may have; larger
+# generator sets are refused before any work.
 SIEVE_LIMIT = 10 ** 6
 
 
@@ -60,10 +60,11 @@ class Model:
     ``mul``/``inv`` operate on arbitrary group elements in normal form;
     ``in_p``, ``length`` and ``enumerate_p`` see the submonoid.
 
-    The ``exact_*`` methods are the exact-ideal hook.  It has no
-    membership test: the package lists an ideal's members and never tests
-    a single point.  A right-LCM family subclasses ``RightLCMModel`` and
-    gives only ``_lcm``; any other family writes the hook in full.
+    The ``exact_*`` methods are the exact-ideal hook, on hashable tokens,
+    one per ideal; ``render_token`` writes a token's report text.  The hook
+    has no membership test: the package lists an ideal's members and never
+    tests a single point.  A right-LCM family subclasses ``RightLCMModel``
+    and gives only ``_lcm``; any other family writes the hook in full.
 
     An instance keeps five caches, each filled on first use:
     ``_enum_cache`` (``enumerate_p`` by length), ``_basis_cache``
@@ -176,6 +177,10 @@ class Model:
 
     def config(self) -> dict:
         raise NotImplementedError
+
+    def render_token(self, tok):
+        """The report form of an exact token."""
+        return repr(tok)
 
     # -- exact ideal hook --------------------------------------------------
     # Tokens are canonical hashable values; EMPTY is shared by all families.
@@ -441,24 +446,14 @@ class FreeMonoidModel(RightLCMModel):
         return [w + u for u in self.enumerate_p(room)]
 
 
-def _gcd_all(values):
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    return g
-
-
 class NumericalModel(Model):
     """A numerical semigroup <g1,...,gm> inside Z (gcd of generators 1).
 
-    Membership is read off the Apery set of the smallest generator; every
-    integer at or above the conductor belongs.  Ideals are stored as a
-    finite sporadic part plus a full integer tail ("num", sporadic_tuple,
-    tail_start).  ``_token`` makes every token canonical: the sporadic
-    members lie strictly below the tail, and tail - 1 is never a member.  The subset,
-    cover and intersection kernels rely on it and look only at the
-    sporadic parts and the stretches between tails: a token whose tail
-    starts below another's holds that other's missing point tail - 1.
+    Membership is read off the Apery set of the smallest generator g0.  A
+    nonempty right ideal I meets each residue class r mod g0 in the ray
+    from its least member there, so its token is its Apery tuple, the g0
+    ints w[r] = min{x in I : x = r mod g0} (Rosales and Garcia-Sanchez,
+    *Numerical Semigroups*, ch. 1), and every kernel works class by class.
     """
 
     family = "numerical"
@@ -468,16 +463,16 @@ class NumericalModel(Model):
         gens = tuple(sorted(set(gens)))
         if not gens or any(g < 1 for g in gens):
             raise ModelError("numerical generators must be positive integers")
-        if _gcd_all(gens) != 1:
+        if math.gcd(*gens) != 1:
             raise ModelError("numerical generators must have gcd 1 (so the group is Z)")
         self.gens = gens
         self.name = "<" + ",".join(str(g) for g in gens) + ">"
-        self._apery, self.conductor = self._apery_set(gens)
+        self._apery = self._apery_set(gens)
         self.default_gen_len = max(gens)
 
     @staticmethod
     def _apery_set(gens):
-        """The Apery set of the smallest generator g0, and the conductor.
+        """The Apery set of the smallest generator g0.
 
         The set holds the least member of each residue class mod g0: the
         shortest paths from 0 over the residues, an edge r -> r + g of
@@ -502,7 +497,7 @@ class NumericalModel(Model):
                 if n + g < apery[s]:
                     apery[s] = n + g
                     heapq.heappush(heap, (n + g, s))
-        return tuple(apery), max(apery) - g0 + 1
+        return tuple(apery)
 
     @property
     def unit(self):
@@ -546,73 +541,55 @@ class NumericalModel(Model):
     def config(self):
         return {"family": "numerical", "generators": list(self.gens)}
 
-    # exact hook: ("num", sporadic members below tail, tail start)
-    def _token(self, members, tail):
-        members = set(members)
-        while tail - 1 in members:
-            tail -= 1
-            members.discard(tail)
-        return ("num", tuple(sorted(m for m in members if m < tail)), tail)
+    def render_token(self, tok):
+        """("num", the members below the tail, the tail's start)."""
+        if tok == EMPTY:
+            return repr(tok)
+        tail = max(tok) - self.gens[0] + 1
+        return repr(("num", tuple(self.exact_members_upto(tok, tail - 1)),
+                     tail))
 
+    # exact hook: the Apery tuple w, class by class
     def exact_full(self):
-        return self._token((n for n in range(self.conductor) if self.in_p(n)),
-                           self.conductor)
+        return self._apery
 
     def exact_left_mul(self, p, tok):
         if tok == EMPTY:
             return EMPTY
-        _, fin, tail = tok
-        return self._token((m + p for m in fin), tail + p)
+        g0 = self.gens[0]
+        return tuple(tok[(r - p) % g0] + p for r in range(g0))
 
     def exact_preimage(self, p, tok):
+        # x in P with x + p in I: both are rays of the class of x
         if tok == EMPTY:
             return EMPTY
-        _, fin, tail = tok
-        out = {m - p for m in fin if m >= p and self.in_p(m - p)}
-        lo = max(tail - p, 0)
-        hi = max(lo, self.conductor)
-        out.update(n for n in range(lo, hi) if self.in_p(n))
-        return self._token(out, hi)
+        g0 = self.gens[0]
+        return tuple(max(a, tok[(r + p) % g0] - p)
+                     for r, a in enumerate(self._apery))
 
     def exact_intersect(self, tok, other):
         if EMPTY in (tok, other):
             return EMPTY
-        _, fin, tail = tok
-        held, low = set(other[1]), other[2]
-        top = max(tail, low)
-        return self._token((m for m in (*fin, *range(tail, top))
-                            if m >= low or m in held), top)
+        return tuple(map(max, tok, other))
 
     def exact_subset(self, tok, other):
         if tok == EMPTY:
             return True
-        if other == EMPTY:
-            return False
-        _, fin, tail = tok
-        _, held, low = other
-        # other's tail - 1 is not in other, so tok's tail may not start lower
-        return tail >= low and set(held).issuperset(
-            fin[:bisect.bisect_left(fin, low)])
+        return other != EMPTY and all(map(operator.ge, tok, other))
 
     def exact_union_covers(self, tok, others):
+        # a union of rays in one class is the ray from their least start
         if tok == EMPTY:
             return True
         others = [o for o in others if o != EMPTY]
-        if not others:
-            return False
-        _, fin, tail = tok
-        # every point from the lowest other tail on is covered
-        low = min(o[2] for o in others)
-        held = set().union(*(o[1] for o in others))
-        return all(m >= low or m in held for m in (*fin, *range(tail, low)))
+        return bool(others) and all(map(operator.ge, tok,
+                                         map(min, zip(*others))))
 
     def exact_members_upto(self, tok, radius):
         if tok == EMPTY:
             return []
-        _, fin, tail = tok
-        out = [m for m in fin if m <= radius]
-        out.extend(range(tail, radius + 1))
-        return out
+        g0 = self.gens[0]
+        return list(heapq.merge(*(range(a, radius + 1, g0) for a in tok)))
 
 
 def _is_int(value) -> bool:

@@ -505,40 +505,92 @@ def membership_sieve(gens):
             return table, n - g0 + 1
 
 
+def _scan_bound(model, toks):
+    """One residue class period past the largest Apery entry of the
+    nonempty numerical tokens ``toks``: every class's ray starts below it,
+    and from there on each token holds every point of every class."""
+    return max(max(t) for t in toks if t != EMPTY) + model.gens[0]
+
+
 def scan_subset(model, tok, other):
     """Numerical-token inclusion by testing every member of ``tok`` below
-    the larger tail."""
+    the scan bound."""
     if tok == EMPTY:
         return True
     if other == EMPTY:
         return False
-    bound = max(tok[2], other[2])
     return all(contains(model, other, m)
-               for m in range(bound) if contains(model, tok, m))
+               for m in range(_scan_bound(model, (tok, other)))
+               if contains(model, tok, m))
 
 
 def scan_union_covers(model, tok, others):
     """Numerical-token cover by testing every member of ``tok`` below the
-    largest tail against each of ``others``."""
+    scan bound against each of ``others``."""
     if tok == EMPTY:
         return True
     others = [o for o in others if o != EMPTY]
     if not others:
         return False
-    bound = max([tok[2]] + [o[2] for o in others])
     return all(any(contains(model, o, m) for o in others)
-               for m in range(bound) if contains(model, tok, m))
+               for m in range(_scan_bound(model, [tok, *others]))
+               if contains(model, tok, m))
+
+
+def least_per_class(model, points):
+    """The least of ``points`` in each residue class mod g0."""
+    least = [None] * model.gens[0]
+    for x in points:
+        r = x % model.gens[0]
+        if least[r] is None or x < least[r]:
+            least[r] = x
+    return tuple(least)
 
 
 def scan_intersect(model, tok, other):
-    """Numerical-token intersection from the common members of every point
-    below the larger tail."""
+    """Numerical-token intersection: the least common member of each
+    residue class, from a scan of every point below the scan bound."""
     if EMPTY in (tok, other):
         return EMPTY
-    tail = max(tok[2], other[2])
-    fin = [m for m in range(tail)
-           if contains(model, tok, m) and contains(model, other, m)]
-    return model._token(fin, tail)
+    return least_per_class(model, (
+        m for m in range(_scan_bound(model, (tok, other)))
+        if contains(model, tok, m) and contains(model, other, m)))
+
+
+def scan_left_mul(model, p, tok):
+    """Numerical-token translate p + I, from the members of ``tok`` below
+    the scan bound, each moved by p."""
+    if tok == EMPTY:
+        return EMPTY
+    return least_per_class(model, (
+        m + p for m in range(_scan_bound(model, (tok,)))
+        if contains(model, tok, m)))
+
+
+def scan_preimage(model, p, tok):
+    """Numerical-token preimage, the x of P with x + p in I, from a scan
+    of the points below the scan bound of ``tok`` and P's own token."""
+    if tok == EMPTY:
+        return EMPTY
+    return least_per_class(model, (
+        x for x in range(_scan_bound(model, (tok, model.exact_full())))
+        if model.in_p(x) and contains(model, tok, x + p)))
+
+
+def num_token_text(model, tok):
+    """The report text of a numerical token in its sporadic-and-tail form,
+    ("num", members below the tail, tail), the tail starting the first run
+    of g0 members; found by scanning points, not from the token's
+    entries."""
+    if tok == EMPTY:
+        return repr(tok)
+    g0, run, m = model.gens[0], 0, 0
+    while run < g0:
+        run = run + 1 if contains(model, tok, m) else 0
+        m += 1
+    tail = m - g0
+    return repr(("num", tuple(x for x in range(tail)
+                              if contains(model, tok, x)), tail))
 
 
 def theta_law_counts(ctx):
@@ -664,15 +716,16 @@ def divide(model, p, y):
 
 def contains(model, tok, a):
     """Whether the ideal of the exact token ``tok`` holds the element a.
-    A free-monoid token names the common prefix of its members, and a
-    numerical one lists its members below its tail, and a free-abelian
-    one's members are the points of N^k at or above its corner."""
+    A free-monoid token names the common prefix of its members, a
+    numerical one the least member of each residue class mod g0, and a
+    free-abelian one's members are the points of N^k at or above its
+    corner."""
     if tok == EMPTY:
         return False
     if model.family == "free_monoid":
         return model.in_p(a) and a.startswith(tok[1])
     if model.family == "numerical":
-        return a >= 0 and (a >= tok[2] or a in tok[1])
+        return a >= tok[a % model.gens[0]]
     return all(x >= max(c, 0) for x, c in zip(a, tok[1]))
 
 

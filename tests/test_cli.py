@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -116,6 +117,23 @@ def test_config_refuses_freeness_g_without_freeness(tmp_path, capsys):
     # with freeness in the run, or with no elements, the document is taken
     assert RunConfig.from_dict(dict(doc, analyses=["freeness"])).freeness_g
     assert RunConfig.from_dict(dict(doc, analyses=["ore"], freeness_g=None))
+
+
+def test_config_refuses_an_empty_freeness_g(tmp_path, capsys):
+    # an empty list tested nothing, yet read as a band-limited freeness
+    # result with no verdicts and exit 0
+    doc = {"model": {"family": "free_monoid", "rank": 2},
+           "analyses": ["freeness"], "freeness_g": []}
+    with pytest.raises(ConfigError, match="'freeness_g' must be null or a "
+                                          "nonempty list, got \\[\\]"):
+        RunConfig.from_dict(doc)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: 'freeness_g' must be null or a "
+                                   "nonempty list")
+    assert captured.out == ""
 
 
 def test_run_produces_tiers_and_ops():
@@ -295,6 +313,28 @@ def test_main_refuses_bad_freeness_grading(tmp_path, capsys):
                                 "freeness_g": ["aC"]}))
     assert main(["analyze", "--config", str(path)]) == 1
     assert "'C'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model,gradings,twice", [
+    ({"family": "free_monoid", "rank": 2}, ["ab", "ab"], "'ab'"),
+    ({"family": "free_monoid", "rank": 2}, ["aAb", "a", "b"], "'b'"),
+    ({"family": "free_abelian", "rank": 2}, [[1, 0], [0, 1], [1, 0]],
+     "[1, 0]"),
+    ({"family": "numerical", "generators": [2, 3]}, [2, 3, 2], "2"),
+], ids=["F2+ ab", "F2+ aAb", "N^2", "<2,3>"])
+def test_run_refuses_a_grading_listed_twice(tmp_path, capsys, model,
+                                            gradings, twice):
+    # one grading listed twice was tested and counted twice; the check
+    # reads parsed elements, so "aAb" is the grading "b"
+    doc = {"model": model, "analyses": ["freeness"],
+           "caps": {"trace_depth": 1}, "freeness_g": gradings}
+    assert _refused(doc) == f"'freeness_g' lists {twice} twice"
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: 'freeness_g' lists {twice} twice\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("model,unit", [
@@ -517,6 +557,24 @@ GOLDEN_STABLE_BODIES = (
     (dict(_depth({"family": "numerical", "generators": [4, 7, 9]}),
           analyses=["spectrum", "boundary", "freeness"]),
      "48ae24ed6349e57033e0e5ee2931ae1e633329ce28ff195400fec43d4a001bd5"),
+    # the deeper ore, boundary and freeness runs ROADMAP's baseline hashes
+    (dict(_depth({"family": "free_monoid", "rank": 3}, 4),
+          analyses=["ore", "boundary", "freeness"]),
+     "11eb0681d8bb054e3b3e5ffccfbfeb59f5eb475b1ba4f14267f6ce2497c4f5a4"),
+    (dict(_depth({"family": "free_monoid", "rank": 2}, 6),
+          analyses=["ore", "boundary", "freeness"]),
+     "63b3b3e9603dd2999c585e4f5928c92f73e775a3ec3569d55563f5ca329989e2"),
+    (dict(_depth({"family": "numerical", "generators": [4, 7, 9]}, 3),
+          analyses=["ore", "boundary", "freeness"]),
+     "659356683701796616bcc5fe96fd7798e581efaf7759e89f75f3c44b71853fad"),
+    (_depth({"family": "numerical", "generators": [4, 7, 9]}),
+     "e1205fd5237fcac8a307b3b6a975500dfca6e162d36fd7e55332a446bf644080"),
+    # route two of the boundary degenerates
+    (_depth({"family": "numerical", "generators": [4, 5]}),
+     "511e81db7633862fc18332225bd42fedbcca889394834ec20a8dd7cc08609f43"),
+    # N as a numerical semigroup: one residue class
+    (_depth({"family": "numerical", "generators": [1]}, 3),
+     "181c8d59070aeb383755a5782ed98e75fb685cfb4b058dd49ff5329e399dff26"),
 )
 
 
@@ -524,7 +582,9 @@ GOLDEN_STABLE_BODIES = (
     "config,digest", GOLDEN_STABLE_BODIES,
     ids=["N^1", "F2+", "<2,3>", "<3,5,7>", "F3+", "N^2", "F2+ depth 6",
          "N^1 depth 3", "N^2 depth 3", "F2+ depth 3", "<2,3> depth 3",
-         "<3,5> depth 3", "<4,7,9> spectrum"])
+         "<3,5> depth 3", "<4,7,9> spectrum", "F3+ depth 4 o+b+f",
+         "F2+ depth 6 o+b+f", "<4,7,9> depth 3 o+b+f", "<4,7,9>", "<4,5>",
+         "<1> depth 3"])
 def test_stable_body_matches_golden_hash(config, digest):
     doc = dict(config, seed=0)
     report, _ = run(RunConfig.from_dict(doc))
@@ -710,6 +770,33 @@ def test_main_cache_dir(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "SCHEMA_VERSION", 2)
     assert main(args) == 0
     assert len(os.listdir(cache)) == 3
+
+
+def test_cache_key_digest_is_the_package_source_sha256():
+    package = Path(cli.__file__).resolve().parent
+    want = hashlib.sha256(b"".join(
+        path.read_bytes() for path in sorted(package.glob("*.py"))))
+    assert cli._source_digest() == want.hexdigest()
+
+
+def test_main_cache_misses_an_entry_from_other_source(tmp_path, monkeypatch):
+    # the version string has read the same across code changes, so a key
+    # on it alone served reports that older code wrote
+    monkeypatch.delenv("SGCLAB_CACHE_DIR", raising=False)
+    cache = tmp_path / "cache"
+    args = ["analyze", "--family", "numerical", "--generators", "2,3",
+            "--analyses", "ore", "--out", str(tmp_path / "r.json")]
+    assert main([*args, "--cache-dir", str(cache)]) == 0
+    assert len(os.listdir(cache)) == 1
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    assert main([*args, "--cache-dir", str(cache)]) == 0
+    assert len(os.listdir(cache)) == 2
+
+    # without a cache the source is never read
+    def unread():
+        raise AssertionError("the source digest is read without a cache")
+    monkeypatch.setattr(cli, "_source_digest", unread)
+    assert main(args) == 0
 
 
 @pytest.mark.parametrize("flags,code", [

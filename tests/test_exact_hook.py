@@ -6,7 +6,8 @@ methods it defines.  No class defines a membership kernel
 a single point.  A right-LCM family gives its ``_lcm`` and inherits every
 ``exact_*`` method from ``RightLCMModel``; the one override is the free
 monoid's member listing, which concatenates words instead of calling
-``mul``.
+``mul``.  A numerical token is its Apery tuple, so that family keeps no
+canonicaliser ``_token`` and no code reads a conductor.
 """
 
 import ast
@@ -59,3 +60,13 @@ def test_right_lcm_families_state_only_their_lcm():
     assert own == {("FreeMonoidModel", "exact_members_upto")}
     for name in families:
         assert "_lcm" in classes[name][1], name
+
+
+def test_numerical_hook_keeps_no_canonicaliser_or_conductor():
+    classes = _classes()
+    assert "_token" not in classes["NumericalModel"][1]
+    read = {node.attr for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+    assert "conductor" not in read
+    assert "_token" not in read

@@ -5,8 +5,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (contains, divide, left_mul, membership_sieve, preimage,
-                     scan_intersect, scan_subset, scan_union_covers)
+from oracles import (contains, divide, least_per_class, left_mul,
+                     membership_sieve, num_token_text, preimage,
+                     scan_intersect, scan_left_mul, scan_preimage,
+                     scan_subset, scan_union_covers)
 from sgclab import models
 from sgclab.cli import RunConfig, run
 from sgclab.ideals import WordTrace, enumerate_ideals, full_ideal
@@ -197,11 +199,16 @@ def test_numerical_membership_against_direct_search(n):
     assert m.in_p(n) == direct
 
 
+def _conductor(m):
+    # the largest Apery entry is the Frobenius number plus g0
+    return max(m._apery) - m.gens[0] + 1
+
+
 def test_numerical_conductor():
-    assert NumericalModel([2, 3]).conductor == 2
-    assert NumericalModel([3, 5]).conductor == 8   # Frobenius 3*5-3-5 = 7
-    assert NumericalModel([1]).conductor == 0
-    assert NumericalModel([6, 10, 15]).conductor == 30  # Frobenius 29
+    assert _conductor(NumericalModel([2, 3])) == 2
+    assert _conductor(NumericalModel([3, 5])) == 8   # Frobenius 3*5-3-5 = 7
+    assert _conductor(NumericalModel([1])) == 0
+    assert _conductor(NumericalModel([6, 10, 15])) == 30  # Frobenius 29
 
 
 @pytest.mark.parametrize("gens", [
@@ -214,7 +221,7 @@ def test_apery_membership_matches_the_sieve(gens):
     # belongs
     table, conductor = membership_sieve(gens)
     m = NumericalModel(gens)
-    assert m.conductor == conductor
+    assert _conductor(m) == conductor
     assert [m.in_p(n) for n in range(len(table))] == table
     assert not any(m.in_p(n) for n in range(-2 * max(gens), 0))
     assert all(m.in_p(n) for n in range(len(table), len(table) + 3 * max(gens)))
@@ -226,14 +233,13 @@ def test_large_numerical_model_builds_fast():
     started = time.perf_counter()
     m = NumericalModel([999, 1000])
     assert time.perf_counter() - started < 0.1
-    assert m.conductor == 997002
+    assert _conductor(m) == 997002
     assert m.in_p(997002) and not m.in_p(997001) and m.in_p(999 * 1000)
 
 
 def test_large_conductor_ideals_run_fast():
-    # <99,100> has conductor 9,702, so its tokens hold thousands of
-    # sporadic members; the kernels read the other token's members into
-    # one set per call instead of scanning a tuple once per point
+    # <99,100> has conductor 9,702, yet its tokens are 99 Apery entries
+    # and the kernels work class by class, never across the conductor
     doc = {"model": {"family": "numerical", "generators": [99, 100]},
            "caps": {"trace_depth": 1}, "analyses": ["ideals"]}
     started = time.perf_counter()
@@ -254,7 +260,7 @@ def test_oversized_numerical_generators_are_refused_before_the_sieve(
     # <3,6,7> needs 2 * 6 + 7 = 19
     monkeypatch.setattr(models, "SIEVE_LIMIT", 13)
     m = NumericalModel([3, 5])
-    assert m.conductor == 8 and m._apery == (0, 10, 5)
+    assert _conductor(m) == 8 and m._apery == (0, 10, 5)
     with pytest.raises(ModelError, match="19 entries"):
         NumericalModel([3, 6, 7])
 
@@ -469,14 +475,19 @@ def _lattice_tokens(gens):
     model = NumericalModel(gens)
     lat = enumerate_ideals(model, 2, model.default_gen_len, model.default_radius)
     toks = {ideal.exact for ideal in lat.ideals}
-    return model, sorted(toks | {EMPTY, model.exact_full()})
+    return model, sorted(toks | {EMPTY, model.exact_full()}, key=repr)
 
 
-@pytest.mark.parametrize("gens", [[2, 3], [3, 5], [3, 5, 7]],
-                         ids=["<2,3>", "<3,5>", "<3,5,7>"])
+@pytest.mark.parametrize("gens", [[1], [2, 3], [3, 5], [3, 5, 7]],
+                         ids=["<1>", "<2,3>", "<3,5>", "<3,5,7>"])
 def test_numerical_kernels_match_scans_on_depth2_lattice(gens):
     model, toks = _lattice_tokens(tuple(gens))
     for tok in toks:
+        for p in model.enumerate_p(max(gens) + 1):
+            assert model.exact_left_mul(p, tok) == scan_left_mul(
+                model, p, tok), (p, tok)
+            assert model.exact_preimage(p, tok) == scan_preimage(
+                model, p, tok), (p, tok)
         for other in toks:
             assert model.exact_subset(tok, other) == scan_subset(
                 model, tok, other), (tok, other)
@@ -492,16 +503,31 @@ def test_numerical_kernels_match_scans_on_depth2_lattice(gens):
 
 
 _NUM357 = NumericalModel([3, 5, 7])
+
+
+def _ideal_of(points):
+    # the Apery tuple of the right ideal X + S, by a membership scan up to
+    # a point past which every class of X + S has started
+    m = _NUM357
+    return least_per_class(m, (
+        x for x in range(max(points) + max(m._apery) + m.gens[0])
+        if any(x >= y and m.in_p(x - y) for y in points)))
+
+
 _canonical = st.one_of(
     st.just(EMPTY),
-    st.builds(_NUM357._token, st.sets(st.integers(0, 24), max_size=12),
-              st.integers(0, 26)))
+    st.builds(_ideal_of, st.sets(st.integers(0, 24), min_size=1,
+                                 max_size=12)))
 
 
-@given(_canonical, _canonical, st.lists(_canonical, max_size=3))
+@given(_canonical, _canonical, st.lists(_canonical, max_size=3),
+       st.sampled_from(_NUM357.enumerate_p(12)))
 @settings(max_examples=200, deadline=None)
-def test_numerical_kernels_match_scans_on_canonical_tokens(tok, other, others):
+def test_numerical_kernels_match_scans_on_canonical_tokens(tok, other, others,
+                                                           p):
     m = _NUM357
+    assert m.exact_left_mul(p, tok) == scan_left_mul(m, p, tok)
+    assert m.exact_preimage(p, tok) == scan_preimage(m, p, tok)
     assert m.exact_subset(tok, other) == scan_subset(m, tok, other)
     assert m.exact_intersect(tok, other) == scan_intersect(m, tok, other)
     assert m.exact_union_covers(tok, others) == scan_union_covers(m, tok, others)
@@ -510,8 +536,30 @@ def test_numerical_kernels_match_scans_on_canonical_tokens(tok, other, others):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_numerical_cover_matches_scan_on_lattice_triples(data):
-    model, toks = _lattice_tokens((3, 5, 7))
-    tok = data.draw(st.sampled_from(toks))
-    others = data.draw(st.lists(st.sampled_from(toks), min_size=3, max_size=3))
-    assert model.exact_union_covers(tok, others) == scan_union_covers(
-        model, tok, others)
+    # one token and three others from each lattice per example
+    for gens in ((3, 5, 7), (4, 5), (4, 7, 9)):
+        model, toks = _lattice_tokens(gens)
+        tok = data.draw(st.sampled_from(toks))
+        others = data.draw(st.lists(st.sampled_from(toks), min_size=3,
+                                    max_size=3))
+        assert model.exact_union_covers(tok, others) == scan_union_covers(
+            model, tok, others), (gens, tok, others)
+
+
+@pytest.mark.parametrize("gens,depth", [
+    ((1,), 2), ((2, 3), 2), ((3, 5), 2), ((3, 5, 7), 2), ((4, 5), 2),
+    ((4, 7, 9), 2), ((99, 100), 1),
+], ids=["<1>", "<2,3>", "<3,5>", "<3,5,7>", "<4,5>", "<4,7,9>",
+        "<99,100> depth 1"])
+def test_numerical_token_text_matches_the_member_scan(gens, depth):
+    # a token is EMPTY or g0 ints, and its report text is the sporadic
+    # members and tail start a scan of its members finds
+    model = NumericalModel(gens)
+    lat = enumerate_ideals(model, depth, model.default_gen_len,
+                           model.default_radius)
+    assert len(lat.ideals) > 1
+    for ideal in lat.ideals:
+        tok = ideal.exact
+        assert tok == EMPTY or (len(tok) == gens[0]
+                                and all(map(models._is_int, tok))), tok
+        assert model.render_token(tok) == num_token_text(model, tok), tok

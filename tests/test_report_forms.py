@@ -1,9 +1,12 @@
 """The report's forms live in ``cli``: the analysis layers return plain
 data, and a change to the report schema touches one module.
 
-An ``ast`` walk over ``src/sgclab`` finds every function named ``to_json``
-or ``render``, at any nesting.  No module may define ``to_json``, and
-``render`` is defined only in ``models.py``, where it renders an element.
+An ``ast`` walk over ``src/sgclab`` finds every function named
+``to_json``, ``render`` or ``render_token``, at any nesting.  No module may
+define ``to_json``.  ``render`` and ``render_token`` are defined only in
+``models.py``: the first renders an element, the second writes an exact
+token's report text, which depends on the model (a numerical token, its
+Apery tuple, reads as its sporadic members and tail start).
 """
 
 import ast
@@ -24,3 +27,4 @@ def _definers(name):
 def test_report_forms_live_in_cli():
     assert _definers("to_json") == set()
     assert _definers("render") == {"models"}
+    assert _definers("render_token") == {"models"}
