@@ -411,9 +411,12 @@ def _an_fock(model, caps, rng, store):
     mult_ok = True
     for _ in range(caps["samples"]):
         v, w = rng.choice(fam.members), rng.choice(fam.members)
-        lhs = fock.mul_op(word_op(v), word_op(w))
+        a, b = word_op(v), word_op(w)
+        # a nonzero composite reaches the sum of the two reaches, so its
+        # matrix raises wherever the product's band would fall below 0;
+        # the product raises there only for the zero word
         rhs = fock.rep_vword(invsgp.compose(v, w), n)
-        if not fock.equal_on_band(lhs, rhs):
+        if not fock.equal_on_band(fock.mul_op(a, b), rhs):
             mult_ok = False
     exp_ok = fock.cond_expectation([(v, word_op(v)) for v in fam.members])
     tier = "exact" if (proj_ok and mult_ok and exp_ok) else "inconclusive"

@@ -11,15 +11,19 @@ the band by the inner factor's reach; identities are asserted only inside
 the surviving band (as whole maps when it covers the basis), so truncation
 artifacts never masquerade as algebraic facts.
 
-An operator is stored as a partial map, column -> row; words, ideal masks
-and their products are all of this form, and a product is map composition.
-A word maps its domain ideal onto its range ideal by x -> g*x, keeping
-``Model.sort_key`` order, so its matrix zips the two sides' cached basis
-positions (``Model.positions``), and a mask maps one onto itself.
+An operator is stored as two parallel ascending tuples, its columns
+``dom`` and the row of each one ``ran``; words, ideal masks and their
+products are all of this form.  A word maps its domain ideal onto its
+range ideal by x -> g*x, keeping ``Model.sort_key`` order, so its matrix
+is the two sides' cached basis positions (``Model.positions``) cut to the
+shorter one, and a mask pairs its positions with themselves.  A product
+is map composition built only on the columns inside its band, the only
+ones a check reads; bases are sorted length first, so those columns are a
+prefix of ``dom``, and band comparisons are tuple slices.
 
 Each matrix is built once per check, and only where the check reads it.
 The projection identity builds one mask per lattice ideal and intersects
-their key sets pairwise: a product of two masks is the mask on the
+their column sets pairwise: a product of two masks is the mask on the
 intersection.  The diagonal expectation has two computations, the
 grading filter (keep exactly the unit-graded words) and the compression
 of a matrix to its fixed columns.  Both are linear, so they agree on
@@ -41,8 +45,10 @@ its first admissible point, and the frames share one memo of those tests.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,20 +67,24 @@ class BandExhausted(RuntimeError):
 class TruncOp:
     """0/1 partial map on the length-truncated basis.
 
-    ``cols`` maps a basis column j to the row of its one unit entry; absent
-    columns are zero.  Stored maps are never mutated, so operators may
-    share them.  ``band`` and ``reach`` implement the guard-band discipline
-    described in the module docstring.
+    Column ``dom[k]`` holds its one unit entry in row ``ran[k]``; absent
+    columns are zero.  ``dom`` is strictly ascending and ``ran`` ascending,
+    of the same length: a word's shift keeps the listing order from its
+    domain onto its range, and composition keeps it.  The tuples are never
+    mutated, so operators share them with the model's position cache.
+    ``band`` and ``reach`` implement the guard-band discipline described in
+    the module docstring.
     """
 
     model: object
     n: int
-    cols: dict               # column -> row of its unit entry
+    dom: tuple               # columns, strictly ascending
+    ran: tuple               # row of each column, ascending
     band: int
     reach: int
 
     def triplets(self):
-        return sorted((i, j, 1) for j, i in self.cols.items())
+        return list(zip(self.ran, self.dom, itertools.repeat(1)))
 
     def to_triplet_text(self) -> str:
         """Documented dump format: a header line
@@ -89,7 +99,7 @@ class TruncOp:
 def projection_op(ideal, n) -> TruncOp:
     """Diagonal 0/1 mask of an ideal's members on the basis."""
     pos = ideal.model.positions(ideal.exact, n)
-    return TruncOp(ideal.model, n, dict(zip(pos, pos)), n, 0)
+    return TruncOp(ideal.model, n, pos, pos, n, 0)
 
 
 def word_reach(v) -> int:
@@ -98,14 +108,15 @@ def word_reach(v) -> int:
 
 def rep_vword(v, n) -> TruncOp:
     """Compression of a word's partial shift to the truncated basis: the
-    domain's members of length <= n paired in order with the range's, as
-    the zip of the two sides' cached basis positions."""
-    model = v.model
-    cols = dict(zip(model.positions(v.dom, n), model.positions(v.ran, n)))
+    domain's members of length <= n paired in order with the range's, the
+    two sides' cached basis positions cut to the shorter one."""
     reach = word_reach(v)
     if reach > n:
         raise BandExhausted(f"word reach {reach} exceeds truncation {n}")
-    return TruncOp(model, n, cols, n - reach, reach)
+    model = v.model
+    dom, ran = model.positions(v.dom, n), model.positions(v.ran, n)
+    k = min(len(dom), len(ran))
+    return TruncOp(model, n, dom[:k], ran[:k], n - reach, reach)
 
 
 def _check_compat(a: TruncOp, b: TruncOp):
@@ -113,43 +124,61 @@ def _check_compat(a: TruncOp, b: TruncOp):
         raise ModelError("operators live on different truncations")
 
 
-def mul_op(a: TruncOp, b: TruncOp) -> TruncOp:
-    """a * b, the composite map, with band shrunk by b's reach."""
-    _check_compat(a, b)
-    acols = a.cols
-    cols = {j: acols[k] for j, k in b.cols.items() if k in acols}
-    return TruncOp(a.model, a.n, cols,
-                   min(b.band, a.band - b.reach), a.reach + b.reach)
-
-
 def _band_width(model, band) -> int:
-    """Number of basis columns inside a band: bases are sorted length
-    first, so those columns are a prefix, empty when the band is below 0."""
-    return len(model.enumerate_p(band)) if band >= 0 else 0
+    """Number of basis columns inside a band of at least 0: bases are
+    sorted length first, so those columns are a prefix."""
+    return len(model.enumerate_p(band))
+
+
+def _prefix(op: TruncOp, width):
+    """``(dom, ran)`` of the columns of ``op`` below ``width``; a slice
+    that keeps every column is the stored tuple itself."""
+    k = bisect.bisect_left(op.dom, width)
+    return op.dom[:k], op.ran[:k]
+
+
+def mul_op(a: TruncOp, b: TruncOp) -> TruncOp:
+    """a * b, the composite map, with band shrunk by b's reach, built on
+    the columns inside that band only.  There b's image has length at most
+    band + b.reach <= a.band, inside a's band, so the stored columns are
+    exact; a band below 0 certifies nothing and raises."""
+    _check_compat(a, b)
+    band = min(b.band, a.band - b.reach)
+    if band < 0:
+        raise BandExhausted(f"product band {band} is below 0")
+    dom, mid = ((b.dom, b.ran) if band >= a.n
+                else _prefix(b, _band_width(a.model, band)))
+    m = bisect.bisect_right(a.dom, mid[-1]) if mid else 0
+    arow = dict(zip(a.dom[:m], a.ran[:m]))
+    hit = list(map(arow.__contains__, mid))
+    return TruncOp(a.model, a.n, tuple(itertools.compress(dom, hit)),
+                   tuple(map(arow.__getitem__, itertools.compress(mid, hit))),
+                   band, a.reach + b.reach)
 
 
 def equal_on_band(a: TruncOp, b: TruncOp) -> bool:
     """Entrywise equality restricted to columns inside both bands; map
     equality when those bands cover the truncated basis."""
     _check_compat(a, b)
-    if min(a.band, b.band) >= a.n:
-        return a.cols == b.cols
-    width = _band_width(a.model, min(a.band, b.band))
-    return all(a.cols.get(j) == b.cols.get(j)
-               for j in a.cols.keys() | b.cols.keys() if j < width)
+    band = min(a.band, b.band)
+    if band >= a.n:
+        return a.dom == b.dom and a.ran == b.ran
+    width = _band_width(a.model, band)
+    return _prefix(a, width) == _prefix(b, width)
 
 
 def check_projection_identity(lattice, n):
     """P_x P_y = P_{x n y} on every ordered pair of nonempty lattice ideals.
 
-    Each ideal's mask is built once from its members, and its key set taken
-    once.  A mask is diagonal with band n and reach 0, so a product of two
-    masks is the mask on the intersection of their key sets, and it equals
-    a mask exactly when that intersection is the mask's key set.  The right
-    side is the mask of the ideal the token route put in the lattice's
-    ``meet`` rows.  Returns ``(pairs checked, whether every pair agrees)``.
+    Each ideal's mask is built once from its members, and its column set
+    taken once.  A mask is diagonal with band n and reach 0, so a product
+    of two masks is the mask on the intersection of their column sets, and
+    it equals a mask exactly when that intersection is the mask's column
+    set.  The right side is the mask of the ideal the token route put in
+    the lattice's ``meet`` rows.  Returns ``(pairs checked, whether every
+    pair agrees)``.
     """
-    keys = [frozenset(projection_op(x, n).cols) for x in lattice.ideals]
+    keys = [frozenset(projection_op(x, n).dom) for x in lattice.ideals]
     meet = lattice.meet
     idxs = lattice.nonempty_indices()
     ok = all(keys[i] & keys[j] == keys[meet[i][j]]
@@ -168,10 +197,11 @@ def cond_expectation(words) -> bool:
     columns there (unit grading) or none of them (any other grading).
     """
     for v, op in words:
-        unit_graded = not v.is_zero and v.grading == v.model.unit
-        width = _band_width(op.model, op.band)
-        if any((i == j) != unit_graded
-               for j, i in op.cols.items() if j < width):
+        dom, ran = _prefix(op, _band_width(op.model, op.band))
+        if not v.is_zero and v.grading == v.model.unit:
+            if dom != ran:
+                return False
+        elif any(map(operator.eq, dom, ran)):
             return False
     return True
 

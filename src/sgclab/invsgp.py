@@ -8,9 +8,9 @@ ideal.  The range ideal is the ideal the trace denotes; the domain ideal is
 the ideal of the starred trace.  A word keeps its grading and the exact
 tokens of its domain and range ideals; a side is wrapped in a
 ``ConstructibleIdeal`` only where ``cli`` writes it into the report.
-``fock.rep_vword`` builds its matrix by zipping the cached basis positions
-of the domain's members with those of the range's (``Model.positions``),
-and tests no point for membership.  Nonzero words are determined by the
+``fock.rep_vword`` builds its matrix from the cached basis positions of
+the domain's members and of the range's (``Model.positions``), paired in
+order, and tests no point for membership.  Nonzero words are determined by the
 pair (grading, domain token): on a common nonempty domain the actions
 x -> g1*x and x -> g2*x agree only for g1 == g2, because the ambient group
 cancels.

@@ -117,13 +117,14 @@ class Model:
         raise NotImplementedError
 
     def enumerate_p(self, max_len: int):
-        """All submonoid elements of length <= max_len, sorted by
-        (length, normal form).  Cached per model instance."""
+        """All submonoid elements of length <= max_len, in ``sort_key``
+        order, the family's ``_generate_p`` listing as it is.  Cached per
+        model instance."""
         if max_len < 0:
             raise ModelError("max_len must be >= 0")
         got = self._enum_cache.get(max_len)
         if got is None:
-            got = tuple(sorted(self._generate_p(max_len), key=self.sort_key))
+            got = tuple(self._generate_p(max_len))
             self._enum_cache[max_len] = got
         return got
 
@@ -145,11 +146,15 @@ class Model:
         got = self._positions_cache.get(key)
         if got is None:
             index = self.basis(n)[1]
-            got = tuple([index[s] for s in self.exact_members_upto(tok, n)])
+            got = tuple(map(index.__getitem__,
+                            self.exact_members_upto(tok, n)))
             self._positions_cache[key] = got
         return got
 
     def _generate_p(self, max_len):
+        """The submonoid elements of length <= max_len, listed in
+        ``sort_key`` order: the order is the family's contract, and
+        ``enumerate_p`` keeps it without sorting."""
         raise NotImplementedError
 
     def sort_key(self, a):

@@ -17,7 +17,7 @@ model's step cache, and ``restrict`` reads a character of a deeper
 fragment on a shallower one by matching ideal tokens.  The norm probe is
 rerun eagerly, every point of its band flagged for every frame, and the
 projection identity by multiplying masks, where the package intersects
-their key sets.  ``forward_image`` decides an entry of theta forward,
+their column sets.  ``forward_image`` decides an entry of theta forward,
 walking the word's trace from the character's least ideal, where the
 package pulls every fragment ideal back along the starred trace, and
 ``rule_table`` reads theta one character at a time, testing each
@@ -45,6 +45,7 @@ test that they agree.  Expected values frozen into tests were produced by
 these functions.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -457,11 +458,36 @@ def graded_sum(terms, n):
     return cols, n - reach
 
 
+def op_map(op):
+    """A matrix's columns as a map, column -> row of its unit entry."""
+    return dict(zip(op.dom, op.ran))
+
+
+def with_map(op, cols):
+    """``op`` with the map ``cols``, column -> row, in place of its own:
+    the columns stored ascending, each beside its row."""
+    dom = tuple(sorted(cols))
+    return dataclasses.replace(op, dom=dom, ran=tuple(map(cols.get, dom)))
+
+
+def banded_product_map(a, b):
+    """The map of ``a * b`` as ``fock.mul_op`` must store it: b's columns
+    composed with a's, every column of b tried as a dict lookup, then
+    restricted to the columns inside the product's band
+    ``min(b.band, a.band - b.reach)``, found by each basis point's
+    length."""
+    am, bm = op_map(a), op_map(b)
+    band = min(b.band, a.band - b.reach)
+    model = a.model
+    return {j: am[k] for j, k in bm.items() if k in am
+            and model.length(model.enumerate_p(a.n)[j]) <= band}
+
+
 def diagonal_part(op):
     """Compression of a matrix to its diagonal: its fixed columns, with the
     matrix's band and reach 0."""
-    fixed = {j: j for j, i in op.cols.items() if i == j}
-    return TruncOp(op.model, op.n, fixed, op.band, 0)
+    fixed = tuple(j for j, i in op_map(op).items() if i == j)
+    return TruncOp(op.model, op.n, fixed, fixed, op.band, 0)
 
 
 def diagonal_expectation(terms):
@@ -472,7 +498,7 @@ def diagonal_expectation(terms):
     sums = {}
     for c, v, op in terms:
         if not v.is_zero and v.grading == v.model.unit:
-            for j in op.cols:
+            for j in op_map(op):
                 sums[j] = sums.get(j, 0) + Fraction(c)
     return {j: x for j, x in sums.items() if x}
 
@@ -483,8 +509,8 @@ def entrywise_equal_on_band(a, b):
     positions, as bases are sorted length first)."""
     band = min(a.band, b.band)
     width = len(a.model.enumerate_p(band)) if band >= 0 else 0
-    return all(a.cols.get(j) == b.cols.get(j)
-               for j in a.cols.keys() | b.cols.keys() if j < width)
+    a, b = op_map(a), op_map(b)
+    return all(a.get(j) == b.get(j) for j in a.keys() | b.keys() if j < width)
 
 
 def membership_sieve(gens):

@@ -1,15 +1,17 @@
 import dataclasses
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (basis_scan_columns, contains, diagonal_expectation,
+from oracles import (banded_product_map, basis_scan_columns, contains,
+                     diagonal_expectation,
                      diagonal_part, divide, eager_sc_probe,
                      entrywise_equal_on_band, frame_flag,
                      frame_pointwise_applies, gauss_rank, graded_sum, left_mul,
-                     product_projection_identity)
+                     op_map, product_projection_identity, with_map)
 from sgclab import ideals
 from sgclab.cli import RunConfig, run
 from sgclab.exactla import (bareiss_rank, operator_norm_enclosure,
@@ -138,12 +140,12 @@ def test_rep_identity(all_models):
     for model in all_models:
         n = 5
         unit = rep_vword(make_vword(model, WordTrace(())), n)
-        assert unit.cols == {j: j for j in range(len(model.basis(n)[0]))}
-        assert projection_op(full_ideal(model), n).cols == unit.cols
+        assert op_map(unit) == {j: j for j in range(len(model.basis(n)[0]))}
+        assert op_map(projection_op(full_ideal(model), n)) == op_map(unit)
         g = model.generators[0]
         shift = rep_vword(make_vword(model, WordTrace(((model.unit, g),))), n)
-        assert mul_op(unit, shift).cols == shift.cols
-        assert mul_op(shift, unit).cols == shift.cols
+        assert op_map(mul_op(unit, shift)) == op_map(shift)
+        assert op_map(mul_op(shift, unit)) == op_map(shift)
 
 
 def test_member_driven_columns_match_basis_scan(all_models, family_of):
@@ -155,13 +157,13 @@ def test_member_driven_columns_match_basis_scan(all_models, family_of):
                 for ideal in (from_trace(model, v.trace.star()),
                               from_trace(model, v.trace)):
                     want = basis_scan_columns(model, model.unit, ideal.exact, n)
-                    assert projection_op(ideal, n).cols == _nonzero(want)
+                    assert op_map(projection_op(ideal, n)) == _nonzero(want)
                 if word_reach(v) > n:
                     with pytest.raises(BandExhausted):
                         rep_vword(v, n)
                     continue
                 want = basis_scan_columns(model, v.grading, v.dom, n)
-                assert rep_vword(v, n).cols == _nonzero(want)
+                assert op_map(rep_vword(v, n)) == _nonzero(want)
                 # domain members whose image lies beyond length n
                 leaves_basis += sum(
                     1 for j, s in enumerate(model.enumerate_p(n))
@@ -238,10 +240,111 @@ def test_basis_index_cached_per_model_instance(f2):
     assert other.basis(n)[0] is not basis and other.basis(n)[1] is not index
 
 
+def _keeps_invariants(op):
+    """``dom`` strictly ascending, ``ran`` ascending, both tuples of one
+    length."""
+    return (type(op.dom) is type(op.ran) is tuple
+            and len(op.dom) == len(op.ran)
+            and all(map(operator.lt, op.dom, op.dom[1:]))
+            and all(map(operator.le, op.ran, op.ran[1:])))
+
+
+def test_word_matrix_is_its_sides_cached_positions(all_models, family_of):
+    # a word's matrix holds the two sides' cached position tuples, cut to
+    # the shorter one, and a mask holds its ideal's, so neither copies a
+    # column when nothing is cut
+    uncut = cut = 0
+    for model in all_models:
+        n = 6 if model.family == "free_monoid" else 10
+        for v in family_of(model).members:
+            if v.is_zero or word_reach(v) > n:
+                continue
+            op = rep_vword(v, n)
+            dom, ran = model.positions(v.dom, n), model.positions(v.ran, n)
+            assert _keeps_invariants(op)
+            if len(dom) == len(ran):
+                assert op.dom is dom and op.ran is ran
+                uncut += 1
+            else:
+                k = min(len(dom), len(ran))
+                assert (op.dom, op.ran) == (dom[:k], ran[:k])
+                assert op.dom is dom or op.ran is ran
+                cut += 1
+            mask = projection_op(from_trace(model, v.trace), n)
+            assert mask.dom is mask.ran is ran
+    assert uncut > 0 and cut > 0
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_product_is_the_composite_inside_its_band(all_models, family_of,
+                                                 lattice_of, n):
+    # every (word, word) and (word, mask) product stores the composite's
+    # columns inside its band and no other; a band below 0 raises
+    built = raised = outside = 0
+    for model in all_models:
+        masks = [projection_op(x, n) for x in lattice_of(model).ideals[:10]]
+        words = [rep_vword(v, n) for v in family_of(model).members[:30]
+                 if word_reach(v) <= n][:12]
+        for op in masks + words:
+            assert _keeps_invariants(op)
+        for a, b in itertools.chain(itertools.product(words, repeat=2),
+                                    itertools.product(words, masks)):
+            if min(b.band, a.band - b.reach) < 0:
+                with pytest.raises(BandExhausted):
+                    mul_op(a, b)
+                raised += 1
+                continue
+            prod = mul_op(a, b)
+            assert _keeps_invariants(prod)
+            assert op_map(prod) == banded_product_map(a, b), model.name
+            assert prod.band == min(b.band, a.band - b.reach)
+            assert prod.reach == a.reach + b.reach
+            full = {j for j, k in op_map(b).items() if k in op_map(a)}
+            outside += len(full) > len(prod.dom)
+            built += 1
+    assert built > 0 and raised > 0 and outside > 0
+
+
+def test_product_with_a_band_below_0_raises(n1, f2):
+    # two words whose reaches sum past the truncation leave their product
+    # no trusted column; it raises, as a word reaching past it does
+    up2 = make_vword(n1, WordTrace((((0,), (2,)),)))
+    up3 = make_vword(n1, WordTrace((((0,), (3,)),)))
+    with pytest.raises(BandExhausted):
+        mul_op(rep_vword(up2, 4), rep_vword(up3, 4))
+    with pytest.raises(BandExhausted):
+        rep_vword(compose(up2, up3), 4)
+    # on F2+ the composite can be the zero word, of reach 0, whose matrix
+    # builds; only the product's band catches the pair
+    v = make_vword(f2, WordTrace((("", "a"), ("b", ""))))
+    assert word_reach(v) == 1 and compose(v, v).is_zero
+    assert op_map(rep_vword(compose(v, v), 1)) == {}
+    with pytest.raises(BandExhausted):
+        mul_op(rep_vword(v, 1), rep_vword(v, 1))
+
+
+def test_run_reads_a_product_band_below_0_as_inconclusive(f2, monkeypatch):
+    # every sampled pair is (v, v), whose composite is the zero word and
+    # whose product has band -1 at truncation 1: the multiplicativity check
+    # certifies nothing there, so fock is inconclusive, not exact
+    import sgclab.invsgp as invsgp_mod
+    v = make_vword(f2, WordTrace((("", "a"), ("b", ""))))
+    real = invsgp_mod.enumerate_vwords
+    monkeypatch.setattr(invsgp_mod, "enumerate_vwords",
+                        lambda *args: dataclasses.replace(real(*args),
+                                                          members=(v,)))
+    doc = {"model": {"family": "free_monoid", "rank": 2},
+           "analyses": ["fock"], "caps": {"trace_depth": 1, "trunc": 1}}
+    result = run(RunConfig.from_dict(doc))[0]["results"]["fock"]
+    assert result == {"op": "fock",
+                      "error": "BandExhausted: product band -1 is below 0",
+                      "tier": "inconclusive"}
+
+
 def test_rep_shift_matrix(n1):
     v = make_vword(n1, WordTrace((((0,), (1,)),)))
     op = rep_vword(v, 4)
-    assert op.cols == {0: 1, 1: 2, 2: 3, 3: 4}
+    assert op_map(op) == {0: 1, 1: 2, 2: 3, 3: 4}
     assert op.triplets() == [(1, 0, 1), (2, 1, 1), (3, 2, 1), (4, 3, 1)]
     assert op.band == 3 and op.reach == 1
 
@@ -264,8 +367,7 @@ def test_rep_multiplicative_on_band(all_models, family_of):
         for v, w in itertools.product(words, repeat=2):
             lhs = mul_op(rep_vword(v, n), rep_vword(w, n))
             rhs = rep_vword(compose(v, w), n)
-            if lhs.band >= 0:
-                assert equal_on_band(lhs, rhs)
+            assert equal_on_band(lhs, rhs)
 
 
 def test_rep_star_is_transpose(all_models, family_of):
@@ -292,7 +394,7 @@ def test_idempotent_rep_is_diagonal_mask(all_models, family_of):
             if v.grading != model.unit:
                 continue
             op = rep_vword(v, n)
-            assert all(i == j for j, i in op.cols.items())
+            assert all(i == j for j, i in op_map(op).items())
             dom = from_trace(model, v.trace.star())
             assert equal_on_band(op, projection_op(dom, n))
 
@@ -326,7 +428,7 @@ def test_projection_identity_examples(n1, f2):
     assert check_projection_identity(flat, 6) == ((len(flat.ideals) - 1) ** 2,
                                                   True)
     prod = mul_op(projection_op(aP, 6), projection_op(bP, 6))
-    assert prod.cols == {}
+    assert op_map(prod) == {}
 
 
 def _planted_meet(lat, i, j, k):
@@ -372,7 +474,7 @@ def test_projection_identity_matches_the_product_route(all_models, lattice_of,
         pairs = len(lat.nonempty_indices()) ** 2
         assert (check_projection_identity(lat, n)
                 == product_projection_identity(lat, n) == (pairs, True))
-        masks = [projection_op(x, n).cols for x in lat.ideals]
+        masks = [op_map(projection_op(x, n)) for x in lat.ideals]
         for wrong in (0, lat.empty_index):
             i, j = next((i, j) for i in lat.nonempty_indices()
                         for j in lat.nonempty_indices()
@@ -391,19 +493,25 @@ def test_ops_store_no_zero_columns(f2):
     v = make_vword(f2, WordTrace((("", "a"),)))
     assert v.grading == "a"
     a = rep_vword(v, n)
-    assert a.cols
+    assert op_map(a)
     for op in (mul_op(projection_op(aP, n), projection_op(bP, n)),
                diagonal_part(a)):
-        assert op.cols == {}
+        assert op_map(op) == {}
         # an absent column is a zero column, on either side, and a's
         # columns inside its band n - 1 already differ
         assert not equal_on_band(op, a) and not equal_on_band(a, op)
     # down * up = 1, except on the words whose image under up leaves the
-    # basis; up * down is the mask of aP
+    # basis; up * down is the mask of aP on its band n - 1, and a product
+    # stores no column outside its band
     down = rep_vword(make_vword(f2, WordTrace((("a", ""),))), n)
-    assert mul_op(down, a).cols == {j: j for j, s in enumerate(f2.basis(n)[0])
-                                    if len(s) < n}
-    assert mul_op(a, down).cols == projection_op(aP, n).cols
+    assert op_map(mul_op(down, a)) == {
+        j: j for j, s in enumerate(f2.basis(n)[0]) if len(s) < n}
+    up_down = mul_op(a, down)
+    width = len(f2.enumerate_p(up_down.band))
+    assert up_down.band == n - 1
+    assert op_map(up_down) == {j: i for j, i in
+                               op_map(projection_op(aP, n)).items()
+                               if j < width}
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -421,16 +529,15 @@ def test_equal_on_band_matches_entrywise_oracle(all_models, family_of,
             whole += min(a.band, b.band) >= n
             assert equal_on_band(a, b) == entrywise_equal_on_band(a, b)
         for a in ops:
-            if not a.cols:
+            cols = op_map(a)
+            if not cols:
                 continue
             # a change at column 0, the unit, lies inside every band
-            inside = dataclasses.replace(
-                a, cols={**a.cols, 0: a.cols.get(0, 0) + 1})
+            inside = with_map(a, {**cols, 0: cols.get(0, 0) + 1})
             assert not equal_on_band(a, inside)
             assert not entrywise_equal_on_band(a, inside)
-            last = max(a.cols)
-            outside = dataclasses.replace(
-                a, cols={j: i for j, i in a.cols.items() if j != last})
+            last = max(cols)
+            outside = with_map(a, {j: i for j, i in cols.items() if j != last})
             beyond = model.length(model.basis(n)[0][last]) > a.band
             assert (equal_on_band(a, outside)
                     == entrywise_equal_on_band(a, outside) == beyond)
@@ -445,10 +552,10 @@ def test_equal_on_band_ignores_columns_outside_the_band(f2):
     up = rep_vword(make_vword(f2, WordTrace((("", "a"),))), n)
     down = rep_vword(make_vword(f2, WordTrace((("a", ""),))), n)
     product, one = mul_op(down, up), projection_op(full_ideal(f2), n)
-    assert product.band == n - 1 and product.cols != one.cols
+    assert product.band == n - 1 and op_map(product) != op_map(one)
     assert equal_on_band(product, one)
     assert entrywise_equal_on_band(product, one)
-    short = dataclasses.replace(product, cols={**product.cols, 1: 0})
+    short = with_map(product, {**op_map(product), 1: 0})
     assert not equal_on_band(short, one)
     assert not entrywise_equal_on_band(short, one)
 
@@ -471,8 +578,8 @@ def test_cond_expectation_examples(n1):
     v1 = make_vword(n1, WordTrace((((0,), (1,)),)))
     e1 = idempotent_vword(i1)
     v12 = make_vword(n1, WordTrace((((1,), (2,)),)))
-    for v, want in ((v1, {}), (e1, {j: 1 for j in projection_op(i1, 8).cols}),
-                    (v12, {})):
+    mask = projection_op(i1, 8)
+    for v, want in ((v1, {}), (e1, {j: 1 for j in op_map(mask)}), (v12, {})):
         terms = _terms([(Fraction(1), v)], 8)
         assert cond_expectation(_words(terms)) is True
         assert diagonal_expectation(terms) == want
@@ -510,7 +617,7 @@ def test_cond_expectation_int_and_fraction_coefficients(all_models,
         assert ce == {j: col[j] for j, col in full.items() if j in col}
         assert ce and all(type(x) is Fraction for x in ce.values())
         assert diagonal_expectation(_terms([(2, words[0])], n)) == {
-            j: 2 for j in diagonal_part(rep_vword(words[0], n)).cols}
+            j: 2 for j in op_map(diagonal_part(rep_vword(words[0], n)))}
 
 
 def test_cond_expectation_builds_each_term_once(n1, monkeypatch):
@@ -548,7 +655,7 @@ def _plant_column_0(monkeypatch, unit_graded):
         op = real(v, n)
         if v.is_zero or (v.grading == v.model.unit) != unit_graded:
             return op
-        return dataclasses.replace(op, cols={**op.cols, 0: int(unit_graded)})
+        return with_map(op, {**op_map(op), 0: int(unit_graded)})
 
     monkeypatch.setattr(fock_mod, "rep_vword", planted)
 
@@ -571,7 +678,7 @@ def _oracle_check(v, op):
     map) against the diagonal copy of the word's matrix, on their shared
     band."""
     unit_graded = not v.is_zero and v.grading == v.model.unit
-    kept = op if unit_graded else TruncOp(op.model, op.n, {}, op.n, 0)
+    kept = op if unit_graded else TruncOp(op.model, op.n, (), (), op.n, 0)
     return equal_on_band(kept, diagonal_part(op))
 
 
@@ -599,7 +706,7 @@ def test_cond_expectation_matches_the_oracle_comparison(all_models,
                 if len(model.enumerate_p(op.band)) < size:
                     cases.append(("outside", {size - 1: size - 1}, True))
             for name, cols, want in cases:
-                bad = dataclasses.replace(op, cols={**op.cols, **cols})
+                bad = with_map(op, {**op_map(op), **cols})
                 assert (cond_expectation([(v, bad)])
                         == _oracle_check(v, bad) == want), (model.name, name)
                 assert cond_expectation(words + [(v, bad)]) == want
@@ -650,7 +757,7 @@ def test_run_checks_expectation_once_per_family_word(monkeypatch):
     # each word carries its matrix at the run's truncation
     n = report["results"]["fock"]["params"]["trunc"]
     for v, op in words:
-        assert op.n == n and op.cols == rep_vword(v, n).cols
+        assert op.n == n and op_map(op) == op_map(rep_vword(v, n))
 
 
 def test_run_builds_each_ideal_mask_and_word_matrix_once(monkeypatch):
@@ -704,7 +811,7 @@ def test_nonzero_grading_is_strictly_off_diagonal(all_models, family_of):
             if v.grading == model.unit:
                 continue
             op = rep_vword(v, n)
-            assert all(i != j for j, i in op.cols.items())
+            assert all(i != j for j, i in op_map(op).items())
 
 
 # ---------------------------------------------------------------------------

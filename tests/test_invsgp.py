@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from oracles import (contains, exhaustive_vwords, ideal_eq, left_mul,
-                     pointwise_word_apply, uncached_walk)
+                     op_map, pointwise_word_apply, uncached_walk)
 from sgclab import invsgp
 from sgclab.cli import _family_json, _ideal_json, _lattice_json, _word_json
 from sgclab.fock import rep_vword, word_reach
@@ -42,7 +42,7 @@ def test_make_vword_validates_raw_pairs(f2):
 def test_make_vword_zero(f2):
     v = make_vword(f2, WordTrace((("a", "b"),)))
     assert v.is_zero
-    assert rep_vword(v, 6).cols == {}
+    assert op_map(rep_vword(v, 6)) == {}
 
 
 def test_compose_shift_relation(n2):
@@ -107,7 +107,7 @@ def test_vword_eq_collapse_example(n1):
     assert vword_eq(v, w) is True
     basis, index = n1.basis(10)
     shift = {index[x]: index[(x[0] + 1,)] for x in basis[:-1]}
-    assert rep_vword(v, 10).cols == rep_vword(w, 10).cols == shift
+    assert op_map(rep_vword(v, 10)) == op_map(rep_vword(w, 10)) == shift
 
 
 def test_vword_eq_detects_domain_restriction(n1):
@@ -135,7 +135,7 @@ def test_action_matches_pointwise_oracle(all_models, family_of):
         for v in fam.members:
             if word_reach(v) > n:
                 continue
-            cols = rep_vword(v, n).cols
+            cols = op_map(rep_vword(v, n))
             for x in basis:
                 want = pointwise_word_apply(model, v.trace.pairs, x)
                 assert cols.get(index[x]) == index.get(want)

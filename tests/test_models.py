@@ -307,6 +307,25 @@ def test_shift_carries_domain_onto_range_in_listing_order(all_models,
                 assert images == ran[:len(images)]
 
 
+@pytest.mark.parametrize("config", [
+    *({"family": family, "rank": rank}
+      for family in ("free_monoid", "free_abelian") for rank in (1, 2, 3)),
+    {"family": "numerical", "generators": [1]},
+    {"family": "numerical", "generators": [2, 3]},
+    {"family": "numerical", "generators": [3, 5, 7]},
+    {"family": "numerical", "generators": [4, 7, 9]}],
+    ids=["F1+", "F2+", "F3+", "N^1", "N^2", "N^3", "<1>", "<2,3>",
+         "<3,5,7>", "<4,7,9>"])
+def test_enumerate_p_lists_in_sort_key_order(config):
+    # enumerate_p keeps the family's listing as it is, so the listing must
+    # already follow sort_key, with no member twice, at every length
+    model = build_model(config)
+    for n in (0, 1, 2, 3, 5, 7):
+        got = model.enumerate_p(n)
+        assert list(got) == sorted(got, key=model.sort_key), n
+        assert len(set(got)) == len(got)
+
+
 def test_positions_index_the_members_in_order(all_models, lattice_of):
     # positions is the basis index map of the listing, ascending, at every
     # truncation: a cached tuple keyed on the token and n together
