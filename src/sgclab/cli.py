@@ -83,6 +83,10 @@ class RunConfig:
         if not (isinstance(analyses, list)
                 and all(isinstance(a, str) for a in analyses)):
             raise ConfigError(f"'analyses' must be a list of names, got {analyses!r}")
+        # an empty list would run nothing, yet exit 0 on an empty report
+        if not analyses:
+            raise ConfigError("'analyses' must name at least one analysis;"
+                              " leave it out to run them all")
         bad = [a for a in analyses if a not in ANALYSES]
         if bad:
             raise ConfigError(f"unknown analyses {bad}; known: {list(ANALYSES)}")
@@ -137,6 +141,9 @@ class RunConfig:
 
 
 def _caps_for(model, caps):
+    """The caps with the model's defaults filled in.  A length cap past
+    the family's listing limit raises ModelError here, before any analysis
+    reaches that length."""
     out = dict(caps)
     if out["gen_len"] is None:
         out["gen_len"] = model.default_gen_len
@@ -144,6 +151,11 @@ def _caps_for(model, caps):
         out["radius"] = model.default_radius
     if out["trunc"] is None:
         out["trunc"] = model.default_trunc
+    limit = model.max_listing_len
+    for key in ("gen_len", "radius", "trunc", "ore_len"):
+        if limit is not None and out[key] > limit:
+            raise ModelError(f"cap {key!r} is {out[key]}, past the"
+                             f" {model.family} listing limit {limit}")
     return out
 
 
@@ -383,12 +395,14 @@ def _an_freeness(model, caps, rng, store):
                  "unresolved": len(v.unresolved),
                  "witness_open": v.witness_open, "note": v.note}
                 for v in map(verdicts.__getitem__, g_list)]
-    any_inconclusive = any(v.status == "inconclusive" for v in verdicts.values())
+    # a probe that tested no grading is no verdict about freeness
+    inconclusive = not g_list or any(v.status == "inconclusive"
+                                     for v in verdicts.values())
     return {
         "op": "spectrum.topological_freeness_probe",
         "params": {"tested_gradings": len(g_list)},
         "verdicts": rendered,
-    }, ("inconclusive" if any_inconclusive else "band-limited")
+    }, ("inconclusive" if inconclusive else "band-limited")
 
 
 def _an_fock(model, caps, rng, store):
@@ -696,6 +710,9 @@ def _explain_lines(topic, r):
                          " every singleton closure (unresolved instances:"
                          f" {res['unresolved_instances']})")
     elif topic == "freeness":
+        if not r["verdicts"]:
+            lines.append("  no grading was tested: every word at the tested"
+                         " depth has the identity grading")
         for v in r["verdicts"]:
             lines.append(f"  g={v['grading']}: {v['status']}"
                          f" (fixed={v['fixed']}, moved={v['moved']},"

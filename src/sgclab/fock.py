@@ -8,8 +8,8 @@ length b such that applying the operator to a basis vector of length <= b
 agrees with the true (untruncated) action, and ``reach`` bounds how far the
 operator can push support lengths upward.  Multiplying operators shrinks
 the band by the inner factor's reach; identities are asserted only inside
-the surviving band (as whole maps when it covers the basis), so truncation
-artifacts never masquerade as algebraic facts.
+the surviving band, so truncation artifacts never masquerade as algebraic
+facts.
 
 An operator is stored as two parallel ascending tuples, its columns
 ``dom`` and the row of each one ``ran``; words, ideal masks and their
@@ -19,7 +19,7 @@ is the two sides' cached basis positions (``Model.positions``) cut to the
 shorter one, and a mask pairs its positions with themselves.  A product
 is map composition built only on the columns inside its band, the only
 ones a check reads; bases are sorted length first, so those columns are a
-prefix of ``dom``, and band comparisons are tuple slices.
+prefix of ``dom``, and every check reads a band through ``_in_band``.
 
 Each matrix is built once per check, and only where the check reads it.
 The projection identity builds one mask per lattice ideal and intersects
@@ -124,16 +124,11 @@ def _check_compat(a: TruncOp, b: TruncOp):
         raise ModelError("operators live on different truncations")
 
 
-def _band_width(model, band) -> int:
-    """Number of basis columns inside a band of at least 0: bases are
-    sorted length first, so those columns are a prefix."""
-    return len(model.enumerate_p(band))
-
-
-def _prefix(op: TruncOp, width):
-    """``(dom, ran)`` of the columns of ``op`` below ``width``; a slice
-    that keeps every column is the stored tuple itself."""
-    k = bisect.bisect_left(op.dom, width)
+def _in_band(op: TruncOp, band):
+    """``(dom, ran)`` of the columns of ``op`` inside a band of at least 0,
+    those below the band's basis size; a slice that keeps every column is
+    the stored tuple itself."""
+    k = bisect.bisect_left(op.dom, len(op.model.enumerate_p(band)))
     return op.dom[:k], op.ran[:k]
 
 
@@ -146,8 +141,7 @@ def mul_op(a: TruncOp, b: TruncOp) -> TruncOp:
     band = min(b.band, a.band - b.reach)
     if band < 0:
         raise BandExhausted(f"product band {band} is below 0")
-    dom, mid = ((b.dom, b.ran) if band >= a.n
-                else _prefix(b, _band_width(a.model, band)))
+    dom, mid = _in_band(b, band)
     m = bisect.bisect_right(a.dom, mid[-1]) if mid else 0
     arow = dict(zip(a.dom[:m], a.ran[:m]))
     hit = list(map(arow.__contains__, mid))
@@ -157,14 +151,10 @@ def mul_op(a: TruncOp, b: TruncOp) -> TruncOp:
 
 
 def equal_on_band(a: TruncOp, b: TruncOp) -> bool:
-    """Entrywise equality restricted to columns inside both bands; map
-    equality when those bands cover the truncated basis."""
+    """Entrywise equality restricted to columns inside both bands."""
     _check_compat(a, b)
     band = min(a.band, b.band)
-    if band >= a.n:
-        return a.dom == b.dom and a.ran == b.ran
-    width = _band_width(a.model, band)
-    return _prefix(a, width) == _prefix(b, width)
+    return _in_band(a, band) == _in_band(b, band)
 
 
 def check_projection_identity(lattice, n):
@@ -197,7 +187,7 @@ def cond_expectation(words) -> bool:
     columns there (unit grading) or none of them (any other grading).
     """
     for v, op in words:
-        dom, ran = _prefix(op, _band_width(op.model, op.band))
+        dom, ran = _in_band(op, op.band)
         if not v.is_zero and v.grading == v.model.unit:
             if dom != ran:
                 return False
@@ -288,7 +278,8 @@ def compressed_matrix(terms, model, n):
 
 def sc_norm(frame: CovarianceFrame, diagonal):
     """Enclosure of the compressed operator norm of a trivially graded
-    word combination, ``diagonal`` being its ``compressed_matrix``.
+    word combination, ``diagonal`` being its ``compressed_matrix`` and
+    ``frame`` built on the basis of the diagonal's band.
 
     Such a combination acts diagonally, so the norm is the exact maximum
     absolute diagonal value over the frame's admissible columns inside the
@@ -298,11 +289,10 @@ def sc_norm(frame: CovarianceFrame, diagonal):
     band is admissible, found by a search that stops at the first; with no
     admissible column at all it raises.
     """
-    values, band = diagonal
-    for j, x in values.items():
+    for j, x in diagonal[0].items():
         if frame.admissible(j):
             return abs(x), abs(x)
-    if any(map(frame.admissible, range(_band_width(frame.model, band)))):
+    if any(map(frame.admissible, range(len(frame.basis)))):
         return Fraction(0), Fraction(0)
     raise BandExhausted("no admissible basis points inside the guard band")
 

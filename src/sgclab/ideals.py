@@ -57,7 +57,11 @@ class WordTrace:
     def star(self):
         """Reverse the word and swap each (p, q); the trace of the adjoint,
         built once per trace and kept, and linked back, so that
-        ``t.star().star() is t``."""
+        ``t.star().star() is t``.  ``invsgp.compose(v, star(v))``, as
+        in the involution law, stars a starred trace again; without the
+        link each such call would rebuild a reversed copy of a trace that
+        already exists.  The price is a reference cycle per pair, freed
+        by the cyclic collector."""
         got = self.__dict__.get("_star")
         if got is None:
             got = WordTrace(tuple((q, p) for p, q in reversed(self.pairs)))

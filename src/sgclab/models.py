@@ -82,6 +82,7 @@ class Model:
     default_radius = 50
     default_trunc = 30
     default_gen_len = 1
+    max_listing_len = None   # the longest ``enumerate_p`` allowed, if any
 
     def __init__(self):
         self._enum_cache = {}
@@ -349,6 +350,7 @@ class FreeMonoidModel(RightLCMModel):
     _tag = "word"
     default_radius = 6
     default_trunc = 7
+    max_listing_len = 16
 
     def __init__(self, rank: int):
         super().__init__()
@@ -405,8 +407,9 @@ class FreeMonoidModel(RightLCMModel):
         return len(a)
 
     def _generate_p(self, max_len):
-        if max_len > 16:
-            raise ModelError("free monoid truncation beyond length 16 refused")
+        if max_len > self.max_listing_len:
+            raise ModelError("free monoid truncation beyond length "
+                             f"{self.max_listing_len} refused")
         words = []
         for n in range(max_len + 1):
             words.extend("".join(w) for w in itertools.product(self.letters, repeat=n))

@@ -136,6 +136,23 @@ def test_config_refuses_an_empty_freeness_g(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_config_refuses_an_empty_analyses_list(tmp_path, capsys):
+    # an empty list ran nothing, yet wrote "results": {} with exit 0
+    doc = {"model": {"family": "free_monoid", "rank": 2}, "analyses": []}
+    with pytest.raises(ConfigError, match="'analyses' must name at least one"):
+        RunConfig.from_dict(doc)
+    path = tmp_path / "none.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: 'analyses' must name at least one")
+    assert captured.out == ""
+    # an empty --analyses flag still means every analysis
+    args = cli._parse_args(["analyze", "--family", "free_monoid", "--rank",
+                            "2", "--analyses", ""])
+    assert RunConfig.from_dict(cli._doc_from_args(args)).analyses == ANALYSES
+
+
 def test_run_produces_tiers_and_ops():
     report, code = run(RunConfig.from_dict(small_config()))
     assert code == 0
@@ -191,6 +208,27 @@ def test_freeness_of_an_uncarried_grading_meeting_p_is_inconclusive():
         assert verdicts[2]["note"] == "no word carries it at the tested depth"
     assert statuses == {1: ["not-free", "inconclusive", "inconclusive"],
                         2: ["not-free", "not-free", "inconclusive"]}
+
+
+@pytest.mark.parametrize("model", [{"family": "free_monoid", "rank": 2},
+                                   {"family": "numerical", "generators": [2, 3]}])
+def test_freeness_testing_no_grading_is_inconclusive(tmp_path, capsys, model):
+    # at depth 0 every word is the unit, so the default grading list is
+    # empty; it once read band-limited with exit 0
+    doc = {"model": model, "analyses": ["freeness"],
+           "caps": {"trace_depth": 0}}
+    report, code = run(RunConfig.from_dict(doc))
+    result = report["results"]["freeness"]
+    assert code == 2
+    assert result["tier"] == "inconclusive"
+    assert result["params"] == {"tested_gradings": 0}
+    assert result["verdicts"] == []
+    path = tmp_path / "r.json"
+    path.write_text(report_to_json(report))
+    assert main(["explain", str(path), "freeness"]) == 0
+    assert capsys.readouterr().out == (
+        "freeness: tier=inconclusive\n  no grading was tested: every word"
+        " at the tested depth has the identity grading\n")
 
 
 def test_analyses_reading_one_that_raised_are_skipped(tmp_path, capsys):
@@ -297,6 +335,24 @@ def test_run_reports_non_int_vector_grading_as_error(grading):
            "analyses": ["freeness"], "caps": {"trace_depth": 2},
            "freeness_g": [grading], "seed": 0}
     assert _refused(doc).startswith("cannot parse")
+
+
+@pytest.mark.parametrize("cap", ["gen_len", "radius", "trunc", "ore_len"])
+def test_run_refuses_a_free_monoid_cap_past_the_listing_limit(
+        tmp_path, capsys, cap):
+    # the listing refused such a length only once an analysis reached it,
+    # and then read as an internal error; now the run raises when it
+    # starts, so no analysis runs
+    limit = FreeMonoidModel.max_listing_len
+    doc = {"model": {"family": "free_monoid", "rank": 2},
+           "caps": {"trace_depth": 1, cap: limit + 1}}
+    message = (f"cap {cap!r} is {limit + 1}, past the free_monoid"
+               f" listing limit {limit}")
+    assert _refused(doc) == message
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_main_refuses_bad_freeness_grading(tmp_path, capsys):

@@ -16,7 +16,7 @@ from sgclab import ideals
 from sgclab.cli import RunConfig, run
 from sgclab.exactla import (bareiss_rank, operator_norm_enclosure,
                             sqrt_enclosure, sym_top_eig_enclosure)
-from sgclab.fock import (BandExhausted, TruncOp, build_frame,
+from sgclab.fock import (BandExhausted, TruncOp, _in_band, build_frame,
                          check_projection_identity, compressed_matrix,
                          cond_expectation, default_f_chain, equal_on_band,
                          generator_covariance_terms, mul_op, projection_op,
@@ -558,6 +558,32 @@ def test_equal_on_band_ignores_columns_outside_the_band(f2):
     short = with_map(product, {**op_map(product), 1: 0})
     assert not equal_on_band(short, one)
     assert not entrywise_equal_on_band(short, one)
+
+
+def test_in_band_reads_the_band_columns_and_keeps_whole_tuples(all_models):
+    # a band that holds every column hands back the stored tuples
+    # themselves, without a copy; any band keeps exactly the columns of
+    # basis length <= band, read against the basis itself
+    for model in all_models:
+        for n in (4, 8):
+            P = full_ideal(model)
+            word = rep_vword(make_vword(model, WordTrace(())), n)
+            mask = projection_op(left_mul(model.generators[0], P), n)
+            product = mul_op(mask, word)
+            shift = rep_vword(make_vword(
+                model, WordTrace(((model.unit, model.generators[0]),))), n)
+            for op in (word, mask, product):
+                assert op.band == n
+                dom, ran = _in_band(op, op.n)
+                assert dom is op.dom and ran is op.ran
+            basis = model.basis(n)[0]
+            for op in (word, mask, product, shift):
+                for band in range(n + 1):
+                    keep = [k for k, j in enumerate(op.dom)
+                            if model.length(basis[j]) <= band]
+                    assert _in_band(op, band) == (
+                        tuple(op.dom[k] for k in keep),
+                        tuple(op.ran[k] for k in keep))
 
 
 def _terms(words, n):
